@@ -68,17 +68,32 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _tolerance(args):
-    return default_tolerance() if args.tolerance is None else as_scalar(args.tolerance)
+def _tolerance(args, sc: Optional[dict] = None):
+    """``--tolerance``, else the scenario's ``"tolerance"``, else the default."""
+    value = args.tolerance if args.tolerance is not None else (sc or {}).get("tolerance")
+    if value is None:
+        return default_tolerance()
+    tol = as_scalar(value)
+    if tol < 0:
+        raise ScenarioError(f"tolerance must be nonnegative, got {value!r}")
+    return tol
+
+
+def _nonnegative_int(args, key: str, default: int, sc: Optional[dict] = None) -> int:
+    """``--key``, else the scenario's entry, else ``default``: an int >= 0."""
+    value = getattr(args, key)
+    if value is None:
+        value = (sc or {}).get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError(f"{key} must be a nonnegative integer, got {value!r}")
+    return value
 
 
 def _cmd_check(args) -> int:
     sc = load_scenario(args.scenario)
-    tol = _tolerance(args) if args.tolerance is not None else (
-        as_scalar(sc["tolerance"]) if "tolerance" in sc else default_tolerance()
-    )
-    budget = args.subset_budget or int(sc.get("subset_budget", DEFAULT_SUBSET_BUDGET))
-    seed = args.seed if args.seed is not None else int(sc.get("seed", 0))
+    tol = _tolerance(args, sc)
+    budget = _nonnegative_int(args, "subset_budget", DEFAULT_SUBSET_BUDGET, sc)
+    seed = _nonnegative_int(args, "seed", 0, sc)
     fam_obj = sc.get("family")
     if fam_obj is None:
         raise ScenarioError("scenario needs a 'family' entry")
@@ -139,9 +154,9 @@ def _gallery_choquet_demo():
 
 def _cmd_gallery(args) -> int:
     name = args.name
-    seed = args.seed if args.seed is not None else 0
+    seed = _nonnegative_int(args, "seed", 0)
     tol = _tolerance(args)
-    budget = args.subset_budget or DEFAULT_SUBSET_BUDGET
+    budget = _nonnegative_int(args, "subset_budget", DEFAULT_SUBSET_BUDGET)
     if name == "example-2-6":
         prefix = args.prefix or 100
         params = {}
@@ -193,10 +208,11 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_oracle(args) -> int:
     tol = _tolerance(args)
-    summary = run_campaign(args.trials, args.seed or 0, args.max_atoms, args.max_family)
+    seed = _nonnegative_int(args, "seed", 0)
+    summary = run_campaign(args.trials, seed, args.max_atoms, args.max_family)
     _emit(args, {
         "report": summary.to_json_dict(),
-        "environment": environment_echo("oracle", args.seed or 0, tol),
+        "environment": environment_echo("oracle", seed, tol),
     })
     return 4 if summary.violations else 0
 
@@ -249,7 +265,7 @@ def _cmd_shapiro_check(args) -> int:
         )
     except InterlabError as e:
         raise ScenarioError(f"bad shapiro scenario: {e}") from e
-    tol = args.tolerance if args.tolerance is not None else sc.get("tolerance")
+    tol = _tolerance(args, sc)
     scenario = ShapiroScenario(
         functional=phi,
         p=as_scalar(sc.get("p", 1)),
@@ -257,14 +273,12 @@ def _cmd_shapiro_check(args) -> int:
         selection_prefix=prefix,
         declared_gflat=declared,
         selection_set=u_set,
-        tolerance=as_scalar(tol) if tol is not None else None,
+        tolerance=tol,
     )
     report = verify_shapiro(scenario)
     _emit(args, {
         "report": report.to_json_dict(),
-        "environment": environment_echo(
-            "shapiro-check", args.seed, as_scalar(tol) if tol is not None else default_tolerance()
-        ),
+        "environment": environment_echo("shapiro-check", args.seed, tol),
     })
     return 0
 

@@ -121,12 +121,6 @@ def mu_leq(f: FnClass, g: FnClass) -> bool:
     return all(f.values[i] <= g.values[i] for i in f.space.non_null_indices())
 
 
-def leq_everywhere(f: FnClass, g: FnClass) -> bool:
-    """Plain pointwise order, null atoms included."""
-    _same_space(f, g)
-    return all(a <= b for a, b in zip(f.values, g.values))
-
-
 def pointwise_inf(family: Iterable[FnClass]) -> FnClass:
     """Per-atom minimum; the greatest lower bound for the mu-pointwise order."""
     members = list(family)
@@ -136,16 +130,6 @@ def pointwise_inf(family: Iterable[FnClass]) -> FnClass:
     for m in members[1:]:
         _same_space(members[0], m)
     return FnClass(space, [min(m.values[i] for m in members) for i in range(len(space))])
-
-
-def pointwise_sup(family: Iterable[FnClass]) -> FnClass:
-    members = list(family)
-    if not members:
-        raise InputError("pointwise_sup of an empty family")
-    for m in members[1:]:
-        _same_space(members[0], m)
-    space = members[0].space
-    return FnClass(space, [max(m.values[i] for m in members) for i in range(len(space))])
 
 
 def pos_neg_parts(f: FnClass) -> Tuple[FnClass, FnClass]:

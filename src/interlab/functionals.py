@@ -34,11 +34,17 @@ DOMAIN_NONNEGATIVE = "nonnegative"
 DOMAIN_ALL = "all"
 # A domain may also name one integrability cone: "L1_FULL", "L1_PLUS",
 # "L1_MINUS" (cone membership, so L1_FULL functions belong to both).
-DOMAIN_TAGS = ("L1_FULL", "L1_PLUS", "L1_MINUS")
 
 
 @dataclass(frozen=True)
 class Functional:
+    """A named map Phi from functions to extended reals.
+
+    ``eval_fn`` must be a pure function of the representative values of its
+    argument: the directedness scan scores each distinct infimum once and
+    reuses that score for every subset with the same infimum.
+    """
+
     name: str
     domain: str
     eval_fn: Callable[[FnClass], ExtReal]
@@ -125,10 +131,6 @@ def make_builtin(
             order_preserving=base.order_preserving, seq_inf_continuous=False,
         )
     raise InputError(f"unknown builtin functional kind {kind!r}")
-
-
-BUILTIN_KINDS = ("extended_lebesgue", "outer", "inner", "ess_sup", "choquet",
-                 "post_compose")
 
 
 def parameterless_builtins() -> List[Functional]:

@@ -202,12 +202,85 @@ def _sampled_subsets(n: int, seed: int, samples: int):
     return sorted(seen, key=lambda s: (len(s), s))
 
 
+def _scan_subsets(
+    members: Sequence[FnClass],
+    score: Callable[[FnClass], ExtReal],
+    holds: Callable[[ExtReal], bool],
+    subset_budget: int,
+    seed: int,
+    samples: int,
+    known: Dict[Tuple[int, ...], ExtReal],
+) -> Tuple[Optional[Tuple[int, ...]], bool, Callable[[Sequence[int]], ExtReal]]:
+    """Find the first subset S whose infimum fails ``holds(score(inf S))``.
+
+    Subsets come from ``_nonempty_subsets`` while the family is within
+    ``subset_budget`` and from ``_sampled_subsets`` beyond it, smallest
+    first, so the witness is a smallest violating subset.
+
+    The infimum of a subset takes every atom's value from some member, so
+    it is named exactly by one rank per atom: the rank of its value among
+    that atom's distinct member values.  Rank r is stored as r one-bits in
+    the atom's field of an int (a thermometer code), which turns the
+    per-atom minimum into a bitwise AND: a subset's infimum is the AND of
+    its members' ints.  ``score`` runs once per distinct infimum, on the
+    decoded function; ``known`` gives scores already computed, keyed by
+    member indices.  Returns the witness (None when every subset holds),
+    whether the scan was exhaustive, and the memoized score of the infimum
+    of any index tuple.
+    """
+    space = members[0].space
+    rows = [0] * len(members)
+    fields = []  # (distinct values of an atom, bit offset, field mask)
+    offset = 0
+    for column in zip(*(m.values for m in members)):
+        level = sorted(set(column))
+        rank = {v: r for r, v in enumerate(level)}
+        for j, v in enumerate(column):
+            rows[j] |= ((1 << rank[v]) - 1) << offset
+        fields.append((level, offset, (1 << (len(level) - 1)) - 1))
+        offset += len(level) - 1
+    memo: Dict[int, ExtReal] = {}
+    passed = set()
+
+    def inf_key(idx: Sequence[int]) -> int:
+        key = -1
+        for i in idx:
+            key &= rows[i]
+        return key
+
+    def score_key(key: int) -> ExtReal:
+        value = memo.get(key)
+        if value is None:
+            values = [lv[((key >> off) & mask).bit_count()] for lv, off, mask in fields]
+            value = memo[key] = score(FnClass(space, values))
+        return value
+
+    for idx, value in known.items():
+        memo[inf_key(idx)] = value
+    n = len(members)
+    exhaustive = n <= subset_budget
+    subsets = _nonempty_subsets(n) if exhaustive else _sampled_subsets(n, seed, samples)
+    witness = None
+    for idx in subsets:
+        key = inf_key(idx)
+        if key in passed:
+            continue
+        if not holds(score_key(key)):
+            witness = idx
+            break
+        passed.add(key)
+    return witness, exhaustive, lambda idx: score_key(inf_key(idx))
+
+
 def is_phi_inf_directed(
     family: Family,
     phi: Functional,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     seed: int = 0,
     samples: int = DEFAULT_SAMPLED_SUBSETS,
+    *,
+    phi_values: Optional[Sequence[ExtReal]] = None,
+    phi_inf: Optional[ExtReal] = None,
 ) -> DirectednessResult:
     """Scan finite subsets for the directedness condition.
 
@@ -216,32 +289,39 @@ def is_phi_inf_directed(
     family, and ``samples`` random subsets are checked and the result is
     labeled "sampled".  Subsets are visited smallest first, so the witness
     on failure is a smallest violating subset.
+
+    A subset costs one bitwise AND per member and one set lookup, plus one
+    Phi evaluation if its infimum is new: Phi is evaluated once per
+    distinct subset infimum, and not at all on the members or on the
+    infimum of the whole family when their values are passed as
+    ``phi_values`` and ``phi_inf``.  The memo holds at most one entry per subset scanned (2^n - 1 when
+    exhaustive) plus the members, and is freed on return.
     """
     members = family.members
     n = len(members)
-    values = [phi(x) for x in members]
-    lhs = min(values)
-    exhaustive = n <= subset_budget
-    subsets = _nonempty_subsets(n) if exhaustive else _sampled_subsets(n, seed, samples)
-    witness = None
-    for idx in subsets:
-        rhs = phi(pointwise_inf([members[i] for i in idx]))
-        if not lhs <= rhs:
-            witness = idx
-            break
+    if phi_values is None:
+        phi_values = [phi(x) for x in members]
+    lhs = min(phi_values)
+    known = {(j,): v for j, v in enumerate(phi_values)}
+    if phi_inf is not None:
+        known[tuple(range(n))] = phi_inf
+    witness, exhaustive, score_inf = _scan_subsets(
+        members, phi, lambda v: lhs <= v, subset_budget, seed, samples, known
+    )
     directed = witness is None
-    shortcut = lhs <= phi(pointwise_inf(members))
     result = DirectednessResult(
         directed=directed,
         witness=witness,
         mode="exhaustive" if exhaustive else "sampled",
-        shortcut_agrees=(shortcut == directed) if exhaustive else None,
     )
-    if exhaustive and phi.order_preserving and shortcut != directed:
-        raise InvariantError(
-            f"finite-family shortcut disagrees with the exhaustive subset scan "
-            f"for {phi.name}: shortcut={shortcut}, scan={directed}"
-        )
+    if exhaustive:
+        shortcut = lhs <= score_inf(range(n))
+        result.shortcut_agrees = shortcut == directed
+        if phi.order_preserving and shortcut != directed:
+            raise InvariantError(
+                f"finite-family shortcut disagrees with the exhaustive subset scan "
+                f"for {phi.name}: shortcut={shortcut}, scan={directed}"
+            )
     return result
 
 
@@ -251,11 +331,17 @@ def verify_interchange(
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     tolerance: Optional[Scalar] = None,
     seed: int = 0,
+    *,
+    phi_values: Optional[Sequence[ExtReal]] = None,
+    phi_inf: Optional[ExtReal] = None,
 ) -> InterchangeReport:
     """Compute both sides of the interchange formula and cross-check.
 
     The report's verdict must match the directedness scan whenever the
     functional's hypotheses hold; a mismatch raises InvariantError.
+    ``phi_values`` and ``phi_inf``, when given, are Phi on the members and
+    on their infimum, already computed by the caller.  Either way the scan
+    reuses them, so Phi runs once per member and once on the infimum.
     """
     tol = default_tolerance() if tolerance is None else as_scalar(tolerance)
     notes = [
@@ -270,9 +356,9 @@ def verify_interchange(
         )
         hyp_ok = sample.ok
 
-    values = [phi(x) for x in family.members]
+    values = [phi(x) for x in family.members] if phi_values is None else phi_values
     lhs = min(values)
-    rhs = phi(pointwise_inf(family.members))
+    rhs = phi(pointwise_inf(family.members)) if phi_inf is None else phi_inf
     holds = _eq_within(lhs, rhs, tol)
 
     if phi.order_preserving and not _leq_within(rhs, lhs, tol):
@@ -281,7 +367,9 @@ def verify_interchange(
             f"> min Phi = {lhs}"
         )
 
-    directed = is_phi_inf_directed(family, phi, subset_budget, seed=seed)
+    directed = is_phi_inf_directed(
+        family, phi, subset_budget, seed=seed, phi_values=values, phi_inf=rhs
+    )
     if hyp_ok and directed.directed is not None and holds != directed.directed:
         if directed.mode == "exhaustive" or not directed.directed:
             raise InvariantError(
@@ -359,7 +447,8 @@ def verify_interchange_sequence(
 
     if spec.exhaustive:
         base = verify_interchange(
-            Family(members, origin="generated"), phi, subset_budget, tolerance, seed
+            Family(members, origin="generated"), phi, subset_budget, tolerance, seed,
+            phi_values=phi_values, phi_inf=prefix_rhs[-1],
         )
         base.mode = "sequence"
         base.prefix = prefix_data
@@ -401,7 +490,8 @@ def verify_interchange_sequence(
         notes.append("prefix lhs neither stabilizes nor crosses the threshold")
     else:
         directed = is_phi_inf_directed(
-            Family(members, origin="generated"), phi, subset_budget, seed=seed
+            Family(members, origin="generated"), phi, subset_budget, seed=seed,
+            phi_values=phi_values, phi_inf=prefix_rhs[-1],
         )
         directed_verdict = directed.verdict
         witness = directed.witness
@@ -518,6 +608,10 @@ def giner_gap_directed(
     (x - inf S) must be <= 0.  Only evaluated on integrable families whose
     members are finite mu-a.e.; the subtraction convention for infinite
     values is deliberately not guessed (the direct condition covers those).
+
+    Shares the scan of ``is_phi_inf_directed``: one bitwise AND per member
+    of a subset, the gap evaluated once per distinct subset infimum, and a
+    memo of at most one entry per subset scanned, freed on return.
     """
     members = family.members
     for m in members:
@@ -526,22 +620,16 @@ def giner_gap_directed(
                 "gap form needs an integrable, mu-a.e. finite family; "
                 "use the direct Phi-inf-directedness condition instead"
             )
-    n = len(members)
-    exhaustive = n <= subset_budget
-    subsets = (
-        _nonempty_subsets(n)
-        if exhaustive
-        else _sampled_subsets(n, seed, DEFAULT_SAMPLED_SUBSETS)
-    )
-    witness = None
-    for idx in subsets:
-        m = pointwise_inf([members[i] for i in idx])
-        gap = min(
+
+    def gap(m: FnClass) -> ExtReal:
+        return min(
             lebesgue_extended(fn_add(x, fn_neg(m), mode="lower")) for x in members
         )
-        if not gap <= ZERO:
-            witness = idx
-            break
+
+    witness, exhaustive, _ = _scan_subsets(
+        members, gap, lambda g: g <= ZERO, subset_budget, seed,
+        DEFAULT_SAMPLED_SUBSETS, {},
+    )
     return DirectednessResult(
         directed=witness is None,
         witness=witness,

@@ -4,14 +4,18 @@ These deliberately avoid the library's closed forms: the simple-function
 oracle enumerates dominated step functions, the dominating-psi oracle walks
 candidate integrable majorants from a value grid, and the Choquet oracle is
 a brute-force Riemann sum over an explicit t-grid (run in integer units of
-the grid step, so level-set boundaries are exact).
+the grid step, so level-set boundaries are exact).  The naive directedness
+scans rebuild inf S from the members for every subset, in size order, and
+evaluate the condition afresh each time.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from interlab.extreal import POS_INF, ExtReal
-from interlab.fnlattice import FnClass
+from interlab.extreal import POS_INF, ZERO, ExtReal
+from interlab.fnlattice import FnClass, fn_add, fn_neg, pointwise_inf
+from interlab.integrals import lebesgue_extended
+from interlab.interchange import _sampled_subsets
 
 
 def weighted_sum(space, values):
@@ -98,3 +102,40 @@ def choquet_riemann(f: FnClass, capacity, step_units_per_one=10_000):
         )
         lookup[code] = float(capacity.of(atoms))
     return float(lookup[codes].sum()) / step_units_per_one
+
+
+def _naive_subsets(n, subset_budget, seed, samples):
+    # The sample is drawn by the library: which subsets are sampled is not
+    # what the naive scans check, only what each subset's verdict is.
+    if n <= subset_budget:
+        return [c for k in range(1, n + 1) for c in combinations(range(n), k)], "exhaustive"
+    return _sampled_subsets(n, seed, samples), "sampled"
+
+
+def naive_phi_inf_directed(family, phi, subset_budget, seed=0, samples=64):
+    """(directed, witness, mode, shortcut_agrees) of the subset condition."""
+    members = family.members
+    lhs = min(phi(x) for x in members)
+    subsets, mode = _naive_subsets(len(members), subset_budget, seed, samples)
+    witness = next(
+        (idx for idx in subsets
+         if not lhs <= phi(pointwise_inf([members[i] for i in idx]))),
+        None,
+    )
+    directed = witness is None
+    shortcut = lhs <= phi(pointwise_inf(members))
+    return directed, witness, mode, (shortcut == directed) if mode == "exhaustive" else None
+
+
+def naive_giner_gap_directed(family, subset_budget, seed=0, samples=64):
+    """(directed, witness, mode) of the gap form."""
+    members = family.members
+    subsets, mode = _naive_subsets(len(members), subset_budget, seed, samples)
+
+    def gap_ok(idx):
+        m = pointwise_inf([members[i] for i in idx])
+        gap = min(lebesgue_extended(fn_add(x, fn_neg(m), mode="lower")) for x in members)
+        return gap <= ZERO
+
+    witness = next((idx for idx in subsets if not gap_ok(idx)), None)
+    return witness is None, witness, mode

@@ -97,6 +97,45 @@ def test_fraction_strings_accepted(tmp_path, capsys):
     assert json.loads(out)["report"]["lhs"] == "2/9"
 
 
+SAMPLED_NOTE = "directedness scan sampled (family larger than subset budget)"
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["check", "{path}"], 0),
+    (["check", "{path}", "--subset-budget", "0"], 12),
+    (["gallery", "chain", "--subset-budget", "0"], None),
+])
+def test_explicit_zero_subset_budget_samples_every_scan(tmp_path, capsys, argv, budget):
+    path = write_scenario(tmp_path, "zero.json", dict(GINER_SCENARIO, subset_budget=budget))
+    code, out = run_main(capsys, [a.format(path=path) for a in argv])
+    assert code == 0
+    assert SAMPLED_NOTE in json.loads(out)["report"]["notes"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"subset_budget": "x"}, {"subset_budget": -1}, {"subset_budget": 1.5},
+    {"subset_budget": True}, {"seed": "x"}, {"seed": -1}, {"seed": 2.5},
+    {"tolerance": -1}, {"tolerance": "-1/2"},
+])
+def test_bad_scenario_numbers_exit_2(tmp_path, capsys, entry):
+    path = write_scenario(tmp_path, "bad.json", dict(GINER_SCENARIO, **entry))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery", "chain", "--subset-budget", "-1"],
+    ["gallery", "chain", "--seed", "-1"],
+    ["gallery", "chain", "--tolerance", "-0.5"],
+    ["oracle", "--trials", "1", "--seed", "-2"],
+    ["oracle", "--trials", "1", "--tolerance", "-1"],
+])
+def test_negative_flags_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
 @pytest.mark.parametrize(
     "name", ["giner-pair", "chain", "example-2-6", "choquet-demo", "rw-demo",
              "shapiro-demo"]
@@ -172,6 +211,19 @@ def test_shapiro_check(tmp_path, capsys):
     report = json.loads(out)["report"]
     assert report["conclusion_holds"]
     assert all(h["ok"] for h in report["hypotheses"])
+
+
+def test_shapiro_check_negative_tolerance_exits_2(tmp_path, capsys):
+    scenario = {
+        "space": {"atoms": ["a"], "weights": [1]},
+        "integrand": {"controls": [[0]], "table": [[0]]},
+        "functional": {"kind": "extended_lebesgue"},
+        "selection_prefix": [[0]],
+        "tolerance": "-1/1000",
+    }
+    path = write_scenario(tmp_path, "shapiro-neg.json", scenario)
+    assert main(["shapiro-check", path]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
 
 
 def test_text_format(capsys):
