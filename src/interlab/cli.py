@@ -73,32 +73,39 @@ def _tolerance(args, sc: Optional[dict] = None):
     value = args.tolerance if args.tolerance is not None else (sc or {}).get("tolerance")
     if value is None:
         return default_tolerance()
-    tol = as_scalar(value)
+    try:
+        tol = as_scalar(value)
+    except InputError as e:
+        raise ScenarioError(f"bad tolerance {value!r}: {e}") from e
     if tol < 0:
         raise ScenarioError(f"tolerance must be nonnegative, got {value!r}")
     return tol
 
 
-def _nonnegative_int(args, key: str, default: int, sc: Optional[dict] = None) -> int:
-    """``--key``, else the scenario's entry, else ``default``: an int >= 0."""
+def _int_option(args, key: str, default: int, sc: Optional[dict] = None,
+                positive: bool = False) -> int:
+    """``--key``, else the scenario's entry, else ``default``: an int >= 0,
+    or >= 1 when ``positive``."""
     value = getattr(args, key)
     if value is None:
         value = (sc or {}).get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ScenarioError(f"{key} must be a nonnegative integer, got {value!r}")
+    least, kind = (1, "positive") if positive else (0, "nonnegative")
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ScenarioError(f"{key} must be a {kind} integer, got {value!r}")
     return value
 
 
 def _cmd_check(args) -> int:
     sc = load_scenario(args.scenario)
     tol = _tolerance(args, sc)
-    budget = _nonnegative_int(args, "subset_budget", DEFAULT_SUBSET_BUDGET, sc)
-    seed = _nonnegative_int(args, "seed", 0, sc)
+    budget = _int_option(args, "subset_budget", DEFAULT_SUBSET_BUDGET, sc)
+    seed = _int_option(args, "seed", 0, sc)
     fam_obj = sc.get("family")
     if fam_obj is None:
         raise ScenarioError("scenario needs a 'family' entry")
     if isinstance(fam_obj, dict):
-        prefix = args.prefix or int(fam_obj.get("prefix", 100))
+        prefix = _int_option(args, "prefix", 100, fam_obj, positive=True)
+        fam_obj = dict(fam_obj, prefix=prefix)
         if args.divergence_threshold is not None:
             fam_obj = dict(fam_obj, divergence_threshold=args.divergence_threshold)
         elif "divergence_threshold" in sc:
@@ -154,11 +161,11 @@ def _gallery_choquet_demo():
 
 def _cmd_gallery(args) -> int:
     name = args.name
-    seed = _nonnegative_int(args, "seed", 0)
+    seed = _int_option(args, "seed", 0)
     tol = _tolerance(args)
-    budget = _nonnegative_int(args, "subset_budget", DEFAULT_SUBSET_BUDGET)
+    budget = _int_option(args, "subset_budget", DEFAULT_SUBSET_BUDGET)
     if name == "example-2-6":
-        prefix = args.prefix or 100
+        prefix = _int_option(args, "prefix", 100, positive=True)
         params = {}
         if args.divergence_threshold is not None:
             params["divergence_threshold"] = args.divergence_threshold
@@ -179,7 +186,7 @@ def _cmd_gallery(args) -> int:
         integrand = Integrand(space, [[0], [1]], [[0, 1], [1, 0]])
         u_set = SelectionSet.full_product(2, 2)
         inter = verify_rw_interchange(integrand, u_set)
-        argmin = verify_rw_argmin(integrand, u_set)
+        argmin = verify_rw_argmin(integrand, u_set, interchange=inter)
         payload = {"report": {
             "interchange": inter.to_json_dict(),
             "argmin": argmin.to_json_dict(),
@@ -208,7 +215,7 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_oracle(args) -> int:
     tol = _tolerance(args)
-    seed = _nonnegative_int(args, "seed", 0)
+    seed = _int_option(args, "seed", 0)
     summary = run_campaign(args.trials, seed, args.max_atoms, args.max_family)
     _emit(args, {
         "report": summary.to_json_dict(),
@@ -225,7 +232,7 @@ def _cmd_rw_check(args) -> int:
     try:
         integrand = Integrand.from_json_dict(sc["integrand"], space)
         sel = sc.get("selection_set", {"kind": "product"})
-        if sel.get("kind") == "product" and "admissible" not in sel:
+        if isinstance(sel, dict) and sel.get("kind") == "product" and "admissible" not in sel:
             u_set = SelectionSet.full_product(len(space.atoms), integrand.n_controls)
         else:
             u_set = SelectionSet.from_json_dict(
@@ -233,11 +240,13 @@ def _cmd_rw_check(args) -> int:
             )
     except InterlabError as e:
         raise ScenarioError(f"bad rw scenario: {e}") from e
-    tol = _tolerance(args)
+    tol = _tolerance(args, sc)
     inter = verify_rw_interchange(integrand, u_set, tolerance=tol)
     payload = {"interchange": inter.to_json_dict()}
     if inter.lhs.is_finite:
-        payload["argmin"] = verify_rw_argmin(integrand, u_set).to_json_dict()
+        payload["argmin"] = verify_rw_argmin(
+            integrand, u_set, interchange=inter
+        ).to_json_dict()
     _emit(args, {
         "report": payload,
         "environment": environment_echo("rw-check", args.seed, tol),

@@ -8,17 +8,27 @@ G(u)(atom) = f(atom, u(atom)).  Selection sets come in two forms: PRODUCT
 Decomposability at this scale means closure under patching members with
 arbitrary reachable values on arbitrary atom sets, which is the same as
 being the product of the per-atom projections; both characterizations are
-computed and must agree.  Note the patching clause uses the values the set
-actually reaches at each atom: constraining controls per atom is expressed
-through the selection set (or with +inf penalties in the integrand), and
-the minimized side of the interchange uses the same reachable sets.
+computed and must agree.  Closure under single-atom patches already implies
+closure under every patch (apply a patch one atom at a time: each
+intermediate is a member), so the patch side costs |U| * sum_i |P_i| set
+lookups for an explicit set U with projections P_i.  Note the patching
+clause uses the values the set actually reaches at each atom: constraining
+controls per atom is expressed through the selection set (or with +inf
+penalties in the integrand), and the minimized side of the interchange uses
+the same reachable sets.
 
 ``verify_rw_interchange`` brute-forces the selection side against the
-integral of the per-atom minimum; ``verify_rw_argmin`` checks the
-selection-by-selection argmin characterization whenever the common value is
-finite.  ``verify_shapiro`` checks the hypotheses and conclusion of the
-norm-convergence interchange for general order-preserving functionals on a
-probability space.
+integral of the per-atom minimum in one pass over the set: the weighted
+positive and negative terms of every (atom, reachable control) are computed
+once, and each selection folds them in atom order exactly as
+``outer_integral(G(u))`` would, reusing the fold of the atoms it shares
+with the previous selection.  The same pass collects the minimizers and the
+selections that pick a per-atom minimizer on every non-null atom, so
+``verify_rw_argmin`` checks the selection-by-selection argmin
+characterization (whenever the common value is finite) from the
+interchange report without enumerating again.  ``verify_shapiro`` checks
+the hypotheses and conclusion of the norm-convergence interchange for
+general order-preserving functionals on a probability space.
 """
 
 from __future__ import annotations
@@ -30,13 +40,18 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import BudgetError, DomainError, InputError, InvariantError
 from .extreal import (
     NEG_INF,
+    ZERO,
     ExtReal,
     Scalar,
     as_scalar,
     ext,
+    lower_add,
+    neg,
+    scalar_mul,
     to_jsonable,
+    upper_add,
 )
-from .fnlattice import FnClass, classify, fn_add, fn_neg, lp_norm
+from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
 from .functionals import Functional
 from .integrals import outer_integral
 from .interchange import _eq_within, default_tolerance
@@ -204,11 +219,16 @@ class SelectionSet:
 
     @classmethod
     def from_json_dict(cls, d: dict, n_atoms: int, n_controls: int) -> "SelectionSet":
+        if not isinstance(d, dict):
+            raise InputError(f"a selection set must be a JSON object, got {d!r}")
         kind = d.get("kind")
-        if kind == "explicit":
-            return cls.explicit(d.get("selections", []), n_atoms, n_controls)
-        if kind == "product":
-            return cls("product", n_atoms, n_controls, admissible=d.get("admissible"))
+        try:
+            if kind == "explicit":
+                return cls.explicit(d.get("selections", []), n_atoms, n_controls)
+            if kind == "product":
+                return cls("product", n_atoms, n_controls, admissible=d.get("admissible"))
+        except (TypeError, ValueError) as e:
+            raise InputError(f"malformed {kind} selection set: {e}") from e
         raise InputError(f"unknown selection-set kind {kind!r}")
 
 
@@ -230,41 +250,30 @@ def is_decomposable(u_set: SelectionSet) -> DecomposabilityReport:
     """Patch-closure check, cross-validated against the projection product.
 
     Explicit sets are decomposable exactly when they equal the product of
-    their per-atom projections; the direct patch enumeration (replace the
-    values of a member on any atom set by arbitrary reachable values) must
-    agree, and a violating patch is reported on failure.
+    their per-atom projections.  The patch side tests closure under
+    single-atom patches (replace one atom's value of a member by another
+    reachable value), |U| * sum_i |P_i| set lookups; that implies closure
+    under every patch, since a patch applied one atom at a time passes only
+    through members.  It must agree with the product count.  On failure the
+    reported witness is the first violating patch of the first member, in
+    the order of increasing atom count, then atom set, then values: every
+    point of the product of the projections is a patch of that member, so
+    no later member is ever needed.
     """
     if u_set.kind == "product":
         return DecomposabilityReport(True, notes=["product form: decomposable by construction"])
 
     members = set(u_set.selections)
     projections = u_set.projections()
-    n = u_set.n_atoms
-
-    by_patching = True
+    by_patching = all(
+        u[:i] + (v,) + u[i + 1:] in members
+        for u in u_set.selections
+        for i, values in enumerate(projections)
+        for v in values
+    )
     witness = None
-    for u in u_set.selections:
-        for k in range(1, n + 1):
-            for atoms in combinations(range(n), k):
-                for patch_values in product(*(projections[i] for i in atoms)):
-                    patched = list(u)
-                    for i, v in zip(atoms, patch_values):
-                        patched[i] = v
-                    if tuple(patched) not in members:
-                        by_patching = False
-                        witness = {
-                            "base": list(u),
-                            "atoms": list(atoms),
-                            "values": list(patch_values),
-                            "patched": patched,
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    if not by_patching:
+        witness = _first_patch_witness(u_set.selections[0], projections, members)
 
     expected = 1
     for p in projections:
@@ -278,6 +287,25 @@ def is_decomposable(u_set: SelectionSet) -> DecomposabilityReport:
     return DecomposabilityReport(by_patching, witness_patch=witness)
 
 
+def _first_patch_witness(base: Selection, projections, members) -> Optional[dict]:
+    """The first patch of ``base`` that leaves ``members``, or None."""
+    n = len(base)
+    for k in range(1, n + 1):
+        for atoms in combinations(range(n), k):
+            for patch_values in product(*(projections[i] for i in atoms)):
+                patched = list(base)
+                for i, v in zip(atoms, patch_values):
+                    patched[i] = v
+                if tuple(patched) not in members:
+                    return {
+                        "base": list(base),
+                        "atoms": list(atoms),
+                        "values": list(patch_values),
+                        "patched": patched,
+                    }
+    return None
+
+
 @dataclass
 class RwInterchangeReport:
     lhs: ExtReal
@@ -286,6 +314,9 @@ class RwInterchangeReport:
     decomposable: bool
     hypothesis_notes: List[str] = field(default_factory=list)
     minimizers: List[Selection] = field(default_factory=list)
+    # Selections picking a per-atom minimizer on every non-null atom, in
+    # enumeration order; read by verify_rw_argmin, not reported.
+    pointwise_argmin: List[Selection] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,7 +340,8 @@ def verify_rw_interchange(
 
     A non-decomposable set is still evaluated, flagged as a hypothesis
     violation (the inequality lhs >= rhs always holds; equality may fail).
-    Requires some selection with integrable positive part.
+    Requires some selection with integrable positive part.  The set is
+    enumerated once (see ``_min_over_selections``).
     """
     tol = default_tolerance() if tolerance is None else as_scalar(tolerance)
     if u_set.n_atoms != len(integrand.space.atoms):
@@ -322,24 +354,11 @@ def verify_rw_interchange(
     if not decomp.decomposable:
         notes.append("hypothesis violated: selection set is not decomposable")
 
-    lhs = None
-    minimizers: List[Selection] = []
-    has_l1_plus = False
-    for sel in u_set.iter_selections(enum_budget):
-        g = integrand.g_of(sel)
-        if classify(g).in_l1_plus:
-            has_l1_plus = True
-        v = outer_integral(g)
-        if lhs is None or v < lhs:
-            lhs, minimizers = v, [tuple(sel)]
-        elif v == lhs:
-            minimizers.append(tuple(sel))
-    if not has_l1_plus:
-        raise DomainError(
-            "precondition failure: no selection has integrable positive part"
-        )
-
-    rhs = outer_integral(integrand.g_flat(u_set.projections()))
+    projections = u_set.projections()
+    lhs, minimizers, pointwise_argmin = _min_over_selections(
+        integrand, u_set, projections, enum_budget
+    )
+    rhs = outer_integral(integrand.g_flat(projections))
     equal = _eq_within(lhs, rhs, tol)
     if not equal and decomp.decomposable:
         raise InvariantError(
@@ -352,7 +371,81 @@ def verify_rw_interchange(
     return RwInterchangeReport(
         lhs=lhs, rhs=rhs, equal=equal, decomposable=decomp.decomposable,
         hypothesis_notes=notes, minimizers=minimizers,
+        pointwise_argmin=pointwise_argmin,
     )
+
+
+def _min_over_selections(integrand, u_set, projections, enum_budget):
+    """(min, minimizers, pointwise argmin set) of outer_integral(G(u)) over u.
+
+    One walk over ``u_set.iter_selections``.  For every atom i and reachable
+    control c the terms ``part_integrals`` adds for the value f(i, c) are
+    computed once: w_i * f to the positive part when f > 0, w_i * (-f) to
+    the negative part when f < 0.  A selection folds its terms with
+    ``lower_add`` in atom order and takes ``upper_add(ip, neg(im))``, the
+    same operations in the same order as ``outer_integral(g_of(u))``, so
+    float rounding is unchanged.  The folds of the first k atoms are kept
+    per k and reused while a selection agrees with the previous one on
+    those atoms, which in a product's odometer order is all but the last
+    few.  Raises DomainError when no selection has a finite positive part.
+    """
+    selections = u_set.iter_selections(enum_budget)
+    space = integrand.space
+    n = len(space.atoms)
+    atom_argmin = integrand.per_atom_argmin(projections)
+    plus_terms, minus_terms, picks_argmin = [], [], []
+    for i, controls in enumerate(projections):
+        w = space.weights[i]
+        plus_row = [None] * integrand.n_controls
+        minus_row = [None] * integrand.n_controls
+        argmin_row = [False] * integrand.n_controls
+        for c in controls:
+            v = integrand.table[i][c]
+            if v > ZERO:
+                plus_row[c] = scalar_mul(w, v)
+            elif v < ZERO:
+                minus_row[c] = scalar_mul(w, neg(v))
+            argmin_row[c] = space.is_null_atom(i) or c in atom_argmin[i]
+        plus_terms.append(plus_row)
+        minus_terms.append(minus_row)
+        picks_argmin.append(argmin_row)
+
+    # plus[k], minus[k], on_argmin[k]: the folds over atoms 0..k-1 of prev.
+    plus = [ZERO] * (n + 1)
+    minus = [ZERO] * (n + 1)
+    on_argmin = [True] * (n + 1)
+    prev = (None,) * n  # shares no atom with the first selection
+    lhs = None
+    minimizers: List[Selection] = []
+    pointwise_argmin: List[Selection] = []
+    has_l1_plus = False
+    for sel in selections:
+        k = 0
+        while k < n and sel[k] == prev[k]:
+            k += 1
+        for i in range(k, n):
+            c = sel[i]
+            t = plus_terms[i][c]
+            plus[i + 1] = plus[i] if t is None else lower_add(plus[i], t)
+            t = minus_terms[i][c]
+            minus[i + 1] = minus[i] if t is None else lower_add(minus[i], t)
+            on_argmin[i + 1] = on_argmin[i] and picks_argmin[i][c]
+        prev = sel
+        ip = plus[n]
+        if ip.is_finite:
+            has_l1_plus = True
+        v = upper_add(ip, neg(minus[n]))
+        if lhs is None or v < lhs:
+            lhs, minimizers = v, [sel]
+        elif v == lhs:
+            minimizers.append(sel)
+        if on_argmin[n]:
+            pointwise_argmin.append(sel)
+    if not has_l1_plus:
+        raise DomainError(
+            "precondition failure: no selection has integrable positive part"
+        )
+    return lhs, minimizers, pointwise_argmin
 
 
 @dataclass
@@ -379,31 +472,30 @@ def verify_rw_argmin(
     integrand: Integrand,
     u_set: SelectionSet,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
+    interchange: Optional[RwInterchangeReport] = None,
 ) -> RwArgminReport:
     """Check: u minimizes the selection problem iff u picks per-atom
     minimizers on every non-null atom.  Not applicable at common value -inf.
+
+    ``interchange`` is the report of ``verify_rw_interchange`` on the same
+    integrand and set, whose single enumeration already collected both
+    sides; without it the interchange is run here, at the default tolerance.
     """
-    base = verify_rw_interchange(integrand, u_set, enum_budget)
+    base = interchange
+    if base is None:
+        base = verify_rw_interchange(integrand, u_set, enum_budget)
     if base.lhs == NEG_INF:
         return RwArgminReport(
             applicable=False, characterization_holds=None, common_value=base.lhs,
             notes=["common value is -inf: characterization not applicable"],
         )
-    projections = u_set.projections()
-    atom_argmin = integrand.per_atom_argmin(projections)
-    non_null = set(integrand.space.non_null_indices())
-    pointwise_set = [
-        tuple(sel)
-        for sel in u_set.iter_selections(enum_budget)
-        if all(i not in non_null or sel[i] in atom_argmin[i] for i in range(u_set.n_atoms))
-    ]
-    holds = set(base.minimizers) == set(pointwise_set)
+    holds = set(base.minimizers) == set(base.pointwise_argmin)
     return RwArgminReport(
         applicable=True,
         characterization_holds=holds,
         common_value=base.lhs,
         argmin_selections=base.minimizers,
-        per_atom_argmin=atom_argmin,
+        per_atom_argmin=integrand.per_atom_argmin(u_set.projections()),
         notes=[] if holds else ["argmin sets differ"],
     )
 
@@ -483,7 +575,8 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
             )
         gflat = sc.declared_gflat
 
-    gflat_finite = all(gflat.values[i].is_finite for i in space.non_null_indices())
+    non_null = list(space.non_null_indices())
+    gflat_finite = all(gflat.values[i].is_finite for i in non_null)
     hypotheses.append(
         ("gflat_in_lp", gflat_finite,
          "G-flat finite on non-null atoms" if gflat_finite else "G-flat is infinite somewhere")
@@ -492,17 +585,22 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     s1_ok, s1_detail = True, "all G(u) finite on non-null atoms"
     try:
         sels = list(u_set.iter_selections(enum_budget))
+        exact = True
     except BudgetError:
         sels = [tuple(s) for s in sc.selection_prefix]
+        exact = False
         notes.append("selection set beyond budget: S1 checked on the prefix only")
-    for sel in sels:
-        g = sc.integrand.g_of(sel)
-        if any(not g.values[i].is_finite for i in space.non_null_indices()):
+    # G(u) over the set, built once for S1 and the conclusion.
+    fns = [sc.integrand.g_of(sel) for sel in sels]
+    for sel, g in zip(sels, fns):
+        if any(not g.values[i].is_finite for i in non_null):
             s1_ok, s1_detail = False, f"G({list(sel)}) is infinite on a non-null atom"
             break
     hypotheses.append(("S1_image_in_lp", s1_ok, s1_detail))
 
-    prefix_fns = [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix]
+    prefix_fns = (
+        [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix] if exact else fns
+    )
     norms = [lp_norm(fn_add(g, fn_neg(gflat), mode="lower"), p) for g in prefix_fns]
     norm_tol = _norm_tolerance(tol)
     converged = norms[-1].is_finite and float(norms[-1]) <= float(norm_tol)
@@ -521,11 +619,10 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
          f"Phi(G-flat) = {phi_flat} vs prefix liminf {liminf_est}")
     )
 
-    try:
-        inf_val = min(sc.functional(sc.integrand.g_of(tuple(s)))
-                      for s in u_set.iter_selections(enum_budget))
+    if exact:
+        inf_val = min(sc.functional(g) for g in fns)
         mode = "exact"
-    except BudgetError:
+    else:
         inf_val = min(phi_vals)
         mode = "sampled"
         notes.append(

@@ -180,8 +180,12 @@ class Capacity:
 
     @classmethod
     def from_json_dict(cls, d: dict, space: MeasureSpace) -> "Capacity":
+        if not isinstance(d, dict):
+            raise InputError(f"a capacity must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == "distortion":
+            if "gamma" not in d:
+                raise InputError("a distortion capacity needs 'gamma'")
             return cls.distortion(space, as_scalar(d["gamma"]))
         if kind != "table":
             raise InputError(f"unknown capacity kind {kind!r}")

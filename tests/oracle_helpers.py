@@ -6,16 +6,19 @@ candidate integrable majorants from a value grid, and the Choquet oracle is
 a brute-force Riemann sum over an explicit t-grid (run in integer units of
 the grid step, so level-set boundaries are exact).  The naive directedness
 scans rebuild inf S from the members for every subset, in size order, and
-evaluate the condition afresh each time.
+evaluate the condition afresh each time.  The selection-set references
+enumerate every patch of every member, and build G(u) and its outer integral
+selection by selection.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from interlab.errors import DomainError, InvariantError
 from interlab.extreal import POS_INF, ZERO, ExtReal
-from interlab.fnlattice import FnClass, fn_add, fn_neg, pointwise_inf
-from interlab.integrals import lebesgue_extended
-from interlab.interchange import _sampled_subsets
+from interlab.fnlattice import FnClass, classify, fn_add, fn_neg, pointwise_inf
+from interlab.integrals import lebesgue_extended, outer_integral
+from interlab.interchange import _eq_within, _sampled_subsets
 
 
 def weighted_sum(space, values):
@@ -139,3 +142,67 @@ def naive_giner_gap_directed(family, subset_budget, seed=0, samples=64):
 
     witness = next((idx for idx in subsets if not gap_ok(idx)), None)
     return witness is None, witness, mode
+
+
+def naive_is_decomposable(u_set):
+    """(decomposable, witness) by full patch enumeration.
+
+    Every member is patched on every atom set with every combination of
+    reachable values; the first patch that leaves the set is the witness.
+    Costs |U| * prod(|P_i| + 1) patches on a decomposable set.
+    """
+    if u_set.kind == "product":
+        return True, None
+    members = set(u_set.selections)
+    projections = u_set.projections()
+    n = u_set.n_atoms
+    for u in u_set.selections:
+        for k in range(1, n + 1):
+            for atoms in combinations(range(n), k):
+                for patch_values in product(*(projections[i] for i in atoms)):
+                    patched = list(u)
+                    for i, v in zip(atoms, patch_values):
+                        patched[i] = v
+                    if tuple(patched) not in members:
+                        return False, {
+                            "base": list(u),
+                            "atoms": list(atoms),
+                            "values": list(patch_values),
+                            "patched": patched,
+                        }
+    return True, None
+
+
+def naive_rw(integrand, u_set, tolerance):
+    """The Rockafellar-Wets verdicts, selection by selection.
+
+    Returns (lhs, rhs, minimizers, pointwise argmin set); raises DomainError
+    when no selection has an integrable positive part and InvariantError
+    when a decomposable set misses equality.
+    """
+    lhs, minimizers, has_l1_plus = None, [], False
+    for sel in u_set.iter_selections():
+        g = integrand.g_of(sel)
+        if classify(g).in_l1_plus:
+            has_l1_plus = True
+        v = outer_integral(g)
+        if lhs is None or v < lhs:
+            lhs, minimizers = v, [tuple(sel)]
+        elif v == lhs:
+            minimizers.append(tuple(sel))
+    if not has_l1_plus:
+        raise DomainError("no selection has integrable positive part")
+    projections = u_set.projections()
+    rhs = outer_integral(integrand.g_flat(projections))
+    if not _eq_within(lhs, rhs, tolerance) and naive_is_decomposable(u_set)[0]:
+        raise InvariantError("interchange equality failed on a decomposable set")
+    space = integrand.space
+    argmin = []
+    for i, cs in enumerate(projections):
+        best = min(integrand.table[i][c] for c in cs)
+        argmin.append({c for c in cs if integrand.table[i][c] == best})
+    pointwise = {
+        tuple(sel) for sel in u_set.iter_selections()
+        if all(space.is_null_atom(i) or sel[i] in argmin[i] for i in range(len(sel)))
+    }
+    return lhs, rhs, minimizers, pointwise

@@ -261,3 +261,103 @@ def test_float_backing_via_environment():
     assert payload["environment"]["backing"] == "float"
     assert payload["environment"]["tolerance"] == 1e-9
     assert payload["report"]["interchange_holds"] == "fails"
+
+
+RW_SCENARIO = {
+    "space": {"atoms": ["a", "b"], "weights": [1, 1]},
+    "integrand": {"controls": [[0], [1]], "table": [[0, 1], [1, 0]]},
+}
+SHAPIRO_SCENARIO = {
+    "space": {"atoms": ["a", "b"], "weights": ["1/2", "1/2"]},
+    "integrand": {"controls": [[0], [1]], "table": [[1, 0], [1, 0]]},
+    "functional": {"kind": "extended_lebesgue"},
+    "selection_prefix": [[0, 0], [1, 1]],
+}
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("rw-check", RW_SCENARIO), ("shapiro-check", SHAPIRO_SCENARIO),
+])
+@pytest.mark.parametrize("selection_set", [
+    [[0, 1], [1, 0]], "product", 3,
+    {"kind": "explicit", "selections": [["x", 0]]},
+    {"kind": "explicit", "selections": 5},
+    {"kind": "product", "admissible": 3},
+])
+def test_malformed_selection_set_exits_2(tmp_path, capsys, command, scenario,
+                                         selection_set):
+    path = write_scenario(tmp_path, "sel.json", dict(scenario, selection_set=selection_set))
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
+
+
+def test_rw_check_reads_scenario_tolerance(tmp_path, capsys):
+    path = write_scenario(tmp_path, "tol.json", dict(RW_SCENARIO, tolerance="1/8"))
+    code, out = run_main(capsys, ["rw-check", path])
+    assert code == 0
+    assert json.loads(out)["environment"]["tolerance"] == 0.125
+    code, out = run_main(capsys, ["rw-check", path, "--tolerance", "0.5"])
+    assert code == 0
+    assert json.loads(out)["environment"]["tolerance"] == 0.5
+
+
+SEQUENCE_SCENARIO = {
+    "family": {"generator": "example-2-6", "prefix": 30},
+    "functional": {"kind": "extended_lebesgue"},
+}
+
+
+@pytest.mark.parametrize("prefix", ["x", 0, -3, 1.5, True])
+def test_bad_scenario_prefix_exits_2(tmp_path, capsys, prefix):
+    family = dict(SEQUENCE_SCENARIO["family"], prefix=prefix)
+    path = write_scenario(tmp_path, "prefix.json", dict(SEQUENCE_SCENARIO, family=family))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery", "example-2-6", "--prefix", "0"],
+    ["gallery", "example-2-6", "--prefix", "-1"],
+    ["check", "{path}", "--prefix", "0"],
+])
+def test_nonpositive_prefix_flag_exits_2(tmp_path, capsys, argv):
+    path = write_scenario(tmp_path, "seq.json", SEQUENCE_SCENARIO)
+    assert main([a.format(path=path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
+def test_prefix_flag_overrides_scenario(tmp_path, capsys):
+    path = write_scenario(tmp_path, "seq.json", SEQUENCE_SCENARIO)
+    code, out = run_main(capsys, ["check", path])
+    assert code == 0 and json.loads(out)["report"]["prefix"]["prefix_len"] == 30
+    code, out = run_main(capsys, ["check", path, "--prefix", "20"])
+    assert code == 0 and json.loads(out)["report"]["prefix"]["prefix_len"] == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery", "chain", "--tolerance", "nan"],
+    ["gallery", "chain", "--tolerance", "inf"],
+    ["check", "{path}", "--tolerance", "nan"],
+])
+def test_non_finite_tolerance_flag_exits_2(tmp_path, capsys, argv):
+    path = write_scenario(tmp_path, "giner.json", GINER_SCENARIO)
+    assert main([a.format(path=path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
+def test_unreadable_scenario_tolerance_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, "tol.json", dict(GINER_SCENARIO, tolerance="x"))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
+@pytest.mark.parametrize("capacity", [
+    {"kind": "distortion", "of_measure": True}, [1, 2],
+])
+def test_malformed_capacity_exits_2(tmp_path, capsys, capacity):
+    scenario = dict(GINER_SCENARIO, functional={"kind": "choquet", "capacity": capacity})
+    path = write_scenario(tmp_path, "cap.json", scenario)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
