@@ -29,6 +29,7 @@ from .decomposable import (
     Integrand,
     SelectionSet,
     ShapiroScenario,
+    check_selection,
     verify_rw_argmin,
     verify_rw_interchange,
     verify_shapiro,
@@ -93,6 +94,12 @@ def _int_option(args, key: str, default: int, sc: Optional[dict] = None,
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ScenarioError(f"{key} must be a {kind} integer, got {value!r}")
     return value
+
+
+def _echo_seed(args) -> Optional[int]:
+    """``--seed`` checked like ``check``'s, or None when not given; the
+    selection-set commands use no randomness and only echo it."""
+    return None if args.seed is None else _int_option(args, "seed", 0)
 
 
 def _cmd_check(args) -> int:
@@ -241,6 +248,7 @@ def _cmd_rw_check(args) -> int:
     except InterlabError as e:
         raise ScenarioError(f"bad rw scenario: {e}") from e
     tol = _tolerance(args, sc)
+    seed = _echo_seed(args)
     inter = verify_rw_interchange(integrand, u_set, tolerance=tol)
     payload = {"interchange": inter.to_json_dict()}
     if inter.lhs.is_finite:
@@ -249,7 +257,7 @@ def _cmd_rw_check(args) -> int:
         ).to_json_dict()
     _emit(args, {
         "report": payload,
-        "environment": environment_echo("rw-check", args.seed, tol),
+        "environment": environment_echo("rw-check", seed, tol),
     })
     return 0
 
@@ -263,7 +271,11 @@ def _cmd_shapiro_check(args) -> int:
     try:
         integrand = Integrand.from_json_dict(sc["integrand"], space)
         phi = build_functional(sc["functional"], space)
-        prefix = [tuple(int(c) for c in s) for s in sc["selection_prefix"]]
+        prefix = sc["selection_prefix"]
+        if not isinstance(prefix, list):
+            raise InputError("selection_prefix must be a list of selections")
+        prefix = [check_selection(s, len(space.atoms), integrand.n_controls)
+                  for s in prefix]
         declared = (
             FnClass(space, sc["declared_gflat"]) if "declared_gflat" in sc else None
         )
@@ -275,6 +287,7 @@ def _cmd_shapiro_check(args) -> int:
     except InterlabError as e:
         raise ScenarioError(f"bad shapiro scenario: {e}") from e
     tol = _tolerance(args, sc)
+    seed = _echo_seed(args)
     scenario = ShapiroScenario(
         functional=phi,
         p=as_scalar(sc.get("p", 1)),
@@ -287,7 +300,7 @@ def _cmd_shapiro_check(args) -> int:
     report = verify_shapiro(scenario)
     _emit(args, {
         "report": report.to_json_dict(),
-        "environment": environment_echo("shapiro-check", args.seed, tol),
+        "environment": environment_echo("shapiro-check", seed, tol),
     })
     return 0
 

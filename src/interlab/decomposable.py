@@ -96,9 +96,9 @@ class Integrand:
         """The function omega -> f(omega, u(omega)) for a selection u."""
         if len(selection) != len(self.space.atoms):
             raise InputError("selection must assign a control to every atom")
-        return FnClass(
+        return FnClass.from_ext(
             self.space,
-            [self.table[i][c] for i, c in enumerate(selection)],
+            tuple([self.table[i][c] for i, c in enumerate(selection)]),
         )
 
     def g_flat(self, admissible: Optional[Sequence[Sequence[int]]] = None) -> FnClass:
@@ -130,6 +130,26 @@ class Integrand:
         return cls(space, d["controls"], d["table"])
 
 
+def _control_indices(items, n_controls: int, what: str) -> Tuple[int, ...]:
+    """``items`` as a tuple of control indices: ints (not bools) in range."""
+    indices = tuple(items)
+    for c in indices:
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise InputError(f"{what} has a non-integer control index {c!r}")
+        if not 0 <= c < n_controls:
+            raise InputError(f"{what} uses an out-of-range control index")
+    return indices
+
+
+def check_selection(s, n_atoms: int, n_controls: int) -> Selection:
+    """``s`` as a selection: one control index in range per atom."""
+    if not isinstance(s, (list, tuple)):
+        raise InputError(f"a selection must be a list of control indices, got {s!r}")
+    if len(s) != n_atoms:
+        raise InputError("selection length must equal the atom count")
+    return _control_indices(s, n_controls, "selection")
+
+
 class SelectionSet:
     """Either an explicit list of selections or a per-atom product."""
 
@@ -143,11 +163,7 @@ class SelectionSet:
             sels = []
             seen = set()
             for s in selections or ():
-                s = tuple(int(c) for c in s)
-                if len(s) != n_atoms:
-                    raise InputError("selection length must equal the atom count")
-                if any(not 0 <= c < n_controls for c in s):
-                    raise InputError("selection uses an out-of-range control index")
+                s = check_selection(s, n_atoms, n_controls)
                 if s not in seen:
                     seen.add(s)
                     sels.append(s)
@@ -160,11 +176,9 @@ class SelectionSet:
             if admissible is None or len(admissible) != n_atoms:
                 raise InputError("product form needs one admissible set per atom")
             for s in admissible:
-                s = tuple(sorted(set(int(c) for c in s)))
+                s = tuple(sorted(set(_control_indices(s, n_controls, "admissible set"))))
                 if not s:
                     raise InputError("admissible sets must be nonempty")
-                if any(not 0 <= c < n_controls for c in s):
-                    raise InputError("admissible set uses an out-of-range control index")
                 adm.append(s)
             self.admissible = tuple(adm)
             self.selections = None

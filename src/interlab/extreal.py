@@ -5,14 +5,20 @@ only on the pair (+inf, -inf): the *lower* addition, for which -inf is
 absorbing, and the *upper* addition, for which +inf is absorbing.  Scalar
 multiplication follows the optimization convention 0 * (±inf) = 0.
 
-Finite scalars are exact `fractions.Fraction` values under the default
-"rational" backing; a global flag (or the INTERLAB_BACKING environment
-variable) switches to plain floats.  Floats entering under rational backing
-are read with decimal semantics, so 0.7 becomes exactly 7/10.  NaN is
-rejected at construction and can never appear inside arithmetic.
+Finite scalars are exact under the default "rational" backing: an integral
+value is stored as an ``int`` and any other as a ``fractions.Fraction``
+(the two hash, compare and serialize alike, and no code divides two
+scalars, so integer arithmetic stays native).  A global flag (or the
+INTERLAB_BACKING environment variable) switches to plain floats.  Floats
+entering under rational backing are read with decimal semantics, so 0.7
+becomes exactly 7/10.  NaN is rejected at construction and can never
+appear inside arithmetic.
 
 ExtReal is totally ordered with -inf < finite < +inf, so the builtin
-``min``/``max`` are the lattice operations on it.
+``min``/``max`` are the lattice operations on it.  An infinity stores the
+float infinity of its sign as its raw scalar, so the raw scalars alone
+carry that order; the per-atom kernels at the end of this module
+(``weighted_parts``, ``pointwise_min``) work on them directly.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import os
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
 
@@ -48,27 +54,37 @@ def get_backing() -> str:
 def as_scalar(x: Scalar) -> Scalar:
     """Coerce a finite number to the active backing.
 
-    Rational backing converts floats via their shortest decimal repr, which
-    keeps values like 0.7 exact and makes JSON round trips deterministic.
+    Rational backing keeps integral values as ``int`` and reads floats via
+    their shortest decimal repr, which keeps values like 0.7 exact and
+    makes JSON round trips deterministic.
     """
     if isinstance(x, float):
         if math.isnan(x):
             raise InputError("NaN is not a valid scalar")
         if math.isinf(x):
             raise InputError("infinite scalars must be built as ExtReal infinities")
-        return Fraction(Decimal(repr(x))) if _backing == "rational" else x
+        return _exact(Fraction(Decimal(repr(x)))) if _backing == "rational" else x
     if isinstance(x, (int, Fraction)):
-        return Fraction(x) if _backing == "rational" else float(x)
+        if _backing != "rational":
+            return float(x)
+        if type(x) is int:
+            return x
+        return _exact(x) if isinstance(x, Fraction) else int(x)
     if isinstance(x, str):
         try:
             frac = Fraction(x) if "/" in x else Fraction(Decimal(x))
         except (ValueError, ArithmeticError) as e:
             raise InputError(f"cannot interpret {x!r} as a scalar") from e
-        return frac if _backing == "rational" else float(frac)
+        return _exact(frac) if _backing == "rational" else float(frac)
     raise InputError(f"cannot interpret {x!r} as a scalar")
 
 
-# Internal kind codes; their ordering encodes -inf < finite < +inf.
+def _exact(q: Fraction) -> Scalar:
+    """The rational backing's form of q: an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+# Internal kind codes of -inf, finite values and +inf.
 _NEG, _FIN, _POS = -1, 0, 1
 
 
@@ -85,7 +101,7 @@ class ExtReal:
     def _make(cls, kind: int) -> "ExtReal":
         obj = object.__new__(cls)
         obj._kind = kind
-        obj._value = None
+        obj._value = math.inf if kind == _POS else -math.inf
         return obj
 
     @property
@@ -106,29 +122,27 @@ class ExtReal:
             raise DomainError(f"{self} has no finite value")
         return self._value
 
+    # The raw scalars order the extended reals (an infinity holds the float
+    # infinity of its sign), so every comparison is one native comparison.
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtReal):
             return NotImplemented
-        if self._kind != other._kind:
-            return False
-        return self._kind != _FIN or self._value == other._value
+        return self._value == other._value
 
     def __hash__(self) -> int:
         return hash((self._kind, self._value))
 
     def __lt__(self, other: "ExtReal") -> bool:
-        if self._kind != other._kind:
-            return self._kind < other._kind
-        return self._kind == _FIN and self._value < other._value
+        return self._value < other._value
 
     def __le__(self, other: "ExtReal") -> bool:
-        return self == other or self < other
+        return self._value <= other._value
 
     def __gt__(self, other: "ExtReal") -> bool:
-        return other < self
+        return self._value > other._value
 
     def __ge__(self, other: "ExtReal") -> bool:
-        return other <= self
+        return self._value >= other._value
 
     def __neg__(self) -> "ExtReal":
         if self._kind == _FIN:
@@ -136,10 +150,6 @@ class ExtReal:
         return NEG_INF if self._kind == _POS else POS_INF
 
     def __float__(self) -> float:
-        if self._kind == _POS:
-            return math.inf
-        if self._kind == _NEG:
-            return -math.inf
         return float(self._value)
 
     def __repr__(self) -> str:
@@ -147,10 +157,7 @@ class ExtReal:
             return "+inf"
         if self._kind == _NEG:
             return "-inf"
-        v = self._value
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return str(v.numerator)
-        return str(v)
+        return str(self._value)
 
 
 POS_INF = ExtReal._make(_POS)
@@ -238,7 +245,7 @@ def scalar_to_jsonable(x: Scalar):
     """
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return int(x)
+            return x.numerator
         f = float(x)
         if not math.isinf(f) and Fraction(Decimal(repr(f))) == x:
             return f
@@ -260,3 +267,47 @@ def from_jsonable(v) -> ExtReal:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise InputError(f"cannot decode {v!r} as an extended real")
     return ext(v)
+
+
+# Per-atom kernels.  They read the raw scalars of ExtReal values and build
+# one ExtReal per result, instead of one per atom and operation.
+
+
+def weighted_parts(weights: Sequence[Scalar],
+                   values: Sequence[ExtReal]) -> Tuple[ExtReal, ExtReal]:
+    """(sum of w * v over v > 0, sum of w * (-v) over v < 0), both in [0, +inf].
+
+    Zero values are skipped and finite terms are added in atom order, so
+    float rounding is that of the term-by-term ``lower_add`` fold of
+    ``scalar_mul(w, v)``.  An infinite value on an atom of positive weight
+    makes its part +inf; on a null atom it contributes 0 * inf = 0.  Under
+    float backing a finite part beyond the float range raises InputError,
+    as building the ExtReal does; a part that is +inf anyway does not.
+    """
+    plus = minus = 0
+    plus_inf = minus_inf = False
+    for w, v in zip(weights, values):
+        x = v._value
+        if x > 0:
+            if v._kind == _FIN:
+                plus += w * x
+            elif w:
+                plus_inf = True
+        elif x < 0:
+            if v._kind == _FIN:
+                minus -= w * x
+            elif w:
+                minus_inf = True
+    return (POS_INF if plus_inf else ExtReal(plus),
+            POS_INF if minus_inf else ExtReal(minus))
+
+
+def pointwise_min(rows: Sequence[Tuple[ExtReal, ...]]) -> Tuple[ExtReal, ...]:
+    """Position-wise minimum of equally long ExtReal tuples.
+
+    Each position keeps the first minimal entry, as ``min`` does.
+    """
+    acc = rows[0]
+    for row in rows[1:]:
+        acc = [y if y._value < x._value else x for x, y in zip(acc, row)]
+    return tuple(acc)

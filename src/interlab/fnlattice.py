@@ -39,6 +39,7 @@ from .extreal import (
     lower_add,
     neg,
     neg_part,
+    pointwise_min,
     pos_part,
     scalar_mul,
     to_jsonable,
@@ -78,6 +79,18 @@ class FnClass:
             )
         self.space = space
         self.values = tuple(ext(v) for v in values)
+
+    @classmethod
+    def from_ext(cls, space: MeasureSpace, values: Tuple[ExtReal, ...]) -> "FnClass":
+        """A function from a tuple of ExtReal values, one per atom of space.
+
+        Skips the coercion and length check of the constructor, for values
+        that are already ExtReals on this space.
+        """
+        f = object.__new__(cls)
+        f.space = space
+        f.values = values
+        return f
 
     @classmethod
     def constant(cls, space: MeasureSpace, value) -> "FnClass":
@@ -129,7 +142,7 @@ def pointwise_inf(family: Iterable[FnClass]) -> FnClass:
     space = members[0].space
     for m in members[1:]:
         _same_space(members[0], m)
-    return FnClass(space, [min(m.values[i] for m in members) for i in range(len(space))])
+    return FnClass.from_ext(space, pointwise_min([m.values for m in members]))
 
 
 def pos_neg_parts(f: FnClass) -> Tuple[FnClass, FnClass]:

@@ -16,6 +16,8 @@ Four integrals are provided:
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional
 
 from .errors import DomainError, InputError
@@ -32,28 +34,15 @@ from .extreal import (
     to_jsonable,
     upper_add,
     add,
+    weighted_parts,
 )
 from .fnlattice import FnClass
 from .measure import AtomSet, MeasureSpace, iter_atom_subsets
 
 
-def _weighted_sum_nonneg(f: FnClass) -> ExtReal:
-    total = ZERO
-    for w, v in zip(f.space.weights, f.values):
-        total = lower_add(total, scalar_mul(w, v))
-    return total
-
-
 def part_integrals(f: FnClass) -> tuple:
     """(integral of f+, integral of f-) in one pass over the atoms."""
-    plus = ZERO
-    minus = ZERO
-    for w, v in zip(f.space.weights, f.values):
-        if v > ZERO:
-            plus = lower_add(plus, scalar_mul(w, v))
-        elif v < ZERO:
-            minus = lower_add(minus, scalar_mul(w, neg(v)))
-    return plus, minus
+    return weighted_parts(f.space.weights, f.values)
 
 
 def lebesgue_nonneg(f: FnClass) -> ExtReal:
@@ -64,7 +53,8 @@ def lebesgue_nonneg(f: FnClass) -> ExtReal:
                 f"lebesgue_nonneg: negative value {f.values[i]} on non-null atom "
                 f"{f.space.atoms[i]!r}"
             )
-    return _weighted_sum_nonneg(f)
+    # Null atoms add 0 whatever their value, so this is the positive part.
+    return part_integrals(f)[0]
 
 
 def lebesgue_extended(f: FnClass) -> ExtReal:
@@ -117,13 +107,18 @@ class Capacity:
         empty = frozenset()
         if self._table[empty] != ZERO:
             raise InputError("capacity must vanish on the empty set")
+        # Rounding to float is monotone, so unequal floats order the exact
+        # values; only float ties need the exact comparison.
+        approx = {s: _monotone_float(v) for s, v in self._table.items()}
         for s, v in self._table.items():
             if v < ZERO:
                 raise InputError(f"capacity value {v} on {set(s)} is negative")
+            fv = approx[s]
             for a in self.space.atoms:
                 if a not in s:
                     bigger = s | {a}
-                    if self._table[bigger] < v:
+                    fb = approx[bigger]
+                    if fb < fv or (fb == fv and self._table[bigger] < v):
                         raise InputError(
                             f"capacity is not monotone: c({set(s) or '{}'}) = {v} "
                             f"> c({set(bigger)}) = {self._table[bigger]}"
@@ -149,7 +144,9 @@ class Capacity:
 
         Computed in float: a fractional power is irrational in general, so
         this family is for demos and tolerance-based checks, not for exact
-        interchange verdicts.
+        interchange verdicts.  mu(A) sums the float weights in atom order,
+        so the table does not depend on the hash seed and is monotone in
+        floating point too.
         """
         g = float(gamma)
         if g <= 0:
@@ -157,10 +154,13 @@ class Capacity:
         total = float(space.total_mass())
         if total == 0:
             raise InputError("distortion of the zero measure is degenerate")
+        weights = [float(w) for w in space.weights]
+        # Same order as iter_atom_subsets: by size, then combinations order.
+        subset_weights = (ws for k in range(len(weights) + 1)
+                          for ws in combinations(weights, k))
         table = {}
-        for s in iter_atom_subsets(space):
-            frac = sum(float(space.weight(a)) for a in s) / total
-            table[s] = ExtReal(frac ** g * total)
+        for s, ws in zip(iter_atom_subsets(space), subset_weights):
+            table[s] = ExtReal((sum(ws) / total) ** g * total)
         return cls(space, table, kind="distortion", gamma=gamma)
 
     def to_json_dict(self) -> dict:
@@ -198,6 +198,14 @@ class Capacity:
             atoms = frozenset(a.strip() for a in inner.split(",")) if inner else frozenset()
             table[atoms] = ext(v)
         return cls(space, table)
+
+
+def _monotone_float(v: ExtReal) -> float:
+    """float(v); a value beyond the float range becomes the infinity of its sign."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > ZERO else -math.inf
 
 
 def choquet(f: FnClass, c: Capacity) -> ExtReal:

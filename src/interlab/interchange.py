@@ -251,8 +251,9 @@ def _scan_subsets(
     def score_key(key: int) -> ExtReal:
         value = memo.get(key)
         if value is None:
-            values = [lv[((key >> off) & mask).bit_count()] for lv, off, mask in fields]
-            value = memo[key] = score(FnClass(space, values))
+            values = tuple([lv[((key >> off) & mask).bit_count()]
+                            for lv, off, mask in fields])
+            value = memo[key] = score(FnClass.from_ext(space, values))
         return value
 
     for idx, value in known.items():

@@ -69,6 +69,8 @@ class MeasureSpace:
         return len(self.atoms)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, MeasureSpace):
             return NotImplemented
         return (

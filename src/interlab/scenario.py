@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import __version__
 from .errors import InterlabError, ScenarioError
-from .extreal import Scalar, as_scalar, get_backing, scalar_to_jsonable
+from .extreal import Scalar, as_scalar, ext, get_backing, scalar_to_jsonable
 from .fnlattice import FnClass
 from .functionals import Functional, make_builtin
 from .integrals import Capacity
@@ -83,10 +83,12 @@ def _example_2_6(prefix: int, params: dict) -> Tuple[MeasureSpace, SequenceSpec]
         truncation_of="Lebesgue on R, unit intervals (n,n+1), n <= N",
     )
 
+    zero = ext(0)
+
     def gen(k: int) -> FnClass:
-        values = [0] * prefix
-        values[k] = -(k + 1)
-        return FnClass(space, values)
+        values = [zero] * prefix
+        values[k] = ext(-(k + 1))
+        return FnClass.from_ext(space, tuple(values))
 
     threshold = params.get("divergence_threshold", 50)
     return space, SequenceSpec(

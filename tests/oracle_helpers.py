@@ -8,14 +8,16 @@ the grid step, so level-set boundaries are exact).  The naive directedness
 scans rebuild inf S from the members for every subset, in size order, and
 evaluate the condition afresh each time.  The selection-set references
 enumerate every patch of every member, and build G(u) and its outer integral
-selection by selection.
+selection by selection.  The naive kernels fold one ExtReal per atom and
+operation, with ``lower_add`` and ``scalar_mul``, and order values by their
+kind and finite value rather than by ExtReal comparison.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from interlab.errors import DomainError, InvariantError
-from interlab.extreal import POS_INF, ZERO, ExtReal
+from interlab.extreal import POS_INF, ZERO, ExtReal, add, lower_add, neg, scalar_mul, upper_add
 from interlab.fnlattice import FnClass, classify, fn_add, fn_neg, pointwise_inf
 from interlab.integrals import lebesgue_extended, outer_integral
 from interlab.interchange import _eq_within, _sampled_subsets
@@ -206,3 +208,40 @@ def naive_rw(integrand, u_set, tolerance):
         if all(space.is_null_atom(i) or sel[i] in argmin[i] for i in range(len(sel)))
     }
     return lhs, rhs, minimizers, pointwise
+
+
+def naive_part_integrals(f: FnClass):
+    """(integral of f+, integral of f-) by the term-by-term ExtReal fold."""
+    plus = minus = ZERO
+    for w, v in zip(f.space.weights, f.values):
+        if v.is_pos_inf or (v.is_finite and v.finite_value > 0):
+            plus = lower_add(plus, scalar_mul(w, v))
+        elif v.is_neg_inf or v.finite_value < 0:
+            minus = lower_add(minus, scalar_mul(w, neg(v)))
+    return plus, minus
+
+
+def naive_integral(kind, f: FnClass):
+    """extended_lebesgue, outer or inner from ``naive_part_integrals``."""
+    ip, im = naive_part_integrals(f)
+    if kind == "outer":
+        return upper_add(ip, neg(im))
+    if kind == "inner":
+        return lower_add(ip, neg(im))
+    if not (ip.is_finite or im.is_finite):
+        raise DomainError("function is not semi-integrable")
+    return add(ip, neg(im))
+
+
+def _order_key(v):
+    if v.is_finite:
+        return (0, v.finite_value)
+    return (1, 0) if v.is_pos_inf else (-1, 0)
+
+
+def naive_pointwise_inf(members):
+    """Per-atom minimum: the first member value of least (kind, value)."""
+    return tuple(
+        min((m.values[i] for m in members), key=_order_key)
+        for i in range(len(members[0].space))
+    )

@@ -361,3 +361,72 @@ def test_malformed_capacity_exits_2(tmp_path, capsys, capacity):
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("schema error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("index", [1.7, "1", True, -1, 2])
+def test_explicit_selection_control_index_must_be_an_index(tmp_path, capsys, index):
+    sel = {"kind": "explicit", "selections": [[index, 0], [0, 0]]}
+    path = write_scenario(tmp_path, "sel.json", dict(RW_SCENARIO, selection_set=sel))
+    assert main(["rw-check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("index", [1.7, "1", True, -1, 2])
+def test_admissible_control_index_must_be_an_index(tmp_path, capsys, index):
+    sel = {"kind": "product", "admissible": [[0, index], [0, 1]]}
+    path = write_scenario(tmp_path, "sel.json", dict(RW_SCENARIO, selection_set=sel))
+    assert main(["rw-check", path]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
+@pytest.mark.parametrize("with_set", [True, False])
+@pytest.mark.parametrize("prefix", [
+    [[0, 0], [-1, -1]], [[0, 0], [0, 2]], [[0, 1.7]], [["1", 0]], [[True, 0]],
+    [[0]], [0, 1], "x",
+])
+def test_shapiro_selection_prefix_must_hold_indices(tmp_path, capsys, prefix, with_set):
+    scenario = dict(SHAPIRO_SCENARIO, selection_prefix=prefix)
+    if with_set:
+        scenario["selection_set"] = {"kind": "product", "admissible": [[0, 1], [0, 1]]}
+    path = write_scenario(tmp_path, "prefix.json", scenario)
+    assert main(["shapiro-check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("rw-check", RW_SCENARIO), ("shapiro-check", SHAPIRO_SCENARIO),
+])
+def test_selection_commands_check_the_seed(tmp_path, capsys, command, scenario):
+    path = write_scenario(tmp_path, "s.json", scenario)
+    assert main([command, path, "--seed", "-5"]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+    code, out = run_main(capsys, [command, path, "--seed", "5"])
+    assert code == 0 and json.loads(out)["environment"]["seed"] == 5
+    code, out = run_main(capsys, [command, path])
+    assert code == 0 and json.loads(out)["environment"]["seed"] is None
+
+
+DISTORTION_SCENARIO = {
+    "space": {"atoms": ["a", "b", "c", "d", "e", "f", "g", "h"],
+              "weights": ["1/3", "1/7", "1/10", "2/3", "1/5", "3/10", "1/9", "2/7"]},
+    "family": [[1, 2, 3, 4, 5, 6, 7, 8], [8, 7, 6, 5, 4, 3, 2, 1],
+               [2, 4, 6, 8, 1, 3, 5, 7]],
+    "functional": {"kind": "choquet", "capacity": {
+        "kind": "distortion", "of_measure": True, "gamma": 0.5}},
+}
+
+
+def test_distortion_report_does_not_depend_on_hash_seed(tmp_path):
+    import os
+
+    path = write_scenario(tmp_path, "distortion.json", DISTORTION_SCENARIO)
+    reports = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        proc = subprocess.run([sys.executable, "-m", "interlab.cli", "check", path],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.add(proc.stdout)
+    assert len(reports) == 1

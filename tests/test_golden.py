@@ -1,4 +1,7 @@
-"""Golden reports: the selection-set commands, byte for byte, under both backings.
+"""Golden reports of the CLI, byte for byte, under both backings.
+
+Two groups: the selection-set commands, and the interchange path (the
+integral and Choquet galleries and two ``check`` scenarios).
 
 Each backing runs in a fresh interpreter, since the backing is chosen when
 ``interlab`` is imported.  After an intended change to these reports,
@@ -20,12 +23,20 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = GOLDEN / "scenarios"
 BACKINGS = ("rational", "float")
 FORMATS = {"json": "json", "text": "txt"}
-CASES = {
+SELECTION_CASES = {
     "gallery-rw-demo": ["gallery", "rw-demo"],
     "gallery-shapiro-demo": ["gallery", "shapiro-demo"],
     "rw-product": ["rw-check", str(SCENARIOS / "rw-product.json")],
     "rw-explicit-decomposable": ["rw-check", str(SCENARIOS / "rw-explicit-decomposable.json")],
     "rw-explicit-holey": ["rw-check", str(SCENARIOS / "rw-explicit-holey.json")],
+}
+INTERCHANGE_CASES = {
+    "gallery-example-2-6": ["gallery", "example-2-6", "--prefix", "100"],
+    "gallery-chain": ["gallery", "chain"],
+    "gallery-giner-pair": ["gallery", "giner-pair"],
+    "gallery-choquet-demo": ["gallery", "choquet-demo"],
+    "check-literal-24": ["check", str(SCENARIOS / "check-literal-24.json")],
+    "check-choquet-distortion": ["check", str(SCENARIOS / "check-choquet-distortion.json")],
 }
 
 # Runs every (case, format) through interlab.cli.main in one process and
@@ -38,11 +49,11 @@ print(json.dumps({key: main(argv) for key, argv in runs}))
 """
 
 
-def run_reports(backing, out_dir):
+def run_reports(backing, out_dir, cases):
     """{(case, format): exit code}, with each report written to out_dir."""
     runs = [
         (f"{case}.{ext}", argv + ["--format", fmt, "--out", str(out_dir / f"{case}.{ext}")])
-        for case, argv in CASES.items()
+        for case, argv in cases.items()
         for fmt, ext in FORMATS.items()
     ]
     env = dict(os.environ, INTERLAB_BACKING=backing,
@@ -53,17 +64,27 @@ def run_reports(backing, out_dir):
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("backing", BACKINGS)
-def test_selection_reports_match_golden_files(backing, tmp_path):
-    codes = run_reports(backing, tmp_path)
+def assert_match_golden(backing, out_dir, cases):
+    codes = run_reports(backing, out_dir, cases)
     assert set(codes.values()) == {0}
     for name in codes:
         expected = (GOLDEN / backing / name).read_bytes()
-        assert (tmp_path / name).read_bytes() == expected, f"{backing}/{name}"
+        assert (out_dir / name).read_bytes() == expected, f"{backing}/{name}"
+
+
+@pytest.mark.parametrize("backing", BACKINGS)
+def test_selection_reports_match_golden_files(backing, tmp_path):
+    assert_match_golden(backing, tmp_path, SELECTION_CASES)
+
+
+@pytest.mark.parametrize("backing", BACKINGS)
+def test_interchange_reports_match_golden_files(backing, tmp_path):
+    assert_match_golden(backing, tmp_path, INTERCHANGE_CASES)
 
 
 if __name__ == "__main__":
     for backing in BACKINGS:
         (GOLDEN / backing).mkdir(parents=True, exist_ok=True)
-        codes = run_reports(backing, GOLDEN / backing)
+        codes = run_reports(backing, GOLDEN / backing,
+                            {**SELECTION_CASES, **INTERCHANGE_CASES})
         print(backing, codes)
