@@ -66,7 +66,7 @@ def as_scalar(x: Scalar) -> Scalar:
         return _exact(Fraction(Decimal(repr(x)))) if _backing == "rational" else x
     if isinstance(x, (int, Fraction)):
         if _backing != "rational":
-            return float(x)
+            return _float(x)
         if type(x) is int:
             return x
         return _exact(x) if isinstance(x, Fraction) else int(x)
@@ -75,8 +75,16 @@ def as_scalar(x: Scalar) -> Scalar:
             frac = Fraction(x) if "/" in x else Fraction(Decimal(x))
         except (ValueError, ArithmeticError) as e:
             raise InputError(f"cannot interpret {x!r} as a scalar") from e
-        return _exact(frac) if _backing == "rational" else float(frac)
+        return _exact(frac) if _backing == "rational" else _float(frac)
     raise InputError(f"cannot interpret {x!r} as a scalar")
+
+
+def _float(q: Union[int, Fraction]) -> float:
+    """The float backing's form of an exact value."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise InputError("a finite scalar beyond the float range cannot be a float") from None
 
 
 def _exact(q: Fraction) -> Scalar:

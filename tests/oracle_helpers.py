@@ -10,7 +10,9 @@ evaluate the condition afresh each time.  The selection-set references
 enumerate every patch of every member, and build G(u) and its outer integral
 selection by selection.  The naive kernels fold one ExtReal per atom and
 operation, with ``lower_add`` and ``scalar_mul``, and order values by their
-kind and finite value rather than by ExtReal comparison.
+kind and finite value rather than by ExtReal comparison.  The naive
+distortion table is the dense 2^n construction, with the float weights of
+each subset summed in atom order.
 """
 
 from fractions import Fraction
@@ -21,6 +23,7 @@ from interlab.extreal import POS_INF, ZERO, ExtReal, add, lower_add, neg, scalar
 from interlab.fnlattice import FnClass, classify, fn_add, fn_neg, pointwise_inf
 from interlab.integrals import lebesgue_extended, outer_integral
 from interlab.interchange import _eq_within, _sampled_subsets
+from interlab.measure import iter_atom_subsets
 
 
 def weighted_sum(space, values):
@@ -245,3 +248,15 @@ def naive_pointwise_inf(members):
         min((m.values[i] for m in members), key=_order_key)
         for i in range(len(members[0].space))
     )
+
+
+def naive_distortion_table(space, gamma):
+    """{subset: c(subset)} of the distortion, built densely over all 2^n subsets."""
+    g = float(gamma)
+    total = float(space.total_mass())
+    weights = [float(w) for w in space.weights]
+    # Same order as iter_atom_subsets: by size, then combinations order.
+    subset_weights = (ws for k in range(len(weights) + 1)
+                      for ws in combinations(weights, k))
+    return {s: ExtReal((sum(ws) / total) ** g * total)
+            for s, ws in zip(iter_atom_subsets(space), subset_weights)}

@@ -430,3 +430,85 @@ def test_distortion_report_does_not_depend_on_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.add(proc.stdout)
     assert len(reports) == 1
+
+
+NON_MONOTONE_TABLE_SCENARIO = {
+    "space": {"atoms": ["a0", "a1", "a2", "a3"], "weights": [1, 1, 1, 1]},
+    "family": [[1, 0, 0, 0], [0, 1, 0, 0]],
+    "functional": {"kind": "choquet", "capacity": {"kind": "table", "values": {
+        "{" + ",".join(f"a{i}" for i in range(4) if mask >> i & 1) + "}":
+            0 if mask == 0b0111 else bin(mask).count("1")
+        for mask in range(16)}}},
+}
+
+
+def test_capacity_error_does_not_depend_on_hash_seed(tmp_path):
+    import os
+
+    path = write_scenario(tmp_path, "table.json", NON_MONOTONE_TABLE_SCENARIO)
+    errors = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        proc = subprocess.run([sys.executable, "-m", "interlab.cli", "check", path],
+                              capture_output=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        errors.add(proc.stderr)
+    assert errors == {b"schema error: bad functional: capacity is not monotone: "
+                      b"c({a0, a1}) = 2 > c({a0, a1, a2}) = 0\n"}
+
+
+def wide_distortion_scenario(n_atoms, nested):
+    """Two members under a distortion; a nested pair holds, disjoint supports fail."""
+    weights = [["1/3", 0.7, "2/7", 0, 1.3, "5/9"][i % 6] for i in range(n_atoms)]
+    first = [["1/2", 1, 0.7, 2, "7/3"][i % 5] for i in range(n_atoms)]
+    if nested:
+        second = [v if i % 3 else 3 for i, v in enumerate(first)]
+    else:
+        second = [0 if i % 2 else v for i, v in enumerate(first)]
+        first = [v if i % 2 else 0 for i, v in enumerate(first)]
+    return {"space": {"atoms": [f"a{i}" for i in range(n_atoms)], "weights": weights},
+            "family": [first, second],
+            "functional": {"kind": "choquet", "capacity": {
+                "kind": "distortion", "of_measure": True, "gamma": 0.8}}}
+
+
+@pytest.mark.parametrize("nested, verdict", [(True, "holds"), (False, "fails")])
+def test_wide_distortion_check_enumerates_no_subsets(tmp_path, capsys, monkeypatch,
+                                                     nested, verdict):
+    def no_enumeration(space):
+        raise AssertionError(f"2^{len(space)} atom subsets enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("interlab") and hasattr(module, "iter_atom_subsets"):
+            monkeypatch.setattr(module, "iter_atom_subsets", no_enumeration)
+    assert sys.modules["interlab.measure"].iter_atom_subsets is no_enumeration
+    path = write_scenario(tmp_path, "wide.json", wide_distortion_scenario(40, nested))
+    code, out = run_main(capsys, ["check", path])
+    assert code == 0
+    assert json.loads(out)["report"]["interchange_holds"] == verdict
+
+
+@pytest.mark.parametrize("gamma", [True, False])
+def test_distortion_gamma_must_not_be_a_bool(tmp_path, capsys, gamma):
+    capacity = {"kind": "distortion", "of_measure": True, "gamma": gamma}
+    scenario = dict(DISTORTION_SCENARIO, functional={"kind": "choquet", "capacity": capacity})
+    path = write_scenario(tmp_path, "gamma.json", scenario)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "gamma" in err
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_distortion_weight_beyond_float_range_exits_2(tmp_path, capsys, monkeypatch, backing):
+    from interlab.extreal import set_backing
+
+    scenario = dict(DISTORTION_SCENARIO, space={"atoms": ["a", "b"], "weights": [10**400, 2]},
+                    family=[[1, 0], [0, 1]])
+    path = write_scenario(tmp_path, "huge.json", scenario)
+    monkeypatch.setenv("INTERLAB_BACKING", backing)
+    try:
+        assert main(["check", path]) == 2
+    finally:
+        set_backing("rational")
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "float range" in err

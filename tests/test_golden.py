@@ -37,6 +37,7 @@ INTERCHANGE_CASES = {
     "gallery-choquet-demo": ["gallery", "choquet-demo"],
     "check-literal-24": ["check", str(SCENARIOS / "check-literal-24.json")],
     "check-choquet-distortion": ["check", str(SCENARIOS / "check-choquet-distortion.json")],
+    "check-choquet-distortion-16": ["check", str(SCENARIOS / "check-choquet-distortion-16.json")],
 }
 
 # Runs every (case, format) through interlab.cli.main in one process and

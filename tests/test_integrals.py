@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interlab.errors import DomainError, InputError
-from interlab.extreal import NEG_INF, POS_INF, ZERO, ext, neg
+from interlab.extreal import NEG_INF, POS_INF, ZERO, ext, neg, set_backing
 from interlab.fnlattice import (
     FnClass,
     classify,
@@ -24,7 +25,12 @@ from interlab.integrals import (
 )
 from interlab.measure import MeasureSpace, iter_atom_subsets
 from interlab.oracle import random_capacity, random_semi_integrable, random_space
-from oracle_helpers import choquet_riemann, dominating_psi_infimum, simple_function_sup
+from oracle_helpers import (
+    choquet_riemann,
+    dominating_psi_infimum,
+    naive_distortion_table,
+    simple_function_sup,
+)
 
 
 def fn(space, *values):
@@ -271,6 +277,80 @@ def test_distortion_capacity_monotone_and_serializable():
     back = Capacity.from_json_dict(d, space)
     for s in iter_atom_subsets(space):
         assert back.of(s) == cap.of(s)
+
+
+# Non-dyadic weights (1/3, 0.1, 0.7, 1.3) make float sums depend on their order.
+DISTORTION_WEIGHTS = [0, 0, 1, 2, "1/3", "2/7", 0.1, 0.7, 1.3, 3.3e-3]
+
+
+@st.composite
+def distortions(draw):
+    backing = draw(st.sampled_from(["rational", "float"]), label="backing")
+    n_atoms = draw(st.integers(1, 10), label="atoms")
+    weights = draw(st.lists(st.sampled_from(DISTORTION_WEIGHTS), min_size=n_atoms,
+                            max_size=n_atoms), label="weights")
+    if not any(weights):
+        weights[-1] = "1/3"
+    gamma = draw(st.floats(0.2, 4), label="gamma")
+    return backing, weights, gamma
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=distortions())
+def test_distortion_matches_dense_table_bit_for_bit(case):
+    backing, weights, gamma = case
+    set_backing(backing)
+    try:
+        space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights)
+        cap = Capacity.distortion(space, gamma)
+        for s, expected in naive_distortion_table(space, gamma).items():
+            got = cap.of(s)
+            assert got == expected, (sorted(s), got, expected)
+            assert float(got.finite_value).hex() == float(expected.finite_value).hex()
+    finally:
+        set_backing("rational")
+
+
+def test_distortion_rejects_sets_outside_its_space():
+    space = MeasureSpace(["a0", "a1", "a2"], ["1/3", 0, 0.7])
+    cap = Capacity.distortion(space, 0.8)
+    with pytest.raises(InputError, match=r"set \{x\} is not over this capacity's space"):
+        cap.of({"x"})
+    with pytest.raises(InputError, match=r"set \{a0, a2, x\} is not over"):
+        cap.of({"x", "a2", "a0"})
+
+
+def test_distortion_rejects_a_float_sum_beyond_the_float_range():
+    import sys
+
+    # The exact total rounds to the largest float; the float weights'
+    # sum, 2^970 added to it, rounds up to +inf.
+    space = MeasureSpace(["a", "b"], [int(sys.float_info.max), 2**970 - 1])
+    assert float(space.total_mass()) == sys.float_info.max
+    with pytest.raises(InputError, match="float range"):
+        Capacity.distortion(space, 0.5)
+
+
+def test_distortion_rejects_a_value_beyond_the_float_range():
+    # 0.1 + 0.2 rounds above the total 3/10, so c(Omega) = ratio ** 1e300
+    # overflows; that is found when the capacity is built.
+    space = MeasureSpace(["a", "b"], [0.1, 0.2])
+    with pytest.raises(InputError, match="float range"):
+        Capacity.distortion(space, 1e300)
+    Capacity.distortion(space, 1e3)
+
+
+def test_choquet_rejects_a_distortion_that_grows_on_a_shrinking_level_set(monkeypatch):
+    space = MeasureSpace(["a0", "a1", "a2"], ["1/3", 1, 0.7])
+    cap = Capacity.distortion(space, 0.8)
+    f = fn(space, 1, 2, 3)
+    choquet(f, cap)
+    monkeypatch.setattr(type(cap), "of", lambda self, s: ext(10 - len(s)))
+    with pytest.raises(InputError, match=r"c\(\{a1, a2\}\) = 8 > c\(\{a0, a1, a2\}\) = 7"):
+        choquet(f, cap)
+    # The plateau is the last, innermost level set read.
+    with pytest.raises(InputError, match=r"c\(\{a2\}\) = 9 > c\(\{a1, a2\}\) = 8"):
+        choquet(fn(space, 0, 1, "+inf"), cap)
 
 
 def test_capacity_table_json_roundtrip(unit2):
