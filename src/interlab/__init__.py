@@ -12,15 +12,10 @@ from .errors import (
 from .extreal import (
     NEG_INF,
     POS_INF,
-    ZERO,
-    ExtReal,
     add,
     ext,
     get_backing,
     lower_add,
-    neg,
-    neg_part,
-    pos_part,
     scalar_mul,
     set_backing,
     upper_add,

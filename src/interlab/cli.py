@@ -23,7 +23,7 @@ from .errors import (
     InvariantError,
     ScenarioError,
 )
-from .extreal import as_scalar, ext, set_backing
+from .extreal import NEG_INF, POS_INF, as_scalar, ext, set_backing
 from .fnlattice import FnClass
 from .decomposable import (
     Integrand,
@@ -157,7 +157,7 @@ def _gallery_choquet_demo():
 
     for s in iter_atom_subsets(space):
         table[s] = {0: 0, 1: "1/2", 2: "3/4", 3: 1}[len(s)]
-    cap = Capacity(space, {k: ext(v) for k, v in table.items()})
+    cap = Capacity(space, table)
     family = Family([
         FnClass(space, [1, 2, 0]),
         FnClass(space, [2, 0, 1]),
@@ -251,7 +251,7 @@ def _cmd_rw_check(args) -> int:
     seed = _echo_seed(args)
     inter = verify_rw_interchange(integrand, u_set, tolerance=tol)
     payload = {"interchange": inter.to_json_dict()}
-    if inter.lhs.is_finite:
+    if NEG_INF < inter.lhs < POS_INF:
         payload["argmin"] = verify_rw_argmin(
             integrand, u_set, interchange=inter
         ).to_json_dict()
@@ -284,13 +284,14 @@ def _cmd_shapiro_check(args) -> int:
             SelectionSet.from_json_dict(sel, len(space.atoms), integrand.n_controls)
             if sel else None
         )
+        p = as_scalar(sc.get("p", 1))
     except InterlabError as e:
         raise ScenarioError(f"bad shapiro scenario: {e}") from e
     tol = _tolerance(args, sc)
     seed = _echo_seed(args)
     scenario = ShapiroScenario(
         functional=phi,
-        p=as_scalar(sc.get("p", 1)),
+        p=p,
         integrand=integrand,
         selection_prefix=prefix,
         declared_gflat=declared,

@@ -40,15 +40,14 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import BudgetError, DomainError, InputError, InvariantError
 from .extreal import (
     NEG_INF,
-    ZERO,
-    ExtReal,
+    POS_INF,
     Scalar,
     as_scalar,
     ext,
     lower_add,
-    neg,
     scalar_mul,
     to_jsonable,
+    to_text,
     upper_add,
 )
 from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
@@ -68,7 +67,7 @@ class Integrand:
 
     space: MeasureSpace
     controls: Tuple
-    table: Tuple[Tuple[ExtReal, ...], ...]
+    table: Tuple[Tuple[Scalar, ...], ...]
 
     def __init__(self, space: MeasureSpace, controls: Sequence, table: Sequence[Sequence]):
         controls = tuple(tuple(c) if isinstance(c, (list, tuple)) else (c,) for c in controls)
@@ -89,7 +88,7 @@ class Integrand:
     def n_controls(self) -> int:
         return len(self.controls)
 
-    def value(self, atom_index: int, control_index: int) -> ExtReal:
+    def value(self, atom_index: int, control_index: int) -> Scalar:
         return self.table[atom_index][control_index]
 
     def g_of(self, selection: Selection) -> FnClass:
@@ -322,8 +321,8 @@ def _first_patch_witness(base: Selection, projections, members) -> Optional[dict
 
 @dataclass
 class RwInterchangeReport:
-    lhs: ExtReal
-    rhs: ExtReal
+    lhs: Scalar
+    rhs: Scalar
     equal: bool
     decomposable: bool
     hypothesis_notes: List[str] = field(default_factory=list)
@@ -376,7 +375,8 @@ def verify_rw_interchange(
     equal = _eq_within(lhs, rhs, tol)
     if not equal and decomp.decomposable:
         raise InvariantError(
-            f"interchange equality failed on a decomposable set: lhs={lhs}, rhs={rhs}"
+            f"interchange equality failed on a decomposable set: "
+            f"lhs={to_text(lhs)}, rhs={to_text(rhs)}"
         )
     if not equal:
         notes.append(
@@ -396,7 +396,7 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
     control c the terms ``part_integrals`` adds for the value f(i, c) are
     computed once: w_i * f to the positive part when f > 0, w_i * (-f) to
     the negative part when f < 0.  A selection folds its terms with
-    ``lower_add`` in atom order and takes ``upper_add(ip, neg(im))``, the
+    ``lower_add`` in atom order and takes ``upper_add(ip, -im)``, the
     same operations in the same order as ``outer_integral(g_of(u))``, so
     float rounding is unchanged.  The folds of the first k atoms are kept
     per k and reused while a selection agrees with the previous one on
@@ -415,18 +415,18 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
         argmin_row = [False] * integrand.n_controls
         for c in controls:
             v = integrand.table[i][c]
-            if v > ZERO:
+            if v > 0:
                 plus_row[c] = scalar_mul(w, v)
-            elif v < ZERO:
-                minus_row[c] = scalar_mul(w, neg(v))
+            elif v < 0:
+                minus_row[c] = scalar_mul(w, -v)
             argmin_row[c] = space.is_null_atom(i) or c in atom_argmin[i]
         plus_terms.append(plus_row)
         minus_terms.append(minus_row)
         picks_argmin.append(argmin_row)
 
     # plus[k], minus[k], on_argmin[k]: the folds over atoms 0..k-1 of prev.
-    plus = [ZERO] * (n + 1)
-    minus = [ZERO] * (n + 1)
+    plus = [as_scalar(0)] * (n + 1)
+    minus = [as_scalar(0)] * (n + 1)
     on_argmin = [True] * (n + 1)
     prev = (None,) * n  # shares no atom with the first selection
     lhs = None
@@ -446,9 +446,9 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
             on_argmin[i + 1] = on_argmin[i] and picks_argmin[i][c]
         prev = sel
         ip = plus[n]
-        if ip.is_finite:
+        if ip != POS_INF:
             has_l1_plus = True
-        v = upper_add(ip, neg(minus[n]))
+        v = upper_add(ip, -minus[n])
         if lhs is None or v < lhs:
             lhs, minimizers = v, [sel]
         elif v == lhs:
@@ -466,7 +466,7 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
 class RwArgminReport:
     applicable: bool
     characterization_holds: Optional[bool]
-    common_value: Optional[ExtReal]
+    common_value: Optional[Scalar]
     argmin_selections: List[Selection] = field(default_factory=list)
     per_atom_argmin: List[Tuple[int, ...]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
@@ -537,9 +537,9 @@ class ShapiroScenario:
 @dataclass
 class ShapiroReport:
     hypotheses: List[Tuple[str, bool, str]]
-    norms: List[ExtReal]
-    conclusion_lhs: ExtReal
-    conclusion_rhs: ExtReal
+    norms: List[Scalar]
+    conclusion_lhs: Scalar
+    conclusion_rhs: Scalar
     conclusion_holds: bool
     conclusion_mode: str  # "exact" or "sampled"
     notes: List[str] = field(default_factory=list)
@@ -590,7 +590,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         gflat = sc.declared_gflat
 
     non_null = list(space.non_null_indices())
-    gflat_finite = all(gflat.values[i].is_finite for i in non_null)
+    gflat_finite = all(abs(gflat.values[i]) != POS_INF for i in non_null)
     hypotheses.append(
         ("gflat_in_lp", gflat_finite,
          "G-flat finite on non-null atoms" if gflat_finite else "G-flat is infinite somewhere")
@@ -607,7 +607,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     # G(u) over the set, built once for S1 and the conclusion.
     fns = [sc.integrand.g_of(sel) for sel in sels]
     for sel, g in zip(sels, fns):
-        if any(not g.values[i].is_finite for i in non_null):
+        if any(abs(g.values[i]) == POS_INF for i in non_null):
             s1_ok, s1_detail = False, f"G({list(sel)}) is infinite on a non-null atom"
             break
     hypotheses.append(("S1_image_in_lp", s1_ok, s1_detail))
@@ -617,10 +617,10 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     )
     norms = [lp_norm(fn_add(g, fn_neg(gflat), mode="lower"), p) for g in prefix_fns]
     norm_tol = _norm_tolerance(tol)
-    converged = norms[-1].is_finite and float(norms[-1]) <= float(norm_tol)
+    converged = norms[-1] != POS_INF and float(norms[-1]) <= float(norm_tol)
     hypotheses.append(
         ("S2a_norm_convergence", converged,
-         f"last prefix norm {norms[-1]} vs tolerance {norm_tol}")
+         f"last prefix norm {to_text(norms[-1])} vs tolerance {norm_tol}")
     )
 
     phi_vals = [sc.functional(g) for g in prefix_fns]
@@ -630,7 +630,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     s2b = phi_flat >= liminf_est or _eq_within(phi_flat, liminf_est, tol)
     hypotheses.append(
         ("S2b_liminf", s2b,
-         f"Phi(G-flat) = {phi_flat} vs prefix liminf {liminf_est}")
+         f"Phi(G-flat) = {to_text(phi_flat)} vs prefix liminf {to_text(liminf_est)}")
     )
 
     if exact:

@@ -1,6 +1,7 @@
 """The lattice of measurable functions modulo almost-everywhere equality.
 
-A function is an atom-indexed vector of extended reals on a fixed space.
+A function is an atom-indexed vector of extended reals (plain scalars, see
+``extreal``) on a fixed space.
 Two functions are equal as classes when they agree on every atom of positive
 weight; ordering works the same way.  Representatives are stored exactly as
 given (never normalized), so every comparison goes through the null-atom
@@ -29,20 +30,15 @@ from .errors import InputError
 from .extreal import (
     NEG_INF,
     POS_INF,
-    ZERO,
-    ExtReal,
     Scalar,
-    abs_value,
     add,
     as_scalar,
     ext,
     lower_add,
-    neg,
-    neg_part,
     pointwise_min,
-    pos_part,
     scalar_mul,
     to_jsonable,
+    to_text,
     upper_add,
 )
 from .measure import MeasureSpace
@@ -68,7 +64,7 @@ class IntegrabilityTag(Enum):
 
 
 class FnClass:
-    """A measurable function as a vector of ExtReal values over the atoms."""
+    """A measurable function as a vector of extended reals over the atoms."""
 
     __slots__ = ("space", "values")
 
@@ -81,11 +77,12 @@ class FnClass:
         self.values = tuple(ext(v) for v in values)
 
     @classmethod
-    def from_ext(cls, space: MeasureSpace, values: Tuple[ExtReal, ...]) -> "FnClass":
-        """A function from a tuple of ExtReal values, one per atom of space.
+    def from_ext(cls, space: MeasureSpace, values: Tuple[Scalar, ...]) -> "FnClass":
+        """A function from a tuple of extended reals, one per atom of space.
 
         Skips the coercion and length check of the constructor, for values
-        that are already ExtReals on this space.
+        already in the active backing's form (built by ``ext`` or by the
+        ``extreal`` operations).
         """
         f = object.__new__(cls)
         f.space = space
@@ -96,7 +93,7 @@ class FnClass:
     def constant(cls, space: MeasureSpace, value) -> "FnClass":
         return cls(space, [ext(value)] * len(space.atoms))
 
-    def value_at(self, atom: str) -> ExtReal:
+    def value_at(self, atom: str) -> Scalar:
         return self.values[self.space.index(atom)]
 
     def __eq__(self, other) -> bool:
@@ -114,9 +111,9 @@ class FnClass:
         )
 
     def __repr__(self) -> str:
-        return f"FnClass({list(self.values)!r})"
+        return f"FnClass([{', '.join(map(to_text, self.values))}])"
 
-    def map(self, op: Callable[[ExtReal], ExtReal]) -> "FnClass":
+    def map(self, op: Callable[[Scalar], Scalar]) -> "FnClass":
         return FnClass(self.space, [op(v) for v in self.values])
 
     def to_jsonable(self) -> list:
@@ -147,11 +144,11 @@ def pointwise_inf(family: Iterable[FnClass]) -> FnClass:
 
 def pos_neg_parts(f: FnClass) -> Tuple[FnClass, FnClass]:
     """(f_plus, f_minus), both nonnegative, with f = f_plus + (-f_minus)."""
-    return f.map(pos_part), f.map(neg_part)
+    return f.map(lambda v: max(0, v)), f.map(lambda v: max(0, -v))
 
 
 def fn_neg(f: FnClass) -> FnClass:
-    return f.map(neg)
+    return FnClass.from_ext(f.space, tuple(-v for v in f.values))
 
 
 def fn_scale(lam: Scalar, f: FnClass) -> FnClass:
@@ -178,8 +175,8 @@ def classify(f: FnClass) -> IntegrabilityTag:
     from .integrals import part_integrals
 
     ip, im = part_integrals(f)
-    plus = ip.is_finite
-    minus = im.is_finite
+    plus = ip != POS_INF
+    minus = im != POS_INF
     if plus and minus:
         return IntegrabilityTag.L1_FULL
     if plus:
@@ -189,7 +186,7 @@ def classify(f: FnClass) -> IntegrabilityTag:
     return IntegrabilityTag.L0_ONLY
 
 
-def lp_norm(f: FnClass, p: Scalar) -> ExtReal:
+def lp_norm(f: FnClass, p: Scalar) -> Scalar:
     """(sum of weight * |f|^p)^(1/p) for p in [1, inf).
 
     Exact under rational backing when p == 1; otherwise evaluated in float.
@@ -200,23 +197,19 @@ def lp_norm(f: FnClass, p: Scalar) -> ExtReal:
         raise InputError("lp_norm requires p >= 1")
     space = f.space
     for i in space.non_null_indices():
-        if not f.values[i].is_finite:
+        if abs(f.values[i]) == POS_INF:
             return POS_INF
     if p == 1:
-        total = ZERO
+        total = as_scalar(0)
         for i in space.non_null_indices():
-            total = lower_add(total, scalar_mul(space.weights[i], abs_value(f.values[i])))
+            total = lower_add(total, scalar_mul(space.weights[i], abs(f.values[i])))
         return total
     acc = 0.0
     for i in space.non_null_indices():
         acc += float(space.weights[i]) * abs(float(f.values[i])) ** float(p)
-    return ExtReal(acc ** (1.0 / float(p)))
+    return as_scalar(acc ** (1.0 / float(p)))
 
 
-def ess_sup_value(f: FnClass) -> ExtReal:
+def ess_sup_value(f: FnClass) -> Scalar:
     """Largest value on non-null atoms; -inf when every atom is null."""
-    best = NEG_INF
-    for i in f.space.non_null_indices():
-        if f.values[i] > best:
-            best = f.values[i]
-    return best
+    return max((f.values[i] for i in f.space.non_null_indices()), default=NEG_INF)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .extreal import ZERO, ExtReal, ext
+from .extreal import POS_INF, Scalar, ext, to_text
 from .fnlattice import FnClass, IntegrabilityTag, classify, ess_sup_value
 from .integrals import (
     Capacity,
@@ -47,11 +47,11 @@ class Functional:
 
     name: str
     domain: str
-    eval_fn: Callable[[FnClass], ExtReal]
+    eval_fn: Callable[[FnClass], Scalar]
     order_preserving: bool = True
     seq_inf_continuous: bool = False
 
-    def __call__(self, f: FnClass) -> ExtReal:
+    def __call__(self, f: FnClass) -> Scalar:
         return self.eval_fn(f)
 
     def defined_on(self, f: FnClass) -> bool:
@@ -60,7 +60,7 @@ class Functional:
         if self.domain == DOMAIN_SEMI_INTEGRABLE:
             return classify(f).semi_integrable
         if self.domain == DOMAIN_NONNEGATIVE:
-            return all(f.values[i] >= ZERO for i in f.space.non_null_indices())
+            return all(f.values[i] >= 0 for i in f.space.non_null_indices())
         if self.domain == "L1_FULL":
             return classify(f) is IntegrabilityTag.L1_FULL
         if self.domain == "L1_PLUS":
@@ -76,14 +76,14 @@ class Functional:
 _PROBE_GRID = ["-inf", -3, -1, "-1/2", 0, "1/2", 1, 3, "+inf"]
 
 
-def _validate_nondecreasing(mapping: Callable[[ExtReal], ExtReal]) -> None:
+def _validate_nondecreasing(mapping: Callable[[Scalar], Scalar]) -> None:
     probes = [ext(x) for x in _PROBE_GRID]
     images = [mapping(p) for p in probes]
     for a, b in zip(images, images[1:]):
         if not a <= b:
             raise InputError(
                 f"post-composition map is not nondecreasing on the probe grid "
-                f"({a} > {b})"
+                f"({to_text(a)} > {to_text(b)})"
             )
 
 
@@ -91,7 +91,7 @@ def make_builtin(
     kind: str,
     capacity: Optional[Capacity] = None,
     base: Optional[Functional] = None,
-    mapping: Optional[Callable[[ExtReal], ExtReal]] = None,
+    mapping: Optional[Callable[[Scalar], Scalar]] = None,
     name: Optional[str] = None,
 ) -> Functional:
     """Construct one of the registered functional kinds.
@@ -141,7 +141,7 @@ def parameterless_builtins() -> List[Functional]:
 class OrderCheckReport:
     functional: str
     trials: int
-    violations: List[Tuple[FnClass, FnClass, ExtReal, ExtReal]] = field(default_factory=list)
+    violations: List[Tuple[FnClass, FnClass, Scalar, Scalar]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -156,16 +156,16 @@ _DEFAULT_VALUE_GRID = ["-inf", -2, -1, 0, "1/2", 1, 3, "+inf"]
 
 
 def _random_in_domain(
-    rng: random.Random, phi: Functional, space: MeasureSpace, grid: Sequence[ExtReal]
+    rng: random.Random, phi: Functional, space: MeasureSpace, grid: Sequence[Scalar]
 ) -> FnClass:
     pool = (
-        [v for v in grid if v >= ZERO]
+        [v for v in grid if v >= 0]
         if phi.domain == DOMAIN_NONNEGATIVE
         else list(grid)
     )
     for attempt in range(500):
         if attempt == 200:
-            pool = [v for v in pool if v.is_finite]  # cheap fallback domain
+            pool = [v for v in pool if abs(v) != POS_INF]  # cheap fallback domain
         f = FnClass(space, [rng.choice(pool) for _ in space.atoms])
         if phi.defined_on(f):
             return f
@@ -175,7 +175,7 @@ def _random_in_domain(
 
 
 def _raise_values(
-    rng: random.Random, f: FnClass, grid: Sequence[ExtReal]
+    rng: random.Random, f: FnClass, grid: Sequence[Scalar]
 ) -> FnClass:
     values = []
     for v in f.values:

@@ -22,20 +22,18 @@ from typing import Dict, Iterable, Mapping
 from .errors import DomainError, InputError
 from .extreal import (
     POS_INF,
-    ZERO,
-    ExtReal,
     Scalar,
+    add,
     as_scalar,
     ext,
     lower_add,
-    neg,
     scalar_mul,
     to_jsonable,
+    to_text,
     upper_add,
-    add,
     weighted_parts,
 )
-from .fnlattice import FnClass
+from .fnlattice import FnClass, fn_neg
 from .measure import AtomSet, MeasureSpace, iter_atom_subsets
 
 
@@ -44,10 +42,10 @@ def part_integrals(f: FnClass) -> tuple:
     return weighted_parts(f.space.weights, f.values)
 
 
-def lebesgue_nonneg(f: FnClass) -> ExtReal:
+def lebesgue_nonneg(f: FnClass) -> Scalar:
     """Integral of a mu-a.e. nonnegative function; value in [0, +inf]."""
     for i in f.space.non_null_indices():
-        if f.values[i] < ZERO:
+        if f.values[i] < 0:
             raise DomainError(
                 f"lebesgue_nonneg: negative value {f.values[i]} on non-null atom "
                 f"{f.space.atoms[i]!r}"
@@ -56,27 +54,27 @@ def lebesgue_nonneg(f: FnClass) -> ExtReal:
     return part_integrals(f)[0]
 
 
-def lebesgue_extended(f: FnClass) -> ExtReal:
+def lebesgue_extended(f: FnClass) -> Scalar:
     """Extended Lebesgue integral of a semi-integrable function."""
     ip, im = part_integrals(f)
-    if not (ip.is_finite or im.is_finite):
+    if ip == im == POS_INF:
         raise DomainError(
             "function is not semi-integrable (both parts have infinite integral); "
             "use outer_integral or inner_integral"
         )
-    return add(ip, neg(im))
+    return add(ip, -im)
 
 
-def outer_integral(f: FnClass) -> ExtReal:
+def outer_integral(f: FnClass) -> Scalar:
     """Infimum of integrals of dominating integrable functions (closed form)."""
     ip, im = part_integrals(f)
-    return upper_add(ip, neg(im))
+    return upper_add(ip, -im)
 
 
-def inner_integral(f: FnClass) -> ExtReal:
+def inner_integral(f: FnClass) -> Scalar:
     """Supremum of integrals of dominated integrable functions (closed form)."""
     ip, im = part_integrals(f)
-    return lower_add(ip, neg(im))
+    return lower_add(ip, -im)
 
 
 class Capacity:
@@ -87,7 +85,8 @@ class Capacity:
     results require.
 
     ``Capacity(space, table)`` is the "table" kind: a dense table of all
-    2^n values, validated once at construction.  ``Capacity.distortion``
+    2^n values, keyed by sets of the space's atoms and validated once at
+    construction.  ``Capacity.distortion``
     builds no table; it evaluates c(A) when asked, in O(n), so a Choquet
     integral costs O(n) per level set it reads and large spaces are fine.
     """
@@ -95,9 +94,13 @@ class Capacity:
     __slots__ = ("space", "_table")
     kind = "table"
 
-    def __init__(self, space: MeasureSpace, table: Mapping[AtomSet, ExtReal]):
+    def __init__(self, space: MeasureSpace, table: Mapping[AtomSet, Scalar]):
         self.space = space
-        full: Dict[AtomSet, ExtReal] = {}
+        atoms = frozenset(space.atoms)
+        for s in table:
+            if not atoms.issuperset(s):
+                raise _foreign_set(space, frozenset(s))
+        full: Dict[AtomSet, Scalar] = {}
         for s in iter_atom_subsets(space):
             if s not in table:
                 raise InputError(f"capacity table misses the set {_set_str(space, s)}")
@@ -107,13 +110,13 @@ class Capacity:
 
     def _validate(self) -> None:
         empty = frozenset()
-        if self._table[empty] != ZERO:
+        if self._table[empty] != 0:
             raise InputError("capacity must vanish on the empty set")
         # Rounding to float is monotone, so unequal floats order the exact
         # values; only float ties need the exact comparison.
         approx = {s: _monotone_float(v) for s, v in self._table.items()}
         for s, v in self._table.items():
-            if v < ZERO:
+            if v < 0:
                 raise InputError(
                     f"capacity value {v} on {_set_str(self.space, s)} is negative")
             fv = approx[s]
@@ -124,7 +127,7 @@ class Capacity:
                     if fb < fv or (fb == fv and self._table[bigger] < v):
                         raise _not_monotone(self.space, s, v, bigger, self._table[bigger])
 
-    def of(self, s: Iterable[str]) -> ExtReal:
+    def of(self, s: Iterable[str]) -> Scalar:
         s = frozenset(s)
         try:
             return self._table[s]
@@ -199,8 +202,11 @@ class Capacity:
             return cls.distortion(space, as_scalar(d["gamma"]))
         if kind != "table":
             raise InputError(f"unknown capacity kind {kind!r}")
-        table: Dict[AtomSet, ExtReal] = {}
-        for key, v in d.get("values", {}).items():
+        values = d.get("values", {})
+        if not isinstance(values, dict):
+            raise InputError(f"capacity 'values' must be a JSON object, got {values!r}")
+        table: Dict[AtomSet, Scalar] = {}
+        for key, v in values.items():
             key = key.strip()
             if not (key.startswith("{") and key.endswith("}")):
                 raise InputError(f"capacity key {key!r} must look like '{{a,b}}'")
@@ -242,18 +248,18 @@ class _Distortion(Capacity):
         except OverflowError:  # from pow, when t(Omega) / total rounds above 1
             raise InputError(_BEYOND_FLOAT) from None
 
-    def of(self, s: Iterable[str]) -> ExtReal:
+    def of(self, s: Iterable[str]) -> Scalar:
         s = frozenset(s)
         if not s <= self._atoms:
             raise _foreign_set(self.space, s)
         t = sum(w for a, w in zip(self.space.atoms, self._weights) if a in s)
-        return ExtReal((t / self._total) ** self.gamma * self._total)
+        return as_scalar((t / self._total) ** self.gamma * self._total)
 
     def _chain_reader(self):
         """``of`` that raises unless each value read is at most the last one."""
         last = []
 
-        def read(s: AtomSet) -> ExtReal:
+        def read(s: AtomSet) -> Scalar:
             v = self.of(s)
             if last and v > last[1]:
                 raise _not_monotone(self.space, s, v, *last)
@@ -274,23 +280,23 @@ def _set_str(space: MeasureSpace, s: AtomSet) -> str:
 
 
 def _not_monotone(space, s, v, bigger, vb) -> InputError:
-    return InputError(f"capacity is not monotone: c({_set_str(space, s)}) = {v} "
-                      f"> c({_set_str(space, bigger)}) = {vb}")
+    return InputError(f"capacity is not monotone: c({_set_str(space, s)}) = {to_text(v)} "
+                      f"> c({_set_str(space, bigger)}) = {to_text(vb)}")
 
 
 def _foreign_set(space, s) -> InputError:
     return InputError(f"set {_set_str(space, s)} is not over this capacity's space")
 
 
-def _monotone_float(v: ExtReal) -> float:
+def _monotone_float(v: Scalar) -> float:
     """float(v); a value beyond the float range becomes the infinity of its sign."""
     try:
         return float(v)
     except OverflowError:
-        return math.inf if v > ZERO else -math.inf
+        return math.inf if v > 0 else -math.inf
 
 
-def choquet(f: FnClass, c: Capacity) -> ExtReal:
+def choquet(f: FnClass, c: Capacity) -> Scalar:
     """Choquet integral of a one-signed function.
 
     Nonnegative (mu-a.e.) functions integrate as the layer cake
@@ -308,31 +314,27 @@ def choquet(f: FnClass, c: Capacity) -> ExtReal:
     """
     if f.space != c.space:
         raise InputError("capacity and function live on different spaces")
-    nonneg = all(f.values[i] >= ZERO for i in f.space.non_null_indices())
-    nonpos = all(f.values[i] <= ZERO for i in f.space.non_null_indices())
+    nonneg = all(f.values[i] >= 0 for i in f.space.non_null_indices())
+    nonpos = all(f.values[i] <= 0 for i in f.space.non_null_indices())
     if nonneg:
         return _choquet_nonneg(f, c)
     if nonpos:
-        return neg(_choquet_nonneg(f.map(neg), c))
+        return -_choquet_nonneg(fn_neg(f), c)
     raise DomainError("choquet requires a mu-a.e. one-signed function")
 
 
-def _choquet_nonneg(f: FnClass, c: Capacity) -> ExtReal:
+def _choquet_nonneg(f: FnClass, c: Capacity) -> Scalar:
     space = f.space
     of = c._chain_reader()  # the level sets below shrink, the plateau last
-    finite_levels = sorted(
-        {v for v in f.values if v.is_finite and v > ZERO},
-    )
-    total = ZERO
-    prev = ZERO
+    finite_levels = sorted({v for v in f.values if 0 < v < POS_INF})
+    total = prev = as_scalar(0)
     for v in finite_levels:
         level_set = frozenset(
             a for a, fv in zip(space.atoms, f.values) if fv > prev
         )
-        step = v.finite_value - prev.finite_value
-        total = lower_add(total, scalar_mul(step, of(level_set)))
+        total = lower_add(total, scalar_mul(v - prev, of(level_set)))
         prev = v
-    plateau = frozenset(a for a, fv in zip(space.atoms, f.values) if fv.is_pos_inf)
-    if plateau and of(plateau) > ZERO:
+    plateau = frozenset(a for a, fv in zip(space.atoms, f.values) if fv == POS_INF)
+    if plateau and of(plateau) > 0:
         return POS_INF
     return total

@@ -14,7 +14,8 @@ equivalent to the interchange formula
 cross-checks the equivalence; a disagreement is raised as InvariantError,
 never reported silently.  For order-preserving functionals there is a
 shortcut: on a finite family the subset condition for S = X implies all the
-others, and the scan asserts agreement with it.
+others, and the scan asserts agreement with it.  Each subset is judged
+within the report's tolerance, the same one the verdict uses.
 
 Lazily truncated families (finite prefixes of infinite sequences) go through
 ``verify_interchange_sequence``, which watches the prefix trend of both
@@ -33,13 +34,12 @@ from .errors import DomainError, InputError, InvariantError
 from .extreal import (
     NEG_INF,
     POS_INF,
-    ZERO,
-    ExtReal,
     Scalar,
-    abs_value,
     as_scalar,
     get_backing,
+    lower_add,
     to_jsonable,
+    to_text,
 )
 from .fnlattice import (
     FnClass,
@@ -62,14 +62,13 @@ def default_tolerance() -> Scalar:
     return as_scalar(0) if get_backing() == "rational" else 1e-9
 
 
-def _eq_within(a: ExtReal, b: ExtReal, tol: Scalar) -> bool:
-    if a.is_finite and b.is_finite:
-        diff = abs_value(ExtReal(a.finite_value - b.finite_value))
-        return diff <= ExtReal(tol)
+def _eq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
+    if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
+        return abs(lower_add(a, -b)) <= tol
     return a == b
 
 
-def _leq_within(a: ExtReal, b: ExtReal, tol: Scalar) -> bool:
+def _leq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
     return a <= b or _eq_within(a, b, tol)
 
 
@@ -138,8 +137,8 @@ class DirectednessResult:
 @dataclass
 class InterchangeReport:
     functional: str
-    lhs: ExtReal
-    rhs: ExtReal
+    lhs: Scalar
+    rhs: Scalar
     phi_inf_directed: str
     interchange_holds: str
     witness: Optional[Tuple[int, ...]] = None
@@ -204,13 +203,13 @@ def _sampled_subsets(n: int, seed: int, samples: int):
 
 def _scan_subsets(
     members: Sequence[FnClass],
-    score: Callable[[FnClass], ExtReal],
-    holds: Callable[[ExtReal], bool],
+    score: Callable[[FnClass], Scalar],
+    holds: Callable[[Scalar], bool],
     subset_budget: int,
     seed: int,
     samples: int,
-    known: Dict[Tuple[int, ...], ExtReal],
-) -> Tuple[Optional[Tuple[int, ...]], bool, Callable[[Sequence[int]], ExtReal]]:
+    known: Dict[Tuple[int, ...], Scalar],
+) -> Tuple[Optional[Tuple[int, ...]], bool, Callable[[Sequence[int]], Scalar]]:
     """Find the first subset S whose infimum fails ``holds(score(inf S))``.
 
     Subsets come from ``_nonempty_subsets`` while the family is within
@@ -239,7 +238,7 @@ def _scan_subsets(
             rows[j] |= ((1 << rank[v]) - 1) << offset
         fields.append((level, offset, (1 << (len(level) - 1)) - 1))
         offset += len(level) - 1
-    memo: Dict[int, ExtReal] = {}
+    memo: Dict[int, Scalar] = {}
     passed = set()
 
     def inf_key(idx: Sequence[int]) -> int:
@@ -248,7 +247,7 @@ def _scan_subsets(
             key &= rows[i]
         return key
 
-    def score_key(key: int) -> ExtReal:
+    def score_key(key: int) -> Scalar:
         value = memo.get(key)
         if value is None:
             values = tuple([lv[((key >> off) & mask).bit_count()]
@@ -280,10 +279,16 @@ def is_phi_inf_directed(
     seed: int = 0,
     samples: int = DEFAULT_SAMPLED_SUBSETS,
     *,
-    phi_values: Optional[Sequence[ExtReal]] = None,
-    phi_inf: Optional[ExtReal] = None,
+    phi_values: Optional[Sequence[Scalar]] = None,
+    phi_inf: Optional[Scalar] = None,
+    tolerance: Optional[Scalar] = None,
 ) -> DirectednessResult:
     """Scan finite subsets for the directedness condition.
+
+    A subset S passes when min Phi(X) <= Phi(inf S) within ``tolerance``
+    (the backing's default when None), the tolerance of the interchange
+    verdict: by monotonicity Phi(inf S) >= Phi(inf X), so the scan agrees
+    with the verdict at any tolerance.
 
     Exhaustive over all 2^n - 1 nonempty subsets while the family size is
     within ``subset_budget``; beyond that, singletons, pairs, the full
@@ -298,6 +303,7 @@ def is_phi_inf_directed(
     ``phi_values`` and ``phi_inf``.  The memo holds at most one entry per subset scanned (2^n - 1 when
     exhaustive) plus the members, and is freed on return.
     """
+    tol = default_tolerance() if tolerance is None else as_scalar(tolerance)
     members = family.members
     n = len(members)
     if phi_values is None:
@@ -307,7 +313,8 @@ def is_phi_inf_directed(
     if phi_inf is not None:
         known[tuple(range(n))] = phi_inf
     witness, exhaustive, score_inf = _scan_subsets(
-        members, phi, lambda v: lhs <= v, subset_budget, seed, samples, known
+        members, phi, lambda v: _leq_within(lhs, v, tol), subset_budget, seed,
+        samples, known,
     )
     directed = witness is None
     result = DirectednessResult(
@@ -316,7 +323,7 @@ def is_phi_inf_directed(
         mode="exhaustive" if exhaustive else "sampled",
     )
     if exhaustive:
-        shortcut = lhs <= score_inf(range(n))
+        shortcut = _leq_within(lhs, score_inf(range(n)), tol)
         result.shortcut_agrees = shortcut == directed
         if phi.order_preserving and shortcut != directed:
             raise InvariantError(
@@ -333,8 +340,8 @@ def verify_interchange(
     tolerance: Optional[Scalar] = None,
     seed: int = 0,
     *,
-    phi_values: Optional[Sequence[ExtReal]] = None,
-    phi_inf: Optional[ExtReal] = None,
+    phi_values: Optional[Sequence[Scalar]] = None,
+    phi_inf: Optional[Scalar] = None,
 ) -> InterchangeReport:
     """Compute both sides of the interchange formula and cross-check.
 
@@ -364,12 +371,13 @@ def verify_interchange(
 
     if phi.order_preserving and not _leq_within(rhs, lhs, tol):
         raise InvariantError(
-            f"one-sided bound violated for {phi.name}: Phi(inf X) = {rhs} "
-            f"> min Phi = {lhs}"
+            f"one-sided bound violated for {phi.name}: Phi(inf X) = {to_text(rhs)} "
+            f"> min Phi = {to_text(lhs)}"
         )
 
     directed = is_phi_inf_directed(
-        family, phi, subset_budget, seed=seed, phi_values=values, phi_inf=rhs
+        family, phi, subset_budget, seed=seed, phi_values=values, phi_inf=rhs,
+        tolerance=tol,
     )
     if hyp_ok and directed.directed is not None and holds != directed.directed:
         if directed.mode == "exhaustive" or not directed.directed:
@@ -393,11 +401,11 @@ def verify_interchange(
 
 
 def _classify_prefix_limit(
-    values: Sequence[ExtReal], threshold: Scalar
-) -> Tuple[str, ExtReal]:
+    values: Sequence[Scalar], threshold: Scalar
+) -> Tuple[str, Scalar]:
     """Trend of a prefix: ("stabilized"|"diverging"|"inconclusive", value)."""
     last = values[-1]
-    if not last.is_finite:
+    if abs(last) == POS_INF:
         return "stabilized", last
     if len(values) == 1:
         return "stabilized", last
@@ -405,7 +413,7 @@ def _classify_prefix_limit(
     tail = values[-window:]
     if all(v == last for v in tail):
         return "stabilized", last
-    bound = ExtReal(abs(as_scalar(threshold)))
+    bound = abs(as_scalar(threshold))
     nonincreasing = all(a >= b for a, b in zip(values, values[1:]))
     if nonincreasing and last <= -bound:
         return "diverging", NEG_INF
@@ -427,7 +435,7 @@ def verify_interchange_sequence(
     members = spec.prefix()
 
     phi_values = [phi(x) for x in members]
-    prefix_lhs: List[ExtReal] = []
+    prefix_lhs: List[Scalar] = []
     running = phi_values[0]
     for v in phi_values:
         running = min(running, v)
@@ -457,8 +465,8 @@ def verify_interchange_sequence(
         return base
 
     notes: List[str] = []
-    lhs_kind, lhs = _classify_prefix_limit(prefix_lhs, spec.divergence_threshold)
-    prefix_data["lhs_trend"] = lhs_kind
+    lhs_trend, lhs = _classify_prefix_limit(prefix_lhs, spec.divergence_threshold)
+    prefix_data["lhs_trend"] = lhs_trend
 
     if spec.declared_limit is not None:
         limit = spec.declared_limit
@@ -466,7 +474,7 @@ def verify_interchange_sequence(
             raise InputError(
                 "declared limit is not below the prefix infimum (mu-a.e.)"
             )
-        rhs_kind = "declared"
+        rhs_trend = "declared"
         rhs = phi(limit)
         if limit == prefix_infs[-1]:
             notes.append("declared limit witnessed by the prefix infimum")
@@ -475,33 +483,33 @@ def verify_interchange_sequence(
                 "hypothesis unverified: declared limit not witnessed by the prefix"
             )
     else:
-        rhs_kind, rhs = _classify_prefix_limit(prefix_rhs, spec.divergence_threshold)
-    prefix_data["rhs_trend"] = rhs_kind
+        rhs_trend, rhs = _classify_prefix_limit(prefix_rhs, spec.divergence_threshold)
+    prefix_data["rhs_trend"] = rhs_trend
 
-    if lhs_kind == "diverging":
+    if lhs_trend == "diverging":
         directed_verdict = "diverging"
         witness = None
         notes.append(
             "lhs diverges to -inf: Phi-inf-directedness condition vacuously "
             "satisfied in the limit"
         )
-    elif lhs_kind == "inconclusive":
+    elif lhs_trend == "inconclusive":
         directed_verdict = "inconclusive"
         witness = None
         notes.append("prefix lhs neither stabilizes nor crosses the threshold")
     else:
         directed = is_phi_inf_directed(
             Family(members, origin="generated"), phi, subset_budget, seed=seed,
-            phi_values=phi_values, phi_inf=prefix_rhs[-1],
+            phi_values=phi_values, phi_inf=prefix_rhs[-1], tolerance=tol,
         )
         directed_verdict = directed.verdict
         witness = directed.witness
         notes.append("directedness checked on the prefix family")
 
-    if lhs_kind == "inconclusive" or rhs_kind == "inconclusive":
+    if lhs_trend == "inconclusive" or rhs_trend == "inconclusive":
         holds = "inconclusive"
         notes.append("no stabilization and no monotone threshold crossing; no guess")
-    elif lhs_kind == "diverging":
+    elif lhs_trend == "diverging":
         if rhs == NEG_INF:
             holds = "holds-in-limit"
             notes.append("interchange holds in the limit (-inf = -inf)")
@@ -526,12 +534,12 @@ def verify_interchange_sequence(
 @dataclass
 class SeqContinuityReport:
     functional: str
-    prefix_values: List[ExtReal]
-    rhs: ExtReal
+    prefix_values: List[Scalar]
+    rhs: Scalar
     verdict: str  # "holds" or "fails"
     exact: bool
     diverging: bool
-    gaps: List[Optional[ExtReal]]
+    gaps: List[Optional[Scalar]]
     notes: List[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -571,12 +579,12 @@ def check_seq_inf_continuity(
     rhs = phi(limit)
     notes: List[str] = []
 
-    gaps: List[Optional[ExtReal]] = []
+    gaps: List[Optional[Scalar]] = []
     for v in values:
-        if v.is_finite and rhs.is_finite:
-            gaps.append(ExtReal(v.finite_value - rhs.finite_value))
+        if NEG_INF < v < POS_INF and NEG_INF < rhs < POS_INF:
+            gaps.append(lower_add(v, -rhs))
         elif v == rhs:
-            gaps.append(ZERO)
+            gaps.append(as_scalar(0))
         else:
             gaps.append(None)
 
@@ -622,13 +630,13 @@ def giner_gap_directed(
                 "use the direct Phi-inf-directedness condition instead"
             )
 
-    def gap(m: FnClass) -> ExtReal:
+    def gap(m: FnClass) -> Scalar:
         return min(
             lebesgue_extended(fn_add(x, fn_neg(m), mode="lower")) for x in members
         )
 
     witness, exhaustive, _ = _scan_subsets(
-        members, gap, lambda g: g <= ZERO, subset_budget, seed,
+        members, gap, lambda g: g <= 0, subset_budget, seed,
         DEFAULT_SAMPLED_SUBSETS, {},
     )
     return DirectednessResult(

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
-from .extreal import ExtReal, Scalar, as_scalar, scalar_to_jsonable
+from .extreal import Scalar, as_scalar, to_jsonable
 
 AtomSet = FrozenSet[str]
 
@@ -89,7 +89,7 @@ class MeasureSpace:
     def to_json_dict(self) -> dict:
         d = {
             "atoms": list(self.atoms),
-            "weights": [scalar_to_jsonable(w) for w in self.weights],
+            "weights": [to_jsonable(w) for w in self.weights],
         }
         if self.truncation_of is not None:
             d["truncation_of"] = self.truncation_of
@@ -104,13 +104,9 @@ class MeasureSpace:
 
 
 def _scalar_from_json(v) -> Scalar:
-    from fractions import Fraction
-
-    if isinstance(v, str) and "/" in v:
-        return as_scalar(Fraction(v))
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"cannot decode {v!r} as a weight")
-    return as_scalar(v)
+    if type(v) in (int, float) or isinstance(v, str) and "/" in v:
+        return as_scalar(v)
+    raise InputError(f"cannot decode {v!r} as a weight")
 
 
 def _check_subset(space: MeasureSpace, s: Iterable[str]) -> AtomSet:
@@ -120,15 +116,15 @@ def _check_subset(space: MeasureSpace, s: Iterable[str]) -> AtomSet:
     return s
 
 
-def measure(space: MeasureSpace, s: Iterable[str]) -> ExtReal:
+def measure(space: MeasureSpace, s: Iterable[str]) -> Scalar:
     """Total weight of the atoms in ``s``; finite and nonnegative."""
     s = _check_subset(space, s)
-    return ExtReal(sum((space.weight(a) for a in s), as_scalar(0)))
+    return as_scalar(sum(space.weight(a) for a in s))
 
 
 def is_null(space: MeasureSpace, s: Iterable[str]) -> bool:
     """True iff ``s`` has measure zero."""
-    return measure(space, s) == ExtReal(0)
+    return measure(space, s) == 0
 
 
 def iter_atom_subsets(space: MeasureSpace) -> Iterator[AtomSet]:

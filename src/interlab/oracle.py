@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .errors import InterlabError, InvariantError
-from .extreal import NEG_INF, POS_INF, ExtReal, ext
+from .extreal import NEG_INF, POS_INF, Scalar, ext
 from .fnlattice import FnClass
 from .functionals import Functional, make_builtin
 from .integrals import Capacity
@@ -74,7 +74,7 @@ def random_capacity(
     rng: random.Random, space: MeasureSpace, allow_infinite: bool = True
 ) -> Capacity:
     # Build monotone values size layer by size layer; rare +inf plateaus.
-    table: Dict[frozenset, ExtReal] = {}
+    table: Dict[frozenset, Scalar] = {}
     for s in iter_atom_subsets(space):
         if not s:
             table[s] = ext(0)
@@ -86,8 +86,7 @@ def random_capacity(
         if floor == POS_INF or (allow_infinite and rng.random() < 0.03):
             table[s] = POS_INF
         else:
-            inc = ext(rng.choice(CAPACITY_INCREMENTS))
-            table[s] = ext(floor.finite_value + inc.finite_value)
+            table[s] = ext(floor + ext(rng.choice(CAPACITY_INCREMENTS)))
     return Capacity(space, table)
 
 

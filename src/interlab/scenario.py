@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import __version__
 from .errors import InterlabError, ScenarioError
-from .extreal import Scalar, as_scalar, ext, get_backing, scalar_to_jsonable
+from .extreal import Scalar, as_scalar, ext, get_backing, to_jsonable
 from .fnlattice import FnClass
 from .functionals import Functional, make_builtin
 from .integrals import Capacity
@@ -118,7 +118,7 @@ def environment_echo(command: str, seed: Optional[int], tolerance: Scalar) -> di
         "backing": get_backing(),
         "command": command,
         "seed": seed,
-        "tolerance": scalar_to_jsonable(as_scalar(tolerance)),
+        "tolerance": to_jsonable(as_scalar(tolerance)),
     }
 
 

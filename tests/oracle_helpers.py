@@ -8,21 +8,29 @@ the grid step, so level-set boundaries are exact).  The naive directedness
 scans rebuild inf S from the members for every subset, in size order, and
 evaluate the condition afresh each time.  The selection-set references
 enumerate every patch of every member, and build G(u) and its outer integral
-selection by selection.  The naive kernels fold one ExtReal per atom and
-operation, with ``lower_add`` and ``scalar_mul``, and order values by their
-kind and finite value rather than by ExtReal comparison.  The naive
-distortion table is the dense 2^n construction, with the float weights of
-each subset summed in atom order.
+selection by selection.  The naive kernels fold one extended real per atom
+and operation, with ``lower_add`` and ``scalar_mul``, and classify and order
+values by their (kind, value) model rather than by native comparison.  The
+naive distortion table is the dense 2^n construction, with the float weights
+of each subset summed in atom order.
+
+The (kind, value) model is the textbook case analysis of the extended
+reals: kind -1 is -inf, 1 is +inf, and 0 a finite value.  Its operations
+add and multiply finite values with Python's operators, so they follow the
+active backing, and ``from_model`` coerces a finite result the way the
+library must: under float backing a finite result beyond the float range
+raises InputError.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 from interlab.errors import DomainError, InvariantError
-from interlab.extreal import POS_INF, ZERO, ExtReal, add, lower_add, neg, scalar_mul, upper_add
+from interlab.extreal import POS_INF, add, as_scalar, ext, lower_add, scalar_mul, upper_add
 from interlab.fnlattice import FnClass, classify, fn_add, fn_neg, pointwise_inf
 from interlab.integrals import lebesgue_extended, outer_integral
-from interlab.interchange import _eq_within, _sampled_subsets
+from interlab.interchange import _eq_within, _sampled_subsets, default_tolerance
 from interlab.measure import iter_atom_subsets
 
 
@@ -48,13 +56,13 @@ def simple_function_sup(f: FnClass, caps=(4, 16, 256)):
         for i, fv in enumerate(f.values):
             # Per-atom maximization is exact for weighted sums of
             # nonnegative step functions dominated by f.
-            allowed = [l for l in levels if ExtReal(l) <= fv]
+            allowed = [l for l in levels if ext(l) <= fv]
             if allowed:
                 best += Fraction(space.weights[i]) * max(allowed)
         best_by_cap.append(best)
     if best_by_cap[-1] > best_by_cap[-2]:
         return POS_INF
-    return ExtReal(best_by_cap[-1])
+    return ext(best_by_cap[-1])
 
 
 def dominating_psi_infimum(f: FnClass, grid):
@@ -68,7 +76,7 @@ def dominating_psi_infimum(f: FnClass, grid):
     non_null = [i for i in space.non_null_indices()]
     choices = []
     for i in non_null:
-        ok = [g for g in grid if ExtReal(Fraction(g)) >= f.values[i]]
+        ok = [g for g in grid if ext(Fraction(g)) >= f.values[i]]
         if not ok:
             return POS_INF, True
         choices.append(ok)
@@ -79,7 +87,7 @@ def dominating_psi_infimum(f: FnClass, grid):
             total += Fraction(space.weights[i]) * Fraction(v)
         if best is None or total < best:
             best = total
-    return ExtReal(best if best is not None else 0), False
+    return ext(best if best is not None else 0), False
 
 
 def choquet_riemann(f: FnClass, capacity, step_units_per_one=10_000):
@@ -93,7 +101,7 @@ def choquet_riemann(f: FnClass, capacity, step_units_per_one=10_000):
     space = f.space
     units = []
     for v in f.values:
-        q = Fraction(v.finite_value) * step_units_per_one
+        q = Fraction(v) * step_units_per_one
         assert q.denominator == 1, "test values must sit on the t-grid"
         units.append(int(q))
     vmax = max(units, default=0)
@@ -121,17 +129,23 @@ def _naive_subsets(n, subset_budget, seed, samples):
 
 
 def naive_phi_inf_directed(family, phi, subset_budget, seed=0, samples=64):
-    """(directed, witness, mode, shortcut_agrees) of the subset condition."""
+    """(directed, witness, mode, shortcut_agrees) of the subset condition,
+    each subset judged within the backing's default tolerance."""
+    tol = default_tolerance()
     members = family.members
     lhs = min(phi(x) for x in members)
+
+    def holds(v):
+        return lhs <= v or _eq_within(lhs, v, tol)
+
     subsets, mode = _naive_subsets(len(members), subset_budget, seed, samples)
     witness = next(
         (idx for idx in subsets
-         if not lhs <= phi(pointwise_inf([members[i] for i in idx]))),
+         if not holds(phi(pointwise_inf([members[i] for i in idx])))),
         None,
     )
     directed = witness is None
-    shortcut = lhs <= phi(pointwise_inf(members))
+    shortcut = holds(phi(pointwise_inf(members)))
     return directed, witness, mode, (shortcut == directed) if mode == "exhaustive" else None
 
 
@@ -143,7 +157,7 @@ def naive_giner_gap_directed(family, subset_budget, seed=0, samples=64):
     def gap_ok(idx):
         m = pointwise_inf([members[i] for i in idx])
         gap = min(lebesgue_extended(fn_add(x, fn_neg(m), mode="lower")) for x in members)
-        return gap <= ZERO
+        return gap <= 0
 
     witness = next((idx for idx in subsets if not gap_ok(idx)), None)
     return witness is None, witness, mode
@@ -213,14 +227,60 @@ def naive_rw(integrand, u_set, tolerance):
     return lhs, rhs, minimizers, pointwise
 
 
+def to_model(x):
+    """The (kind, value) model of an extended real."""
+    if isinstance(x, float) and math.isinf(x):
+        return (1 if x > 0 else -1, 0)
+    return (0, x)
+
+
+def from_model(m):
+    """The extended real of a model pair, in the active backing's form."""
+    kind, value = m
+    if kind:
+        return ext("+inf" if kind > 0 else "-inf")
+    return as_scalar(value)
+
+
+def model_lower_add(a, b):
+    if a[0] == -1 or b[0] == -1:
+        return (-1, 0)
+    if a[0] == 1 or b[0] == 1:
+        return (1, 0)
+    return (0, a[1] + b[1])
+
+
+def model_upper_add(a, b):
+    if a[0] == 1 or b[0] == 1:
+        return (1, 0)
+    if a[0] == -1 or b[0] == -1:
+        return (-1, 0)
+    return (0, a[1] + b[1])
+
+
+def model_add(a, b):
+    if {a[0], b[0]} == {1, -1}:
+        raise DomainError("(+inf) + (-inf)")
+    return model_lower_add(a, b)
+
+
+def model_scalar_mul(lam, a):
+    if a[0] == 0:
+        return (0, lam * a[1])
+    if lam == 0:
+        return (0, 0)
+    return (a[0] if lam > 0 else -a[0], 0)
+
+
 def naive_part_integrals(f: FnClass):
-    """(integral of f+, integral of f-) by the term-by-term ExtReal fold."""
-    plus = minus = ZERO
+    """(integral of f+, integral of f-) by the term-by-term ``lower_add`` fold."""
+    plus = minus = ext(0)
     for w, v in zip(f.space.weights, f.values):
-        if v.is_pos_inf or (v.is_finite and v.finite_value > 0):
+        kind, x = to_model(v)
+        if kind == 1 or (kind == 0 and x > 0):
             plus = lower_add(plus, scalar_mul(w, v))
-        elif v.is_neg_inf or v.finite_value < 0:
-            minus = lower_add(minus, scalar_mul(w, neg(v)))
+        elif kind == -1 or x < 0:
+            minus = lower_add(minus, scalar_mul(w, -v))
     return plus, minus
 
 
@@ -228,24 +288,18 @@ def naive_integral(kind, f: FnClass):
     """extended_lebesgue, outer or inner from ``naive_part_integrals``."""
     ip, im = naive_part_integrals(f)
     if kind == "outer":
-        return upper_add(ip, neg(im))
+        return upper_add(ip, -im)
     if kind == "inner":
-        return lower_add(ip, neg(im))
-    if not (ip.is_finite or im.is_finite):
+        return lower_add(ip, -im)
+    if to_model(ip)[0] and to_model(im)[0]:
         raise DomainError("function is not semi-integrable")
-    return add(ip, neg(im))
-
-
-def _order_key(v):
-    if v.is_finite:
-        return (0, v.finite_value)
-    return (1, 0) if v.is_pos_inf else (-1, 0)
+    return add(ip, -im)
 
 
 def naive_pointwise_inf(members):
     """Per-atom minimum: the first member value of least (kind, value)."""
     return tuple(
-        min((m.values[i] for m in members), key=_order_key)
+        min((m.values[i] for m in members), key=to_model)
         for i in range(len(members[0].space))
     )
 
@@ -258,5 +312,5 @@ def naive_distortion_table(space, gamma):
     # Same order as iter_atom_subsets: by size, then combinations order.
     subset_weights = (ws for k in range(len(weights) + 1)
                       for ws in combinations(weights, k))
-    return {s: ExtReal((sum(ws) / total) ** g * total)
+    return {s: ext((sum(ws) / total) ** g * total)
             for s, ws in zip(iter_atom_subsets(space), subset_weights)}

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from interlab.decomposable import Integrand, SelectionSet, verify_rw_argmin, verify_rw_interchange
-from interlab.extreal import NEG_INF, POS_INF, ZERO, ExtReal, ext, neg, lower_add, upper_add
+from interlab.extreal import NEG_INF, POS_INF, ext, lower_add, upper_add
 from interlab.fnlattice import (
     FnClass,
     IntegrabilityTag,
@@ -164,17 +164,17 @@ def _independent_part_integrals(f):
     for w, v in zip(f.space.weights, f.values):
         if w == 0:
             continue
-        if v.is_pos_inf:
+        if v == POS_INF:
             plus_inf = True
-        elif v.is_neg_inf:
+        elif v == NEG_INF:
             minus_inf = True
-        elif v.finite_value > 0:
-            plus += Fraction(w) * v.finite_value
+        elif v > 0:
+            plus += Fraction(w) * v
         else:
-            minus += Fraction(w) * (-v.finite_value)
+            minus += Fraction(w) * (-v)
     return (
-        POS_INF if plus_inf else ExtReal(plus),
-        POS_INF if minus_inf else ExtReal(minus),
+        POS_INF if plus_inf else ext(plus),
+        POS_INF if minus_inf else ext(minus),
     )
 
 
@@ -189,8 +189,8 @@ def test_criterion_4_outer_inner_closed_forms_10k():
         outer = outer_integral(f)
         inner = inner_integral(f)
         ok = (
-            outer == upper_add(ip, neg(im))
-            and inner == lower_add(ip, neg(im))
+            outer == upper_add(ip, -im)
+            and inner == lower_add(ip, -im)
             and inner <= outer
         )
         if classify(f).semi_integrable:
@@ -235,12 +235,12 @@ def test_criterion_5_additivity_negation_homogeneity_10k():
         if lebesgue_extended(sm) != add(lebesgue_extended(fm), lebesgue_extended(gm)):
             violations += 1
 
-        if lebesgue_extended(fn_neg(f)) != neg(lebesgue_extended(f)):
+        if lebesgue_extended(fn_neg(f)) != -lebesgue_extended(f):
             violations += 1
 
         lam = rng.choice([-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 3])
         expected = (
-            ZERO if lam == 0 else scalar_mul(lam, lebesgue_extended(f))
+            ext(0) if lam == 0 else scalar_mul(lam, lebesgue_extended(f))
         )
         if lebesgue_extended(fn_scale(lam, f)) != expected:
             violations += 1
@@ -264,8 +264,8 @@ def test_criterion_6_extended_monotone_convergence():
         base = lebesgue_extended(f)
         for n in range(prefix):
             val = lebesgue_extended(fn_shift(f, Fraction(1, n + 1)))
-            if base.is_finite:
-                gap = val.finite_value - base.finite_value
+            if abs(base) != POS_INF:
+                gap = val - base
             else:
                 gap = Fraction(0) if val == base else None
             if gap is None or gap > 3 * mass / (n + 1):
@@ -288,7 +288,7 @@ def test_criterion_6_extended_monotone_convergence():
         if not classify(f).in_l1_plus:
             f = fn_neg(f)
         bad = [
-            i for i in space.non_null_indices() if f.values[i].is_neg_inf
+            i for i in space.non_null_indices() if f.values[i] == NEG_INF
         ]
         if not bad:
             continue
@@ -296,7 +296,7 @@ def test_criterion_6_extended_monotone_convergence():
 
         def clamp(n, f=f):
             vals = [
-                ext(-1000 * (n + 1)) if v.is_neg_inf else v for v in f.values
+                ext(-1000 * (n + 1)) if v == NEG_INF else v for v in f.values
             ]
             return FnClass(f.space, vals)
 

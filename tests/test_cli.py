@@ -512,3 +512,78 @@ def test_distortion_weight_beyond_float_range_exits_2(tmp_path, capsys, monkeypa
         set_backing("rational")
     err = capsys.readouterr().err
     assert err.startswith("schema error:") and "float range" in err
+
+
+@pytest.fixture(params=["rational", "float"])
+def cli_backing(request, monkeypatch):
+    """Run ``main`` under each backing, restoring rational afterwards."""
+    from interlab.extreal import set_backing
+
+    monkeypatch.setenv("INTERLAB_BACKING", request.param)
+    yield request.param
+    set_backing("rational")
+
+
+TABLE_CAPACITY = {"kind": "table", "values": {"{}": 0, "{a}": 1, "{b}": 1, "{a,b}": 2}}
+
+
+@pytest.mark.parametrize("scenario", [
+    dict(GINER_SCENARIO, family=[[1, "x"], [0, 1]]),
+    dict(GINER_SCENARIO, family=[[1, True], [0, 1]]),
+    dict(GINER_SCENARIO, tolerance=True),
+    dict(GINER_SCENARIO, functional={"kind": "choquet", "capacity": dict(
+        TABLE_CAPACITY, values=dict(TABLE_CAPACITY["values"], **{"{a}": "x"}))}),
+    dict(GINER_SCENARIO, functional={"kind": "choquet", "capacity": dict(
+        TABLE_CAPACITY, values=[1, 2])}),
+    dict(GINER_SCENARIO, functional={"kind": "choquet", "capacity": dict(
+        TABLE_CAPACITY, values=None)}),
+    dict(GINER_SCENARIO, functional={"kind": "choquet", "capacity": dict(
+        TABLE_CAPACITY, values=dict(TABLE_CAPACITY["values"], **{"{c}": 5}))}),
+], ids=["family-string", "family-bool", "tolerance-bool", "table-string",
+        "table-list", "table-null", "table-foreign-atom"])
+def test_bad_scalars_and_capacity_tables_exit_2(tmp_path, capsys, cli_backing, scenario):
+    path = write_scenario(tmp_path, "bad.json", scenario)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
+
+
+def test_foreign_table_key_is_named(tmp_path, capsys):
+    values = dict(TABLE_CAPACITY["values"], **{"{a,c}": 5})
+    scenario = dict(GINER_SCENARIO, functional={
+        "kind": "choquet", "capacity": dict(TABLE_CAPACITY, values=values)})
+    assert main(["check", write_scenario(tmp_path, "foreign.json", scenario)]) == 2
+    assert "{a, c} is not over this capacity's space" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["x", True])
+def test_shapiro_bad_p_exits_2(tmp_path, capsys, cli_backing, p):
+    scenario = {
+        "space": {"atoms": ["a"], "weights": [1]},
+        "integrand": {"controls": [[0], [1]], "table": [[0, 1]]},
+        "functional": {"kind": "extended_lebesgue"},
+        "selection_prefix": [[0]],
+        "p": p,
+    }
+    assert main(["shapiro-check", write_scenario(tmp_path, "p.json", scenario)]) == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
+@pytest.mark.parametrize("tol, holds, directed, witness", [
+    (1, "holds", "yes", None), (0.5, "fails", "no", [0, 1]),
+])
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_user_tolerance_judges_the_scan_too(tmp_path, capsys, cli_backing, source,
+                                             tol, holds, directed, witness):
+    # min Phi = 1 and Phi(inf X) = 0: within tolerance 1 the interchange
+    # holds, and the scan must call the pair directed, not raise.
+    if source == "flag":
+        argv = ["gallery", "giner-pair", "--tolerance", str(tol)]
+    else:
+        argv = ["check", write_scenario(tmp_path, "tol.json",
+                                        dict(GINER_SCENARIO, tolerance=tol))]
+    code, out = run_main(capsys, argv)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["interchange_holds"] == holds
+    assert report["phi_inf_directed"] == directed and report["witness"] == witness

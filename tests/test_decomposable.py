@@ -13,7 +13,7 @@ from interlab.decomposable import (
     verify_shapiro,
 )
 from interlab.errors import BudgetError, DomainError, InputError
-from interlab.extreal import ZERO, ext
+from interlab.extreal import ext
 from interlab.fnlattice import mu_leq
 from interlab.functionals import make_builtin
 from interlab.measure import MeasureSpace
@@ -70,7 +70,7 @@ def test_selection_set_validation():
 def test_rw_trivial_identity_integrand(unit2):
     integrand = Integrand(unit2, [[0], [1]], [[0, 1], [0, 1]])
     report = verify_rw_interchange(integrand, SelectionSet.full_product(2, 2))
-    assert report.lhs == report.rhs == ZERO
+    assert report.lhs == report.rhs == 0
     assert report.equal and report.decomposable
 
 
@@ -79,7 +79,7 @@ def test_rw_squared_distance_integrand(unit2):
     # gives 0 at the selection (0, 1).
     integrand = Integrand(unit2, [[0], [1]], [[0, 1], [1, 0]])
     report = verify_rw_interchange(integrand, SelectionSet.full_product(2, 2))
-    assert report.lhs == report.rhs == ZERO
+    assert report.lhs == report.rhs == 0
     assert report.minimizers == [(0, 1)]
 
 
@@ -90,7 +90,7 @@ def test_rw_non_decomposable_strict_inequality(unit2):
     u = SelectionSet.explicit([(0, 0), (1, 1)], n_atoms=2, n_controls=2)
     report = verify_rw_interchange(integrand, u)
     assert not report.decomposable
-    assert report.lhs == ext(1) and report.rhs == ZERO
+    assert report.lhs == ext(1) and report.rhs == 0
     assert not report.equal
     assert any("strict inequality" in n for n in report.hypothesis_notes)
     assert any("hypothesis violated" in n for n in report.hypothesis_notes)
@@ -187,7 +187,7 @@ def test_shapiro_demo_all_hypotheses_and_conclusion():
     assert report.hypotheses_ok, report.hypotheses
     assert report.conclusion_holds
     assert report.conclusion_mode == "exact"
-    assert report.conclusion_lhs == report.conclusion_rhs == ZERO
+    assert report.conclusion_lhs == report.conclusion_rhs == 0
 
 
 def test_shapiro_constant_integrand_trivially_holds():
@@ -224,7 +224,7 @@ def test_shapiro_ess_sup_reports_failing_hypotheses():
     assert "S2a_norm_convergence" in failed
     assert "S2b_liminf" in failed
     assert not report.conclusion_holds
-    assert report.conclusion_lhs == ext(1) and report.conclusion_rhs == ZERO
+    assert report.conclusion_lhs == ext(1) and report.conclusion_rhs == 0
 
 
 def test_shapiro_requires_probability_space():

@@ -3,30 +3,36 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from interlab.errors import DomainError, InputError
 from interlab.extreal import (
     NEG_INF,
     POS_INF,
-    ZERO,
-    ExtReal,
     add,
     as_scalar,
     ext,
-    from_jsonable,
     lower_add,
-    neg,
-    neg_part,
-    pos_part,
     scalar_mul,
     set_backing,
     to_jsonable,
     upper_add,
 )
+from interlab.fnlattice import FnClass, pos_neg_parts
+from interlab.measure import MeasureSpace
 
-finite = st.fractions(max_denominator=64).map(ExtReal)
+from oracle_helpers import (
+    from_model,
+    model_add,
+    model_lower_add,
+    model_scalar_mul,
+    model_upper_add,
+    to_model,
+)
+
+finite = st.fractions(max_denominator=64).map(ext)
 extreals = st.one_of(finite, st.sampled_from([POS_INF, NEG_INF]))
+BACKINGS = ("rational", "float")
 
 
 def test_lower_add_examples():
@@ -39,23 +45,27 @@ def test_lower_add_examples():
 def test_upper_add_examples():
     assert upper_add(POS_INF, NEG_INF) == POS_INF
     assert upper_add(ext(-5), NEG_INF) == NEG_INF
-    assert upper_add(ZERO, ZERO) == ZERO
+    assert upper_add(ext(0), ext(0)) == 0
 
 
 def test_scalar_mul_examples():
-    assert scalar_mul(0, POS_INF) == ZERO
-    assert scalar_mul(0, NEG_INF) == ZERO
+    assert scalar_mul(0, POS_INF) == 0
+    assert scalar_mul(0, NEG_INF) == 0
     assert scalar_mul(-2, POS_INF) == NEG_INF
     assert scalar_mul(-2, NEG_INF) == POS_INF
     assert scalar_mul(3, ext(4)) == ext(12)
 
 
+def _parts(x):
+    """(max(0, x), max(0, -x)) through the library's pos_neg_parts."""
+    fp, fm = pos_neg_parts(FnClass(MeasureSpace(["a"], [1]), [x]))
+    return fp.values[0], fm.values[0]
+
+
 def test_parts_and_neg_examples():
-    assert pos_part(NEG_INF) == ZERO
-    assert neg_part(NEG_INF) == POS_INF
-    assert neg(POS_INF) == NEG_INF
-    assert pos_part(ext(3)) == ext(3)
-    assert neg_part(ext(3)) == ZERO
+    assert _parts(NEG_INF) == (0, POS_INF)
+    assert -POS_INF == NEG_INF
+    assert _parts(ext(3)) == (3, 0)
 
 
 def test_plain_add_rejects_conflicting_infinities():
@@ -67,12 +77,25 @@ def test_plain_add_rejects_conflicting_infinities():
 
 def test_nan_and_inf_floats_rejected():
     with pytest.raises(InputError):
-        ExtReal(float("nan"))
+        ext(float("nan"))
     with pytest.raises(InputError):
         as_scalar(float("inf"))
     # ext() accepts infinite floats as a convenience.
     assert ext(float("inf")) == POS_INF
     assert ext(float("-inf")) == NEG_INF
+
+
+@pytest.mark.parametrize("backing", BACKINGS)
+@pytest.mark.parametrize("x", [True, False, "x", "1/x", "1/0", "nan", "", None, [1]])
+def test_bools_and_unparseable_strings_rejected(backing, x):
+    set_backing(backing)
+    try:
+        with pytest.raises(InputError):
+            as_scalar(x)
+        with pytest.raises(InputError):
+            ext(x)
+    finally:
+        set_backing("rational")
 
 
 def test_total_order():
@@ -103,8 +126,8 @@ def test_additions_associative(a, b, c):
 
 @given(extreals)
 def test_zero_is_identity(a):
-    assert lower_add(a, ZERO) == a
-    assert upper_add(a, ZERO) == a
+    assert lower_add(a, ext(0)) == a
+    assert upper_add(a, ext(0)) == a
 
 
 @given(extreals, extreals, extreals)
@@ -116,34 +139,122 @@ def test_additions_monotone(a, a2, b):
 
 @given(extreals)
 def test_pos_neg_decomposition(a):
-    p, n = pos_part(a), neg_part(a)
-    assert p >= ZERO and n >= ZERO
-    assert p == ZERO or n == ZERO
-    assert add(p, neg(n)) == a
+    p, n = _parts(a)
+    assert p >= 0 and n >= 0
+    assert p == 0 or n == 0
+    assert add(p, -n) == a
 
 
 @given(extreals, extreals)
 def test_neg_swaps_the_additions(a, b):
-    assert neg(lower_add(a, b)) == upper_add(neg(a), neg(b))
+    assert -lower_add(a, b) == upper_add(-a, -b)
 
 
 @given(extreals)
 def test_scalar_mul_sign_rules(a):
     assert scalar_mul(1, a) == a
-    assert scalar_mul(-1, a) == neg(a)
-    assert scalar_mul(0, a) == ZERO
+    assert scalar_mul(-1, a) == -a
+    assert scalar_mul(0, a) == 0
+
+
+def _assert_backing_form(v, backing):
+    """A finite result is a float under float backing, and under rational
+    backing an int when integral and a Fraction otherwise."""
+    if v in (POS_INF, NEG_INF):
+        assert type(v) is float
+    elif backing == "float":
+        assert type(v) is float, type(v)
+    else:
+        assert type(v) in (int, Fraction), type(v)
+        assert (type(v) is int) == (Fraction(v).denominator == 1)
+
+
+def _outcome(thunk):
+    try:
+        return "value", thunk()
+    except (DomainError, InputError) as e:
+        return "error", type(e)
+
+
+def _assert_matches_model(got, expected, backing):
+    assert got[0] == expected[0], (got, expected)
+    if got[0] == "error":
+        assert got[1] is expected[1], (got, expected)
+        return
+    v, w = got[1], expected[1]
+    _assert_backing_form(v, backing)
+    assert type(v) is type(w) and v == w, (v, w)
+    if isinstance(v, float):
+        assert v.hex() == w.hex(), (v, w)
+
+
+# Finite values of every backing form, both infinities, signed zeros and
+# floats near the top of the float range, so that float sums and products
+# overflow.
+RAW_SCALARS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["+inf", "-inf", 0, -0.0, 1e308, -1e308, 1.5e308]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(backing=st.sampled_from(BACKINGS), a=RAW_SCALARS, b=RAW_SCALARS)
+def test_operations_match_the_kind_value_model(backing, a, b):
+    set_backing(backing)
+    try:
+        x, y = ext(a), ext(b)
+        mx, my = to_model(x), to_model(y)
+        for op, model in ((lower_add, model_lower_add), (upper_add, model_upper_add),
+                          (add, model_add)):
+            _assert_matches_model(_outcome(lambda: op(x, y)),
+                                  _outcome(lambda: from_model(model(mx, my))), backing)
+        if my[0] == 0:
+            _assert_matches_model(_outcome(lambda: scalar_mul(y, x)),
+                                  _outcome(lambda: from_model(model_scalar_mul(y, mx))),
+                                  backing)
+    finally:
+        set_backing("rational")
+
+
+@pytest.mark.parametrize("backing", BACKINGS)
+def test_model_edge_cases(backing):
+    set_backing(backing)
+    try:
+        zero = ext(0)
+        for inf in (POS_INF, NEG_INF):
+            assert scalar_mul(0, inf) == 0
+            _assert_backing_form(scalar_mul(0, inf), backing)
+        with pytest.raises(DomainError):
+            add(POS_INF, NEG_INF)
+        with pytest.raises(DomainError):
+            add(NEG_INF, POS_INF)
+        _assert_backing_form(lower_add(zero, zero), backing)
+        big = ext(1e308)
+        if backing == "float":
+            for op in (lower_add, upper_add, add):
+                with pytest.raises(InputError):
+                    op(big, big)
+            with pytest.raises(InputError):
+                scalar_mul(10, big)
+        else:
+            assert lower_add(big, big) == 2 * Fraction(10) ** 308
+        assert lower_add(big, POS_INF) == POS_INF
+    finally:
+        set_backing("rational")
 
 
 def test_rational_backing_is_exact_for_decimal_floats():
-    assert ExtReal(0.7).finite_value == Fraction(7, 10)
-    assert ExtReal(0.1).finite_value + ExtReal(0.2).finite_value == Fraction(3, 10)
+    assert ext(0.7) == Fraction(7, 10)
+    assert ext(0.1) + ext(0.2) == Fraction(3, 10)
 
 
 def test_float_backing_roundtrip():
     set_backing("float")
     try:
-        v = ExtReal(0.25)
-        assert isinstance(v.finite_value, float)
+        v = ext(0.25)
+        assert isinstance(v, float)
         assert to_jsonable(v) == 0.25
     finally:
         set_backing("rational")
@@ -152,14 +263,14 @@ def test_float_backing_roundtrip():
 @given(extreals)
 def test_json_roundtrip_is_exact(a):
     encoded = json.loads(json.dumps(to_jsonable(a)))
-    assert from_jsonable(encoded) == a
+    assert ext(encoded) == a
 
 
 def test_json_special_encodings():
     assert to_jsonable(POS_INF) == "+inf"
     assert to_jsonable(NEG_INF) == "-inf"
     assert to_jsonable(ext(Fraction(1, 3))) == "1/3"
-    assert from_jsonable("1/3") == ext(Fraction(1, 3))
+    assert ext("1/3") == ext(Fraction(1, 3))
     assert to_jsonable(ext(Fraction(7, 10))) == 0.7
 
 

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from interlab.errors import InputError
-from interlab.extreal import NEG_INF, POS_INF, ZERO, ext
+from interlab.extreal import NEG_INF, POS_INF, ext
 from interlab.fnlattice import (
     FnClass,
     IntegrabilityTag,
@@ -161,7 +161,7 @@ def test_semi_integrable_members_give_semi_integrable_infima():
 def test_lp_norm_examples():
     space = MeasureSpace(["a", "b"], [Fraction(1, 2), Fraction(1, 2)])
     assert lp_norm(fn(space, 1, -1), 2) == ext(1)
-    assert lp_norm(FnClass.constant(space, 0), 3) == ZERO
+    assert lp_norm(FnClass.constant(space, 0), 3) == 0
     assert lp_norm(fn(space, 3, 4), 1) == ext(Fraction(7, 2))
 
 
@@ -179,7 +179,7 @@ def test_lp_norm_requires_p_at_least_one(space2):
 
 def test_ess_sup_ignores_null_atoms():
     space = MeasureSpace(["a", "b"], [1, 0])
-    assert ess_sup_value(fn(space, 0, 5)) == ZERO
+    assert ess_sup_value(fn(space, 0, 5)) == 0
     all_null = MeasureSpace(["a"], [0])
     assert ess_sup_value(fn(all_null, 7)) == NEG_INF
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from interlab.errors import DomainError, InputError, InvariantError
-from interlab.extreal import NEG_INF, ZERO, ext, neg
+from interlab.extreal import NEG_INF, as_scalar, ext, set_backing
 from interlab.fnlattice import FnClass, fn_shift, pointwise_inf
 from interlab.functionals import Functional, make_builtin, parameterless_builtins
 from interlab.integrals import Capacity, lebesgue_extended
 from interlab.interchange import (
+    _eq_within,
     Family,
     SequenceSpec,
     check_seq_inf_continuity,
@@ -19,7 +20,7 @@ from interlab.interchange import (
     verify_interchange_sequence,
 )
 from interlab.measure import MeasureSpace
-from interlab.oracle import random_space
+from interlab.oracle import random_instance, random_space
 from interlab.scenario import build_sequence
 
 LEB = make_builtin("extended_lebesgue")
@@ -90,7 +91,7 @@ def test_inf_directed_implies_phi_inf_directed_for_all_builtins():
 def test_verify_interchange_giner_pair(unit2):
     report = verify_interchange(Family([fn(unit2, 0, 1), fn(unit2, 1, 0)]), LEB)
     assert report.lhs == ext(1)
-    assert report.rhs == ZERO
+    assert report.rhs == 0
     assert report.interchange_holds == "fails"
     assert report.phi_inf_directed == "no"
     assert report.witness == (0, 1)
@@ -101,7 +102,7 @@ def test_verify_interchange_chain_holds(unit2):
     report = verify_interchange(chain, LEB)
     assert report.interchange_holds == "holds"
     assert report.phi_inf_directed == "yes"
-    assert report.lhs == report.rhs == ZERO
+    assert report.lhs == report.rhs == 0
 
 
 def test_verify_interchange_singleton(unit2):
@@ -113,7 +114,7 @@ def test_verify_interchange_singleton(unit2):
 
 def test_wrongly_declared_functional_raises_invariant_error(unit2):
     bad = Functional(
-        "bad", "semi_integrable", lambda f: neg(lebesgue_extended(f)),
+        "bad", "semi_integrable", lambda f: -lebesgue_extended(f),
         order_preserving=True,  # a lie; must surface loudly, never silently
     )
     with pytest.raises(InvariantError):
@@ -122,7 +123,7 @@ def test_wrongly_declared_functional_raises_invariant_error(unit2):
 
 def test_undeclared_functional_gets_sample_checked_note(unit2):
     honest = Functional(
-        "anti", "semi_integrable", lambda f: neg(lebesgue_extended(f)),
+        "anti", "semi_integrable", lambda f: -lebesgue_extended(f),
         order_preserving=False,
     )
     report = verify_interchange(Family([fn(unit2, 0, 0), fn(unit2, 1, 1)]), honest)
@@ -148,6 +149,21 @@ def test_one_sided_bound_holds_on_random_families():
         ]
         report = verify_interchange(Family(members), LEB)
         assert report.rhs <= report.lhs
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_scan_agrees_with_the_verdict_at_any_tolerance(backing):
+    rng = random.Random(3)
+    set_backing(backing)
+    try:
+        for _ in range(300):
+            instance = random_instance(rng, 4, 4)
+            tol = rng.choice([0, "1/4", "1/2", 1, 3, 10])
+            report = verify_interchange(instance.family, instance.functional, tolerance=tol)
+            assert report.holds == (report.phi_inf_directed == "yes")
+            assert report.holds == _eq_within(report.lhs, report.rhs, as_scalar(tol))
+    finally:
+        set_backing("rational")
 
 
 # sequences ------------------------------------------------------------------
@@ -249,7 +265,7 @@ def test_stabilized_lhs_with_diverging_rhs_fails():
 
 def test_fails_in_limit_for_non_monotone_functional(unit2):
     anti = Functional(
-        "anti", "semi_integrable", lambda f: neg(lebesgue_extended(f)),
+        "anti", "semi_integrable", lambda f: -lebesgue_extended(f),
         order_preserving=False,
     )
     zero = fn(unit2, 0, 0)
@@ -260,7 +276,7 @@ def test_fails_in_limit_for_non_monotone_functional(unit2):
         divergence_threshold=10,
     )
     report = verify_interchange_sequence(seq, anti)
-    assert report.lhs == NEG_INF and report.rhs == ZERO
+    assert report.lhs == NEG_INF and report.rhs == 0
     assert report.interchange_holds == "fails-in-limit"
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from interlab.extreal import ZERO, ext, neg, set_backing
+from interlab.extreal import ext, set_backing
 from interlab.fnlattice import FnClass
 from interlab.functionals import Functional, make_builtin
 from interlab.integrals import Capacity, lebesgue_extended
@@ -26,7 +26,7 @@ NONNEG = [0, "1/3", 1, 3, "+inf"]
 # Neither monotone nor declared so: the scan must not lean on monotonicity.
 WOBBLE = Functional(
     "wobble", "all",
-    lambda f: f.values[-1] if f.values[0] <= ZERO else neg(f.values[-1]),
+    lambda f: f.values[-1] if f.values[0] <= 0 else -f.values[-1],
     order_preserving=False,
 )
 
