@@ -589,7 +589,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
             )
         gflat = sc.declared_gflat
 
-    non_null = list(space.non_null_indices())
+    non_null = space.non_null_indices()
     gflat_finite = all(abs(gflat.values[i]) != POS_INF for i in non_null)
     hypotheses.append(
         ("gflat_in_lp", gflat_finite,

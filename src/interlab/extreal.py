@@ -21,6 +21,12 @@ becomes exactly 7/10, and NaN, booleans and unparseable strings are
 rejected.  The additions and ``scalar_mul`` keep their finite results in
 the backing's form, and under float backing a finite result beyond the
 float range raises ``InputError`` instead of becoming an infinity.
+
+The per-atom kernel ``weighted_parts`` may add exact terms in any order,
+since rational addition is associative and commutative: it sums int terms
+as ints and Fraction terms per denominator, and reduces each part once.
+Float addition rounds at every step, so float terms keep the atom order
+that defines the integrals' float results.
 """
 
 from __future__ import annotations
@@ -160,14 +166,18 @@ def to_jsonable(a: Scalar):
     """Encode an extended real so that ``ext`` decodes it exactly.
 
     Infinities become "+inf" / "-inf".  Finite values whose float repr
-    round-trips are emitted as JSON numbers; anything else (e.g. 1/3 under
-    rational backing) becomes a "p/q" string.
+    round-trips are emitted as JSON numbers; anything else (e.g. 1/3, or a
+    value beyond the float range, under rational backing) becomes a "p/q"
+    string.
     """
     if isinstance(a, Fraction):
         if a.denominator == 1:
             return a.numerator
-        f = float(a)
-        if not math.isinf(f) and Fraction(Decimal(repr(f))) == a:
+        try:
+            f = float(a)
+        except OverflowError:  # beyond the float range
+            f = None
+        if f is not None and Fraction(Decimal(repr(f))) == a:
             return f
         return f"{a.numerator}/{a.denominator}"
     if a == POS_INF:
@@ -178,19 +188,107 @@ def to_jsonable(a: Scalar):
 
 
 # Per-atom kernels: one pass over the atoms with native arithmetic, and one
-# coercion per result instead of one per atom and operation.
+# normalisation per result instead of one per atom and operation.
 
 
 def weighted_parts(weights: Sequence[Scalar],
                    values: Sequence[Scalar]) -> Tuple[Scalar, Scalar]:
     """(sum of w * v over v > 0, sum of w * (-v) over v < 0), both in [0, +inf].
 
-    Zero values are skipped and finite terms are added in atom order, so
-    float rounding is that of the term-by-term ``lower_add`` fold of
-    ``scalar_mul(w, v)``.  An infinite value on an atom of positive weight
-    makes its part +inf; on a null atom it contributes 0 * inf = 0.  Under
-    float backing a finite part beyond the float range raises InputError,
-    as ``lower_add`` does; a part that is +inf anyway does not.
+    Zero values are skipped.  An infinite value on an atom of positive weight
+    makes its part +inf; on a null atom it contributes 0 * inf = 0.
+
+    The path follows the scalar types met, not the backing.  When every
+    finite factor is an ``int`` or a ``Fraction``, the terms may be summed
+    in any order, since rational addition is exact: int * int terms add up
+    in an int, and a term with a Fraction factor adds its numerator
+    product to the sum kept for its denominator product.  Each part is then
+    reduced once, so its value is the exact sum, an integral part is an
+    ``int``, and a Fraction costs one gcd per part instead of one per term.
+    Float addition rounds at every step, so a finite float weight or value
+    (float backing, or a float mixed into exact data) makes the whole call
+    the atom-order fold of ``_ordered_parts``, whose rounding is that of
+    the term-by-term ``lower_add`` fold of ``scalar_mul(w, v)``; a finite
+    float is never taken for an infinity.
+    """
+    plus = minus = 0            # int * int terms
+    plus_by_den = {}            # Fraction terms: denominator -> numerator sum
+    minus_by_den = {}
+    plus_inf = minus_inf = False
+    for w, x in zip(weights, values):
+        if x is _ZERO:
+            continue
+        tx = type(x)
+        if tx is int:
+            if type(w) is int:
+                if x > 0:
+                    plus += w * x
+                else:
+                    minus -= w * x
+                continue
+            if type(w) is not Fraction:
+                return _ordered_parts(weights, values)
+            n, d = w.as_integer_ratio()
+            n *= x
+        elif tx is Fraction:
+            tw = type(w)
+            if tw is int:
+                n, d = x.as_integer_ratio()
+                n *= w
+            elif tw is Fraction:
+                n, d = w.as_integer_ratio()
+                xn, xd = x.as_integer_ratio()
+                n *= xn
+                d *= xd
+            else:
+                return _ordered_parts(weights, values)
+        elif tx is float and type(w) is not float and (x == POS_INF or x == NEG_INF):
+            if w:
+                if x > 0:
+                    plus_inf = True
+                else:
+                    minus_inf = True
+            continue
+        else:
+            return _ordered_parts(weights, values)
+        if n > 0:
+            plus_by_den[d] = plus_by_den.get(d, 0) + n
+        elif n < 0:
+            minus_by_den[d] = minus_by_den.get(d, 0) - n
+    return (POS_INF if plus_inf else _exact_sum(plus, plus_by_den),
+            POS_INF if minus_inf else _exact_sum(minus, minus_by_den))
+
+
+# A stored exact zero is almost always CPython's shared int 0, so the kernel
+# skips it with an identity test, cheaper than any comparison; another zero
+# takes the general path and adds nothing.
+_ZERO = 0
+
+
+def _exact_sum(whole: int, by_den: dict) -> Scalar:
+    """whole + the sum of n / d over by_den, reduced once: an int when integral."""
+    if not by_den:
+        return whole
+    if len(by_den) == 1:
+        (den, num), = by_den.items()
+        num += whole * den
+    else:
+        den = math.lcm(*by_den)
+        num = whole * den
+        for d, n in by_den.items():
+            num += n * (den // d)
+    g = math.gcd(num, den)
+    if g == den:
+        return num // den
+    return Fraction(num // g, den // g)
+
+
+def _ordered_parts(weights: Sequence[Scalar],
+                   values: Sequence[Scalar]) -> Tuple[Scalar, Scalar]:
+    """``weighted_parts`` by adding the terms in atom order.
+
+    Under float backing a finite part beyond the float range raises
+    InputError, as ``lower_add`` does; a part that is +inf anyway does not.
     """
     plus = minus = 0
     plus_inf = minus_inf = False

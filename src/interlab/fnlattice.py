@@ -212,4 +212,5 @@ def lp_norm(f: FnClass, p: Scalar) -> Scalar:
 
 def ess_sup_value(f: FnClass) -> Scalar:
     """Largest value on non-null atoms; -inf when every atom is null."""
-    return max((f.values[i] for i in f.space.non_null_indices()), default=NEG_INF)
+    values = f.values
+    return max([values[i] for i in f.space.non_null_indices()], default=NEG_INF)

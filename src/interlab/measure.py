@@ -10,7 +10,7 @@ it finitely truncates (used by the gallery's diverging-sequence examples).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, Iterable, Iterator, Optional, Sequence
+from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .extreal import Scalar, as_scalar, to_jsonable
@@ -21,7 +21,7 @@ AtomSet = FrozenSet[str]
 class MeasureSpace:
     """Atoms with weights; immutable after construction."""
 
-    __slots__ = ("atoms", "weights", "truncation_of", "_index")
+    __slots__ = ("atoms", "weights", "truncation_of", "_index", "_non_null")
 
     def __init__(
         self,
@@ -46,6 +46,7 @@ class MeasureSpace:
         self.weights = tuple(ws)
         self.truncation_of = truncation_of
         self._index = {a: i for i, a in enumerate(atoms)}
+        self._non_null = tuple(i for i, w in enumerate(ws) if w != 0)
 
     def index(self, atom: str) -> int:
         try:
@@ -59,8 +60,9 @@ class MeasureSpace:
     def is_null_atom(self, i: int) -> bool:
         return self.weights[i] == 0
 
-    def non_null_indices(self) -> Iterator[int]:
-        return (i for i, w in enumerate(self.weights) if w != 0)
+    def non_null_indices(self) -> Tuple[int, ...]:
+        """Indices of the atoms of positive weight, in atom order."""
+        return self._non_null
 
     def total_mass(self) -> Scalar:
         return sum(self.weights, as_scalar(0))

@@ -108,7 +108,9 @@ def build_sequence(obj: dict, default_prefix: int = 100) -> Tuple[MeasureSpace, 
     name = obj.get("generator")
     if name not in SEQUENCE_GENERATORS:
         raise ScenarioError(f"unknown sequence generator {name!r}")
-    prefix = int(obj.get("prefix", default_prefix))
+    prefix = obj.get("prefix", default_prefix)
+    if isinstance(prefix, bool) or not isinstance(prefix, int):
+        raise ScenarioError(f"prefix must be an integer, got {prefix!r}")
     return SEQUENCE_GENERATORS[name](prefix, obj)
 
 

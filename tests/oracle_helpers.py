@@ -10,7 +10,9 @@ evaluate the condition afresh each time.  The selection-set references
 enumerate every patch of every member, and build G(u) and its outer integral
 selection by selection.  The naive kernels fold one extended real per atom
 and operation, with ``lower_add`` and ``scalar_mul``, and classify and order
-values by their (kind, value) model rather than by native comparison.  The
+values by their (kind, value) model rather than by native comparison; the
+naive ordered parts add native products in atom order instead, the result
+a float among exact scalars has always had.  The
 naive distortion table is the dense 2^n construction, with the float weights
 of each subset summed in atom order.
 
@@ -282,6 +284,26 @@ def naive_part_integrals(f: FnClass):
         elif kind == -1 or x < 0:
             minus = lower_add(minus, scalar_mul(w, -v))
     return plus, minus
+
+
+def naive_ordered_parts(f: FnClass):
+    """(integral of f+, integral of f-) with Python's own arithmetic: the
+    products of the finite values added in atom order, each part coerced
+    once.  A float among exact scalars turns the running sum into a float,
+    so this, not the exact fold above, is what such a row integrates to."""
+    plus = minus = 0
+    plus_inf = minus_inf = False
+    for w, v in zip(f.space.weights, f.values):
+        kind, x = to_model(v)
+        if kind:
+            if w != 0:
+                plus_inf, minus_inf = plus_inf or kind > 0, minus_inf or kind < 0
+        elif x > 0:
+            plus += w * x
+        elif x < 0:
+            minus -= w * x
+    return (from_model((1, 0)) if plus_inf else as_scalar(plus),
+            from_model((1, 0)) if minus_inf else as_scalar(minus))
 
 
 def naive_integral(kind, f: FnClass):

@@ -316,6 +316,16 @@ def test_bad_scenario_prefix_exits_2(tmp_path, capsys, prefix):
     assert capsys.readouterr().err.startswith("schema error:")
 
 
+def test_value_beyond_float_range_is_reported_exactly(tmp_path, capsys):
+    huge = "1" + "0" * 400 + "/3"
+    scenario = dict(GINER_SCENARIO, space={"atoms": ["a"], "weights": [1]}, family=[[huge]])
+    code, out = run_main(capsys, ["check", write_scenario(tmp_path, "huge.json", scenario)])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["interchange_holds"] == "holds"
+    assert report["lhs"] == report["rhs"] == huge
+
+
 @pytest.mark.parametrize("argv", [
     ["gallery", "example-2-6", "--prefix", "0"],
     ["gallery", "example-2-6", "--prefix", "-1"],

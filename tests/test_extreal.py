@@ -274,6 +274,13 @@ def test_json_special_encodings():
     assert to_jsonable(ext(Fraction(7, 10))) == 0.7
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_json_encodes_values_beyond_the_float_range_as_fractions(sign):
+    a = ext(Fraction(sign * 10**400, 3))
+    assert to_jsonable(a) == f"{sign * 10**400}/3"
+    assert ext(json.loads(json.dumps(to_jsonable(a)))) == a
+
+
 def test_float_conversion():
     assert float(POS_INF) == math.inf
     assert float(ext(Fraction(1, 2))) == 0.5

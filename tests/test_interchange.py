@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from interlab.errors import DomainError, InputError, InvariantError
+from interlab.errors import DomainError, InputError, InvariantError, ScenarioError
 from interlab.extreal import NEG_INF, as_scalar, ext, set_backing
 from interlab.fnlattice import FnClass, fn_shift, pointwise_inf
 from interlab.functionals import Functional, make_builtin, parameterless_builtins
@@ -178,6 +178,17 @@ def test_example_2_6_sequence_prefix_100():
     assert report.interchange_holds == "holds-in-limit"
     assert "interchange holds in the limit (-inf = -inf)" in report.notes
     assert report.phi_inf_directed == "diverging"
+
+
+@pytest.mark.parametrize("prefix", [5.7, 5.0, True, "5", None])
+def test_build_sequence_rejects_a_prefix_that_is_not_an_integer(prefix):
+    with pytest.raises(ScenarioError, match="prefix must be an integer"):
+        build_sequence({"generator": "example-2-6", "prefix": prefix})
+
+
+def test_build_sequence_reads_an_integer_prefix():
+    _, seq = build_sequence({"generator": "example-2-6", "prefix": 7})
+    assert seq.prefix_len == 7
 
 
 def test_example_2_6_literal_truncation_is_not_phi_inf_directed():

@@ -21,7 +21,12 @@ from interlab.integrals import (
 )
 from interlab.measure import MeasureSpace
 
-from oracle_helpers import naive_integral, naive_part_integrals, naive_pointwise_inf
+from oracle_helpers import (
+    naive_integral,
+    naive_ordered_parts,
+    naive_part_integrals,
+    naive_pointwise_inf,
+)
 
 # Non-dyadic floats (0.1, 0.7, 0.3) make float sums depend on their order.
 WEIGHTS = [0, 0, 1, 2, "1/3", "1/2", 0.1, 0.7, 3]
@@ -123,3 +128,52 @@ def test_float_overflow_raises_only_for_a_finite_part(weights, values, plus):
             assert part_integrals(f)[0] == ext(plus)
     finally:
         set_backing("rational")
+
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+DENOMINATORS = [1, 1, 1] + PRIMES + [2**k for k in range(2, 11)] + [3**k for k in range(2, 7)]
+FINITE_FLOATS = [0.1, -0.7, 0.3, 2.5, -1e-3, 1e-300]
+
+
+def exact_scalars(least):
+    """ints and Fractions over many denominators, stored as ``ext`` stores them."""
+    return st.tuples(st.integers(least, 60), st.sampled_from(DENOMINATORS)).map(
+        lambda t: ext(Fraction(*t)))
+
+
+@st.composite
+def exact_rows(draw):
+    n_atoms = draw(st.one_of(st.integers(1, 12), st.integers(13, 400)), label="atoms")
+    weights = draw(st.lists(exact_scalars(0), min_size=n_atoms, max_size=n_atoms),
+                   label="weights")
+    values = draw(st.lists(exact_scalars(-60), min_size=n_atoms, max_size=n_atoms),
+                  label="values")
+    index = st.integers(0, n_atoms - 1)
+    for i in draw(st.lists(index, max_size=4), label="null atoms"):
+        weights[i] = 0
+    for i, inf in draw(st.lists(st.tuples(index, st.sampled_from([POS_INF, NEG_INF])),
+                                max_size=4), label="infinities"):
+        values[i] = inf
+    floats = draw(st.lists(st.tuples(index, st.sampled_from(FINITE_FLOATS)), max_size=1),
+                  label="finite float")
+    for i, x in floats:
+        values[i] = x
+    return weights, values, bool(floats)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=exact_rows())
+def test_exact_parts_match_naive_folds(case):
+    """Under rational backing the regrouped exact sums equal the term-by-term
+    fold in value and in form (int when integral), and a row holding a finite
+    float integrates as the atom-order native fold, never as an infinity."""
+    weights, values, has_float = case
+    space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights)
+    f = FnClass.from_ext(space, tuple(values))
+    parts = part_integrals(f)
+    expected = naive_ordered_parts(f) if has_float else naive_part_integrals(f)
+    assert [type(p) for p in parts] == [type(e) for e in expected], (parts, expected)
+    assert parts == expected
+    for p in parts:
+        assert_rational_form(p)
+
