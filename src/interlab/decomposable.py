@@ -116,18 +116,6 @@ class Integrand:
             out.append(tuple(c for c in cs if self.table[i][c] == best))
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "controls": [list(c) for c in self.controls],
-            "table": [[to_jsonable(v) for v in row] for row in self.table],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, space: MeasureSpace) -> "Integrand":
-        if "controls" not in d or "table" not in d:
-            raise InputError("integrand object needs 'controls' and 'table'")
-        return cls(space, d["controls"], d["table"])
-
 
 def _control_indices(items, n_controls: int, what: str) -> Tuple[int, ...]:
     """``items`` as a tuple of control indices: ints (not bools) in range."""
@@ -211,11 +199,6 @@ class SelectionSet:
             return iter(self.selections)
         return product(*self.admissible)
 
-    def contains(self, sel: Selection) -> bool:
-        if self.kind == "explicit":
-            return tuple(sel) in self.selections
-        return all(c in s for c, s in zip(sel, self.admissible))
-
     def projections(self) -> Tuple[Tuple[int, ...], ...]:
         """Per-atom sets of reachable control indices."""
         if self.kind == "product":
@@ -224,25 +207,6 @@ class SelectionSet:
             tuple(sorted({s[i] for s in self.selections}))
             for i in range(self.n_atoms)
         )
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "explicit":
-            return {"kind": "explicit", "selections": [list(s) for s in self.selections]}
-        return {"kind": "product", "admissible": [list(s) for s in self.admissible]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict, n_atoms: int, n_controls: int) -> "SelectionSet":
-        if not isinstance(d, dict):
-            raise InputError(f"a selection set must be a JSON object, got {d!r}")
-        kind = d.get("kind")
-        try:
-            if kind == "explicit":
-                return cls.explicit(d.get("selections", []), n_atoms, n_controls)
-            if kind == "product":
-                return cls("product", n_atoms, n_controls, admissible=d.get("admissible"))
-        except (TypeError, ValueError) as e:
-            raise InputError(f"malformed {kind} selection set: {e}") from e
-        raise InputError(f"unknown selection-set kind {kind!r}")
 
 
 @dataclass

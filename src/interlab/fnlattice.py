@@ -93,9 +93,6 @@ class FnClass:
     def constant(cls, space: MeasureSpace, value) -> "FnClass":
         return cls(space, [ext(value)] * len(space.atoms))
 
-    def value_at(self, atom: str) -> Scalar:
-        return self.values[self.space.index(atom)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FnClass):
             return NotImplemented

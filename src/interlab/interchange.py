@@ -77,9 +77,8 @@ class Family:
     """A nonempty finite family of functions on one shared space."""
 
     members: Tuple[FnClass, ...]
-    origin: str = "literal"
 
-    def __init__(self, members: Sequence[FnClass], origin: str = "literal"):
+    def __init__(self, members: Sequence[FnClass]):
         members = tuple(members)
         if not members:
             raise InputError("a family must be nonempty")
@@ -87,7 +86,6 @@ class Family:
             if m.space != members[0].space:
                 raise InputError("family members live on different spaces")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "origin", origin)
 
     @property
     def space(self):
@@ -456,7 +454,7 @@ def verify_interchange_sequence(
 
     if spec.exhaustive:
         base = verify_interchange(
-            Family(members, origin="generated"), phi, subset_budget, tolerance, seed,
+            Family(members), phi, subset_budget, tolerance, seed,
             phi_values=phi_values, phi_inf=prefix_rhs[-1],
         )
         base.mode = "sequence"
@@ -499,7 +497,7 @@ def verify_interchange_sequence(
         notes.append("prefix lhs neither stabilizes nor crosses the threshold")
     else:
         directed = is_phi_inf_directed(
-            Family(members, origin="generated"), phi, subset_budget, seed=seed,
+            Family(members), phi, subset_budget, seed=seed,
             phi_values=phi_values, phi_inf=prefix_rhs[-1], tolerance=tol,
         )
         directed_verdict = directed.verdict

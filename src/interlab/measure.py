@@ -54,9 +54,6 @@ class MeasureSpace:
         except KeyError:
             raise InputError(f"unknown atom {atom!r}") from None
 
-    def weight(self, atom: str) -> Scalar:
-        return self.weights[self.index(atom)]
-
     def is_null_atom(self, i: int) -> bool:
         return self.weights[i] == 0
 
@@ -101,14 +98,11 @@ class MeasureSpace:
     def from_json_dict(cls, d: dict) -> "MeasureSpace":
         if not isinstance(d, dict) or "atoms" not in d or "weights" not in d:
             raise InputError("space object needs 'atoms' and 'weights'")
-        weights = [_scalar_from_json(w) for w in d["weights"]]
-        return cls(d["atoms"], weights, d.get("truncation_of"))
-
-
-def _scalar_from_json(v) -> Scalar:
-    if type(v) in (int, float) or isinstance(v, str) and "/" in v:
-        return as_scalar(v)
-    raise InputError(f"cannot decode {v!r} as a weight")
+        for w in d["weights"]:
+            # JSON numbers and "p/q" strings; the constructor converts them.
+            if not (type(w) in (int, float) or isinstance(w, str) and "/" in w):
+                raise InputError(f"cannot decode {w!r} as a weight")
+        return cls(d["atoms"], d["weights"], d.get("truncation_of"))
 
 
 def _check_subset(space: MeasureSpace, s: Iterable[str]) -> AtomSet:
@@ -119,9 +113,13 @@ def _check_subset(space: MeasureSpace, s: Iterable[str]) -> AtomSet:
 
 
 def measure(space: MeasureSpace, s: Iterable[str]) -> Scalar:
-    """Total weight of the atoms in ``s``; finite and nonnegative."""
+    """Total weight of the atoms in ``s``; finite and nonnegative.
+
+    The weights are added in atom order, so a float sum does not depend on
+    the hash seed.
+    """
     s = _check_subset(space, s)
-    return as_scalar(sum(space.weight(a) for a in s))
+    return as_scalar(sum(w for a, w in zip(space.atoms, space.weights) if a in s))
 
 
 def is_null(space: MeasureSpace, s: Iterable[str]) -> bool:

@@ -1,26 +1,68 @@
-"""Scenario files and report envelopes for the CLI.
+"""Scenario files: one reader per CLI command, and the report envelopes.
 
-A scenario is a JSON object with a measure space, a family (literal list of
-functions, or a named sequence generator with a prefix length), a functional
-spec, and optional budgets/tolerances.  Extended reals serialize as JSON
-numbers, "p/q" strings for rationals a float cannot round-trip, or the
-strings "+inf"/"-inf".  Reports are emitted with sorted keys so identical
-inputs produce byte-identical output.
+A scenario is a JSON object.  ``read_check``, ``read_rw`` and
+``read_shapiro`` each read one command's scenario and check every
+container shape once: required keys are present, JSON arrays stand where
+arrays are due (atoms, weights, family members, integrand controls and
+table rows, selections, admissible sets, ``declared_gflat``), atom ids are
+JSON strings, integer options are integers, and tolerances and divergence
+thresholds are finite numbers.  Any failure, of a shape or of a value the
+library constructors reject, is a ``ScenarioError`` (exit 2).  Each scalar
+is converted once, by those constructors.  Unknown top-level keys are
+ignored.
+
+``flags`` maps option names (``tolerance``, ``seed``, ``subset_budget``,
+``prefix``, ``divergence_threshold``) to their command-line values, None
+when not given; a given flag overrides the scenario entry of the same name
+(a sequence family's ``prefix`` and ``divergence_threshold`` sit in its
+``family`` object, where the latter may also be given at the top level).
+
+Extended reals serialize as JSON numbers, "p/q" strings for rationals a
+float cannot round-trip, or the strings "+inf"/"-inf".  Reports are emitted
+with sorted keys so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Callable, Dict, Optional, Tuple
 
 from . import __version__
+from .decomposable import Integrand, SelectionSet, ShapiroScenario, check_selection
 from .errors import InterlabError, ScenarioError
 from .extreal import Scalar, as_scalar, ext, get_backing, to_jsonable
 from .fnlattice import FnClass
 from .functionals import Functional, make_builtin
 from .integrals import Capacity
-from .interchange import Family, SequenceSpec
+from .interchange import DEFAULT_SUBSET_BUDGET, Family, SequenceSpec, default_tolerance
 from .measure import MeasureSpace
+
+
+@contextmanager
+def _bad(what: str):
+    """Re-raise a library error met while reading ``what`` as a ScenarioError."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except InterlabError as e:
+        raise ScenarioError(f"bad {what}: {e}") from e
+
+
+def _need(obj, key: str, what: str):
+    """``obj[key]``, where ``obj`` must be a JSON object that has ``key``."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {obj!r:.60}")
+    if key not in obj:
+        raise ScenarioError(f"{what} needs {key!r}")
+    return obj[key]
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a JSON array, got {value!r:.60}")
+    return value
 
 
 def load_scenario(path: str) -> dict:
@@ -36,35 +78,68 @@ def load_scenario(path: str) -> dict:
     return obj
 
 
-def build_space(obj: dict) -> MeasureSpace:
-    try:
+# Options -------------------------------------------------------------------
+
+def read_int(sc: dict, flags: dict, key: str, default: int) -> int:
+    """The flag ``key``, else the scenario's entry, else ``default``: an
+    integer >= 0."""
+    value = flags.get(key)
+    if value is None:
+        value = sc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError(f"{key} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def read_tolerance(sc: dict, flags: dict) -> Scalar:
+    """``--tolerance``, else the scenario's ``"tolerance"``, else the default."""
+    value = flags.get("tolerance")
+    if value is None:
+        value = sc.get("tolerance")
+    if value is None:
+        return default_tolerance()
+    with _bad("tolerance"):
+        tol = as_scalar(value)
+    if tol < 0:
+        raise ScenarioError(f"tolerance must be nonnegative, got {value!r}")
+    return tol
+
+
+def _echo_seed(flags: dict) -> Optional[int]:
+    """``--seed`` checked like ``check``'s, or None when not given; the
+    selection-set commands use no randomness and only echo it."""
+    return None if flags.get("seed") is None else read_int({}, flags, "seed", 0)
+
+
+# Spaces, families and functionals ------------------------------------------
+
+def build_space(obj) -> MeasureSpace:
+    atoms = _array(_need(obj, "atoms", "space"), "space atoms")
+    _array(_need(obj, "weights", "space"), "space weights")
+    if not all(isinstance(a, str) for a in atoms):
+        raise ScenarioError("atom ids must be JSON strings")
+    if not isinstance(obj.get("truncation_of", ""), str):
+        raise ScenarioError("a space's 'truncation_of' label must be a JSON string")
+    with _bad("space"):
         return MeasureSpace.from_json_dict(obj)
-    except InterlabError as e:
-        raise ScenarioError(f"bad space: {e}") from e
 
 
-def build_functional(obj: dict, space: MeasureSpace) -> Functional:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ScenarioError("functional spec needs a 'kind'")
-    kind = obj["kind"]
-    try:
+def build_functional(obj, space: MeasureSpace) -> Functional:
+    kind = _need(obj, "kind", "functional")
+    with _bad("functional"):
         if kind == "choquet":
             cap = Capacity.from_json_dict(obj.get("capacity", {}), space)
             return make_builtin("choquet", capacity=cap)
         if kind in ("extended_lebesgue", "outer", "inner", "ess_sup"):
             return make_builtin(kind)
-    except InterlabError as e:
-        raise ScenarioError(f"bad functional: {e}") from e
     raise ScenarioError(f"unknown functional kind {kind!r}")
 
 
 def build_family(obj, space: MeasureSpace) -> Family:
     if not isinstance(obj, list) or not obj:
         raise ScenarioError("a literal family must be a nonempty JSON array")
-    try:
-        return Family([FnClass(space, values) for values in obj])
-    except InterlabError as e:
-        raise ScenarioError(f"bad family: {e}") from e
+    with _bad("family"):
+        return Family([FnClass(space, _array(m, "a family member")) for m in obj])
 
 
 # Named sequence generators: name -> (prefix, params) -> (space, SequenceSpec).
@@ -75,8 +150,8 @@ def _example_2_6(prefix: int, params: dict) -> Tuple[MeasureSpace, SequenceSpec]
     Atom I{n} stands for the interval (n, n+1) of the Lebesgue line, n from
     1 to the prefix length; every atom has weight 1.
     """
-    if prefix < 1:
-        raise ScenarioError("example-2-6 needs a prefix of at least 1")
+    with _bad("divergence_threshold"):
+        threshold = as_scalar(params.get("divergence_threshold", 50))
     space = MeasureSpace(
         [f"I{n}" for n in range(1, prefix + 1)],
         [1] * prefix,
@@ -90,11 +165,10 @@ def _example_2_6(prefix: int, params: dict) -> Tuple[MeasureSpace, SequenceSpec]
         values[k] = ext(-(k + 1))
         return FnClass.from_ext(space, tuple(values))
 
-    threshold = params.get("divergence_threshold", 50)
     return space, SequenceSpec(
         generator=gen,
         prefix_len=prefix,
-        divergence_threshold=as_scalar(threshold),
+        divergence_threshold=threshold,
         exhaustive=False,
     )
 
@@ -106,13 +180,102 @@ SEQUENCE_GENERATORS: Dict[str, Callable[[int, dict], Tuple[MeasureSpace, Sequenc
 
 def build_sequence(obj: dict, default_prefix: int = 100) -> Tuple[MeasureSpace, SequenceSpec]:
     name = obj.get("generator")
-    if name not in SEQUENCE_GENERATORS:
+    if not isinstance(name, str) or name not in SEQUENCE_GENERATORS:
         raise ScenarioError(f"unknown sequence generator {name!r}")
     prefix = obj.get("prefix", default_prefix)
-    if isinstance(prefix, bool) or not isinstance(prefix, int):
-        raise ScenarioError(f"prefix must be an integer, got {prefix!r}")
+    if isinstance(prefix, bool) or not isinstance(prefix, int) or prefix < 1:
+        raise ScenarioError(f"prefix must be an integer of at least 1, got {prefix!r}")
     return SEQUENCE_GENERATORS[name](prefix, obj)
 
+
+def read_check(sc: dict, flags: dict):
+    """(family or sequence spec, functional, subset budget, tolerance, seed)
+    of a ``check`` scenario."""
+    tol = read_tolerance(sc, flags)
+    budget = read_int(sc, flags, "subset_budget", DEFAULT_SUBSET_BUDGET)
+    seed = read_int(sc, flags, "seed", 0)
+    family = _need(sc, "family", "scenario")
+    if isinstance(family, dict):
+        spec = dict(family)
+        if "divergence_threshold" in sc:
+            spec.setdefault("divergence_threshold", sc["divergence_threshold"])
+        for key in ("prefix", "divergence_threshold"):
+            if flags.get(key) is not None:
+                spec[key] = flags[key]
+        space, members = build_sequence(spec)
+    else:
+        space = build_space(_need(sc, "space", "scenario"))
+        members = build_family(family, space)
+    phi = build_functional(sc.get("functional", {}), space)
+    return members, phi, budget, tol, seed
+
+
+# Integrands and selection sets ---------------------------------------------
+
+def read_integrand(obj, space: MeasureSpace) -> Integrand:
+    controls = _array(_need(obj, "controls", "integrand"), "integrand controls")
+    table = _array(_need(obj, "table", "integrand"), "integrand table")
+    with _bad("integrand"):
+        return Integrand(space, controls, [_array(row, "an integrand row") for row in table])
+
+
+def read_selection_set(obj, n_atoms: int, n_controls: int) -> SelectionSet:
+    """An explicit or product selection set; ``{"kind": "product"}`` without
+    ``"admissible"`` is the full product."""
+    kind = _need(obj, "kind", "selection set")
+    with _bad("selection set"):
+        if kind == "explicit":
+            selections = _array(_need(obj, "selections", "selection set"), "selections")
+            return SelectionSet.explicit(selections, n_atoms, n_controls)
+        if kind == "product":
+            if "admissible" not in obj:
+                return SelectionSet.full_product(n_atoms, n_controls)
+            admissible = [_array(s, "an admissible set")
+                          for s in _array(obj["admissible"], "admissible")]
+            return SelectionSet("product", n_atoms, n_controls, admissible=admissible)
+    raise ScenarioError(f"unknown selection-set kind {kind!r}")
+
+
+def read_rw(sc: dict, flags: dict):
+    """(integrand, selection set, tolerance, seed) of an ``rw-check``
+    scenario; the selection set defaults to the full product."""
+    space = build_space(_need(sc, "space", "rw scenario"))
+    integrand = read_integrand(_need(sc, "integrand", "rw scenario"), space)
+    u_set = read_selection_set(sc.get("selection_set", {"kind": "product"}),
+                               len(space.atoms), integrand.n_controls)
+    return integrand, u_set, read_tolerance(sc, flags), _echo_seed(flags)
+
+
+def read_shapiro(sc: dict, flags: dict) -> Tuple[ShapiroScenario, Optional[int]]:
+    """(scenario, seed) of a ``shapiro-check`` scenario; without a
+    ``"selection_set"`` the prefix is the feasible set."""
+    space = build_space(_need(sc, "space", "shapiro scenario"))
+    integrand = read_integrand(_need(sc, "integrand", "shapiro scenario"), space)
+    phi = build_functional(_need(sc, "functional", "shapiro scenario"), space)
+    n, k = len(space.atoms), integrand.n_controls
+    prefix = _array(_need(sc, "selection_prefix", "shapiro scenario"), "selection_prefix")
+    with _bad("selection_prefix"):
+        prefix = [check_selection(s, n, k) for s in prefix]
+    declared = None
+    if "declared_gflat" in sc:
+        with _bad("declared_gflat"):
+            declared = FnClass(space, _array(sc["declared_gflat"], "declared_gflat"))
+    with _bad("p"):
+        p = as_scalar(sc.get("p", 1))
+    u_set = read_selection_set(sc["selection_set"], n, k) if "selection_set" in sc else None
+    scenario = ShapiroScenario(
+        functional=phi,
+        p=p,
+        integrand=integrand,
+        selection_prefix=prefix,
+        declared_gflat=declared,
+        selection_set=u_set,
+        tolerance=read_tolerance(sc, flags),
+    )
+    return scenario, _echo_seed(flags)
+
+
+# Report envelopes ----------------------------------------------------------
 
 def environment_echo(command: str, seed: Optional[int], tolerance: Scalar) -> dict:
     return {
@@ -131,7 +294,7 @@ def render_json(payload: dict) -> str:
 def _flatten(prefix: str, value, lines) -> None:
     if isinstance(value, dict):
         for k in sorted(value):
-            _flatten(f"{prefix}{k}." if prefix == "" else f"{prefix}{k}.", value[k], lines)
+            _flatten(f"{prefix}{k}.", value[k], lines)
         return
     if isinstance(value, list) and len(value) > 12:
         value = f"[{len(value)} entries; first={value[0]!r}, last={value[-1]!r}]"

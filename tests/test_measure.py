@@ -72,3 +72,36 @@ def test_json_roundtrip():
 
 def test_iter_atom_subsets_counts(space):
     assert len(list(iter_atom_subsets(space))) == 8
+
+
+HASH_SEED_PROBE = """
+from interlab.extreal import set_backing
+set_backing("float")
+from interlab.integrals import Capacity
+from interlab.measure import MeasureSpace, measure
+space = MeasureSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.7])
+print(repr(measure(space, {"a", "b", "c", "d"})), repr(measure(space, {"d", "c", "b"})))
+print(repr(Capacity.from_measure(space).of({"a", "b", "c"})))
+"""
+
+
+def test_float_measure_does_not_depend_on_hash_seed():
+    # Weights are added in atom order: 0.1 + 0.2 + 0.3 + 0.7, not in the
+    # order of a frozenset, which the hash seed decides.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import interlab
+
+    src = str(Path(interlab.__file__).resolve().parent.parent)
+    outputs = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    in_atom_order = (0.1 + 0.2 + 0.3 + 0.7, 0.2 + 0.3 + 0.7, 0.1 + 0.2 + 0.3)
+    assert outputs == {"%r %r\n%r\n" % in_atom_order}
