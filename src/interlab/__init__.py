@@ -14,10 +14,8 @@ from .extreal import (
     POS_INF,
     add,
     ext,
-    get_backing,
     lower_add,
     scalar_mul,
-    set_backing,
     upper_add,
 )
 from .measure import AtomSet, MeasureSpace, is_null, iter_atom_subsets, measure

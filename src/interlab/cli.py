@@ -10,6 +10,11 @@ dict run by the command it names, exactly as that command runs a file,
 except that the echo names ``gallery NAME`` and the seed echoes 0 when
 ``--seed`` is not given.
 
+``main`` reads the scalar backing from the ``INTERLAB_BACKING`` environment
+variable (``rational`` when unset or empty, or ``float``) on each call and
+hands it to the readers, the oracle and the environment echo; it sets no
+state beyond the call.
+
 Exit codes: 0 for any completed verdict (a failing interchange is a result,
 not an error), 2 for schema errors, 3 for domain errors, 4 for internal
 invariant failures.
@@ -24,10 +29,11 @@ from typing import List, Optional
 
 from .decomposable import verify_rw_argmin, verify_rw_interchange, verify_shapiro
 from .errors import DomainError, InputError, InvariantError, ScenarioError
-from .extreal import NEG_INF, POS_INF, set_backing
+from .extreal import BACKINGS, NEG_INF, POS_INF
 from .interchange import Family, verify_interchange, verify_interchange_sequence
 from .oracle import run_campaign
 from .scenario import (
+    check_flags,
     environment_echo,
     load_scenario,
     read_check,
@@ -116,7 +122,7 @@ def _emit(args, payload: dict) -> None:
 
 def _run(args, command: str, sc: dict, echo: str) -> int:
     report, seed, tol = COMMANDS[command](sc, vars(args))
-    _emit(args, {"report": report, "environment": environment_echo(echo, seed, tol)})
+    _emit(args, {"report": report, "environment": environment_echo(echo, seed, tol, args.backing)})
     return 0
 
 
@@ -135,10 +141,10 @@ def _cmd_oracle(args) -> int:
     flags = vars(args)
     tol = read_tolerance({}, flags)
     seed = read_int({}, flags, "seed", 0)
-    summary = run_campaign(args.trials, seed, args.max_atoms, args.max_family)
+    summary = run_campaign(args.trials, seed, args.max_atoms, args.max_family, args.backing)
     _emit(args, {
         "report": summary.to_json_dict(),
-        "environment": environment_echo("oracle", seed, tol),
+        "environment": environment_echo("oracle", seed, tol, args.backing),
     })
     return 4 if summary.violations else 0
 
@@ -190,16 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    backing = os.environ.get("INTERLAB_BACKING")
-    if backing:
-        try:
-            set_backing(backing)
-        except InputError as e:
-            sys.stderr.write(f"error: {e}\n")
-            return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    backing = os.environ.get("INTERLAB_BACKING") or "rational"
+    if backing not in BACKINGS:
+        sys.stderr.write(f"error: unknown backing {backing!r}; expected one of {BACKINGS}\n")
+        return 2
+    args = build_parser().parse_args(argv)
+    args.backing = backing
     try:
+        check_flags(vars(args))
         return args.func(args)
     except ScenarioError as e:
         sys.stderr.write(f"schema error: {e}\n")

@@ -53,7 +53,7 @@ from .extreal import (
 from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
 from .functionals import Functional
 from .integrals import outer_integral
-from .interchange import _eq_within, default_tolerance
+from .interchange import _eq_within, _tolerance
 from .measure import MeasureSpace
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -79,7 +79,7 @@ class Integrand:
         for row in table:
             if len(row) != len(controls):
                 raise InputError("integrand table row must have one entry per control")
-            rows.append(tuple(ext(v) for v in row))
+            rows.append(tuple(ext(v, space.backing) for v in row))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "table", tuple(rows))
@@ -320,7 +320,7 @@ def verify_rw_interchange(
     Requires some selection with integrable positive part.  The set is
     enumerated once (see ``_min_over_selections``).
     """
-    tol = default_tolerance() if tolerance is None else as_scalar(tolerance)
+    tol = _tolerance(tolerance, integrand.space.backing)
     if u_set.n_atoms != len(integrand.space.atoms):
         raise InputError("selection set and integrand disagree on the atom count")
     if u_set.n_controls != integrand.n_controls:
@@ -389,8 +389,9 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
         picks_argmin.append(argmin_row)
 
     # plus[k], minus[k], on_argmin[k]: the folds over atoms 0..k-1 of prev.
-    plus = [as_scalar(0)] * (n + 1)
-    minus = [as_scalar(0)] * (n + 1)
+    zero = as_scalar(0, space.backing)
+    plus = [zero] * (n + 1)
+    minus = [zero] * (n + 1)
     on_argmin = [True] * (n + 1)
     prev = (None,) * n  # shares no atom with the first selection
     lhs = None
@@ -529,12 +530,12 @@ class ShapiroReport:
 def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) -> ShapiroReport:
     """Itemize the hypotheses and test the conclusion inf Phi(G(u)) = Phi(G-flat)."""
     space = sc.integrand.space
-    if space.total_mass() != as_scalar(1):
+    if space.total_mass() != 1:
         raise InputError("Shapiro scenarios require a probability space (mass 1)")
-    p = as_scalar(sc.p)
+    p = as_scalar(sc.p, space.backing)
     if p < 1:
         raise InputError("exponent p must lie in [1, inf)")
-    tol = default_tolerance() if sc.tolerance is None else as_scalar(sc.tolerance)
+    tol = _tolerance(sc.tolerance, space.backing)
     if not sc.selection_prefix:
         raise InputError("the selection sequence prefix must be nonempty")
     u_set = sc.selection_set or SelectionSet.explicit(
@@ -580,7 +581,9 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix] if exact else fns
     )
     norms = [lp_norm(fn_add(g, fn_neg(gflat), mode="lower"), p) for g in prefix_fns]
-    norm_tol = _norm_tolerance(tol)
+    # Norms are float-valued for p != 1, so a zero tolerance would be
+    # unsatisfiable for genuinely converging (never stabilizing) sequences.
+    norm_tol = tol if tol > 0 else as_scalar(1e-6, space.backing)
     converged = norms[-1] != POS_INF and float(norms[-1]) <= float(norm_tol)
     hypotheses.append(
         ("S2a_norm_convergence", converged,
@@ -617,8 +620,3 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         notes=notes,
     )
 
-
-def _norm_tolerance(tol: Scalar) -> Scalar:
-    # Norms are float-valued for p != 1, so a zero tolerance would be
-    # unsatisfiable for genuinely converging (never stabilizing) sequences.
-    return tol if tol > 0 else as_scalar(1e-6)

@@ -10,17 +10,20 @@ An extended real is a plain Python number.  The infinities are the floats
 are exact under the default "rational" backing: an integral value is an
 ``int`` and any other a ``fractions.Fraction`` (the two hash, compare and
 serialize alike, and no code divides two scalars, so integer arithmetic
-stays native).  A global flag (or the INTERLAB_BACKING environment
-variable) switches finite scalars to floats.  Python orders all of these
-with each other, so ``<``, ``min``, ``max``, ``-x`` and ``abs(x)`` are the
+stays native).  Under the "float" backing finite scalars are floats.  The
+backing belongs to a measure space (``MeasureSpace.backing``): every value
+entering a space, or a function, capacity, integrand or tolerance on it,
+is coerced with that space's backing.  Python orders all of these with
+each other, so ``<``, ``min``, ``max``, ``-x`` and ``abs(x)`` are the
 lattice operations, negation and absolute value of the extended reals.
 
 ``ext`` and ``as_scalar`` are the one coercion at the input boundary: floats
 entering under rational backing are read with decimal semantics, so 0.7
 becomes exactly 7/10, and NaN, booleans and unparseable strings are
-rejected.  The additions and ``scalar_mul`` keep their finite results in
-the backing's form, and under float backing a finite result beyond the
-float range raises ``InputError`` instead of becoming an infinity.
+rejected.  The additions and ``scalar_mul`` do not coerce: a finite result
+keeps its operands' form (an integral Fraction becomes an int), and a float
+result beyond the float range raises ``InputError`` instead of becoming an
+infinity.
 
 The per-atom kernel ``weighted_parts`` may add exact terms in any order,
 since rational addition is associative and commutative: it sums int terms
@@ -32,7 +35,6 @@ that defines the integrals' float results.
 from __future__ import annotations
 
 import math
-import os
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
@@ -44,26 +46,11 @@ Scalar = Union[int, Fraction, float]
 POS_INF = math.inf
 NEG_INF = -math.inf
 
-_VALID_BACKINGS = ("rational", "float")
-_backing = os.environ.get("INTERLAB_BACKING", "rational")
-if _backing not in _VALID_BACKINGS:
-    _backing = "rational"
+BACKINGS = ("rational", "float")
 
 
-def set_backing(kind: str) -> None:
-    """Select the scalar backing, ``"rational"`` (exact) or ``"float"``."""
-    global _backing
-    if kind not in _VALID_BACKINGS:
-        raise InputError(f"unknown backing {kind!r}; expected one of {_VALID_BACKINGS}")
-    _backing = kind
-
-
-def get_backing() -> str:
-    return _backing
-
-
-def as_scalar(x) -> Scalar:
-    """Coerce a finite number, or a decimal or "p/q" string, to the backing.
+def as_scalar(x, backing: str = "rational") -> Scalar:
+    """Coerce a finite number, or a decimal or "p/q" string, to ``backing``.
 
     Rational backing keeps integral values as ``int`` and reads floats via
     their shortest decimal repr, which keeps values like 0.7 exact and
@@ -74,9 +61,9 @@ def as_scalar(x) -> Scalar:
             raise InputError("NaN is not a valid scalar")
         if math.isinf(x):
             raise InputError(f"expected a finite scalar, got {to_text(x)}")
-        return _exact(Fraction(Decimal(repr(x)))) if _backing == "rational" else x
+        return _exact(Fraction(Decimal(repr(x)))) if backing == "rational" else x
     if type(x) is int or isinstance(x, Fraction):
-        if _backing != "rational":
+        if backing != "rational":
             return _float(x)
         return x if type(x) is int else _exact(x)
     if isinstance(x, str):
@@ -84,7 +71,7 @@ def as_scalar(x) -> Scalar:
             frac = Fraction(x) if "/" in x else Fraction(Decimal(x))
         except (ValueError, ArithmeticError) as e:
             raise InputError(f"cannot interpret {x!r} as a scalar") from e
-        return _exact(frac) if _backing == "rational" else _float(frac)
+        return _exact(frac) if backing == "rational" else _float(frac)
     raise InputError(f"cannot interpret {x!r} as a scalar")
 
 
@@ -101,9 +88,9 @@ def _exact(q: Fraction) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-def ext(x) -> Scalar:
-    """An extended real from a finite number, an infinite float, or a string:
-    "+inf", "inf", "-inf", a decimal or "p/q"."""
+def ext(x, backing: str = "rational") -> Scalar:
+    """An extended real in ``backing`` from a finite number, an infinite
+    float, or a string: "+inf", "inf", "-inf", a decimal or "p/q"."""
     if isinstance(x, str):
         if x in ("+inf", "inf"):
             return POS_INF
@@ -111,13 +98,23 @@ def ext(x) -> Scalar:
             return NEG_INF
     elif isinstance(x, float) and math.isinf(x):
         return POS_INF if x > 0 else NEG_INF
-    return as_scalar(x)
+    return as_scalar(x, backing)
 
 
 # Only floats can be infinite, and under rational backing only the
 # infinities are floats, so the operations below test ``type(x) is float``
 # before comparing x with an infinity: that spares a finite Fraction the
 # slow comparison with a float.
+
+
+def _kept(s: Scalar) -> Scalar:
+    """A finite sum or product in its operands' form: an int when an exact
+    value is integral; a float beyond the float range raises InputError."""
+    if type(s) is Fraction:
+        return s.numerator if s.denominator == 1 else s
+    if type(s) is float and (s == POS_INF or s == NEG_INF):
+        raise InputError(f"expected a finite scalar, got {to_text(s)}")
+    return s
 
 
 def lower_add(a: Scalar, b: Scalar) -> Scalar:
@@ -127,7 +124,7 @@ def lower_add(a: Scalar, b: Scalar) -> Scalar:
             return NEG_INF
         if a == POS_INF or b == POS_INF:
             return POS_INF
-    return as_scalar(a + b)
+    return _kept(a + b)
 
 
 def upper_add(a: Scalar, b: Scalar) -> Scalar:
@@ -137,7 +134,7 @@ def upper_add(a: Scalar, b: Scalar) -> Scalar:
             return POS_INF
         if a == NEG_INF or b == NEG_INF:
             return NEG_INF
-    return as_scalar(a + b)
+    return _kept(a + b)
 
 
 def add(a: Scalar, b: Scalar) -> Scalar:
@@ -148,12 +145,11 @@ def add(a: Scalar, b: Scalar) -> Scalar:
 
 
 def scalar_mul(lam: Scalar, a: Scalar) -> Scalar:
-    """Multiply by a finite scalar; 0 * (±inf) = 0."""
-    lam = as_scalar(lam)
+    """Multiply by a finite scalar; 0 * (±inf) = 0, returned as ``lam``."""
     if type(a) is not float or NEG_INF < a < POS_INF:
-        return as_scalar(lam * a)
+        return _kept(lam * a)
     if lam == 0:
-        return as_scalar(0)
+        return lam
     return a if lam > 0 else -a
 
 
@@ -205,9 +201,9 @@ def weighted_parts(weights: Sequence[Scalar],
     product to the sum kept for its denominator product.  Each part is then
     reduced once, so its value is the exact sum, an integral part is an
     ``int``, and a Fraction costs one gcd per part instead of one per term.
-    Float addition rounds at every step, so a finite float weight or value
-    (float backing, or a float mixed into exact data) makes the whole call
-    the atom-order fold of ``_ordered_parts``, whose rounding is that of
+    Float addition rounds at every step, so under float backing, where
+    every weight and value is a float, the whole call is the atom-order
+    fold of ``_ordered_parts``, whose rounding is that of
     the term-by-term ``lower_add`` fold of ``scalar_mul(w, v)``; a finite
     float is never taken for an infinity.
     """
@@ -285,26 +281,27 @@ def _exact_sum(whole: int, by_den: dict) -> Scalar:
 
 def _ordered_parts(weights: Sequence[Scalar],
                    values: Sequence[Scalar]) -> Tuple[Scalar, Scalar]:
-    """``weighted_parts`` by adding the terms in atom order.
+    """``weighted_parts`` of float weights and values, adding the terms in
+    atom order.
 
-    Under float backing a finite part beyond the float range raises
-    InputError, as ``lower_add`` does; a part that is +inf anyway does not.
+    A finite part beyond the float range raises InputError, as
+    ``lower_add`` does; a part that is +inf anyway does not.
     """
-    plus = minus = 0
+    plus = minus = 0.0
     plus_inf = minus_inf = False
     for w, x in zip(weights, values):
         if x > 0:
-            if type(x) is not float or x != POS_INF:
+            if x != POS_INF:
                 plus += w * x
             elif w:
                 plus_inf = True
         elif x < 0:
-            if type(x) is not float or x != NEG_INF:
+            if x != NEG_INF:
                 minus -= w * x
             elif w:
                 minus_inf = True
-    return (POS_INF if plus_inf else as_scalar(plus),
-            POS_INF if minus_inf else as_scalar(minus))
+    return (POS_INF if plus_inf else _kept(plus),
+            POS_INF if minus_inf else _kept(minus))
 
 
 def pointwise_min(rows: Sequence[Tuple[Scalar, ...]]) -> Tuple[Scalar, ...]:

@@ -1,7 +1,7 @@
 """The lattice of measurable functions modulo almost-everywhere equality.
 
 A function is an atom-indexed vector of extended reals (plain scalars, see
-``extreal``) on a fixed space.
+``extreal``) on a fixed space, in that space's backing.
 Two functions are equal as classes when they agree on every atom of positive
 weight; ordering works the same way.  Representatives are stored exactly as
 given (never normalized), so every comparison goes through the null-atom
@@ -74,14 +74,14 @@ class FnClass:
                 f"function has {len(values)} values for {len(space.atoms)} atoms"
             )
         self.space = space
-        self.values = tuple(ext(v) for v in values)
+        self.values = tuple(ext(v, space.backing) for v in values)
 
     @classmethod
     def from_ext(cls, space: MeasureSpace, values: Tuple[Scalar, ...]) -> "FnClass":
         """A function from a tuple of extended reals, one per atom of space.
 
         Skips the coercion and length check of the constructor, for values
-        already in the active backing's form (built by ``ext`` or by the
+        already in the space's backing form (built by ``ext`` or by the
         ``extreal`` operations).
         """
         f = object.__new__(cls)
@@ -91,7 +91,7 @@ class FnClass:
 
     @classmethod
     def constant(cls, space: MeasureSpace, value) -> "FnClass":
-        return cls(space, [ext(value)] * len(space.atoms))
+        return cls(space, [value] * len(space.atoms))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FnClass):
@@ -149,6 +149,7 @@ def fn_neg(f: FnClass) -> FnClass:
 
 
 def fn_scale(lam: Scalar, f: FnClass) -> FnClass:
+    lam = as_scalar(lam, f.space.backing)
     return f.map(lambda v: scalar_mul(lam, v))
 
 
@@ -163,7 +164,7 @@ def fn_add(f: FnClass, g: FnClass, mode: str = "plain") -> FnClass:
 
 def fn_shift(f: FnClass, c) -> FnClass:
     """Add the constant c atomwise (plain addition; c must be finite)."""
-    c = ext(c)
+    c = ext(c, f.space.backing)
     return f.map(lambda v: add(v, c))
 
 
@@ -189,22 +190,22 @@ def lp_norm(f: FnClass, p: Scalar) -> Scalar:
     Exact under rational backing when p == 1; otherwise evaluated in float.
     Returns +inf when f is infinite on an atom of positive weight.
     """
-    p = as_scalar(p)
+    space = f.space
+    p = as_scalar(p, space.backing)
     if p < 1:
         raise InputError("lp_norm requires p >= 1")
-    space = f.space
     for i in space.non_null_indices():
         if abs(f.values[i]) == POS_INF:
             return POS_INF
     if p == 1:
-        total = as_scalar(0)
+        total = as_scalar(0, space.backing)
         for i in space.non_null_indices():
             total = lower_add(total, scalar_mul(space.weights[i], abs(f.values[i])))
         return total
     acc = 0.0
     for i in space.non_null_indices():
         acc += float(space.weights[i]) * abs(float(f.values[i])) ** float(p)
-    return as_scalar(acc ** (1.0 / float(p)))
+    return as_scalar(acc ** (1.0 / float(p)), space.backing)
 
 
 def ess_sup_value(f: FnClass) -> Scalar:

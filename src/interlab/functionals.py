@@ -197,7 +197,7 @@ def check_order_preserving(
     also mu-a.e.); pairs falling outside the domain are resampled.  Any
     violation is reported together with the witness pair.
     """
-    grid = [ext(v) for v in (value_grid or _DEFAULT_VALUE_GRID)]
+    grid = [ext(v, space.backing) for v in (value_grid or _DEFAULT_VALUE_GRID)]
     rng = random.Random(seed)
     report = OrderCheckReport(phi.name, trials)
     for _ in range(trials):

@@ -89,6 +89,8 @@ class Capacity:
     construction.  ``Capacity.distortion``
     builds no table; it evaluates c(A) when asked, in O(n), so a Choquet
     integral costs O(n) per level set it reads and large spaces are fine.
+    Table values are converted once, by the constructor, in the space's
+    backing.
     """
 
     __slots__ = ("space", "_table")
@@ -104,7 +106,7 @@ class Capacity:
         for s in iter_atom_subsets(space):
             if s not in table:
                 raise InputError(f"capacity table misses the set {_set_str(space, s)}")
-            full[s] = ext(table[s])
+            full[s] = ext(table[s], space.backing)
         self._table = full
         self._validate()
 
@@ -199,7 +201,7 @@ class Capacity:
                 raise InputError("a distortion capacity needs 'gamma'")
             if isinstance(d["gamma"], bool):
                 raise InputError(f"distortion 'gamma' must be a number, got {d['gamma']!r}")
-            return cls.distortion(space, as_scalar(d["gamma"]))
+            return cls.distortion(space, as_scalar(d["gamma"], space.backing))
         if kind != "table":
             raise InputError(f"unknown capacity kind {kind!r}")
         values = d.get("values", {})
@@ -212,7 +214,7 @@ class Capacity:
                 raise InputError(f"capacity key {key!r} must look like '{{a,b}}'")
             inner = key[1:-1].strip()
             atoms = frozenset(a.strip() for a in inner.split(",")) if inner else frozenset()
-            table[atoms] = ext(v)
+            table[atoms] = v  # the constructor converts it
         return cls(space, table)
 
 
@@ -253,7 +255,7 @@ class _Distortion(Capacity):
         if not s <= self._atoms:
             raise _foreign_set(self.space, s)
         t = sum(w for a, w in zip(self.space.atoms, self._weights) if a in s)
-        return as_scalar((t / self._total) ** self.gamma * self._total)
+        return as_scalar((t / self._total) ** self.gamma * self._total, self.space.backing)
 
     def _chain_reader(self):
         """``of`` that raises unless each value read is at most the last one."""
@@ -327,7 +329,7 @@ def _choquet_nonneg(f: FnClass, c: Capacity) -> Scalar:
     space = f.space
     of = c._chain_reader()  # the level sets below shrink, the plateau last
     finite_levels = sorted({v for v in f.values if 0 < v < POS_INF})
-    total = prev = as_scalar(0)
+    total = prev = as_scalar(0, space.backing)
     for v in finite_levels:
         level_set = frozenset(
             a for a, fv in zip(space.atoms, f.values) if fv > prev

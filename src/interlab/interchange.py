@@ -36,7 +36,6 @@ from .extreal import (
     POS_INF,
     Scalar,
     as_scalar,
-    get_backing,
     lower_add,
     to_jsonable,
     to_text,
@@ -58,8 +57,13 @@ DEFAULT_DIVERGENCE_THRESHOLD = 10**9
 DEFAULT_SAMPLED_SUBSETS = 64
 
 
-def default_tolerance() -> Scalar:
-    return as_scalar(0) if get_backing() == "rational" else 1e-9
+def default_tolerance(backing: str = "rational") -> Scalar:
+    return 0 if backing == "rational" else 1e-9
+
+
+def _tolerance(tolerance: Optional[Scalar], backing: str) -> Scalar:
+    """A given tolerance in ``backing``, else that backing's default."""
+    return default_tolerance(backing) if tolerance is None else as_scalar(tolerance, backing)
 
 
 def _eq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
@@ -284,7 +288,7 @@ def is_phi_inf_directed(
     """Scan finite subsets for the directedness condition.
 
     A subset S passes when min Phi(X) <= Phi(inf S) within ``tolerance``
-    (the backing's default when None), the tolerance of the interchange
+    (the default of the family's backing when None), the tolerance of the interchange
     verdict: by monotonicity Phi(inf S) >= Phi(inf X), so the scan agrees
     with the verdict at any tolerance.
 
@@ -301,7 +305,7 @@ def is_phi_inf_directed(
     ``phi_values`` and ``phi_inf``.  The memo holds at most one entry per subset scanned (2^n - 1 when
     exhaustive) plus the members, and is freed on return.
     """
-    tol = default_tolerance() if tolerance is None else as_scalar(tolerance)
+    tol = _tolerance(tolerance, family.space.backing)
     members = family.members
     n = len(members)
     if phi_values is None:
@@ -349,7 +353,7 @@ def verify_interchange(
     on their infimum, already computed by the caller.  Either way the scan
     reuses them, so Phi runs once per member and once on the infimum.
     """
-    tol = default_tolerance() if tolerance is None else as_scalar(tolerance)
+    tol = _tolerance(tolerance, family.space.backing)
     notes = [
         "existence hypotheses hold automatically: finite family on an atomic space"
     ]
@@ -399,7 +403,7 @@ def verify_interchange(
 
 
 def _classify_prefix_limit(
-    values: Sequence[Scalar], threshold: Scalar
+    values: Sequence[Scalar], threshold: Scalar, backing: str
 ) -> Tuple[str, Scalar]:
     """Trend of a prefix: ("stabilized"|"diverging"|"inconclusive", value)."""
     last = values[-1]
@@ -411,7 +415,7 @@ def _classify_prefix_limit(
     tail = values[-window:]
     if all(v == last for v in tail):
         return "stabilized", last
-    bound = abs(as_scalar(threshold))
+    bound = abs(as_scalar(threshold, backing))
     nonincreasing = all(a >= b for a, b in zip(values, values[1:]))
     if nonincreasing and last <= -bound:
         return "diverging", NEG_INF
@@ -429,8 +433,9 @@ def verify_interchange_sequence(
     seed: int = 0,
 ) -> InterchangeReport:
     """Interchange verdict for a sequence seen through a finite prefix."""
-    tol = default_tolerance() if tolerance is None else as_scalar(tolerance)
     members = spec.prefix()
+    backing = members[0].space.backing
+    tol = _tolerance(tolerance, backing)
 
     phi_values = [phi(x) for x in members]
     prefix_lhs: List[Scalar] = []
@@ -463,7 +468,7 @@ def verify_interchange_sequence(
         return base
 
     notes: List[str] = []
-    lhs_trend, lhs = _classify_prefix_limit(prefix_lhs, spec.divergence_threshold)
+    lhs_trend, lhs = _classify_prefix_limit(prefix_lhs, spec.divergence_threshold, backing)
     prefix_data["lhs_trend"] = lhs_trend
 
     if spec.declared_limit is not None:
@@ -481,7 +486,8 @@ def verify_interchange_sequence(
                 "hypothesis unverified: declared limit not witnessed by the prefix"
             )
     else:
-        rhs_trend, rhs = _classify_prefix_limit(prefix_rhs, spec.divergence_threshold)
+        rhs_trend, rhs = _classify_prefix_limit(
+            prefix_rhs, spec.divergence_threshold, backing)
     prefix_data["rhs_trend"] = rhs_trend
 
     if lhs_trend == "diverging":
@@ -565,8 +571,9 @@ def check_seq_inf_continuity(
     Phi-values crossing the divergence threshold counts as -inf, which
     satisfies the inequality against any right-hand side.
     """
-    tol = default_tolerance() if tolerance is None else as_scalar(tolerance)
     members = spec.prefix()
+    backing = members[0].space.backing
+    tol = _tolerance(tolerance, backing)
     for a, b in zip(members, members[1:]):
         if not mu_leq(b, a):
             raise InputError("sequence prefix is not nonincreasing (mu-a.e.)")
@@ -582,11 +589,11 @@ def check_seq_inf_continuity(
         if NEG_INF < v < POS_INF and NEG_INF < rhs < POS_INF:
             gaps.append(lower_add(v, -rhs))
         elif v == rhs:
-            gaps.append(as_scalar(0))
+            gaps.append(as_scalar(0, backing))
         else:
             gaps.append(None)
 
-    kind, lhs_limit = _classify_prefix_limit(values, spec.divergence_threshold)
+    kind, lhs_limit = _classify_prefix_limit(values, spec.divergence_threshold, backing)
     if kind == "diverging" and lhs_limit == NEG_INF:
         notes.append("prefix Phi-values diverge to -inf")
         return SeqContinuityReport(

@@ -5,6 +5,13 @@ Null sets are exactly the sets of zero-weight atoms, which keeps the
 almost-everywhere machinery of the function lattice to a per-atom scan.
 A space may carry a ``truncation_of`` label describing the countable space
 it finitely truncates (used by the gallery's diverging-sequence examples).
+
+A space also owns the scalar backing of everything built on it:
+``"rational"`` (exact, the default) or ``"float"``.  Its weights, and the
+values of the functions, capacities, integrands and tolerances on it, are
+coerced with that backing where they enter.  The backing is part of the
+space's equality, so values of the two backings never meet in one
+computation: combining them raises ``InputError``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from itertools import combinations
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .extreal import Scalar, as_scalar, to_jsonable
+from .extreal import BACKINGS, Scalar, as_scalar, to_jsonable
 
 AtomSet = FrozenSet[str]
 
@@ -21,14 +28,17 @@ AtomSet = FrozenSet[str]
 class MeasureSpace:
     """Atoms with weights; immutable after construction."""
 
-    __slots__ = ("atoms", "weights", "truncation_of", "_index", "_non_null")
+    __slots__ = ("atoms", "weights", "truncation_of", "backing", "_index", "_non_null")
 
     def __init__(
         self,
         atoms: Sequence[str],
         weights: Sequence[Scalar],
         truncation_of: Optional[str] = None,
+        backing: str = "rational",
     ):
+        if backing not in BACKINGS:
+            raise InputError(f"unknown backing {backing!r}; expected one of {BACKINGS}")
         atoms = tuple(atoms)
         if not atoms:
             raise InputError("a measure space needs at least one atom")
@@ -38,13 +48,14 @@ class MeasureSpace:
             raise InputError("weights and atoms must align")
         ws = []
         for w in weights:
-            w = as_scalar(w)
+            w = as_scalar(w, backing)
             if w < 0:
                 raise InputError(f"negative atom weight {w}")
             ws.append(w)
         self.atoms = atoms
         self.weights = tuple(ws)
         self.truncation_of = truncation_of
+        self.backing = backing
         self._index = {a: i for i, a in enumerate(atoms)}
         self._non_null = tuple(i for i, w in enumerate(ws) if w != 0)
 
@@ -62,7 +73,7 @@ class MeasureSpace:
         return self._non_null
 
     def total_mass(self) -> Scalar:
-        return sum(self.weights, as_scalar(0))
+        return sum(self.weights, as_scalar(0, self.backing))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -76,10 +87,11 @@ class MeasureSpace:
             self.atoms == other.atoms
             and self.weights == other.weights
             and self.truncation_of == other.truncation_of
+            and self.backing == other.backing
         )
 
     def __hash__(self) -> int:
-        return hash((self.atoms, self.weights, self.truncation_of))
+        return hash((self.atoms, self.weights, self.truncation_of, self.backing))
 
     def __repr__(self) -> str:
         label = f", truncation_of={self.truncation_of!r}" if self.truncation_of else ""
@@ -95,14 +107,14 @@ class MeasureSpace:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "MeasureSpace":
+    def from_json_dict(cls, d: dict, backing: str = "rational") -> "MeasureSpace":
         if not isinstance(d, dict) or "atoms" not in d or "weights" not in d:
             raise InputError("space object needs 'atoms' and 'weights'")
         for w in d["weights"]:
             # JSON numbers and "p/q" strings; the constructor converts them.
             if not (type(w) in (int, float) or isinstance(w, str) and "/" in w):
                 raise InputError(f"cannot decode {w!r} as a weight")
-        return cls(d["atoms"], d["weights"], d.get("truncation_of"))
+        return cls(d["atoms"], d["weights"], d.get("truncation_of"), backing)
 
 
 def _check_subset(space: MeasureSpace, s: Iterable[str]) -> AtomSet:
@@ -119,7 +131,8 @@ def measure(space: MeasureSpace, s: Iterable[str]) -> Scalar:
     the hash seed.
     """
     s = _check_subset(space, s)
-    return as_scalar(sum(w for a, w in zip(space.atoms, space.weights) if a in s))
+    return as_scalar(sum(w for a, w in zip(space.atoms, space.weights) if a in s),
+                     space.backing)
 
 
 def is_null(space: MeasureSpace, s: Iterable[str]) -> bool:

@@ -32,10 +32,10 @@ CAPACITY_INCREMENTS = [0, "1/4", "1/2", 1]
 FUNCTIONAL_KINDS = ("extended_lebesgue", "choquet", "ess_sup")
 
 
-def random_space(rng: random.Random, max_atoms: int) -> MeasureSpace:
+def random_space(rng: random.Random, max_atoms: int, backing: str = "rational") -> MeasureSpace:
     n = rng.randint(1, max_atoms)
     weights = [rng.choice(WEIGHT_GRID) for _ in range(n)]
-    return MeasureSpace([f"w{i}" for i in range(n)], weights)
+    return MeasureSpace([f"w{i}" for i in range(n)], weights, backing=backing)
 
 
 def random_semi_integrable(rng: random.Random, space: MeasureSpace) -> FnClass:
@@ -49,7 +49,7 @@ def random_semi_integrable(rng: random.Random, space: MeasureSpace) -> FnClass:
         elif rng.random() < 0.15:
             values.append(sign)
         else:
-            values.append(ext(rng.choice(FINITE_VALUE_GRID)))
+            values.append(rng.choice(FINITE_VALUE_GRID))
     return FnClass(space, values)
 
 
@@ -57,17 +57,17 @@ def random_nonneg(rng: random.Random, space: MeasureSpace) -> FnClass:
     values = []
     for i in range(len(space.atoms)):
         if space.is_null_atom(i) and rng.random() < 0.2:
-            values.append(ext(-1))
+            values.append(-1)
         elif rng.random() < 0.08:
             values.append(POS_INF)
         else:
-            values.append(ext(rng.choice(NONNEG_VALUE_GRID)))
+            values.append(rng.choice(NONNEG_VALUE_GRID))
     return FnClass(space, values)
 
 
 def random_any(rng: random.Random, space: MeasureSpace) -> FnClass:
     grid = FINITE_VALUE_GRID + ["+inf", "-inf"]
-    return FnClass(space, [ext(rng.choice(grid)) for _ in space.atoms])
+    return FnClass(space, [rng.choice(grid) for _ in space.atoms])
 
 
 def random_capacity(
@@ -77,16 +77,13 @@ def random_capacity(
     table: Dict[frozenset, Scalar] = {}
     for s in iter_atom_subsets(space):
         if not s:
-            table[s] = ext(0)
+            table[s] = 0
             continue
-        floor = max(
-            (table[s - {a}] for a in s),
-            default=ext(0),
-        )
+        floor = max(table[s - {a}] for a in s)
         if floor == POS_INF or (allow_infinite and rng.random() < 0.03):
             table[s] = POS_INF
         else:
-            table[s] = ext(floor + ext(rng.choice(CAPACITY_INCREMENTS)))
+            table[s] = floor + ext(rng.choice(CAPACITY_INCREMENTS), space.backing)
     return Capacity(space, table)
 
 
@@ -111,12 +108,12 @@ def random_integrand(rng: random.Random, space: MeasureSpace, max_controls: int 
     grid = FINITE_VALUE_GRID
     table = []
     for _ in space.atoms:
-        row = [ext(rng.choice(grid))]
+        row = [rng.choice(grid)]
         for _ in range(n_controls - 1):
             if rng.random() < 0.08:
                 row.append(POS_INF)
             else:
-                row.append(ext(rng.choice(grid)))
+                row.append(rng.choice(grid))
         table.append(row)
     controls = [[k] for k in range(n_controls)]
     return Integrand(space, controls, table)
@@ -142,9 +139,9 @@ class OracleInstance:
 
 
 def random_instance(
-    rng: random.Random, max_atoms: int = 6, max_family: int = 5
+    rng: random.Random, max_atoms: int = 6, max_family: int = 5, backing: str = "rational"
 ) -> OracleInstance:
-    space = random_space(rng, max_atoms)
+    space = random_space(rng, max_atoms, backing)
     kind = rng.choice(FUNCTIONAL_KINDS)
     if kind == "choquet":
         cap = random_capacity(rng, space)
@@ -193,6 +190,7 @@ def shrink_instance(instance: OracleInstance) -> OracleInstance:
                 space = MeasureSpace(
                     [atoms[j] for j in keep],
                     [current.space.weights[j] for j in keep],
+                    backing=current.space.backing,
                 )
                 fam = Family(
                     [FnClass(space, [m.values[j] for j in keep])
@@ -233,12 +231,12 @@ class CampaignSummary:
 
 
 def run_campaign(
-    trials: int, seed: int, max_atoms: int = 6, max_family: int = 5
+    trials: int, seed: int, max_atoms: int = 6, max_family: int = 5, backing: str = "rational"
 ) -> CampaignSummary:
     rng = random.Random(seed)
     summary = CampaignSummary(trials=trials, seed=seed)
     for _ in range(trials):
-        instance = random_instance(rng, max_atoms, max_family)
+        instance = random_instance(rng, max_atoms, max_family, backing)
         summary.by_functional[instance.kind] = (
             summary.by_functional.get(instance.kind, 0) + 1
         )

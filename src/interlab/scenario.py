@@ -12,10 +12,14 @@ is converted once, by those constructors.  Unknown top-level keys are
 ignored.
 
 ``flags`` maps option names (``tolerance``, ``seed``, ``subset_budget``,
-``prefix``, ``divergence_threshold``) to their command-line values, None
-when not given; a given flag overrides the scenario entry of the same name
-(a sequence family's ``prefix`` and ``divergence_threshold`` sit in its
-``family`` object, where the latter may also be given at the top level).
+``prefix``, ``divergence_threshold``, and the oracle's ``trials``,
+``max_atoms`` and ``max_family``) to their command-line values, None when
+not given, and ``backing`` to the scalar backing of the spaces the readers
+build.  ``check_flags`` checks every given flag, whether or not the
+command reads it.  A given flag overrides the scenario entry of the same
+name (a sequence family's ``prefix`` and ``divergence_threshold`` sit in
+its ``family`` object, where the latter may also be given at the top
+level).
 
 Extended reals serialize as JSON numbers, "p/q" strings for rationals a
 float cannot round-trip, or the strings "+inf"/"-inf".  Reports are emitted
@@ -25,13 +29,14 @@ with sorted keys so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import __version__
 from .decomposable import Integrand, SelectionSet, ShapiroScenario, check_selection
 from .errors import InterlabError, ScenarioError
-from .extreal import Scalar, as_scalar, ext, get_backing, to_jsonable
+from .extreal import Scalar, as_scalar, to_jsonable
 from .fnlattice import FnClass
 from .functionals import Functional, make_builtin
 from .integrals import Capacity
@@ -80,6 +85,21 @@ def load_scenario(path: str) -> dict:
 
 # Options -------------------------------------------------------------------
 
+# The least value of each numeric flag; argparse has made it an int or a float.
+_FLAG_LEAST = {"seed": 0, "subset_budget": 0, "trials": 0, "tolerance": 0, "prefix": 1,
+               "max_atoms": 1, "max_family": 1, "divergence_threshold": -math.inf}
+
+
+def check_flags(flags: dict) -> None:
+    """Reject a given flag value that is not finite or is below its least
+    value, whether or not the command reads that flag."""
+    for key, least in _FLAG_LEAST.items():
+        value = flags.get(key)
+        if value is not None and not (least <= value and abs(value) < math.inf):
+            raise ScenarioError(f"{key} must be a finite number of at least {least}, "
+                                f"got {value!r}")
+
+
 def read_int(sc: dict, flags: dict, key: str, default: int) -> int:
     """The flag ``key``, else the scenario's entry, else ``default``: an
     integer >= 0."""
@@ -97,23 +117,17 @@ def read_tolerance(sc: dict, flags: dict) -> Scalar:
     if value is None:
         value = sc.get("tolerance")
     if value is None:
-        return default_tolerance()
+        return default_tolerance(flags["backing"])
     with _bad("tolerance"):
-        tol = as_scalar(value)
+        tol = as_scalar(value, flags["backing"])
     if tol < 0:
         raise ScenarioError(f"tolerance must be nonnegative, got {value!r}")
     return tol
 
 
-def _echo_seed(flags: dict) -> Optional[int]:
-    """``--seed`` checked like ``check``'s, or None when not given; the
-    selection-set commands use no randomness and only echo it."""
-    return None if flags.get("seed") is None else read_int({}, flags, "seed", 0)
-
-
 # Spaces, families and functionals ------------------------------------------
 
-def build_space(obj) -> MeasureSpace:
+def build_space(obj, backing: str) -> MeasureSpace:
     atoms = _array(_need(obj, "atoms", "space"), "space atoms")
     _array(_need(obj, "weights", "space"), "space weights")
     if not all(isinstance(a, str) for a in atoms):
@@ -121,7 +135,7 @@ def build_space(obj) -> MeasureSpace:
     if not isinstance(obj.get("truncation_of", ""), str):
         raise ScenarioError("a space's 'truncation_of' label must be a JSON string")
     with _bad("space"):
-        return MeasureSpace.from_json_dict(obj)
+        return MeasureSpace.from_json_dict(obj, backing)
 
 
 def build_functional(obj, space: MeasureSpace) -> Functional:
@@ -142,27 +156,28 @@ def build_family(obj, space: MeasureSpace) -> Family:
         return Family([FnClass(space, _array(m, "a family member")) for m in obj])
 
 
-# Named sequence generators: name -> (prefix, params) -> (space, SequenceSpec).
+# Named sequence generators: name -> (prefix, params, backing) -> (space, SequenceSpec).
 
-def _example_2_6(prefix: int, params: dict) -> Tuple[MeasureSpace, SequenceSpec]:
+def _example_2_6(prefix: int, params: dict, backing: str) -> Tuple[MeasureSpace, SequenceSpec]:
     """The diverging gallery family x_n = -n on the unit interval (n, n+1).
 
     Atom I{n} stands for the interval (n, n+1) of the Lebesgue line, n from
     1 to the prefix length; every atom has weight 1.
     """
     with _bad("divergence_threshold"):
-        threshold = as_scalar(params.get("divergence_threshold", 50))
+        threshold = as_scalar(params.get("divergence_threshold", 50), backing)
     space = MeasureSpace(
         [f"I{n}" for n in range(1, prefix + 1)],
         [1] * prefix,
         truncation_of="Lebesgue on R, unit intervals (n,n+1), n <= N",
+        backing=backing,
     )
 
-    zero = ext(0)
+    zero = as_scalar(0, backing)
 
     def gen(k: int) -> FnClass:
         values = [zero] * prefix
-        values[k] = ext(-(k + 1))
+        values[k] = as_scalar(-(k + 1), backing)
         return FnClass.from_ext(space, tuple(values))
 
     return space, SequenceSpec(
@@ -173,19 +188,18 @@ def _example_2_6(prefix: int, params: dict) -> Tuple[MeasureSpace, SequenceSpec]
     )
 
 
-SEQUENCE_GENERATORS: Dict[str, Callable[[int, dict], Tuple[MeasureSpace, SequenceSpec]]] = {
-    "example-2-6": _example_2_6,
-}
+SEQUENCE_GENERATORS = {"example-2-6": _example_2_6}
 
 
-def build_sequence(obj: dict, default_prefix: int = 100) -> Tuple[MeasureSpace, SequenceSpec]:
+def build_sequence(obj: dict, default_prefix: int = 100,
+                   backing: str = "rational") -> Tuple[MeasureSpace, SequenceSpec]:
     name = obj.get("generator")
     if not isinstance(name, str) or name not in SEQUENCE_GENERATORS:
         raise ScenarioError(f"unknown sequence generator {name!r}")
     prefix = obj.get("prefix", default_prefix)
     if isinstance(prefix, bool) or not isinstance(prefix, int) or prefix < 1:
         raise ScenarioError(f"prefix must be an integer of at least 1, got {prefix!r}")
-    return SEQUENCE_GENERATORS[name](prefix, obj)
+    return SEQUENCE_GENERATORS[name](prefix, obj, backing)
 
 
 def read_check(sc: dict, flags: dict):
@@ -202,9 +216,9 @@ def read_check(sc: dict, flags: dict):
         for key in ("prefix", "divergence_threshold"):
             if flags.get(key) is not None:
                 spec[key] = flags[key]
-        space, members = build_sequence(spec)
+        space, members = build_sequence(spec, backing=flags["backing"])
     else:
-        space = build_space(_need(sc, "space", "scenario"))
+        space = build_space(_need(sc, "space", "scenario"), flags["backing"])
         members = build_family(family, space)
     phi = build_functional(sc.get("functional", {}), space)
     return members, phi, budget, tol, seed
@@ -238,18 +252,20 @@ def read_selection_set(obj, n_atoms: int, n_controls: int) -> SelectionSet:
 
 def read_rw(sc: dict, flags: dict):
     """(integrand, selection set, tolerance, seed) of an ``rw-check``
-    scenario; the selection set defaults to the full product."""
-    space = build_space(_need(sc, "space", "rw scenario"))
+    scenario; the selection set defaults to the full product.  The
+    selection-set commands use no randomness: the seed is ``--seed``, only
+    echoed, or None."""
+    space = build_space(_need(sc, "space", "rw scenario"), flags["backing"])
     integrand = read_integrand(_need(sc, "integrand", "rw scenario"), space)
     u_set = read_selection_set(sc.get("selection_set", {"kind": "product"}),
                                len(space.atoms), integrand.n_controls)
-    return integrand, u_set, read_tolerance(sc, flags), _echo_seed(flags)
+    return integrand, u_set, read_tolerance(sc, flags), flags.get("seed")
 
 
 def read_shapiro(sc: dict, flags: dict) -> Tuple[ShapiroScenario, Optional[int]]:
     """(scenario, seed) of a ``shapiro-check`` scenario; without a
     ``"selection_set"`` the prefix is the feasible set."""
-    space = build_space(_need(sc, "space", "shapiro scenario"))
+    space = build_space(_need(sc, "space", "shapiro scenario"), flags["backing"])
     integrand = read_integrand(_need(sc, "integrand", "shapiro scenario"), space)
     phi = build_functional(_need(sc, "functional", "shapiro scenario"), space)
     n, k = len(space.atoms), integrand.n_controls
@@ -261,7 +277,7 @@ def read_shapiro(sc: dict, flags: dict) -> Tuple[ShapiroScenario, Optional[int]]
         with _bad("declared_gflat"):
             declared = FnClass(space, _array(sc["declared_gflat"], "declared_gflat"))
     with _bad("p"):
-        p = as_scalar(sc.get("p", 1))
+        p = as_scalar(sc.get("p", 1), space.backing)
     u_set = read_selection_set(sc["selection_set"], n, k) if "selection_set" in sc else None
     scenario = ShapiroScenario(
         functional=phi,
@@ -272,18 +288,19 @@ def read_shapiro(sc: dict, flags: dict) -> Tuple[ShapiroScenario, Optional[int]]
         selection_set=u_set,
         tolerance=read_tolerance(sc, flags),
     )
-    return scenario, _echo_seed(flags)
+    return scenario, flags.get("seed")
 
 
 # Report envelopes ----------------------------------------------------------
 
-def environment_echo(command: str, seed: Optional[int], tolerance: Scalar) -> dict:
+def environment_echo(command: str, seed: Optional[int], tolerance: Scalar,
+                     backing: str) -> dict:
     return {
         "package": f"interlab {__version__}",
-        "backing": get_backing(),
+        "backing": backing,
         "command": command,
         "seed": seed,
-        "tolerance": to_jsonable(as_scalar(tolerance)),
+        "tolerance": to_jsonable(as_scalar(tolerance, backing)),
     }
 
 

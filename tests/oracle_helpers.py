@@ -10,16 +10,14 @@ evaluate the condition afresh each time.  The selection-set references
 enumerate every patch of every member, and build G(u) and its outer integral
 selection by selection.  The naive kernels fold one extended real per atom
 and operation, with ``lower_add`` and ``scalar_mul``, and classify and order
-values by their (kind, value) model rather than by native comparison; the
-naive ordered parts add native products in atom order instead, the result
-a float among exact scalars has always had.  The
+values by their (kind, value) model rather than by native comparison.  The
 naive distortion table is the dense 2^n construction, with the float weights
 of each subset summed in atom order.
 
 The (kind, value) model is the textbook case analysis of the extended
 reals: kind -1 is -inf, 1 is +inf, and 0 a finite value.  Its operations
 add and multiply finite values with Python's operators, so they follow the
-active backing, and ``from_model`` coerces a finite result the way the
+operands' backing, and ``from_model`` coerces a finite result the way the
 library must: under float backing a finite result beyond the float range
 raises InputError.
 """
@@ -132,8 +130,8 @@ def _naive_subsets(n, subset_budget, seed, samples):
 
 def naive_phi_inf_directed(family, phi, subset_budget, seed=0, samples=64):
     """(directed, witness, mode, shortcut_agrees) of the subset condition,
-    each subset judged within the backing's default tolerance."""
-    tol = default_tolerance()
+    each subset judged within the default tolerance of the family's backing."""
+    tol = default_tolerance(family.space.backing)
     members = family.members
     lhs = min(phi(x) for x in members)
 
@@ -236,12 +234,12 @@ def to_model(x):
     return (0, x)
 
 
-def from_model(m):
-    """The extended real of a model pair, in the active backing's form."""
+def from_model(m, backing):
+    """The extended real of a model pair, in the backing's form."""
     kind, value = m
     if kind:
         return ext("+inf" if kind > 0 else "-inf")
-    return as_scalar(value)
+    return as_scalar(value, backing)
 
 
 def model_lower_add(a, b):
@@ -270,13 +268,13 @@ def model_scalar_mul(lam, a):
     if a[0] == 0:
         return (0, lam * a[1])
     if lam == 0:
-        return (0, 0)
+        return (0, lam)  # 0 * (±inf) = 0, in the form of lam (a float keeps its sign)
     return (a[0] if lam > 0 else -a[0], 0)
 
 
 def naive_part_integrals(f: FnClass):
     """(integral of f+, integral of f-) by the term-by-term ``lower_add`` fold."""
-    plus = minus = ext(0)
+    plus = minus = ext(0, f.space.backing)
     for w, v in zip(f.space.weights, f.values):
         kind, x = to_model(v)
         if kind == 1 or (kind == 0 and x > 0):
@@ -284,26 +282,6 @@ def naive_part_integrals(f: FnClass):
         elif kind == -1 or x < 0:
             minus = lower_add(minus, scalar_mul(w, -v))
     return plus, minus
-
-
-def naive_ordered_parts(f: FnClass):
-    """(integral of f+, integral of f-) with Python's own arithmetic: the
-    products of the finite values added in atom order, each part coerced
-    once.  A float among exact scalars turns the running sum into a float,
-    so this, not the exact fold above, is what such a row integrates to."""
-    plus = minus = 0
-    plus_inf = minus_inf = False
-    for w, v in zip(f.space.weights, f.values):
-        kind, x = to_model(v)
-        if kind:
-            if w != 0:
-                plus_inf, minus_inf = plus_inf or kind > 0, minus_inf or kind < 0
-        elif x > 0:
-            plus += w * x
-        elif x < 0:
-            minus -= w * x
-    return (from_model((1, 0)) if plus_inf else as_scalar(plus),
-            from_model((1, 0)) if minus_inf else as_scalar(minus))
 
 
 def naive_integral(kind, f: FnClass):
@@ -334,5 +312,5 @@ def naive_distortion_table(space, gamma):
     # Same order as iter_atom_subsets: by size, then combinations order.
     subset_weights = (ws for k in range(len(weights) + 1)
                       for ws in combinations(weights, k))
-    return {s: ext((sum(ws) / total) ** g * total)
+    return {s: ext((sum(ws) / total) ** g * total, space.backing)
             for s, ws in zip(iter_atom_subsets(space), subset_weights)}

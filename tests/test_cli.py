@@ -130,6 +130,17 @@ def test_bad_scenario_numbers_exit_2(tmp_path, capsys, entry):
     ["gallery", "chain", "--tolerance", "-0.5"],
     ["oracle", "--trials", "1", "--seed", "-2"],
     ["oracle", "--trials", "1", "--tolerance", "-1"],
+    # Flags the command does not read are checked too.
+    ["gallery", "rw-demo", "--subset-budget", "-1"],
+    ["gallery", "rw-demo", "--prefix", "0"],
+    ["gallery", "shapiro-demo", "--subset-budget", "-3"],
+    ["gallery", "giner-pair", "--prefix", "0"],
+    ["gallery", "giner-pair", "--divergence-threshold", "nan"],
+    ["oracle", "--trials", "1", "--subset-budget", "-1"],
+    # Oracle options that would make an empty range or an empty campaign.
+    ["oracle", "--max-atoms", "0"],
+    ["oracle", "--max-family", "0"],
+    ["oracle", "--trials", "-5"],
 ])
 def test_negative_flags_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -510,28 +521,20 @@ def test_distortion_gamma_must_not_be_a_bool(tmp_path, capsys, gamma):
 
 @pytest.mark.parametrize("backing", ["rational", "float"])
 def test_distortion_weight_beyond_float_range_exits_2(tmp_path, capsys, monkeypatch, backing):
-    from interlab.extreal import set_backing
-
     scenario = dict(DISTORTION_SCENARIO, space={"atoms": ["a", "b"], "weights": [10**400, 2]},
                     family=[[1, 0], [0, 1]])
     path = write_scenario(tmp_path, "huge.json", scenario)
     monkeypatch.setenv("INTERLAB_BACKING", backing)
-    try:
-        assert main(["check", path]) == 2
-    finally:
-        set_backing("rational")
+    assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("schema error:") and "float range" in err
 
 
 @pytest.fixture(params=["rational", "float"])
 def cli_backing(request, monkeypatch):
-    """Run ``main`` under each backing, restoring rational afterwards."""
-    from interlab.extreal import set_backing
-
+    """Run ``main`` under each backing."""
     monkeypatch.setenv("INTERLAB_BACKING", request.param)
-    yield request.param
-    set_backing("rational")
+    return request.param
 
 
 TABLE_CAPACITY = {"kind": "table", "values": {"{}": 0, "{a}": 1, "{b}": 1, "{a,b}": 2}}

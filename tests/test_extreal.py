@@ -14,7 +14,6 @@ from interlab.extreal import (
     ext,
     lower_add,
     scalar_mul,
-    set_backing,
     to_jsonable,
     upper_add,
 )
@@ -88,14 +87,10 @@ def test_nan_and_inf_floats_rejected():
 @pytest.mark.parametrize("backing", BACKINGS)
 @pytest.mark.parametrize("x", [True, False, "x", "1/x", "1/0", "nan", "", None, [1]])
 def test_bools_and_unparseable_strings_rejected(backing, x):
-    set_backing(backing)
-    try:
-        with pytest.raises(InputError):
-            as_scalar(x)
-        with pytest.raises(InputError):
-            ext(x)
-    finally:
-        set_backing("rational")
+    with pytest.raises(InputError):
+        as_scalar(x, backing)
+    with pytest.raises(InputError):
+        ext(x, backing)
 
 
 def test_total_order():
@@ -202,47 +197,39 @@ RAW_SCALARS = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(backing=st.sampled_from(BACKINGS), a=RAW_SCALARS, b=RAW_SCALARS)
 def test_operations_match_the_kind_value_model(backing, a, b):
-    set_backing(backing)
-    try:
-        x, y = ext(a), ext(b)
-        mx, my = to_model(x), to_model(y)
-        for op, model in ((lower_add, model_lower_add), (upper_add, model_upper_add),
-                          (add, model_add)):
-            _assert_matches_model(_outcome(lambda: op(x, y)),
-                                  _outcome(lambda: from_model(model(mx, my))), backing)
-        if my[0] == 0:
-            _assert_matches_model(_outcome(lambda: scalar_mul(y, x)),
-                                  _outcome(lambda: from_model(model_scalar_mul(y, mx))),
-                                  backing)
-    finally:
-        set_backing("rational")
+    x, y = ext(a, backing), ext(b, backing)
+    mx, my = to_model(x), to_model(y)
+    for op, model in ((lower_add, model_lower_add), (upper_add, model_upper_add),
+                      (add, model_add)):
+        _assert_matches_model(_outcome(lambda: op(x, y)),
+                              _outcome(lambda: from_model(model(mx, my), backing)), backing)
+    if my[0] == 0:
+        _assert_matches_model(_outcome(lambda: scalar_mul(y, x)),
+                              _outcome(lambda: from_model(model_scalar_mul(y, mx), backing)),
+                              backing)
 
 
 @pytest.mark.parametrize("backing", BACKINGS)
 def test_model_edge_cases(backing):
-    set_backing(backing)
-    try:
-        zero = ext(0)
-        for inf in (POS_INF, NEG_INF):
-            assert scalar_mul(0, inf) == 0
-            _assert_backing_form(scalar_mul(0, inf), backing)
-        with pytest.raises(DomainError):
-            add(POS_INF, NEG_INF)
-        with pytest.raises(DomainError):
-            add(NEG_INF, POS_INF)
-        _assert_backing_form(lower_add(zero, zero), backing)
-        big = ext(1e308)
-        if backing == "float":
-            for op in (lower_add, upper_add, add):
-                with pytest.raises(InputError):
-                    op(big, big)
+    zero = ext(0, backing)
+    for inf in (POS_INF, NEG_INF):
+        assert scalar_mul(zero, inf) == 0
+        _assert_backing_form(scalar_mul(zero, inf), backing)
+    with pytest.raises(DomainError):
+        add(POS_INF, NEG_INF)
+    with pytest.raises(DomainError):
+        add(NEG_INF, POS_INF)
+    _assert_backing_form(lower_add(zero, zero), backing)
+    big = ext(1e308, backing)
+    if backing == "float":
+        for op in (lower_add, upper_add, add):
             with pytest.raises(InputError):
-                scalar_mul(10, big)
-        else:
-            assert lower_add(big, big) == 2 * Fraction(10) ** 308
-        assert lower_add(big, POS_INF) == POS_INF
-    finally:
-        set_backing("rational")
+                op(big, big)
+        with pytest.raises(InputError):
+            scalar_mul(ext(10, backing), big)
+    else:
+        assert lower_add(big, big) == 2 * Fraction(10) ** 308
+    assert lower_add(big, POS_INF) == POS_INF
 
 
 def test_rational_backing_is_exact_for_decimal_floats():
@@ -251,13 +238,9 @@ def test_rational_backing_is_exact_for_decimal_floats():
 
 
 def test_float_backing_roundtrip():
-    set_backing("float")
-    try:
-        v = ext(0.25)
-        assert isinstance(v, float)
-        assert to_jsonable(v) == 0.25
-    finally:
-        set_backing("rational")
+    v = ext(0.25, "float")
+    assert isinstance(v, float)
+    assert to_jsonable(v) == 0.25
 
 
 @given(extreals)

@@ -1,26 +1,31 @@
 """Golden reports of the CLI, byte for byte, under both backings.
 
-Two groups: the selection-set commands, and the interchange path (the
-integral and Choquet galleries and two ``check`` scenarios).
+Three groups: the selection-set commands, the interchange path (the
+integral and Choquet galleries and two ``check`` scenarios), and the
+sha256 digests of the oracle campaign reports for seeds 0-49.
 
-Each backing runs in a fresh interpreter, since the backing is chosen when
-``interlab`` is imported.  After an intended change to these reports,
+The CLI reads ``INTERLAB_BACKING`` on each call of ``main``, so both
+backings run in this process.  After an intended change to these reports,
 regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
 """
 
+import hashlib
+import io
 import json
 import os
-import subprocess
-import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-import interlab
+from interlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = GOLDEN / "scenarios"
+ORACLE_DIGESTS = GOLDEN / "oracle-sha256.json"
+ORACLE_SEEDS = range(50)
 BACKINGS = ("rational", "float")
 FORMATS = {"json": "json", "text": "txt"}
 SELECTION_CASES = {
@@ -40,29 +45,28 @@ INTERCHANGE_CASES = {
     "check-choquet-distortion-16": ["check", str(SCENARIOS / "check-choquet-distortion-16.json")],
 }
 
-# Runs every (case, format) through interlab.cli.main in one process and
-# prints the exit codes as JSON.
-DRIVER = """
-import json, sys
-from interlab.cli import main
-runs = json.loads(sys.argv[1])
-print(json.dumps({key: main(argv) for key, argv in runs}))
-"""
-
 
 def run_reports(backing, out_dir, cases):
     """{(case, format): exit code}, with each report written to out_dir."""
-    runs = [
-        (f"{case}.{ext}", argv + ["--format", fmt, "--out", str(out_dir / f"{case}.{ext}")])
-        for case, argv in cases.items()
-        for fmt, ext in FORMATS.items()
-    ]
-    env = dict(os.environ, INTERLAB_BACKING=backing,
-               PYTHONPATH=str(Path(interlab.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", DRIVER, json.dumps(runs)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    with mock.patch.dict(os.environ, INTERLAB_BACKING=backing):
+        return {
+            name: main(argv + ["--format", fmt, "--out", str(out_dir / name)])
+            for case, argv in cases.items()
+            for fmt, ext in FORMATS.items()
+            for name in [f"{case}.{ext}"]
+        }
+
+
+def oracle_digests(backing):
+    """{seed: sha256 of the json report of ``oracle --trials 300 --seed SEED``}."""
+    digests = {}
+    with mock.patch.dict(os.environ, INTERLAB_BACKING=backing):
+        for seed in ORACLE_SEEDS:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["oracle", "--trials", "300", "--seed", str(seed)]) == 0
+            digests[str(seed)] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return digests
 
 
 def assert_match_golden(backing, out_dir, cases):
@@ -83,9 +87,17 @@ def test_interchange_reports_match_golden_files(backing, tmp_path):
     assert_match_golden(backing, tmp_path, INTERCHANGE_CASES)
 
 
+@pytest.mark.parametrize("backing", BACKINGS)
+def test_oracle_reports_match_pinned_digests(backing):
+    expected = json.loads(ORACLE_DIGESTS.read_text(encoding="utf-8"))[backing]
+    assert oracle_digests(backing) == expected
+
+
 if __name__ == "__main__":
     for backing in BACKINGS:
         (GOLDEN / backing).mkdir(parents=True, exist_ok=True)
         codes = run_reports(backing, GOLDEN / backing,
                             {**SELECTION_CASES, **INTERCHANGE_CASES})
         print(backing, codes)
+    digests = {backing: oracle_digests(backing) for backing in BACKINGS}
+    ORACLE_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interlab.errors import DomainError, InputError
-from interlab.extreal import NEG_INF, POS_INF, ext, set_backing
+from interlab.extreal import NEG_INF, POS_INF, ext
 from interlab.fnlattice import (
     FnClass,
     classify,
@@ -279,6 +279,25 @@ def test_distortion_capacity_monotone_and_serializable():
         assert back.of(s) == cap.of(s)
 
 
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_capacity_table_values_are_converted_once(monkeypatch, backing):
+    import interlab.integrals
+
+    calls = []
+
+    def counting_ext(*args):
+        calls.append(args)
+        return ext(*args)
+
+    monkeypatch.setattr(interlab.integrals, "ext", counting_ext)
+    space = MeasureSpace(["a", "b", "c", "d"], [1, 1, 1, 1], backing=backing)
+    values = {"{" + ",".join(sorted(s)) + "}": len(s) for s in iter_atom_subsets(space)}
+    cap = Capacity.from_json_dict({"kind": "table", "values": values}, space)
+    assert len(calls) == 16
+    assert all(b == backing for _, b in calls)
+    assert cap.of({"a", "b"}) == 2 and type(cap.of({"a", "b"})) is type(space.weights[0])
+
+
 # Non-dyadic weights (1/3, 0.1, 0.7, 1.3) make float sums depend on their order.
 DISTORTION_WEIGHTS = [0, 0, 1, 2, "1/3", "2/7", 0.1, 0.7, 1.3, 3.3e-3]
 
@@ -299,16 +318,12 @@ def distortions(draw):
 @given(case=distortions())
 def test_distortion_matches_dense_table_bit_for_bit(case):
     backing, weights, gamma = case
-    set_backing(backing)
-    try:
-        space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights)
-        cap = Capacity.distortion(space, gamma)
-        for s, expected in naive_distortion_table(space, gamma).items():
-            got = cap.of(s)
-            assert got == expected, (sorted(s), got, expected)
-            assert float(got).hex() == float(expected).hex()
-    finally:
-        set_backing("rational")
+    space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights, backing=backing)
+    cap = Capacity.distortion(space, gamma)
+    for s, expected in naive_distortion_table(space, gamma).items():
+        got = cap.of(s)
+        assert got == expected, (sorted(s), got, expected)
+        assert float(got).hex() == float(expected).hex()
 
 
 def test_distortion_rejects_sets_outside_its_space():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from interlab.errors import DomainError, InputError, InvariantError, ScenarioError
-from interlab.extreal import NEG_INF, as_scalar, ext, set_backing
+from interlab.extreal import NEG_INF, as_scalar, ext
 from interlab.fnlattice import FnClass, fn_shift, pointwise_inf
 from interlab.functionals import Functional, make_builtin, parameterless_builtins
 from interlab.integrals import Capacity, lebesgue_extended
@@ -154,16 +154,12 @@ def test_one_sided_bound_holds_on_random_families():
 @pytest.mark.parametrize("backing", ["rational", "float"])
 def test_scan_agrees_with_the_verdict_at_any_tolerance(backing):
     rng = random.Random(3)
-    set_backing(backing)
-    try:
-        for _ in range(300):
-            instance = random_instance(rng, 4, 4)
-            tol = rng.choice([0, "1/4", "1/2", 1, 3, 10])
-            report = verify_interchange(instance.family, instance.functional, tolerance=tol)
-            assert report.holds == (report.phi_inf_directed == "yes")
-            assert report.holds == _eq_within(report.lhs, report.rhs, as_scalar(tol))
-    finally:
-        set_backing("rational")
+    for _ in range(300):
+        instance = random_instance(rng, 4, 4, backing)
+        tol = rng.choice([0, "1/4", "1/2", 1, 3, 10])
+        report = verify_interchange(instance.family, instance.functional, tolerance=tol)
+        assert report.holds == (report.phi_inf_directed == "yes")
+        assert report.holds == _eq_within(report.lhs, report.rhs, as_scalar(tol, backing))
 
 
 # sequences ------------------------------------------------------------------

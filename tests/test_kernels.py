@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interlab.errors import DomainError, InputError
-from interlab.extreal import NEG_INF, POS_INF, ext, set_backing
+from interlab.extreal import NEG_INF, POS_INF, ext
 from interlab.fnlattice import FnClass, pointwise_inf
 from interlab.integrals import (
     inner_integral,
@@ -23,7 +23,6 @@ from interlab.measure import MeasureSpace
 
 from oracle_helpers import (
     naive_integral,
-    naive_ordered_parts,
     naive_part_integrals,
     naive_pointwise_inf,
 )
@@ -72,33 +71,29 @@ def families(draw):
 @given(case=families())
 def test_kernels_match_naive_folds(case):
     backing, weights, rows = case
-    set_backing(backing)
-    try:
-        space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights)
-        members = [FnClass(space, row) for row in rows]
-        inf = pointwise_inf(members)
-        naive_inf = naive_pointwise_inf(members)
-        assert all(x is y for x, y in zip(inf.values, naive_inf))
-        for f in members + [inf]:
-            parts = part_integrals(f)
-            naive_parts = naive_part_integrals(f)
-            assert all(same(a, b) for a, b in zip(parts, naive_parts)), (parts, naive_parts)
-            for kind, integral in INTEGRALS.items():
-                try:
-                    expected = naive_integral(kind, f)
-                except DomainError:
-                    with pytest.raises(DomainError):
-                        integral(f)
-                    continue
-                got = integral(f)
-                assert same(got, expected), (kind, got, expected)
-                if backing == "rational":
-                    assert_rational_form(got)
+    space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights, backing=backing)
+    members = [FnClass(space, row) for row in rows]
+    inf = pointwise_inf(members)
+    naive_inf = naive_pointwise_inf(members)
+    assert all(x is y for x, y in zip(inf.values, naive_inf))
+    for f in members + [inf]:
+        parts = part_integrals(f)
+        naive_parts = naive_part_integrals(f)
+        assert all(same(a, b) for a, b in zip(parts, naive_parts)), (parts, naive_parts)
+        for kind, integral in INTEGRALS.items():
+            try:
+                expected = naive_integral(kind, f)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    integral(f)
+                continue
+            got = integral(f)
+            assert same(got, expected), (kind, got, expected)
             if backing == "rational":
-                for v in list(f.values) + list(parts):
-                    assert_rational_form(v)
-    finally:
-        set_backing("rational")
+                assert_rational_form(got)
+        if backing == "rational":
+            for v in list(f.values) + list(parts):
+                assert_rational_form(v)
 
 
 @pytest.mark.parametrize("x, stored", [
@@ -117,22 +112,17 @@ def test_rational_backing_stores_integral_values_as_int(x, stored):
     ([1e308, 1e308], [1, 1], None),
 ])
 def test_float_overflow_raises_only_for_a_finite_part(weights, values, plus):
-    set_backing("float")
-    try:
-        space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights)
-        f = FnClass(space, values)
-        if plus is None:
-            with pytest.raises(InputError):
-                part_integrals(f)
-        else:
-            assert part_integrals(f)[0] == ext(plus)
-    finally:
-        set_backing("rational")
+    space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights, backing="float")
+    f = FnClass(space, values)
+    if plus is None:
+        with pytest.raises(InputError):
+            part_integrals(f)
+    else:
+        assert part_integrals(f)[0] == ext(plus)
 
 
 PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
 DENOMINATORS = [1, 1, 1] + PRIMES + [2**k for k in range(2, 11)] + [3**k for k in range(2, 7)]
-FINITE_FLOATS = [0.1, -0.7, 0.3, 2.5, -1e-3, 1e-300]
 
 
 def exact_scalars(least):
@@ -154,24 +144,19 @@ def exact_rows(draw):
     for i, inf in draw(st.lists(st.tuples(index, st.sampled_from([POS_INF, NEG_INF])),
                                 max_size=4), label="infinities"):
         values[i] = inf
-    floats = draw(st.lists(st.tuples(index, st.sampled_from(FINITE_FLOATS)), max_size=1),
-                  label="finite float")
-    for i, x in floats:
-        values[i] = x
-    return weights, values, bool(floats)
+    return weights, values
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=exact_rows())
 def test_exact_parts_match_naive_folds(case):
     """Under rational backing the regrouped exact sums equal the term-by-term
-    fold in value and in form (int when integral), and a row holding a finite
-    float integrates as the atom-order native fold, never as an infinity."""
-    weights, values, has_float = case
+    fold in value and in form (int when integral)."""
+    weights, values = case
     space = MeasureSpace([f"a{i}" for i in range(len(weights))], weights)
     f = FnClass.from_ext(space, tuple(values))
     parts = part_integrals(f)
-    expected = naive_ordered_parts(f) if has_float else naive_part_integrals(f)
+    expected = naive_part_integrals(f)
     assert [type(p) for p in parts] == [type(e) for e in expected], (parts, expected)
     assert parts == expected
     for p in parts:

@@ -75,11 +75,9 @@ def test_iter_atom_subsets_counts(space):
 
 
 HASH_SEED_PROBE = """
-from interlab.extreal import set_backing
-set_backing("float")
 from interlab.integrals import Capacity
 from interlab.measure import MeasureSpace, measure
-space = MeasureSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.7])
+space = MeasureSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.7], backing="float")
 print(repr(measure(space, {"a", "b", "c", "d"})), repr(measure(space, {"d", "c", "b"})))
 print(repr(Capacity.from_measure(space).of({"a", "b", "c"})))
 """

@@ -5,7 +5,6 @@ import pytest
 
 import interlab.oracle as oracle_mod
 from interlab.cli import main
-from interlab.extreal import ext, set_backing
 from interlab.fnlattice import classify
 from interlab.functionals import make_builtin
 from interlab.interchange import Family, is_phi_inf_directed, verify_interchange
@@ -82,13 +81,9 @@ def test_shortcut_agrees_across_random_corpus():
 
 
 def test_verify_interchange_under_float_backing():
-    set_backing("float")
-    try:
-        rng = random.Random(7)
-        for _ in range(100):
-            inst = random_instance(rng, max_atoms=4, max_family=3)
-            report = verify_interchange(inst.family, inst.functional)
-            directed = is_phi_inf_directed(inst.family, inst.functional)
-            assert (report.interchange_holds == "holds") == directed.directed
-    finally:
-        set_backing("rational")
+    rng = random.Random(7)
+    for _ in range(100):
+        inst = random_instance(rng, max_atoms=4, max_family=3, backing="float")
+        report = verify_interchange(inst.family, inst.functional)
+        directed = is_phi_inf_directed(inst.family, inst.functional)
+        assert (report.interchange_holds == "holds") == directed.directed

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from interlab.extreal import ext, set_backing
+from interlab.extreal import ext
 from interlab.fnlattice import FnClass
 from interlab.functionals import Functional, make_builtin
 from interlab.integrals import Capacity, lebesgue_extended
@@ -85,15 +85,11 @@ def test_scan_matches_naive_reference(data):
     rows = data.draw(_rows(grid, n_atoms), label="family")
     budget = data.draw(st.integers(0, 9), label="budget")
     seed = data.draw(st.integers(0, 3), label="seed")
-    set_backing(backing)
-    try:
-        space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights)
-        family = Family([FnClass(space, r) for r in rows])
-        phi = _functional(kind, space, cap_weights)
-        res = is_phi_inf_directed(family, phi, budget, seed=seed)
-        expected = naive_phi_inf_directed(family, phi, budget, seed=seed)
-    finally:
-        set_backing("rational")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    family = Family([FnClass(space, r) for r in rows])
+    phi = _functional(kind, space, cap_weights)
+    res = is_phi_inf_directed(family, phi, budget, seed=seed)
+    expected = naive_phi_inf_directed(family, phi, budget, seed=seed)
     assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == expected
 
 
@@ -114,14 +110,10 @@ def test_giner_gap_scan_matches_naive_reference(data):
                      label="family")
     budget = data.draw(st.integers(0, 9), label="budget")
     seed = data.draw(st.integers(0, 3), label="seed")
-    set_backing(backing)
-    try:
-        space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights)
-        family = Family([FnClass(space, list(r)) for r in rows])
-        res = giner_gap_directed(family, budget, seed=seed)
-        expected = naive_giner_gap_directed(family, budget, seed=seed)
-    finally:
-        set_backing("rational")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    family = Family([FnClass(space, list(r)) for r in rows])
+    res = giner_gap_directed(family, budget, seed=seed)
+    expected = naive_giner_gap_directed(family, budget, seed=seed)
     assert (res.directed, res.witness, res.mode) == expected
 
 

@@ -14,7 +14,7 @@ from interlab.decomposable import (
     verify_rw_interchange,
 )
 from interlab.errors import InterlabError
-from interlab.extreal import NEG_INF, set_backing
+from interlab.extreal import NEG_INF
 from interlab.interchange import default_tolerance
 from interlab.measure import MeasureSpace
 
@@ -82,26 +82,22 @@ def test_rw_verdicts_match_naive_reference(data):
         admissible = [data.draw(st.lists(st.integers(0, n_controls - 1), min_size=1,
                                          max_size=n_controls, unique=True))
                       for _ in range(n_atoms)]
-    set_backing(backing)
-    try:
-        space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights)
-        integrand = Integrand(space, [[c] for c in range(n_controls)], table)
-        if kind == "explicit":
-            u_set = SelectionSet.explicit(sels, n_atoms, n_controls)
-        elif kind == "admissible":
-            u_set = SelectionSet("product", n_atoms, n_controls, admissible=admissible)
-        else:
-            u_set = SelectionSet.full_product(n_atoms, n_controls)
-        expected = _outcome(lambda: naive_rw(integrand, u_set, default_tolerance()))
-        report = _outcome(lambda: verify_rw_interchange(integrand, u_set))
-        if isinstance(report, type):
-            assert report is expected
-            assert _outcome(lambda: verify_rw_argmin(integrand, u_set)) is expected
-            return
-        argmin = verify_rw_argmin(integrand, u_set, interchange=report)
-        alone = verify_rw_argmin(integrand, u_set)
-    finally:
-        set_backing("rational")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    integrand = Integrand(space, [[c] for c in range(n_controls)], table)
+    if kind == "explicit":
+        u_set = SelectionSet.explicit(sels, n_atoms, n_controls)
+    elif kind == "admissible":
+        u_set = SelectionSet("product", n_atoms, n_controls, admissible=admissible)
+    else:
+        u_set = SelectionSet.full_product(n_atoms, n_controls)
+    expected = _outcome(lambda: naive_rw(integrand, u_set, default_tolerance(backing)))
+    report = _outcome(lambda: verify_rw_interchange(integrand, u_set))
+    if isinstance(report, type):
+        assert report is expected
+        assert _outcome(lambda: verify_rw_argmin(integrand, u_set)) is expected
+        return
+    argmin = verify_rw_argmin(integrand, u_set, interchange=report)
+    alone = verify_rw_argmin(integrand, u_set)
     lhs, rhs, minimizers, pointwise = expected
     assert (report.lhs, report.rhs, report.minimizers) == (lhs, rhs, minimizers)
     assert set(report.pointwise_argmin) == pointwise
