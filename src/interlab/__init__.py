@@ -43,7 +43,6 @@ from .integrals import (
 )
 from .functionals import (
     Functional,
-    check_order_preserving,
     make_builtin,
     parameterless_builtins,
 )

@@ -1,9 +1,10 @@
 """Order-preserving functionals from the function lattice to the extended reals.
 
-A Functional bundles an evaluation map with its validity domain and two
-declared property flags: order preservation and sequential-inf continuity.
-The flags are declarations backed by sampling (``check_order_preserving``),
-not proofs; the interchange verifier annotates its reports accordingly.
+A Functional bundles an evaluation map with its validity domain and a
+declared order-preservation flag.  The flag is a declaration, not a proof:
+the interchange verifier checks it on each family it is given, where the
+theorem uses it, and raises InvariantError when a counterexample
+contradicts it.
 
 Built-ins: extended Lebesgue integral (semi-integrable functions), outer and
 inner integrals (all functions), Choquet integral for a given capacity
@@ -13,12 +14,11 @@ nondecreasing scalar map.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from .errors import InputError
-from .extreal import POS_INF, Scalar, ext, to_text
+from .extreal import Scalar, ext, to_text
 from .fnlattice import FnClass, IntegrabilityTag, classify, ess_sup_value
 from .integrals import (
     Capacity,
@@ -27,7 +27,6 @@ from .integrals import (
     lebesgue_extended,
     outer_integral,
 )
-from .measure import MeasureSpace
 
 DOMAIN_SEMI_INTEGRABLE = "semi_integrable"
 DOMAIN_NONNEGATIVE = "nonnegative"
@@ -49,7 +48,6 @@ class Functional:
     domain: str
     eval_fn: Callable[[FnClass], Scalar]
     order_preserving: bool = True
-    seq_inf_continuous: bool = False
 
     def __call__(self, f: FnClass) -> Scalar:
         return self.eval_fn(f)
@@ -100,27 +98,18 @@ def make_builtin(
     and a nondecreasing map on the extended reals (checked on a probe grid).
     """
     if kind == "extended_lebesgue":
-        return Functional(
-            "extended_lebesgue", DOMAIN_SEMI_INTEGRABLE, lebesgue_extended,
-            order_preserving=True, seq_inf_continuous=True,
-        )
+        return Functional("extended_lebesgue", DOMAIN_SEMI_INTEGRABLE, lebesgue_extended)
     if kind == "outer":
-        return Functional("outer", DOMAIN_ALL, outer_integral,
-                          order_preserving=True, seq_inf_continuous=False)
+        return Functional("outer", DOMAIN_ALL, outer_integral)
     if kind == "inner":
-        return Functional("inner", DOMAIN_ALL, inner_integral,
-                          order_preserving=True, seq_inf_continuous=False)
+        return Functional("inner", DOMAIN_ALL, inner_integral)
     if kind == "ess_sup":
-        return Functional("ess_sup", DOMAIN_ALL, ess_sup_value,
-                          order_preserving=True, seq_inf_continuous=False)
+        return Functional("ess_sup", DOMAIN_ALL, ess_sup_value)
     if kind == "choquet":
         if capacity is None:
             raise InputError("choquet functional needs a capacity")
         cap = capacity
-        return Functional(
-            name or "choquet", DOMAIN_NONNEGATIVE, lambda f: choquet(f, cap),
-            order_preserving=True, seq_inf_continuous=True,
-        )
+        return Functional(name or "choquet", DOMAIN_NONNEGATIVE, lambda f: choquet(f, cap))
     if kind == "post_compose":
         if base is None or mapping is None:
             raise InputError("post_compose needs a base functional and a mapping")
@@ -128,87 +117,10 @@ def make_builtin(
         return Functional(
             name or f"post({base.name})", base.domain,
             lambda f: mapping(base.eval_fn(f)),
-            order_preserving=base.order_preserving, seq_inf_continuous=False,
+            order_preserving=base.order_preserving,
         )
     raise InputError(f"unknown builtin functional kind {kind!r}")
 
 
 def parameterless_builtins() -> List[Functional]:
     return [make_builtin(k) for k in ("extended_lebesgue", "outer", "inner", "ess_sup")]
-
-
-@dataclass
-class OrderCheckReport:
-    functional: str
-    trials: int
-    violations: List[Tuple[FnClass, FnClass, Scalar, Scalar]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        state = "ok" if self.ok else f"{len(self.violations)} violations"
-        return f"order-preservation check for {self.functional}: {self.trials} trials, {state}"
-
-
-_DEFAULT_VALUE_GRID = ["-inf", -2, -1, 0, "1/2", 1, 3, "+inf"]
-
-
-def _random_in_domain(
-    rng: random.Random, phi: Functional, space: MeasureSpace, grid: Sequence[Scalar]
-) -> FnClass:
-    pool = (
-        [v for v in grid if v >= 0]
-        if phi.domain == DOMAIN_NONNEGATIVE
-        else list(grid)
-    )
-    for attempt in range(500):
-        if attempt == 200:
-            pool = [v for v in pool if abs(v) != POS_INF]  # cheap fallback domain
-        f = FnClass(space, [rng.choice(pool) for _ in space.atoms])
-        if phi.defined_on(f):
-            return f
-    raise InputError(
-        f"could not sample the domain {phi.domain!r} from the value grid"
-    )
-
-
-def _raise_values(
-    rng: random.Random, f: FnClass, grid: Sequence[Scalar]
-) -> FnClass:
-    values = []
-    for v in f.values:
-        higher = [g for g in grid if g >= v]
-        values.append(rng.choice(higher) if higher else v)
-    return FnClass(f.space, values)
-
-
-def check_order_preserving(
-    phi: Functional,
-    space: MeasureSpace,
-    trials: int = 200,
-    seed: int = 0,
-    value_grid: Optional[Sequence] = None,
-) -> OrderCheckReport:
-    """Sample mu-comparable pairs in the domain and test monotonicity.
-
-    Pairs are built by raising values atomwise (so f <= g pointwise, hence
-    also mu-a.e.); pairs falling outside the domain are resampled.  Any
-    violation is reported together with the witness pair.
-    """
-    grid = [ext(v, space.backing) for v in (value_grid or _DEFAULT_VALUE_GRID)]
-    rng = random.Random(seed)
-    report = OrderCheckReport(phi.name, trials)
-    for _ in range(trials):
-        for _attempt in range(50):
-            f = _random_in_domain(rng, phi, space, grid)
-            g = _raise_values(rng, f, grid)
-            if phi.defined_on(g):
-                break
-        else:
-            continue
-        vf, vg = phi(f), phi(g)
-        if not vf <= vg:
-            report.violations.append((f, g, vf, vg))
-    return report

@@ -12,9 +12,11 @@ equivalent to the interchange formula
 
 ``verify_interchange`` computes both sides, runs the directedness scan, and
 cross-checks the equivalence; a disagreement is raised as InvariantError,
-never reported silently.  For order-preserving functionals there is a
-shortcut: on a finite family the subset condition for S = X implies all the
-others, and the scan asserts agreement with it.  Each subset is judged
+never reported silently, unless it comes with a counterexample to the order
+preservation of a functional that does not declare it.  For
+order-preserving functionals there is a shortcut: on a finite family the
+subset condition for S = X implies all the others, and the scan asserts
+agreement with it.  Each subset is judged
 within the report's tolerance, the same one the verdict uses.
 
 Lazily truncated families (finite prefixes of infinite sequences) go through
@@ -49,7 +51,7 @@ from .fnlattice import (
     mu_leq,
     pointwise_inf,
 )
-from .functionals import Functional, check_order_preserving
+from .functionals import Functional
 from .integrals import lebesgue_extended
 
 DEFAULT_SUBSET_BUDGET = 12
@@ -63,7 +65,10 @@ def default_tolerance(backing: str = "rational") -> Scalar:
 
 def _tolerance(tolerance: Optional[Scalar], backing: str) -> Scalar:
     """A given tolerance in ``backing``, else that backing's default."""
-    return default_tolerance(backing) if tolerance is None else as_scalar(tolerance, backing)
+    tol = default_tolerance(backing) if tolerance is None else as_scalar(tolerance, backing)
+    if tol < 0:
+        raise InputError(f"tolerance must be nonnegative, got {to_text(tol)}")
+    return tol
 
 
 def _eq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
@@ -328,11 +333,33 @@ def is_phi_inf_directed(
         shortcut = _leq_within(lhs, score_inf(range(n)), tol)
         result.shortcut_agrees = shortcut == directed
         if phi.order_preserving and shortcut != directed:
-            raise InvariantError(
-                f"finite-family shortcut disagrees with the exhaustive subset scan "
-                f"for {phi.name}: shortcut={shortcut}, scan={directed}"
-            )
+            _counterexample(family, phi, witness, score_inf(range(n)))
     return result
+
+
+def _counterexample(
+    family: Family, phi: Functional, idx: Optional[Tuple[int, ...]], phi_inf: Scalar
+) -> str:
+    """Re-check K = inf of the members ``idx``: inf X <= K and, Phi evaluated
+    afresh, Phi(K) < ``phi_inf`` = Phi(inf X), else a program fault.  K
+    contradicts a declared order-preserving Phi; otherwise returns its note.
+    """
+    members = family.members
+    k = None if idx is None else pointwise_inf([members[i] for i in idx])
+    phi_k = None if k is None else phi(k)
+    if k is None or not (mu_leq(pointwise_inf(members), k) and phi_k < phi_inf):
+        raise InvariantError(
+            f"interchange verdict disagrees with the Phi-inf-directedness scan "
+            f"for {phi.name}, and members {idx} give no counterexample to "
+            f"order preservation"
+        )
+    found = (
+        f"K = inf of members {list(idx)} has inf X <= K but "
+        f"Phi(K) = {to_text(phi_k)} < Phi(inf X) = {to_text(phi_inf)}"
+    )
+    if phi.order_preserving:
+        raise InvariantError(f"{phi.name} is declared order-preserving, but {found}")
+    return found
 
 
 def verify_interchange(
@@ -347,8 +374,10 @@ def verify_interchange(
 ) -> InterchangeReport:
     """Compute both sides of the interchange formula and cross-check.
 
-    The report's verdict must match the directedness scan whenever the
-    functional's hypotheses hold; a mismatch raises InvariantError.
+    The theorem uses monotonicity only as Phi(inf X) <= Phi(K) for K a meet
+    of members, so a disagreement comes with such a K violating it: a member
+    attaining min Phi(X) when Phi(inf X) exceeds it (checked before the
+    scan), else the scan's witness.  See ``_counterexample``.
     ``phi_values`` and ``phi_inf``, when given, are Phi on the members and
     on their infimum, already computed by the caller.  Either way the scan
     reuses them, so Phi runs once per member and once on the infimum.
@@ -357,37 +386,27 @@ def verify_interchange(
     notes = [
         "existence hypotheses hold automatically: finite family on an atomic space"
     ]
-    hyp_ok = phi.order_preserving
-    if not hyp_ok:
-        sample = check_order_preserving(phi, family.space, trials=64, seed=seed)
-        notes.append(
-            "order preservation not declared; sample-checked only: "
-            + ("no violation found" if sample.ok else "violations found")
-        )
-        hyp_ok = sample.ok
-
     values = [phi(x) for x in family.members] if phi_values is None else phi_values
     lhs = min(values)
     rhs = phi(pointwise_inf(family.members)) if phi_inf is None else phi_inf
     holds = _eq_within(lhs, rhs, tol)
 
-    if phi.order_preserving and not _leq_within(rhs, lhs, tol):
-        raise InvariantError(
-            f"one-sided bound violated for {phi.name}: Phi(inf X) = {to_text(rhs)} "
-            f"> min Phi = {to_text(lhs)}"
-        )
-
+    found = None
+    if not _leq_within(rhs, lhs, tol):
+        found = _counterexample(family, phi, (values.index(lhs),), rhs)
     directed = is_phi_inf_directed(
         family, phi, subset_budget, seed=seed, phi_values=values, phi_inf=rhs,
         tolerance=tol,
     )
-    if hyp_ok and directed.directed is not None and holds != directed.directed:
-        if directed.mode == "exhaustive" or not directed.directed:
-            raise InvariantError(
-                f"interchange verdict ({holds}) disagrees with the "
-                f"Phi-inf-directedness scan ({directed.directed}) for {phi.name}; "
-                f"witness={directed.witness}"
-            )
+    if found is None and holds != directed.directed:
+        # A "yes" covers S = X, so past the member check only a "no" disagrees.
+        found = _counterexample(family, phi, directed.witness, rhs)
+    if not phi.order_preserving:
+        notes.append(
+            "order preservation not declared; "
+            + (f"it fails on this family: {found}" if found else
+               "verdict and scan agree without it")
+        )
     if directed.mode == "sampled":
         notes.append("directedness scan sampled (family larger than subset budget)")
     return InterchangeReport(

@@ -16,6 +16,7 @@ computation: combining them raises ``InputError``.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -73,7 +74,9 @@ class MeasureSpace:
         return self._non_null
 
     def total_mass(self) -> Scalar:
-        return sum(self.weights, as_scalar(0, self.backing))
+        """The sum of the weights; under rational backing an int when integral."""
+        total = sum(self.weights, as_scalar(0, self.backing))
+        return total.numerator if type(total) is Fraction and total.denominator == 1 else total
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -1,17 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from interlab.errors import InputError
 from interlab.extreal import ext
-from interlab.fnlattice import FnClass
-from interlab.functionals import (
-    Functional,
-    check_order_preserving,
-    make_builtin,
-    parameterless_builtins,
-)
+from interlab.fnlattice import FnClass, mu_leq
+from interlab.functionals import Functional, make_builtin, parameterless_builtins
 from interlab.integrals import Capacity, lebesgue_extended
+from interlab.interchange import Family, verify_interchange
 from interlab.measure import MeasureSpace
 
 
@@ -41,12 +38,8 @@ def test_builtin_examples(unit2):
 
 
 def test_builtin_flags():
-    leb = make_builtin("extended_lebesgue")
-    assert leb.order_preserving and leb.seq_inf_continuous
-    ess = make_builtin("ess_sup")
-    assert ess.order_preserving and not ess.seq_inf_continuous
-    outer = make_builtin("outer")
-    assert outer.order_preserving and not outer.seq_inf_continuous
+    for kind in ("extended_lebesgue", "ess_sup", "outer", "inner"):
+        assert make_builtin(kind).order_preserving
 
 
 def test_choquet_requires_capacity():
@@ -77,20 +70,24 @@ def test_cone_domain_tags(unit2):
     full_only = Functional("full", "L1_FULL", lebesgue_extended)
     assert full_only.defined_on(fn(unit2, 1, 2))
     assert not full_only.defined_on(fn(unit2, 1, "-inf"))
-    report = check_order_preserving(plus_only, unit2, trials=100, seed=1)
-    assert report.ok
 
 
-def test_every_registered_builtin_passes_order_check(unit2):
+def test_every_registered_builtin_passes_order_check():
     space = MeasureSpace(["a", "b", "c"], [1, 0, Fraction(1, 2)])
     functionals = parameterless_builtins()
     functionals.append(
         make_builtin("choquet", capacity=Capacity.distortion(space, 0.8))
     )
-    for phi in functionals:
-        for seed in (0, 1, 12345):
-            report = check_order_preserving(phi, space, trials=150, seed=seed)
-            assert report.ok, report.summary()
+    grid = [ext(v) for v in ("-inf", -2, -1, 0, 1, 3, "+inf")]
+    for seed in (0, 1, 12345):
+        rng = random.Random(seed)
+        for _ in range(150):
+            f = FnClass(space, [rng.choice(grid) for _ in space.atoms])
+            g = FnClass(space, [rng.choice([w for w in grid if w >= v]) for v in f.values])
+            assert mu_leq(f, g)
+            for phi in functionals:
+                if phi.defined_on(f) and phi.defined_on(g):
+                    assert phi(f) <= phi(g), (phi, f.values, g.values)
 
 
 def test_broken_functional_reports_witness(unit2):
@@ -99,16 +96,21 @@ def test_broken_functional_reports_witness(unit2):
         lambda f: -lebesgue_extended(f),
         order_preserving=False,
     )
-    report = check_order_preserving(broken, unit2, trials=300, seed=0)
-    assert not report.ok
-    f, g, vf, vg = report.violations[0]
-    assert not vf <= vg  # the witness pair really is a violation
+    report = verify_interchange(Family([fn(unit2, 0, 1), fn(unit2, 1, 0)]), broken)
+    # Phi(inf X) = 0 exceeds min Phi = -1, attained first by member 0.
+    assert report.notes[-1] == (
+        "order preservation not declared; it fails on this family: K = inf of "
+        "members [0] has inf X <= K but Phi(K) = -1 < Phi(inf X) = 0"
+    )
 
 
 def test_constant_functional_has_no_violations(unit2):
     const = Functional("const", "all", lambda f: ext(7), order_preserving=False)
-    report = check_order_preserving(const, unit2, trials=100, seed=3)
-    assert report.ok
+    report = verify_interchange(Family([fn(unit2, 0, 1), fn(unit2, 1, 0)]), const)
+    assert report.holds and report.phi_inf_directed == "yes"
+    assert report.notes[-1] == (
+        "order preservation not declared; verdict and scan agree without it"
+    )
 
 
 def test_post_compose_monotone_map(unit2):
@@ -120,8 +122,6 @@ def test_post_compose_monotone_map(unit2):
     assert clip(fn(unit2, 5, 5)) == ext(1)
     assert clip(fn(unit2, -5, -5)) == ext(-1)
     assert clip.order_preserving
-    report = check_order_preserving(clip, unit2, trials=150, seed=0)
-    assert report.ok
 
 
 def test_post_compose_rejects_non_monotone(unit2):

@@ -9,12 +9,14 @@ from interlab.extreal import NEG_INF, POS_INF, ext
 from interlab.fnlattice import (
     FnClass,
     classify,
+    ess_sup_value,
     fn_add,
     fn_neg,
     fn_scale,
     fn_shift,
     mu_leq,
 )
+from interlab.functionals import make_builtin
 from interlab.integrals import (
     Capacity,
     choquet,
@@ -152,15 +154,23 @@ def _raise_some(rng, f, grid):
 def test_every_integral_is_monotone_on_random_pairs():
     rng = random.Random(4)
     grid = ["-inf", -2, -1, 0, 1, 3, "+inf"]
-    for _ in range(300):
+    leb = make_builtin("extended_lebesgue")
+    clip = make_builtin("post_compose", base=leb, mapping=lambda v: min(max(v, -1), 1))
+    for k in range(300):
         space = random_space(rng, 4)
         f = FnClass(space, [ext(rng.choice(grid)) for _ in space.atoms])
         g = _raise_some(rng, f, grid)
         assert mu_leq(f, g)
         assert outer_integral(f) <= outer_integral(g)
         assert inner_integral(f) <= inner_integral(g)
-        if classify(f).semi_integrable and classify(g).semi_integrable:
-            assert lebesgue_extended(f) <= lebesgue_extended(g)
+        assert ess_sup_value(f) <= ess_sup_value(g)
+        functionals = [leb, clip]
+        if space.total_mass() > 0:
+            cap = Capacity.distortion(space, (0.5, 0.8, 2)[k % 3])
+            functionals.append(make_builtin("choquet", capacity=cap))
+        for phi in functionals:
+            if phi.defined_on(f) and phi.defined_on(g):
+                assert phi(f) <= phi(g), phi
 
 
 # Additivity, negation, homogeneity (spot checks; bulk runs in acceptance) ---

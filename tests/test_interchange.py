@@ -1,13 +1,24 @@
 import random
+import re
+from contextlib import nullcontext
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from interlab.decomposable import (
+    Integrand,
+    SelectionSet,
+    ShapiroScenario,
+    verify_rw_interchange,
+    verify_shapiro,
+)
 from interlab.errors import DomainError, InputError, InvariantError, ScenarioError
-from interlab.extreal import NEG_INF, as_scalar, ext
-from interlab.fnlattice import FnClass, fn_shift, pointwise_inf
+from interlab.extreal import NEG_INF, POS_INF, as_scalar, ext, to_text
+from interlab.fnlattice import FnClass, fn_shift, mu_leq, pointwise_inf
 from interlab.functionals import Functional, make_builtin, parameterless_builtins
-from interlab.integrals import Capacity, lebesgue_extended
+from interlab.integrals import Capacity, lebesgue_extended, outer_integral
 from interlab.interchange import (
     _eq_within,
     Family,
@@ -121,13 +132,40 @@ def test_wrongly_declared_functional_raises_invariant_error(unit2):
         verify_interchange(Family([fn(unit2, 0, 1), fn(unit2, 1, 0)]), bad)
 
 
-def test_undeclared_functional_gets_sample_checked_note(unit2):
+def test_undeclared_functional_gets_counterexample_note(unit2):
+    # A chain: the verdict fails (lhs -2, rhs 0) while the scan says yes.
+    # The member attaining min Phi is the counterexample K.
     honest = Functional(
         "anti", "semi_integrable", lambda f: -lebesgue_extended(f),
         order_preserving=False,
     )
     report = verify_interchange(Family([fn(unit2, 0, 0), fn(unit2, 1, 1)]), honest)
-    assert any("sample-checked" in n for n in report.notes)
+    assert (report.interchange_holds, report.phi_inf_directed) == ("fails", "yes")
+    assert report.notes[-1] == (
+        "order preservation not declared; it fails on this family: K = inf of "
+        "members [1] has inf X <= K but Phi(K) = -2 < Phi(inf X) = 0"
+    )
+
+
+def _negated_from_five(f):
+    # The outer integral, negated once any finite value reaches 5: monotone
+    # on every function whose finite values stay below 5.
+    value = outer_integral(f)
+    return -value if any(NEG_INF < v < POS_INF and v >= 5 for v in f.values) else value
+
+
+def test_non_monotone_functional_beyond_any_fixed_grid_is_judged_on_the_family(unit2):
+    family = Family([fn(unit2, 5, 6), fn(unit2, 6, 5)])
+    undeclared = Functional("neg5", "all", _negated_from_five, order_preserving=False)
+    report = verify_interchange(family, undeclared)
+    assert (report.lhs, report.rhs) == (-11, -10)
+    assert (report.interchange_holds, report.phi_inf_directed) == ("fails", "yes")
+    found = ("K = inf of members [0] has inf X <= K but Phi(K) = -11 < "
+             "Phi(inf X) = -10")
+    assert report.notes[-1] == f"order preservation not declared; it fails on this family: {found}"
+    declared = replace(undeclared, order_preserving=True)
+    with pytest.raises(InvariantError, match=re.escape(found)):
+        verify_interchange(family, declared)
 
 
 def test_sampled_mode_beyond_subset_budget(unit2):
@@ -160,6 +198,78 @@ def test_scan_agrees_with_the_verdict_at_any_tolerance(backing):
         report = verify_interchange(instance.family, instance.functional, tolerance=tol)
         assert report.holds == (report.phi_inf_directed == "yes")
         assert report.holds == _eq_within(report.lhs, report.rhs, as_scalar(tol, backing))
+
+
+WEIGHTS = [0, 1, "1/2", 2]
+VALUES = [-1, 0, "1/2", 1, 2, "+inf"]
+PHI_VALUES = [-2, -1, "-1/2", 0, "1/2", 1, "+inf", "-inf"]
+K_NOTE = re.compile(r"K = inf of members \[([\d, ]+)\] has inf X <= K but "
+                    r"Phi\(K\) = (\S+) < Phi\(inf X\) = (\S+)$")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_undeclared_functionals_are_judged_on_the_family(data):
+    """Random tables as Phi: neither monotone nor declared so.
+
+    Every disagreement between verdict and scan must come with a
+    counterexample K that re-checks here, never with InvariantError; the
+    same table declared order-preserving raises exactly when K is named.
+    """
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    n_atoms = data.draw(st.integers(1, 3), label="n_atoms")
+    weights = data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=n_atoms,
+                                 max_size=n_atoms), label="weights")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    rows = data.draw(st.lists(st.lists(st.sampled_from(VALUES), min_size=n_atoms,
+                                       max_size=n_atoms), min_size=1, max_size=6),
+                     label="rows")
+    members = [FnClass(space, row) for row in rows]
+    table_rng = random.Random(data.draw(st.integers(0, 2**32), label="table seed"))
+    table = {}
+
+    def lookup(f):
+        if f.values not in table:
+            table[f.values] = ext(table_rng.choice(PHI_VALUES), backing)
+        return table[f.values]
+
+    undeclared = Functional("table", "all", lookup, order_preserving=False)
+    budget = data.draw(st.sampled_from([0, 2, 12]), label="budget")
+    tol = data.draw(st.sampled_from([0, "1/2", 1]), label="tolerance")
+    report = verify_interchange(Family(members), undeclared, budget, tolerance=tol)
+    note, = [n for n in report.notes if n.startswith("order preservation not declared")]
+    found = K_NOTE.search(note)
+    if found:
+        k = pointwise_inf([members[int(i)] for i in found.group(1).split(",")])
+        assert mu_leq(pointwise_inf(members), k)
+        assert lookup(k) < report.rhs
+        assert (found.group(2), found.group(3)) == (to_text(lookup(k)), to_text(report.rhs))
+    else:
+        assert note == "order preservation not declared; verdict and scan agree without it"
+        assert report.holds == (report.phi_inf_directed == "yes")
+    declared = replace(undeclared, order_preserving=True)
+    with (pytest.raises(InvariantError, match=re.escape(found.group(0))) if found
+          else nullcontext()):
+        verify_interchange(Family(members), declared, budget, tolerance=tol)
+
+
+@pytest.mark.parametrize("verifier", ["family", "sequence", "seq-continuity", "rw", "shapiro"])
+def test_negative_tolerance_is_an_input_error(verifier):
+    half = MeasureSpace(["a", "b"], ["1/2", "1/2"])
+    f = fn(half, 1, 2)
+    seq = SequenceSpec(generator=lambda n: f, prefix_len=2)
+    integrand = Integrand(half, [[0], [1]], [[0, 1], [0, 1]])
+    run = {
+        "family": lambda: verify_interchange(Family([f]), LEB, tolerance=-1),
+        "sequence": lambda: verify_interchange_sequence(seq, LEB, tolerance=-1),
+        "seq-continuity": lambda: check_seq_inf_continuity(LEB, seq, tolerance=-1),
+        "rw": lambda: verify_rw_interchange(
+            integrand, SelectionSet.full_product(2, 2), tolerance=-1),
+        "shapiro": lambda: verify_shapiro(
+            ShapiroScenario(LEB, 1, integrand, [(0, 0)], tolerance=-1)),
+    }[verifier]
+    with pytest.raises(InputError, match="tolerance must be nonnegative, got -1"):
+        run()
 
 
 # sequences ------------------------------------------------------------------
