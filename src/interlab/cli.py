@@ -15,6 +15,15 @@ variable (``rational`` when unset or empty, or ``float``) on each call and
 hands it to the readers, the oracle and the environment echo; it sets no
 state beyond the call.
 
+``build_parser`` builds the argument parser on its first call (the first
+``main``) and returns that same parser afterwards, so ``main`` may be called
+repeatedly in one process and pays only for parsing and its verdict.  The
+parser holds no per-call state: every ``parse_args`` returns a fresh
+namespace, and the gallery's seed default is written to that namespace only.
+``set_defaults(func=...)`` binds the ``_cmd_*`` functions when the parser is
+built, so patching one of them afterwards does not change what ``main``
+runs.
+
 Exit codes: 0 for any completed verdict (a failing interchange is a result,
 not an error), 2 for schema errors, 3 for domain errors, 4 for internal
 invariant failures.
@@ -23,6 +32,7 @@ invariant failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -114,8 +124,11 @@ COMMANDS = {"check": _check, "rw-check": _rw_check, "shapiro-check": _shapiro_ch
 def _emit(args, payload: dict) -> None:
     text = render_json(payload) if args.format == "json" else render_text(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ScenarioError(f"cannot write report to {args.out!r}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -161,7 +174,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         dest="subset_budget")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every ``main`` call; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="interlab",
         description="verify interchange of minimization and monotone integration "

@@ -74,7 +74,7 @@ def load_scenario(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read scenario {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario {path!r} is not valid JSON: {e}") from e

@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from interlab.cli import main
+from interlab.cli import build_parser, main
 
 
 def write_scenario(tmp_path, name, obj):
@@ -600,3 +601,81 @@ def test_user_tolerance_judges_the_scan_too(tmp_path, capsys, cli_backing, sourc
     report = json.loads(out)["report"]
     assert report["interchange_holds"] == holds
     assert report["phi_inf_directed"] == directed and report["witness"] == witness
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["gallery", "giner-pair"]) == 0
+    first_call = len(built)
+    assert first_call > 0
+    for argv in (["gallery", "chain"], ["gallery", "giner-pair", "--format", "text"],
+                 ["oracle", "--trials", "0"]):
+        assert main(argv) == 0
+    assert len(built) == first_call
+    assert build_parser() is build_parser()
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def run_fresh(argv):
+    proc = subprocess.run([sys.executable, "-m", "interlab.cli", *argv], capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # Usage lines wrap at the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    steps = [
+        ("rational", ["gallery", "giner-pair", "--seed", "5"]),
+        ("rational", ["gallery", "giner-pair"]),
+        ("rational", ["gallery", "chain", "--format", "text"]),
+        ("rational", ["gallery", "chain"]),
+        ("rational", ["gallery", "nope"]),
+        ("rational", ["gallery", "chain"]),
+        ("float", ["gallery", "giner-pair"]),
+        ("rational", ["gallery", "giner-pair"]),
+    ]
+    results = []
+    for backing, argv in steps:
+        monkeypatch.setenv("INTERLAB_BACKING", backing)
+        result = run_in_process(capsys, argv)
+        assert result == run_fresh(argv), (backing, argv)
+        results.append(result)
+    seeds = [json.loads(results[i][1])["environment"]["seed"] for i in (0, 1)]
+    assert seeds == [5, 0]
+    assert results[4][0] == 2 and results[5][0] == 0
+    assert json.loads(results[6][1])["environment"]["backing"] == "float"
+    assert json.loads(results[7][1])["environment"]["backing"] == "rational"
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    assert main(["gallery", "chain", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: cannot write report to ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_scenario_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: cannot read scenario ")
+    assert "Traceback" not in err
