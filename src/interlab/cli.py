@@ -40,7 +40,12 @@ from typing import List, Optional
 from .decomposable import verify_rw_argmin, verify_rw_interchange, verify_shapiro
 from .errors import DomainError, InputError, InvariantError, ScenarioError
 from .extreal import BACKINGS, NEG_INF, POS_INF
-from .interchange import Family, verify_interchange, verify_interchange_sequence
+from .interchange import (
+    Family,
+    default_tolerance,
+    verify_interchange,
+    verify_interchange_sequence,
+)
 from .oracle import run_campaign
 from .scenario import (
     check_flags,
@@ -50,7 +55,6 @@ from .scenario import (
     read_int,
     read_rw,
     read_shapiro,
-    read_tolerance,
     render_json,
     render_text,
 )
@@ -151,10 +155,10 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    flags = vars(args)
-    tol = read_tolerance({}, flags)
-    seed = read_int({}, flags, "seed", 0)
+    seed = read_int({}, vars(args), "seed", 0)
     summary = run_campaign(args.trials, seed, args.max_atoms, args.max_family, args.backing)
+    # The campaign verifies at the backing's default tolerance, not --tolerance.
+    tol = default_tolerance(args.backing)
     _emit(args, {
         "report": summary.to_json_dict(),
         "environment": environment_echo("oracle", seed, tol, args.backing),

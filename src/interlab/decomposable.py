@@ -40,13 +40,14 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import BudgetError, DomainError, InputError, InvariantError
 from .extreal import (
     NEG_INF,
+    NOT_JSON,
     POS_INF,
+    Report,
     Scalar,
     as_scalar,
     ext,
     lower_add,
     scalar_mul,
-    to_jsonable,
     to_text,
     upper_add,
 )
@@ -87,9 +88,6 @@ class Integrand:
     @property
     def n_controls(self) -> int:
         return len(self.controls)
-
-    def value(self, atom_index: int, control_index: int) -> Scalar:
-        return self.table[atom_index][control_index]
 
     def g_of(self, selection: Selection) -> FnClass:
         """The function omega -> f(omega, u(omega)) for a selection u."""
@@ -210,17 +208,10 @@ class SelectionSet:
 
 
 @dataclass
-class DecomposabilityReport:
+class DecomposabilityReport(Report):
     decomposable: bool
     witness_patch: Optional[dict] = None
     notes: List[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "decomposable": self.decomposable,
-            "witness_patch": self.witness_patch,
-            "notes": list(self.notes),
-        }
 
 
 def is_decomposable(u_set: SelectionSet) -> DecomposabilityReport:
@@ -284,7 +275,7 @@ def _first_patch_witness(base: Selection, projections, members) -> Optional[dict
 
 
 @dataclass
-class RwInterchangeReport:
+class RwInterchangeReport(Report):
     lhs: Scalar
     rhs: Scalar
     equal: bool
@@ -293,17 +284,8 @@ class RwInterchangeReport:
     minimizers: List[Selection] = field(default_factory=list)
     # Selections picking a per-atom minimizer on every non-null atom, in
     # enumeration order; read by verify_rw_argmin, not reported.
-    pointwise_argmin: List[Selection] = field(default_factory=list, repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": to_jsonable(self.lhs),
-            "rhs": to_jsonable(self.rhs),
-            "equal": self.equal,
-            "decomposable": self.decomposable,
-            "hypothesis_notes": list(self.hypothesis_notes),
-            "minimizers": [list(s) for s in self.minimizers],
-        }
+    pointwise_argmin: List[Selection] = field(default_factory=list, repr=False,
+                                              metadata=NOT_JSON)
 
 
 def verify_rw_interchange(
@@ -428,23 +410,13 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
 
 
 @dataclass
-class RwArgminReport:
+class RwArgminReport(Report):
     applicable: bool
     characterization_holds: Optional[bool]
     common_value: Optional[Scalar]
     argmin_selections: List[Selection] = field(default_factory=list)
     per_atom_argmin: List[Tuple[int, ...]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "characterization_holds": self.characterization_holds,
-            "common_value": None if self.common_value is None else to_jsonable(self.common_value),
-            "argmin_selections": [list(s) for s in self.argmin_selections],
-            "per_atom_argmin": [list(s) for s in self.per_atom_argmin],
-            "notes": list(self.notes),
-        }
 
 
 def verify_rw_argmin(
@@ -500,8 +472,17 @@ class ShapiroScenario:
 
 
 @dataclass
-class ShapiroReport:
-    hypotheses: List[Tuple[str, bool, str]]
+class Hypothesis:
+    """One itemized hypothesis of a Shapiro check."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+@dataclass
+class ShapiroReport(Report):
+    hypotheses: List[Hypothesis]
     norms: List[Scalar]
     conclusion_lhs: Scalar
     conclusion_rhs: Scalar
@@ -511,20 +492,7 @@ class ShapiroReport:
 
     @property
     def hypotheses_ok(self) -> bool:
-        return all(ok for _, ok, _ in self.hypotheses)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hypotheses": [
-                {"name": n, "ok": ok, "detail": d} for n, ok, d in self.hypotheses
-            ],
-            "norms": [to_jsonable(v) for v in self.norms],
-            "conclusion_lhs": to_jsonable(self.conclusion_lhs),
-            "conclusion_rhs": to_jsonable(self.conclusion_rhs),
-            "conclusion_holds": self.conclusion_holds,
-            "conclusion_mode": self.conclusion_mode,
-            "notes": list(self.notes),
-        }
+        return all(h.ok for h in self.hypotheses)
 
 
 def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) -> ShapiroReport:
@@ -544,22 +512,21 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
 
     gflat = sc.integrand.g_flat()
     notes: List[str] = []
-    hypotheses: List[Tuple[str, bool, str]] = []
+    hypotheses: List[Hypothesis] = []
     if sc.declared_gflat is not None:
         if sc.declared_gflat == gflat:
             notes.append("declared G-flat matches the computed per-atom minimum")
         else:
             hypotheses.append(
-                ("declared_gflat", False, "declared G-flat differs from computed")
+                Hypothesis("declared_gflat", False, "declared G-flat differs from computed")
             )
         gflat = sc.declared_gflat
 
     non_null = space.non_null_indices()
     gflat_finite = all(abs(gflat.values[i]) != POS_INF for i in non_null)
-    hypotheses.append(
-        ("gflat_in_lp", gflat_finite,
-         "G-flat finite on non-null atoms" if gflat_finite else "G-flat is infinite somewhere")
-    )
+    hypotheses.append(Hypothesis(
+        "gflat_in_lp", gflat_finite,
+        "G-flat finite on non-null atoms" if gflat_finite else "G-flat is infinite somewhere"))
 
     s1_ok, s1_detail = True, "all G(u) finite on non-null atoms"
     try:
@@ -575,7 +542,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         if any(abs(g.values[i]) == POS_INF for i in non_null):
             s1_ok, s1_detail = False, f"G({list(sel)}) is infinite on a non-null atom"
             break
-    hypotheses.append(("S1_image_in_lp", s1_ok, s1_detail))
+    hypotheses.append(Hypothesis("S1_image_in_lp", s1_ok, s1_detail))
 
     prefix_fns = (
         [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix] if exact else fns
@@ -585,20 +552,18 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     # unsatisfiable for genuinely converging (never stabilizing) sequences.
     norm_tol = tol if tol > 0 else as_scalar(1e-6, space.backing)
     converged = norms[-1] != POS_INF and float(norms[-1]) <= float(norm_tol)
-    hypotheses.append(
-        ("S2a_norm_convergence", converged,
-         f"last prefix norm {to_text(norms[-1])} vs tolerance {norm_tol}")
-    )
+    hypotheses.append(Hypothesis(
+        "S2a_norm_convergence", converged,
+        f"last prefix norm {to_text(norms[-1])} vs tolerance {norm_tol}"))
 
     phi_vals = [sc.functional(g) for g in prefix_fns]
     tail = phi_vals[len(phi_vals) // 2:]
     liminf_est = min(tail)
     phi_flat = sc.functional(gflat)
     s2b = phi_flat >= liminf_est or _eq_within(phi_flat, liminf_est, tol)
-    hypotheses.append(
-        ("S2b_liminf", s2b,
-         f"Phi(G-flat) = {to_text(phi_flat)} vs prefix liminf {to_text(liminf_est)}")
-    )
+    hypotheses.append(Hypothesis(
+        "S2b_liminf", s2b,
+        f"Phi(G-flat) = {to_text(phi_flat)} vs prefix liminf {to_text(liminf_est)}"))
 
     if exact:
         inf_val = min(sc.functional(g) for g in fns)

@@ -34,6 +34,7 @@ that defines the integrals' float results.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -181,6 +182,47 @@ def to_jsonable(a: Scalar):
     if a == NEG_INF:
         return "-inf"
     return a
+
+
+# Field metadata that ``to_json`` reads: leave the field out of the JSON
+# form, always or when its value is None.
+NOT_JSON = {"json": "omit"}
+JSON_UNLESS_NONE = {"json": "omit_none"}
+
+_PLAIN = frozenset({int, str, bool, type(None)})
+
+
+def to_json(obj):
+    """The JSON form of a report: a dataclass becomes a dict of its fields,
+    a list or tuple a list, a dict a dict, and a scalar ``to_jsonable(scalar)``.
+
+    Types are matched exactly, plain scalars first, since reports are
+    mostly scalars; a dataclass leaves out the fields its metadata marks
+    with ``NOT_JSON`` or ``JSON_UNLESS_NONE``.
+    """
+    t = type(obj)
+    if t in _PLAIN:
+        return obj
+    if t is Fraction or t is float:
+        return to_jsonable(obj)
+    if t is list or t is tuple:
+        return [x if type(x) in _PLAIN else to_json(x) for x in obj]
+    if t is dict:
+        return {k: to_json(v) for k, v in obj.items()}
+    out = {}
+    for f in dataclasses.fields(obj):  # TypeError for any other type
+        omit = f.metadata.get("json")
+        value = getattr(obj, f.name)
+        if omit != "omit" and not (omit == "omit_none" and value is None):
+            out[f.name] = to_json(value)
+    return out
+
+
+class Report:
+    """Base of the report dataclasses: the JSON form of a report is its fields."""
+
+    def to_json_dict(self) -> dict:
+        return to_json(self)
 
 
 # Per-atom kernels: one pass over the atoms with native arithmetic, and one

@@ -197,6 +197,8 @@ class Capacity:
             raise InputError(f"a capacity must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == "distortion":
+            if d.get("of_measure", True) is not True:
+                raise InputError(f"distortion 'of_measure' must be true, got {d['of_measure']!r}")
             if "gamma" not in d:
                 raise InputError("a distortion capacity needs 'gamma'")
             if isinstance(d["gamma"], bool):

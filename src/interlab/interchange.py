@@ -34,12 +34,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InputError, InvariantError
 from .extreal import (
+    JSON_UNLESS_NONE,
     NEG_INF,
     POS_INF,
+    Report,
     Scalar,
     as_scalar,
     lower_add,
-    to_jsonable,
     to_text,
 )
 from .fnlattice import (
@@ -142,7 +143,7 @@ class DirectednessResult:
 
 
 @dataclass
-class InterchangeReport:
+class InterchangeReport(Report):
     functional: str
     lhs: Scalar
     rhs: Scalar
@@ -151,29 +152,11 @@ class InterchangeReport:
     witness: Optional[Tuple[int, ...]] = None
     notes: List[str] = field(default_factory=list)
     mode: str = "family"
-    prefix: Optional[Dict] = None
+    prefix: Optional[Dict] = field(default=None, metadata=JSON_UNLESS_NONE)
 
     @property
     def holds(self) -> bool:
         return self.interchange_holds in ("holds", "holds-in-limit")
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "functional": self.functional,
-            "lhs": to_jsonable(self.lhs),
-            "rhs": to_jsonable(self.rhs),
-            "phi_inf_directed": self.phi_inf_directed,
-            "interchange_holds": self.interchange_holds,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "notes": list(self.notes),
-            "mode": self.mode,
-        }
-        if self.prefix is not None:
-            d["prefix"] = {
-                k: ([to_jsonable(v) for v in vs] if isinstance(vs, list) else vs)
-                for k, vs in self.prefix.items()
-            }
-        return d
 
 
 def is_inf_directed(family: Family) -> Tuple[bool, Optional[Tuple[int, int]]]:
@@ -555,7 +538,7 @@ def verify_interchange_sequence(
 
 
 @dataclass
-class SeqContinuityReport:
+class SeqContinuityReport(Report):
     functional: str
     prefix_values: List[Scalar]
     rhs: Scalar
@@ -564,18 +547,6 @@ class SeqContinuityReport:
     diverging: bool
     gaps: List[Optional[Scalar]]
     notes: List[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "prefix_values": [to_jsonable(v) for v in self.prefix_values],
-            "rhs": to_jsonable(self.rhs),
-            "verdict": self.verdict,
-            "exact": self.exact,
-            "diverging": self.diverging,
-            "gaps": [None if g is None else to_jsonable(g) for g in self.gaps],
-            "notes": list(self.notes),
-        }
 
 
 def check_seq_inf_continuity(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .errors import InterlabError, InvariantError
-from .extreal import NEG_INF, POS_INF, Scalar, ext
+from .extreal import NEG_INF, POS_INF, Report, Scalar, ext
 from .fnlattice import FnClass
 from .functionals import Functional, make_builtin
 from .integrals import Capacity
@@ -213,21 +213,12 @@ def shrink_instance(instance: OracleInstance) -> OracleInstance:
 
 
 @dataclass
-class CampaignSummary:
+class CampaignSummary(Report):
     trials: int
     seed: int
     violations: int = 0
     by_functional: Dict[str, int] = field(default_factory=dict)
     first_violation: Optional[dict] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "violations": self.violations,
-            "by_functional": dict(sorted(self.by_functional.items())),
-            "first_violation": self.first_violation,
-        }
 
 
 def run_campaign(

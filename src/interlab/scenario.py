@@ -209,6 +209,10 @@ def read_check(sc: dict, flags: dict):
     budget = read_int(sc, flags, "subset_budget", DEFAULT_SUBSET_BUDGET)
     seed = read_int(sc, flags, "seed", 0)
     family = _need(sc, "family", "scenario")
+    # Checked even where no family reads it: a literal family, or a
+    # sequence that gives its own.
+    with _bad("divergence_threshold"):
+        as_scalar(sc.get("divergence_threshold", 0), flags["backing"])
     if isinstance(family, dict):
         spec = dict(family)
         if "divergence_threshold" in sc:

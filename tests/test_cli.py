@@ -172,6 +172,15 @@ def test_oracle_zero_trials(capsys):
     assert json.loads(out)["report"]["violations"] == 0
 
 
+@pytest.mark.parametrize("backing, default", [("rational", 0), ("float", 1e-9)])
+def test_oracle_echoes_the_tolerance_it_verifies_at(capsys, monkeypatch, backing, default):
+    monkeypatch.setenv("INTERLAB_BACKING", backing)
+    code, out = run_main(capsys, ["oracle", "--trials", "3", "--tolerance", "0.5"])
+    assert code == 0
+    assert json.loads(out)["environment"]["tolerance"] == default
+    assert run_main(capsys, ["oracle", "--trials", "3"]) == (code, out)
+
+
 def test_oracle_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["oracle", "--trials", "40", "--seed", "9", "--out", str(out1)]) == 0

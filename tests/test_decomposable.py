@@ -220,7 +220,7 @@ def test_shapiro_ess_sup_reports_failing_hypotheses():
         selection_set=SelectionSet.explicit(prefix, 4, 2),
     )
     report = verify_shapiro(scenario)
-    failed = {name for name, ok, _ in report.hypotheses if not ok}
+    failed = {h.name for h in report.hypotheses if not h.ok}
     assert "S2a_norm_convergence" in failed
     assert "S2b_liminf" in failed
     assert not report.conclusion_holds
@@ -246,5 +246,5 @@ def test_shapiro_s1_failure_reported():
         selection_set=SelectionSet.full_product(2, 2),
     )
     report = verify_shapiro(scenario)
-    failed = {name for name, ok, _ in report.hypotheses if not ok}
+    failed = {h.name for h in report.hypotheses if not h.ok}
     assert "S1_image_in_lp" in failed

@@ -13,6 +13,7 @@ call, not even an in-process float run of the CLI, changes the backing of
 a space built later.
 """
 
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ import pytest
 from interlab.cli import main
 from interlab.decomposable import Integrand, SelectionSet, verify_rw_interchange
 from interlab.errors import InputError
-from interlab.extreal import NEG_INF, POS_INF, ext, to_jsonable
+from interlab.extreal import NEG_INF, POS_INF, Report, ext, to_json, to_jsonable
 from interlab.fnlattice import FnClass, fn_add, fn_neg, lp_norm, pointwise_inf, pos_neg_parts
 from interlab.functionals import make_builtin
 from interlab.integrals import Capacity, choquet, part_integrals
@@ -90,17 +91,28 @@ def test_empty_sums_and_zero_gaps_keep_the_backing_form(backing):
 
 
 def test_reported_values_keep_the_backing_form(backing, monkeypatch, tmp_path):
-    # Every value a report prints goes through to_jsonable: record them all.
+    # Every extended real a report prints is a field annotated Scalar or a
+    # list in a sequence report's prefix, and every other value printed goes
+    # through to_jsonable: record them all.
     seen = []
 
     def recording(x):
         seen.append(x)
         return to_jsonable(x)
 
-    for name in ("decomposable", "fnlattice", "integrals", "interchange", "measure",
-                 "scenario"):
+    def recording_report(report):
+        for f in dataclasses.fields(report):
+            value = getattr(report, f.name)
+            if "Scalar" in str(f.type):
+                seen.extend(value if isinstance(value, list) else [value])
+            elif f.name == "prefix" and value is not None:
+                seen.extend(v for vs in value.values() if isinstance(vs, list) for v in vs)
+        return to_json(report)
+
+    for name in ("extreal", "fnlattice", "integrals", "measure", "scenario"):
         monkeypatch.setattr(importlib.import_module(f"interlab.{name}"), "to_jsonable",
                             recording)
+    monkeypatch.setattr(Report, "to_json_dict", recording_report)
     monkeypatch.setenv("INTERLAB_BACKING", backing)
     cases = {**SELECTION_CASES, **INTERCHANGE_CASES,
              "oracle": ["oracle", "--trials", "50", "--seed", "2"]}

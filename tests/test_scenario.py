@@ -74,6 +74,11 @@ def run_scenario(command, scenario, *flags):
     ("check", dict(SEQUENCE, family={"generator": "example-2-6"}, divergence_threshold=True)),
     ("check", dict(SEQUENCE, family=dict(SEQUENCE["family"], divergence_threshold="x"))),
     ("check", dict(SEQUENCE, family=dict(SEQUENCE["family"], divergence_threshold=True))),
+    ("check", dict(CHECK, divergence_threshold="x")),
+    ("check", dict(CHECK, divergence_threshold=True)),
+    ("check", dict(SEQUENCE, divergence_threshold="x")),
+    ("check", dict(CHECK, functional={"kind": "choquet", "capacity": {
+        "kind": "distortion", "of_measure": False, "gamma": 0.8}})),
     ("rw-check", dict(RW, integrand=dict(RW["integrand"], controls=5))),
     ("rw-check", dict(RW, integrand=dict(RW["integrand"], table=[5, 6]))),
     ("shapiro-check", dict(SHAPIRO, declared_gflat=5)),
@@ -81,8 +86,9 @@ def run_scenario(command, scenario, *flags):
     ("shapiro-check", dict(SHAPIRO, selection_set=[])),
     ("shapiro-check", dict(SHAPIRO, selection_set=None)),
 ], ids=["weights-5", "atoms-string", "atoms-numbers", "label-array", "member-5", "threshold-x",
-        "threshold-true", "family-threshold-x", "family-threshold-true", "controls-5",
-        "table-of-numbers", "declared-gflat-5", "selection-set-empty-object",
+        "threshold-true", "family-threshold-x", "family-threshold-true", "literal-threshold-x",
+        "literal-threshold-true", "family-and-top-threshold-x", "distortion-of-measure-false",
+        "controls-5", "table-of-numbers", "declared-gflat-5", "selection-set-empty-object",
         "selection-set-empty-array", "selection-set-null"])
 def test_malformed_scenario_is_a_schema_error(command, scenario):
     code, _, err = run_scenario(command, scenario)
