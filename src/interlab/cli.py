@@ -104,7 +104,7 @@ GALLERY_NAMES = tuple(GALLERY)
 def _check(sc: dict, flags: dict):
     members, phi, budget, tol, seed = read_check(sc, flags)
     verify = verify_interchange if isinstance(members, Family) else verify_interchange_sequence
-    return verify(members, phi, budget, tol, seed).to_json_dict(), seed, tol
+    return verify(members, phi, budget, tol).to_json_dict(), seed, tol
 
 
 def _rw_check(sc: dict, flags: dict):

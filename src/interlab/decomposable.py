@@ -551,7 +551,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     # Norms are float-valued for p != 1, so a zero tolerance would be
     # unsatisfiable for genuinely converging (never stabilizing) sequences.
     norm_tol = tol if tol > 0 else as_scalar(1e-6, space.backing)
-    converged = norms[-1] != POS_INF and float(norms[-1]) <= float(norm_tol)
+    converged = norms[-1] <= norm_tol
     hypotheses.append(Hypothesis(
         "S2a_norm_convergence", converged,
         f"last prefix norm {to_text(norms[-1])} vs tolerance {norm_tol}"))

@@ -23,6 +23,7 @@ Integrability classification splits functions into the integrable cone
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable, Iterable, Sequence, Tuple
 
@@ -188,7 +189,8 @@ def lp_norm(f: FnClass, p: Scalar) -> Scalar:
     """(sum of weight * |f|^p)^(1/p) for p in [1, inf).
 
     Exact under rational backing when p == 1; otherwise evaluated in float.
-    Returns +inf when f is infinite on an atom of positive weight.
+    Returns +inf when f is infinite on an atom of positive weight, and
+    raises InputError when the float evaluation overflows.
     """
     space = f.space
     p = as_scalar(p, space.backing)
@@ -202,10 +204,16 @@ def lp_norm(f: FnClass, p: Scalar) -> Scalar:
         for i in space.non_null_indices():
             total = lower_add(total, scalar_mul(space.weights[i], abs(f.values[i])))
         return total
-    acc = 0.0
-    for i in space.non_null_indices():
-        acc += float(space.weights[i]) * abs(float(f.values[i])) ** float(p)
-    return as_scalar(acc ** (1.0 / float(p)), space.backing)
+    try:
+        acc = 0.0
+        for i in space.non_null_indices():
+            acc += float(space.weights[i]) * abs(float(f.values[i])) ** float(p)
+        norm = acc ** (1.0 / float(p))
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        raise InputError("the L^p norm overflows the float range")
+    return as_scalar(norm, space.backing)
 
 
 def ess_sup_value(f: FnClass) -> Scalar:

@@ -27,7 +27,6 @@ configured threshold; verdicts then refer to the limit, not the prefix.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -57,7 +56,6 @@ from .integrals import lebesgue_extended
 
 DEFAULT_SUBSET_BUDGET = 12
 DEFAULT_DIVERGENCE_THRESHOLD = 10**9
-DEFAULT_SAMPLED_SUBSETS = 64
 
 
 def default_tolerance(backing: str = "rational") -> Scalar:
@@ -176,19 +174,10 @@ def _nonempty_subsets(n: int):
         yield from combinations(range(n), k)
 
 
-def _sampled_subsets(n: int, seed: int, samples: int):
-    seen = set()
-    for i in range(n):
-        seen.add((i,))
-    for pair in combinations(range(n), 2):
-        seen.add(pair)
-    seen.add(tuple(range(n)))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        subset = tuple(i for i in range(n) if rng.random() < 0.5)
-        if subset:
-            seen.add(subset)
-    return sorted(seen, key=lambda s: (len(s), s))
+def _sampled_subsets(n: int):
+    """Every subset of 1, 2, n - 1 or n members, smallest first."""
+    for k in sorted({1, 2, n - 1, n} & set(range(1, n + 1))):
+        yield from combinations(range(n), k)
 
 
 def _scan_subsets(
@@ -196,15 +185,14 @@ def _scan_subsets(
     score: Callable[[FnClass], Scalar],
     holds: Callable[[Scalar], bool],
     subset_budget: int,
-    seed: int,
-    samples: int,
     known: Dict[Tuple[int, ...], Scalar],
 ) -> Tuple[Optional[Tuple[int, ...]], bool, Callable[[Sequence[int]], Scalar]]:
     """Find the first subset S whose infimum fails ``holds(score(inf S))``.
 
     Subsets come from ``_nonempty_subsets`` while the family is within
-    ``subset_budget`` and from ``_sampled_subsets`` beyond it, smallest
-    first, so the witness is a smallest violating subset.
+    ``subset_budget`` and from the fixed ``_sampled_subsets`` beyond it,
+    smallest first, so the witness is a smallest violating subset among
+    those scanned.  Either way the whole family is scanned last.
 
     The infimum of a subset takes every atom's value from some member, so
     it is named exactly by one rank per atom: the rank of its value among
@@ -249,7 +237,7 @@ def _scan_subsets(
         memo[inf_key(idx)] = value
     n = len(members)
     exhaustive = n <= subset_budget
-    subsets = _nonempty_subsets(n) if exhaustive else _sampled_subsets(n, seed, samples)
+    subsets = _nonempty_subsets(n) if exhaustive else _sampled_subsets(n)
     witness = None
     for idx in subsets:
         key = inf_key(idx)
@@ -266,8 +254,6 @@ def is_phi_inf_directed(
     family: Family,
     phi: Functional,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    seed: int = 0,
-    samples: int = DEFAULT_SAMPLED_SUBSETS,
     *,
     phi_values: Optional[Sequence[Scalar]] = None,
     phi_inf: Optional[Scalar] = None,
@@ -281,17 +267,22 @@ def is_phi_inf_directed(
     with the verdict at any tolerance.
 
     Exhaustive over all 2^n - 1 nonempty subsets while the family size is
-    within ``subset_budget``; beyond that, singletons, pairs, the full
-    family, and ``samples`` random subsets are checked and the result is
-    labeled "sampled".  Subsets are visited smallest first, so the witness
-    on failure is a smallest violating subset.
+    within ``subset_budget``; beyond that, every subset of 1, 2, n - 1 or n
+    members is checked and the result is labeled "sampled".  Subsets are
+    visited smallest first, so the witness on failure is a smallest
+    violating subset among those scanned.  Both modes scan the whole family
+    X, so ``shortcut_agrees`` compares the verdict with the shortcut
+    condition min Phi(X) <= Phi(inf X) in both, and for an
+    order-preserving Phi, where that condition decides directedness, the
+    sampled verdict is exact too.
 
     A subset costs one bitwise AND per member and one set lookup, plus one
     Phi evaluation if its infimum is new: Phi is evaluated once per
     distinct subset infimum, and not at all on the members or on the
     infimum of the whole family when their values are passed as
-    ``phi_values`` and ``phi_inf``.  The memo holds at most one entry per subset scanned (2^n - 1 when
-    exhaustive) plus the members, and is freed on return.
+    ``phi_values`` and ``phi_inf``.  The memo holds at most one entry per
+    subset scanned (2^n - 1 when exhaustive) plus the members, and is freed
+    on return.
     """
     tol = _tolerance(tolerance, family.space.backing)
     members = family.members
@@ -303,21 +294,18 @@ def is_phi_inf_directed(
     if phi_inf is not None:
         known[tuple(range(n))] = phi_inf
     witness, exhaustive, score_inf = _scan_subsets(
-        members, phi, lambda v: _leq_within(lhs, v, tol), subset_budget, seed,
-        samples, known,
+        members, phi, lambda v: _leq_within(lhs, v, tol), subset_budget, known,
     )
     directed = witness is None
-    result = DirectednessResult(
+    shortcut = _leq_within(lhs, score_inf(range(n)), tol)
+    if phi.order_preserving and shortcut != directed:
+        _counterexample(family, phi, witness, score_inf(range(n)))
+    return DirectednessResult(
         directed=directed,
         witness=witness,
         mode="exhaustive" if exhaustive else "sampled",
+        shortcut_agrees=shortcut == directed,
     )
-    if exhaustive:
-        shortcut = _leq_within(lhs, score_inf(range(n)), tol)
-        result.shortcut_agrees = shortcut == directed
-        if phi.order_preserving and shortcut != directed:
-            _counterexample(family, phi, witness, score_inf(range(n)))
-    return result
 
 
 def _counterexample(
@@ -350,7 +338,6 @@ def verify_interchange(
     phi: Functional,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     tolerance: Optional[Scalar] = None,
-    seed: int = 0,
     *,
     phi_values: Optional[Sequence[Scalar]] = None,
     phi_inf: Optional[Scalar] = None,
@@ -378,8 +365,7 @@ def verify_interchange(
     if not _leq_within(rhs, lhs, tol):
         found = _counterexample(family, phi, (values.index(lhs),), rhs)
     directed = is_phi_inf_directed(
-        family, phi, subset_budget, seed=seed, phi_values=values, phi_inf=rhs,
-        tolerance=tol,
+        family, phi, subset_budget, phi_values=values, phi_inf=rhs, tolerance=tol,
     )
     if found is None and holds != directed.directed:
         # A "yes" covers S = X, so past the member check only a "no" disagrees.
@@ -432,7 +418,6 @@ def verify_interchange_sequence(
     phi: Functional,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     tolerance: Optional[Scalar] = None,
-    seed: int = 0,
 ) -> InterchangeReport:
     """Interchange verdict for a sequence seen through a finite prefix."""
     members = spec.prefix()
@@ -461,7 +446,7 @@ def verify_interchange_sequence(
 
     if spec.exhaustive:
         base = verify_interchange(
-            Family(members), phi, subset_budget, tolerance, seed,
+            Family(members), phi, subset_budget, tolerance,
             phi_values=phi_values, phi_inf=prefix_rhs[-1],
         )
         base.mode = "sequence"
@@ -505,7 +490,7 @@ def verify_interchange_sequence(
         notes.append("prefix lhs neither stabilizes nor crosses the threshold")
     else:
         directed = is_phi_inf_directed(
-            Family(members), phi, subset_budget, seed=seed,
+            Family(members), phi, subset_budget,
             phi_values=phi_values, phi_inf=prefix_rhs[-1], tolerance=tol,
         )
         directed_verdict = directed.verdict
@@ -604,7 +589,6 @@ def check_seq_inf_continuity(
 def giner_gap_directed(
     family: Family,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    seed: int = 0,
 ) -> DirectednessResult:
     """Integrably-inf-directed check in gap form.
 
@@ -631,9 +615,7 @@ def giner_gap_directed(
         )
 
     witness, exhaustive, _ = _scan_subsets(
-        members, gap, lambda g: g <= 0, subset_budget, seed,
-        DEFAULT_SAMPLED_SUBSETS, {},
-    )
+        members, gap, lambda g: g <= 0, subset_budget, {})
     return DirectednessResult(
         directed=witness is None,
         witness=witness,

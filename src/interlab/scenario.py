@@ -204,7 +204,9 @@ def build_sequence(obj: dict, default_prefix: int = 100,
 
 def read_check(sc: dict, flags: dict):
     """(family or sequence spec, functional, subset budget, tolerance, seed)
-    of a ``check`` scenario."""
+    of a ``check`` scenario.  The verifiers use no randomness: the seed,
+    ``--seed`` over the scenario's ``"seed"`` and 0 without either, is
+    checked and returned only for the environment echo."""
     tol = read_tolerance(sc, flags)
     budget = read_int(sc, flags, "subset_budget", DEFAULT_SUBSET_BUDGET)
     seed = read_int(sc, flags, "seed", 0)

@@ -30,7 +30,7 @@ from interlab.errors import DomainError, InvariantError
 from interlab.extreal import POS_INF, add, as_scalar, ext, lower_add, scalar_mul, upper_add
 from interlab.fnlattice import FnClass, classify, fn_add, fn_neg, pointwise_inf
 from interlab.integrals import lebesgue_extended, outer_integral
-from interlab.interchange import _eq_within, _sampled_subsets, default_tolerance
+from interlab.interchange import _eq_within, default_tolerance
 from interlab.measure import iter_atom_subsets
 
 
@@ -120,15 +120,16 @@ def choquet_riemann(f: FnClass, capacity, step_units_per_one=10_000):
     return float(lookup[codes].sum()) / step_units_per_one
 
 
-def _naive_subsets(n, subset_budget, seed, samples):
-    # The sample is drawn by the library: which subsets are sampled is not
-    # what the naive scans check, only what each subset's verdict is.
+def _naive_subsets(n, subset_budget):
+    """(subsets, mode): every nonempty subset, smallest first, within the
+    budget; beyond it only those of 1, 2, n - 1 or n members."""
+    subsets = [c for k in range(1, n + 1) for c in combinations(range(n), k)]
     if n <= subset_budget:
-        return [c for k in range(1, n + 1) for c in combinations(range(n), k)], "exhaustive"
-    return _sampled_subsets(n, seed, samples), "sampled"
+        return subsets, "exhaustive"
+    return [c for c in subsets if len(c) in (1, 2, n - 1, n)], "sampled"
 
 
-def naive_phi_inf_directed(family, phi, subset_budget, seed=0, samples=64):
+def naive_phi_inf_directed(family, phi, subset_budget):
     """(directed, witness, mode, shortcut_agrees) of the subset condition,
     each subset judged within the default tolerance of the family's backing."""
     tol = default_tolerance(family.space.backing)
@@ -138,7 +139,7 @@ def naive_phi_inf_directed(family, phi, subset_budget, seed=0, samples=64):
     def holds(v):
         return lhs <= v or _eq_within(lhs, v, tol)
 
-    subsets, mode = _naive_subsets(len(members), subset_budget, seed, samples)
+    subsets, mode = _naive_subsets(len(members), subset_budget)
     witness = next(
         (idx for idx in subsets
          if not holds(phi(pointwise_inf([members[i] for i in idx])))),
@@ -146,13 +147,13 @@ def naive_phi_inf_directed(family, phi, subset_budget, seed=0, samples=64):
     )
     directed = witness is None
     shortcut = holds(phi(pointwise_inf(members)))
-    return directed, witness, mode, (shortcut == directed) if mode == "exhaustive" else None
+    return directed, witness, mode, shortcut == directed
 
 
-def naive_giner_gap_directed(family, subset_budget, seed=0, samples=64):
+def naive_giner_gap_directed(family, subset_budget):
     """(directed, witness, mode) of the gap form."""
     members = family.members
-    subsets, mode = _naive_subsets(len(members), subset_budget, seed, samples)
+    subsets, mode = _naive_subsets(len(members), subset_budget)
 
     def gap_ok(idx):
         m = pointwise_inf([members[i] for i in idx])

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,22 @@ def test_explicit_zero_subset_budget_samples_every_scan(tmp_path, capsys, argv, 
     assert SAMPLED_NOTE in json.loads(out)["report"]["notes"]
 
 
+def test_sampled_report_does_not_depend_on_the_seed(capsys, cli_backing):
+    # Every pair of members passes and every triple fails, so the witness is
+    # the first subset of the fixed sample larger than a pair.
+    path = str(Path(__file__).resolve().parent / "golden" / "scenarios"
+               / "check-sampled-pair-cover.json")
+    payloads = []
+    for seed in range(10):
+        code, out = run_main(capsys, ["check", path, "--seed", str(seed)])
+        payload = json.loads(out)
+        assert code == 0 and payload["environment"].pop("seed") == seed
+        payloads.append(payload)
+    assert all(p == payloads[0] for p in payloads)
+    assert payloads[0]["report"]["witness"] == [0, 1, 2, 3, 4, 5, 6]
+    assert SAMPLED_NOTE in payloads[0]["report"]["notes"]
+
+
 @pytest.mark.parametrize("entry", [
     {"subset_budget": "x"}, {"subset_budget": -1}, {"subset_budget": 1.5},
     {"subset_budget": True}, {"seed": "x"}, {"seed": -1}, {"seed": 2.5},
@@ -179,6 +196,16 @@ def test_oracle_echoes_the_tolerance_it_verifies_at(capsys, monkeypatch, backing
     assert code == 0
     assert json.loads(out)["environment"]["tolerance"] == default
     assert run_main(capsys, ["oracle", "--trials", "3"]) == (code, out)
+
+
+@pytest.mark.parametrize("flag", [
+    ["--subset-budget", "0"], ["--prefix", "5"], ["--divergence-threshold", "3"],
+])
+def test_oracle_checks_but_does_not_read_the_verifier_flags(capsys, flag):
+    argv = ["oracle", "--trials", "20", "--seed", "1", "--max-family", "14"]
+    code, out = run_main(capsys, argv + flag)
+    assert code == 0
+    assert run_main(capsys, argv) == (code, out)
 
 
 def test_oracle_deterministic_reports(tmp_path):
@@ -590,6 +617,40 @@ def test_shapiro_bad_p_exits_2(tmp_path, capsys, cli_backing, p):
     }
     assert main(["shapiro-check", write_scenario(tmp_path, "p.json", scenario)]) == 2
     assert capsys.readouterr().err.startswith("schema error:")
+
+
+def _shapiro_probe(tmp_path, capsys, p, table, prefix):
+    scenario = {
+        "space": {"atoms": ["a"], "weights": [1]},
+        "integrand": {"controls": [[0], [1]], "table": [table]},
+        "functional": {"kind": "extended_lebesgue"},
+        "selection_prefix": prefix,
+        "p": p,
+    }
+    code = main(["shapiro-check", write_scenario(tmp_path, "probe.json", scenario)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def test_shapiro_p_beyond_the_float_range_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("INTERLAB_BACKING", "rational")
+    code, _, err = _shapiro_probe(tmp_path, capsys, "1e400", [0, 1], [[0]])
+    assert code == 3 and "overflows the float range" in err
+
+
+def test_shapiro_norm_beyond_the_float_range_exits_3(tmp_path, capsys, cli_backing):
+    code, _, err = _shapiro_probe(tmp_path, capsys, 2000, [5, 0], [[0], [1]])
+    assert code == 3 and "overflows the float range" in err
+
+
+def test_shapiro_exact_norm_beyond_the_float_range_is_compared_exactly(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("INTERLAB_BACKING", "rational")
+    code, out, _ = _shapiro_probe(tmp_path, capsys, 1, ["1e400", 0], [[1], [0]])
+    assert code == 0
+    ok = {h["name"]: h["ok"] for h in json.loads(out)["report"]["hypotheses"]}
+    assert ok["S2a_norm_convergence"] is False
 
 
 @pytest.mark.parametrize("tol, holds, directed, witness", [

@@ -1,8 +1,9 @@
 """Golden reports of the CLI, byte for byte, under both backings.
 
 Three groups: the selection-set commands, the interchange path (the
-integral and Choquet galleries and two ``check`` scenarios), and the
-sha256 digests of the oracle campaign reports for seeds 0-49.
+integral and Choquet galleries and the ``check`` scenarios, one of them
+scanned beyond the subset budget), and the sha256 digests of the oracle
+campaign reports for seeds 0-49.
 
 The CLI reads ``INTERLAB_BACKING`` on each call of ``main``, so both
 backings run in this process.  After an intended change to these reports,
@@ -43,6 +44,7 @@ INTERCHANGE_CASES = {
     "check-literal-24": ["check", str(SCENARIOS / "check-literal-24.json")],
     "check-choquet-distortion": ["check", str(SCENARIOS / "check-choquet-distortion.json")],
     "check-choquet-distortion-16": ["check", str(SCENARIOS / "check-choquet-distortion-16.json")],
+    "check-sampled-pair-cover": ["check", str(SCENARIOS / "check-sampled-pair-cover.json")],
 }
 
 

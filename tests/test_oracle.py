@@ -76,8 +76,7 @@ def test_shortcut_agrees_across_random_corpus():
     for _ in range(200):
         inst = random_instance(rng, max_atoms=5, max_family=4)
         res = is_phi_inf_directed(inst.family, inst.functional)
-        if res.mode == "exhaustive":
-            assert res.shortcut_agrees is True
+        assert res.shortcut_agrees is True
 
 
 def test_verify_interchange_under_float_backing():

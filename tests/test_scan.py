@@ -84,12 +84,11 @@ def test_scan_matches_naive_reference(data):
     grid = _grid(kind, data.draw(st.sampled_from(["-inf", "+inf"]), label="inf"))
     rows = data.draw(_rows(grid, n_atoms), label="family")
     budget = data.draw(st.integers(0, 9), label="budget")
-    seed = data.draw(st.integers(0, 3), label="seed")
     space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
     family = Family([FnClass(space, r) for r in rows])
     phi = _functional(kind, space, cap_weights)
-    res = is_phi_inf_directed(family, phi, budget, seed=seed)
-    expected = naive_phi_inf_directed(family, phi, budget, seed=seed)
+    res = is_phi_inf_directed(family, phi, budget)
+    expected = naive_phi_inf_directed(family, phi, budget)
     assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == expected
 
 
@@ -109,11 +108,10 @@ def test_giner_gap_scan_matches_naive_reference(data):
     rows = data.draw(st.lists(st.tuples(*cells), min_size=1, max_size=9),
                      label="family")
     budget = data.draw(st.integers(0, 9), label="budget")
-    seed = data.draw(st.integers(0, 3), label="seed")
     space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
     family = Family([FnClass(space, list(r)) for r in rows])
-    res = giner_gap_directed(family, budget, seed=seed)
-    expected = naive_giner_gap_directed(family, budget, seed=seed)
+    res = giner_gap_directed(family, budget)
+    expected = naive_giner_gap_directed(family, budget)
     assert (res.directed, res.witness, res.mode) == expected
 
 
