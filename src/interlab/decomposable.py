@@ -18,13 +18,12 @@ penalties in the integrand), and the minimized side of the interchange uses
 the same reachable sets.
 
 ``verify_rw_interchange`` brute-forces the selection side against the
-integral of the per-atom minimum in one pass over the set: the weighted
-positive and negative terms of every (atom, reachable control) are computed
-once, and each selection folds them in atom order exactly as
-``outer_integral(G(u))`` would, reusing the fold of the atoms it shares
-with the previous selection.  The same pass collects the minimizers and the
-selections that pick a per-atom minimizer on every non-null atom, so
-``verify_rw_argmin`` checks the selection-by-selection argmin
+integral of the per-atom minimum in one pass over the set, a block of
+selections at a time; a product folds its trailing atoms one atom layer
+at a time, with the additions of ``outer_integral(G(u))`` in its order.
+The same pass collects the minimizers, and the selections that pick a
+per-atom minimizer on every non-null atom are read off the per-atom
+argmins, so ``verify_rw_argmin`` checks the selection-by-selection argmin
 characterization (whenever the common value is finite) from the
 interchange report without enumerating again.  ``verify_shapiro`` checks
 the hypotheses and conclusion of the norm-convergence interchange for
@@ -33,8 +32,12 @@ general order-preserving functionals on a probability space.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations, compress, islice, product, repeat
+from operator import add, contains, eq, getitem
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, DomainError, InputError, InvariantError
@@ -46,10 +49,9 @@ from .extreal import (
     Scalar,
     as_scalar,
     ext,
-    lower_add,
-    scalar_mul,
     to_text,
     upper_add,
+    weighted_parts,
 )
 from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
 from .functionals import Functional
@@ -58,6 +60,11 @@ from .interchange import _eq_within, _tolerance
 from .measure import MeasureSpace
 
 DEFAULT_ENUM_BUDGET = 10**6
+
+# Selections folded together: a product folds its trailing atoms whose
+# admissible sets multiply to at most this many one atom layer at a time,
+# and an explicit set is read this many selections at a time.
+SELECTION_BLOCK = 1024
 
 Selection = Tuple[int, ...]
 
@@ -298,9 +305,12 @@ def verify_rw_interchange(
     outer integral of the per-atom minimum over the reachable controls.
 
     A non-decomposable set is still evaluated, flagged as a hypothesis
-    violation (the inequality lhs >= rhs always holds; equality may fail).
-    Requires some selection with integrable positive part.  The set is
-    enumerated once (see ``_min_over_selections``).
+    violation: equality may fail there.  The inequality lhs >= rhs always
+    holds, since G(u) >= G-flat on every atom and the outer integral and
+    float rounding are monotone, so lhs below rhs beyond the tolerance is
+    an InvariantError, as is inequality on a decomposable set.  Requires
+    some selection with integrable positive part.  The set is enumerated
+    once (see ``_min_over_selections``).
     """
     tol = _tolerance(tolerance, integrand.space.backing)
     if u_set.n_atoms != len(integrand.space.atoms):
@@ -325,9 +335,12 @@ def verify_rw_interchange(
             f"lhs={to_text(lhs)}, rhs={to_text(rhs)}"
         )
     if not equal:
-        notes.append(
-            "strict inequality lhs > rhs" if lhs > rhs else "lhs below rhs (unexpected)"
-        )
+        if lhs < rhs:
+            raise InvariantError(
+                f"min over selections below the integral of the per-atom minimum: "
+                f"lhs={to_text(lhs)}, rhs={to_text(rhs)}"
+            )
+        notes.append("strict inequality lhs > rhs")
     return RwInterchangeReport(
         lhs=lhs, rhs=rhs, equal=equal, decomposable=decomp.decomposable,
         hypothesis_notes=notes, minimizers=minimizers,
@@ -338,75 +351,137 @@ def verify_rw_interchange(
 def _min_over_selections(integrand, u_set, projections, enum_budget):
     """(min, minimizers, pointwise argmin set) of outer_integral(G(u)) over u.
 
-    One walk over ``u_set.iter_selections``.  For every atom i and reachable
-    control c the terms ``part_integrals`` adds for the value f(i, c) are
-    computed once: w_i * f to the positive part when f > 0, w_i * (-f) to
-    the negative part when f < 0.  A selection folds its terms with
-    ``lower_add`` in atom order and takes ``upper_add(ip, -im)``, the
-    same operations in the same order as ``outer_integral(g_of(u))``, so
-    float rounding is unchanged.  The folds of the first k atoms are kept
-    per k and reused while a selection agrees with the previous one on
-    those atoms, which in a product's odometer order is all but the last
-    few.  Raises DomainError when no selection has a finite positive part.
-    """
-    selections = u_set.iter_selections(enum_budget)
-    space = integrand.space
-    n = len(space.atoms)
-    atom_argmin = integrand.per_atom_argmin(projections)
-    plus_terms, minus_terms, picks_argmin = [], [], []
-    for i, controls in enumerate(projections):
-        w = space.weights[i]
-        plus_row = [None] * integrand.n_controls
-        minus_row = [None] * integrand.n_controls
-        argmin_row = [False] * integrand.n_controls
-        for c in controls:
-            v = integrand.table[i][c]
-            if v > 0:
-                plus_row[c] = scalar_mul(w, v)
-            elif v < 0:
-                minus_row[c] = scalar_mul(w, -v)
-            argmin_row[c] = space.is_null_atom(i) or c in atom_argmin[i]
-        plus_terms.append(plus_row)
-        minus_terms.append(minus_row)
-        picks_argmin.append(argmin_row)
+    One walk over ``u_set.iter_selections``, a block of selections at a
+    time.  Every (atom, reachable control) gets one code, and a selection's
+    value is the atom-order left fold of its codes: under float backing the
+    complex number (positive term, negative term) of ``weighted_parts``,
+    whose addition adds the two parts separately with the rounding of
+    ``outer_integral(G(u))``, bit for bit; under rational backing the exact
+    term.  A product folds the block of its trailing atoms whose admissible
+    sets multiply to at most ``SELECTION_BLOCK`` one atom layer at a time,
+    from the fold of the leading atoms, one add per selection and layer; an
+    explicit set folds each selection.  When a fold could differ from
+    ``weighted_parts`` (see ``_complex_codes`` and ``_exact_codes``), each
+    selection is evaluated by ``weighted_parts`` itself, which raises
+    InputError for a float part beyond the float range as
+    ``outer_integral`` does.
 
-    # plus[k], minus[k], on_argmin[k]: the folds over atoms 0..k-1 of prev.
-    zero = as_scalar(0, space.backing)
-    plus = [zero] * (n + 1)
-    minus = [zero] * (n + 1)
-    on_argmin = [True] * (n + 1)
-    prev = (None,) * n  # shares no atom with the first selection
-    lhs = None
-    minimizers: List[Selection] = []
-    pointwise_argmin: List[Selection] = []
-    has_l1_plus = False
-    for sel in selections:
-        k = 0
-        while k < n and sel[k] == prev[k]:
-            k += 1
-        for i in range(k, n):
-            c = sel[i]
-            t = plus_terms[i][c]
-            plus[i + 1] = plus[i] if t is None else lower_add(plus[i], t)
-            t = minus_terms[i][c]
-            minus[i + 1] = minus[i] if t is None else lower_add(minus[i], t)
-            on_argmin[i + 1] = on_argmin[i] and picks_argmin[i][c]
-        prev = sel
-        ip = plus[n]
-        if ip != POS_INF:
-            has_l1_plus = True
-        v = upper_add(ip, -minus[n])
-        if lhs is None or v < lhs:
-            lhs, minimizers = v, [sel]
-        elif v == lhs:
-            minimizers.append(sel)
-        if on_argmin[n]:
-            pointwise_argmin.append(sel)
-    if not has_l1_plus:
+    A block's minimizers are ``compress``-ed out of the one selection
+    iterator.  A product's pointwise argmin set is the product of the
+    per-atom argmin controls (every reachable control on a null atom); an
+    explicit set's is its members that pick such controls.  Raises
+    DomainError when no selection has a finite positive part, that is, when
+    the minimum is +inf.
+    """
+    space = integrand.space
+    selections = u_set.iter_selections(enum_budget)
+    if space.backing == "float":
+        rows, zero = _complex_codes(space.weights, integrand.table, projections), 0j
+    else:
+        rows, zero = _exact_codes(space.weights, integrand.table, projections), 0
+    if rows is None:
+        def value(sel):
+            ip, im = weighted_parts(space.weights, [row[c] for row, c in zip(integrand.table, sel)])
+            return upper_add(ip, -im)
+
+        blocks = _listed_blocks(selections, value)
+    elif u_set.kind == "product":
+        blocks = _product_blocks(rows, u_set.admissible, selections, zero)
+    else:
+        blocks = _listed_blocks(selections, lambda sel: reduce(add, map(getitem, rows, sel), zero))
+
+    lhs, minimizers = None, []
+    for values, block in blocks:
+        if rows is not None and space.backing == "float":  # upper_add(ip, -im)
+            values = [z.real - z.imag if z.real != POS_INF else POS_INF for z in values]
+        m = min(values)
+        if lhs is None or m < lhs:
+            lhs, minimizers = m, list(compress(block, map(eq, values, repeat(m))))
+        elif m == lhs:
+            minimizers += compress(block, map(eq, values, repeat(m)))
+    if lhs == POS_INF:
         raise DomainError(
             "precondition failure: no selection has integrable positive part"
         )
-    return lhs, minimizers, pointwise_argmin
+    if type(lhs) is Fraction and lhs.denominator == 1:
+        lhs = lhs.numerator  # an int when integral, as outer_integral gives
+    argmin_sets = [
+        cs if space.is_null_atom(i) else best
+        for i, (cs, best) in enumerate(zip(projections, integrand.per_atom_argmin(projections)))
+    ]
+    if u_set.kind == "product":
+        return lhs, minimizers, list(product(*argmin_sets))
+    picks = [set(cs) for cs in argmin_sets]
+    return lhs, minimizers, [s for s in u_set.selections if all(map(contains, picks, s))]
+
+
+def _product_blocks(rows, admissible, selections, zero):
+    """(folds, selections) per block of a product, in enumeration order.
+
+    The leading atoms advance an odometer, one block per head tuple; what
+    the consumer leaves unread of a block's selections is skipped.
+    """
+    h, size = len(rows), 1
+    while h and size * len(admissible[h - 1]) <= SELECTION_BLOCK:
+        h -= 1
+        size *= len(admissible[h])
+    layers = [[row[c] for c in cs] for row, cs in zip(rows, admissible)]
+    for head in product(*layers[:h]):
+        acc = [reduce(add, head, zero)]
+        for layer in layers[h:]:
+            acc = [s + t for s in acc for t in layer]
+        block = islice(selections, size)
+        yield acc, block
+        deque(block, maxlen=0)
+
+
+def _listed_blocks(selections, value):
+    """(values, selections) per run of ``SELECTION_BLOCK`` selections."""
+    while block := list(islice(selections, SELECTION_BLOCK)):
+        yield [value(sel) for sel in block], block
+
+
+def _complex_codes(weights, table, projections):
+    """Per atom, the complex codes (positive term, negative term) of the
+    float values at the reachable controls; None when a fold could leave
+    the float range."""
+    rows, plus_bound, minus_bound = [], 0.0, 0.0
+    for w, row, controls in zip(weights, table, projections):
+        codes = [0j] * len(row)
+        plus_max = minus_max = 0.0
+        for c in controls:
+            x = row[c]
+            if x == POS_INF or x == NEG_INF:
+                if w:  # 0 * inf = 0 on a null atom
+                    codes[c] = complex(POS_INF, 0.0) if x > 0 else complex(0.0, POS_INF)
+            elif x > 0:
+                codes[c] = complex(w * x, 0.0)
+                plus_max = max(plus_max, w * x)
+            elif x < 0:
+                codes[c] = complex(0.0, w * -x)
+                minus_max = max(minus_max, w * -x)
+        plus_bound += plus_max
+        minus_bound += minus_max
+        rows.append(codes)
+    if plus_bound == POS_INF or minus_bound == POS_INF:
+        return None
+    return rows
+
+
+def _exact_codes(weights, table, projections):
+    """Per atom, the exact terms w * x at the reachable controls; None when
+    one is infinite on an atom of positive weight, where the exact fold
+    would meet float infinities."""
+    rows = []
+    for w, row, controls in zip(weights, table, projections):
+        codes = [0] * len(row)
+        if w:  # 0 * x = 0 on a null atom, infinite x included
+            for c in controls:
+                if type(row[c]) is float:  # under rational backing, only ±inf
+                    return None
+                codes[c] = w * row[c]
+        rows.append(codes)
+    return rows
 
 
 @dataclass

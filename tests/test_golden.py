@@ -33,6 +33,7 @@ SELECTION_CASES = {
     "gallery-rw-demo": ["gallery", "rw-demo"],
     "gallery-shapiro-demo": ["gallery", "shapiro-demo"],
     "rw-product": ["rw-check", str(SCENARIOS / "rw-product.json")],
+    "rw-product-blocks": ["rw-check", str(SCENARIOS / "rw-product-blocks.json")],
     "rw-explicit-decomposable": ["rw-check", str(SCENARIOS / "rw-explicit-decomposable.json")],
     "rw-explicit-holey": ["rw-check", str(SCENARIOS / "rw-explicit-holey.json")],
 }

@@ -1,19 +1,23 @@
 """Selection-set verdicts against naive references, and the single enumeration."""
 
 import json
+import tracemalloc
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from interlab import decomposable
 from interlab.cli import main
 from interlab.decomposable import (
+    SELECTION_BLOCK,
     Integrand,
     SelectionSet,
     is_decomposable,
     verify_rw_argmin,
     verify_rw_interchange,
 )
-from interlab.errors import InterlabError
+from interlab.errors import InterlabError, InvariantError
 from interlab.extreal import NEG_INF
 from interlab.interchange import default_tolerance
 from interlab.measure import MeasureSpace
@@ -130,3 +134,182 @@ def test_rw_check_enumerates_the_selection_set_once(tmp_path, monkeypatch, capsy
         assert main(["rw-check", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["argmin"]["characterization_holds"]
         assert calls == [sel["kind"]]
+
+
+# Values near the top of the float range: float folds of these overflow, so
+# the enumeration falls back to ``weighted_parts`` selection by selection.
+HUGE = ["1e308", "-1e308", "1e307"]
+# Few finite values: blocks tie, and worse blocks sit between tying ones.
+FINITE = [-1, 0, "1/2", 1]
+
+
+@st.composite
+def multi_block_products(draw):
+    """Admissible sets whose product holds 1.5 to 4 blocks of selections,
+    with single-control atoms mixed in."""
+    n_controls = draw(st.integers(2, 4), label="controls")
+    sizes, count = [], 1
+    while 2 * count < 3 * SELECTION_BLOCK:
+        size = draw(st.sampled_from(
+            [k for k in range(2, n_controls + 1) if count * k <= 4 * SELECTION_BLOCK]))
+        sizes.append(size)
+        count *= size
+    sizes = draw(st.permutations(sizes + [1] * draw(st.integers(0, 2))))
+    admissible = [draw(st.lists(st.integers(0, n_controls - 1), min_size=k, max_size=k,
+                                unique=True)) for k in sizes]
+    return n_controls, admissible
+
+
+def _assert_matches_naive(integrand, u_set, backing):
+    expected = _outcome(lambda: naive_rw(integrand, u_set, default_tolerance(backing)))
+    report = _outcome(lambda: verify_rw_interchange(integrand, u_set))
+    if isinstance(expected, type):
+        assert report is expected
+        return
+    lhs, rhs, minimizers, pointwise = expected
+    assert (report.lhs, report.rhs, report.minimizers) == (lhs, rhs, minimizers)
+    assert repr(report.lhs) == repr(lhs)  # the same type, and the same zero
+    assert set(report.pointwise_argmin) == pointwise
+    assert len(report.pointwise_argmin) == len(pointwise)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_multi_block_sets_match_naive_reference(data):
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    n_controls, admissible = data.draw(multi_block_products(), label="admissible")
+    n_atoms = len(admissible)
+    values = data.draw(st.sampled_from([VALUES, VALUES + HUGE, FINITE]), label="values")
+    weights = data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=n_atoms,
+                                 max_size=n_atoms), label="weights")
+    table = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_controls,
+                                        max_size=n_controls),
+                               min_size=n_atoms, max_size=n_atoms), label="table")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    integrand = Integrand(space, [[c] for c in range(n_controls)], table)
+    u_set = SelectionSet("product", n_atoms, n_controls, admissible=admissible)
+    if data.draw(st.booleans(), label="explicit"):
+        sels = list(u_set.iter_selections())
+        data.draw(st.randoms(use_true_random=False), label="order").shuffle(sels)
+        u_set = SelectionSet.explicit(sels[:data.draw(st.integers(1, len(sels)))],
+                                      n_atoms, n_controls)
+    _assert_matches_naive(integrand, u_set, backing)
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+@pytest.mark.parametrize("value", [3, "-1/4", "+inf", "-inf"])
+def test_constant_integrand_ties_span_every_block(backing, value):
+    n_atoms, n_controls = 6, 4  # 4 blocks of 1024 selections
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], [1, 0, "1/2", 2, 1, "1/4"],
+                         backing=backing)
+    integrand = Integrand(space, [[c] for c in range(n_controls)],
+                          [[value] * n_controls] * n_atoms)
+    u_set = SelectionSet.full_product(n_atoms, n_controls)
+    assert u_set.count() == 4 * SELECTION_BLOCK
+    _assert_matches_naive(integrand, u_set, backing)
+    if value != "+inf":
+        report = verify_rw_interchange(integrand, u_set)
+        assert report.minimizers == list(product(range(n_controls), repeat=n_atoms))
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_blocks_skipped_between_tying_blocks(backing):
+    """Atom 0 heads five blocks of 4^5 selections with values 2, 5, 2, 1, 1:
+    the second block is skipped, the third ties the first, the fourth
+    replaces them, and the fifth ties it."""
+    space = MeasureSpace([f"a{i}" for i in range(6)], [1] * 6, backing=backing)
+    table = [[2, 5, 2, 1, 1]] + [[0, "1/2", 1, 0, 0]] * 5
+    integrand = Integrand(space, [[c] for c in range(5)], table)
+    u_set = SelectionSet("product", 6, 5, admissible=[range(5)] + [range(4)] * 5)
+    report = verify_rw_interchange(integrand, u_set)
+    assert [s[0] for s in report.minimizers] == [3] * 32 + [4] * 32
+    _assert_matches_naive(integrand, u_set, backing)
+
+
+# The overflow probe: selection (0, 0, 0) folds 1e308 + 1e308 before its
+# +inf term, so its positive part is +inf, as outer_integral(G(u)) says.
+PROBE_TABLE = [[1e308, 1], [1e308, 1], ["+inf", 1]]
+
+
+def _rw_file(tmp_path, weights, table, selection_set):
+    path = tmp_path / "rw.json"
+    path.write_text(json.dumps({
+        "space": {"atoms": [f"a{i}" for i in range(len(weights))], "weights": weights},
+        "integrand": {"controls": [[c] for c in range(len(table[0]))], "table": table},
+        "selection_set": selection_set,
+    }))
+    return str(path)
+
+
+def _rw_check(path, backing, monkeypatch, capsys):
+    monkeypatch.setenv("INTERLAB_BACKING", backing)
+    code = main(["rw-check", path])
+    out, err = capsys.readouterr()
+    return code, (json.loads(out)["report"]["interchange"] if code == 0 else err)
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+@pytest.mark.parametrize("weights, table", [
+    ([1, 1, 1], PROBE_TABLE),
+    # 2 * 1e308 overflows as a term, on a selection that is +inf anyway.
+    ([2, 1, 1], [[1e308, 0.5], [1, 1], ["+inf", 1]]),
+])
+def test_overflow_before_an_infinite_term_is_not_an_error(
+        backing, weights, table, tmp_path, monkeypatch, capsys):
+    path = _rw_file(tmp_path, weights, table,
+                    {"kind": "explicit", "selections": [[0, 0, 0], [1, 1, 1]]})
+    code, inter = _rw_check(path, backing, monkeypatch, capsys)
+    assert code == 0
+    assert inter["lhs"] == 3 and type(inter["lhs"]) is (float if backing == "float" else int)
+    assert inter["minimizers"] == [[1, 1, 1]]
+
+
+def test_float_overflow_without_an_infinite_term_still_exits_3(tmp_path, monkeypatch, capsys):
+    path = _rw_file(tmp_path, [1, 1, 1], [[1e308, 1], [1e308, 1], [1, 1]],
+                    {"kind": "explicit", "selections": [[0, 0, 0], [1, 1, 1]]})
+    code, err = _rw_check(path, "float", monkeypatch, capsys)
+    assert code == 3
+    assert "expected a finite scalar, got +inf" in err
+
+
+def test_full_product_probe_fails_where_outer_integral_fails(tmp_path, monkeypatch, capsys):
+    """In the full product, selection (0, 0, 1) has no +inf term, and its
+    finite positive part 2e308 + 1 lies beyond the float range."""
+    path = _rw_file(tmp_path, [1, 1, 1], PROBE_TABLE, {"kind": "product"})
+    assert _rw_check(path, "rational", monkeypatch, capsys)[0] == 0
+    assert _rw_check(path, "float", monkeypatch, capsys)[0] == 3
+    space = MeasureSpace(["a0", "a1", "a2"], [1, 1, 1], backing="float")
+    integrand = Integrand(space, [[0], [1]], PROBE_TABLE)
+    _assert_matches_naive(integrand, SelectionSet.full_product(3, 2), "float")
+
+
+def test_lhs_below_rhs_is_an_invariant_failure(monkeypatch):
+    space = MeasureSpace(["a", "b"], [1, 1])
+    integrand = Integrand(space, [[0], [1]], [[0, 1], [0, 1]])
+    u_set = SelectionSet.explicit([(0, 1), (1, 0)], 2, 2)  # not decomposable
+    assert verify_rw_interchange(integrand, u_set).hypothesis_notes[-1] == (
+        "strict inequality lhs > rhs")
+    monkeypatch.setattr(decomposable, "_min_over_selections",
+                        lambda *args: (-1, [(0, 1)], []))
+    with pytest.raises(InvariantError, match="below"):
+        verify_rw_interchange(integrand, u_set)
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_enumeration_memory_does_not_grow_with_the_set(backing):
+    """A 4^9 product holds 262144 selections; their float values alone
+    would take over 8 MB, while the walk holds one block at a time."""
+    n_atoms, n_controls = 9, 4
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], ["1/2", 1, 2, "1/4"] * 2 + [1],
+                         backing=backing)
+    table = [[(i + 3 * c) % 7 + 1 for c in range(n_controls)] for i in range(n_atoms)]
+    integrand = Integrand(space, [[c] for c in range(n_controls)], table)
+    u_set = SelectionSet.full_product(n_atoms, n_controls)
+    tracemalloc.start()
+    try:
+        report = verify_rw_interchange(integrand, u_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.minimizers) == 1 and report.equal
+    assert peak < 1_000_000
