@@ -605,23 +605,26 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
 
     s1_ok, s1_detail = True, "all G(u) finite on non-null atoms"
     try:
-        sels = list(u_set.iter_selections(enum_budget))
+        sels = u_set.iter_selections(enum_budget)
         exact = True
     except BudgetError:
         sels = [tuple(s) for s in sc.selection_prefix]
         exact = False
         notes.append("selection set beyond budget: S1 checked on the prefix only")
-    # G(u) over the set, built once for S1 and the conclusion.
-    fns = [sc.integrand.g_of(sel) for sel in sels]
-    for sel, g in zip(sels, fns):
-        if any(abs(g.values[i]) == POS_INF for i in non_null):
-            s1_ok, s1_detail = False, f"G({list(sel)}) is infinite on a non-null atom"
-            break
+    if exact and u_set.n_atoms != len(space.atoms):
+        raise InputError("selection must assign a control to every atom")
+    prefix_fns = [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix]
+    # The set is streamed, never held: S1 reads the entries of the atoms of
+    # positive weight, and the conclusion builds each G(u) when it needs it.
+    infinite = [(i, [abs(v) == POS_INF for v in sc.integrand.table[i]]) for i in non_null]
+    infinite = [(i, row) for i, row in infinite if any(row)]
+    if infinite:
+        for sel in sels:
+            if any(row[sel[i]] for i, row in infinite):
+                s1_ok, s1_detail = False, f"G({list(sel)}) is infinite on a non-null atom"
+                break
     hypotheses.append(Hypothesis("S1_image_in_lp", s1_ok, s1_detail))
 
-    prefix_fns = (
-        [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix] if exact else fns
-    )
     norms = [lp_norm(fn_add(g, fn_neg(gflat), mode="lower"), p) for g in prefix_fns]
     # Norms are float-valued for p != 1, so a zero tolerance would be
     # unsatisfiable for genuinely converging (never stabilizing) sequences.
@@ -641,7 +644,8 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         f"Phi(G-flat) = {to_text(phi_flat)} vs prefix liminf {to_text(liminf_est)}"))
 
     if exact:
-        inf_val = min(sc.functional(g) for g in fns)
+        g_of = sc.integrand.g_of
+        inf_val = min(sc.functional(g_of(sel)) for sel in u_set.iter_selections(enum_budget))
         mode = "exact"
     else:
         inf_val = min(phi_vals)

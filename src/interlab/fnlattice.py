@@ -220,3 +220,37 @@ def ess_sup_value(f: FnClass) -> Scalar:
     """Largest value on non-null atoms; -inf when every atom is null."""
     values = f.values
     return max([values[i] for i in f.space.non_null_indices()], default=NEG_INF)
+
+
+def ess_sup_table(space: MeasureSpace, fields):
+    """Rank table of ``ess_sup_value`` (see ``integrals.RANK_TABLES``).
+
+    One global rank orders the values of every non-null atom, ties going
+    to the earlier atom as ``max`` does.  An atom's global rank grows with
+    its own rank r, and in the thermometer code of a key the bit r - 1 of
+    the atom's field is set exactly when its rank is at least r, so a
+    key's score is the value of its set bit of highest global rank, else
+    the largest value at rank 0: bits tested in global order, no scalar
+    compared.
+    """
+    non_null = space.non_null_indices()
+    if not non_null:
+        return lambda key: NEG_INF
+    levels = []
+    bits = []  # (global rank, key bit) of the ranks r >= 1, increasing
+    for g, (v, neg_i, r) in enumerate(sorted(
+            (v, -i, r) for i in non_null for r, v in enumerate(fields[i][0]))):
+        levels.append(v)
+        if r:
+            bits.append((g, 1 << (fields[-neg_i][1] + r - 1)))
+        else:
+            base = g  # the largest global rank at rank 0, in the end
+    bits = [gb for gb in reversed(bits) if gb[0] > base]
+
+    def score(key: int) -> Scalar:
+        for g, bit in bits:
+            if key & bit:
+                return levels[g]
+        return levels[base]
+
+    return score

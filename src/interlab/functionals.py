@@ -41,7 +41,11 @@ class Functional:
 
     ``eval_fn`` must be a pure function of the representative values of its
     argument: the directedness scan scores each distinct infimum once and
-    reuses that score for every subset with the same infimum.
+    reuses that score for every subset with the same infimum.  For the
+    built-in integrals and ess_sup the scan may score an infimum with the
+    rank table that ``integrals.RANK_TABLES`` keeps for ``eval_fn`` instead
+    of calling it, so a table must agree with its ``eval_fn`` in value and
+    in type on every infimum it scores.
     """
 
     name: str

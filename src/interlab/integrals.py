@@ -17,10 +17,12 @@ Four integrals are provided:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Dict, Iterable, Mapping
 
 from .errors import DomainError, InputError
 from .extreal import (
+    NEG_INF,
     POS_INF,
     Scalar,
     add,
@@ -33,7 +35,7 @@ from .extreal import (
     upper_add,
     weighted_parts,
 )
-from .fnlattice import FnClass, fn_neg
+from .fnlattice import FnClass, ess_sup_table, ess_sup_value, fn_neg
 from .measure import AtomSet, MeasureSpace, iter_atom_subsets
 
 
@@ -75,6 +77,83 @@ def inner_integral(f: FnClass) -> Scalar:
     """Supremum of integrals of dominated integrable functions (closed form)."""
     ip, im = part_integrals(f)
     return lower_add(ip, -im)
+
+
+_EXACT = (int, Fraction)
+
+
+def _integral_table(space: MeasureSpace, fields):
+    """Rank table of the three integrals above (see ``RANK_TABLES``).
+
+    Each term w * x of an atom of positive weight and each of its ranks is
+    held as an integer numerator over one common denominator, so a key is
+    scored by adding one numerator per atom and reducing once: an int when
+    integral, as ``weighted_parts`` gives.  Null atoms add 0 whatever their
+    value.  Built only when every weight and finite value is exact (int or
+    Fraction), the path on which ``weighted_parts`` sums exactly, so float
+    rounding is left to the integrals.  A key with an infinite value on an
+    atom of positive weight maps to None, and so do all keys when an atom
+    of positive weight holds one infinite value only: the integrals score
+    those, with their own convention for infinite parts and their own
+    ``DomainError``.
+    """
+    terms = []  # (offset, mask, [(numerator, denominator) per rank])
+    plus_inf = minus_inf = 0  # key bits of the infinite ranks
+    for w, (level, offset, mask) in zip(space.weights, fields):
+        if type(w) not in _EXACT:
+            return None
+        ratios = []
+        for x in level:
+            if type(x) in _EXACT:
+                ratios.append(x.as_integer_ratio())
+            elif x == POS_INF or x == NEG_INF:
+                ratios.append((0, 1))  # never read: the key maps to None
+            else:
+                return None
+        if w == 0:
+            continue
+        if level[-1] == POS_INF or level[0] == NEG_INF:
+            if not mask:
+                return None
+            if level[-1] == POS_INF:
+                plus_inf |= 1 << (offset + mask.bit_length() - 1)
+            if level[0] == NEG_INF:
+                minus_inf |= 1 << offset
+        wn, wd = w.as_integer_ratio()
+        terms.append((offset, mask, [(wn * n, wd * d) for n, d in ratios]))
+    den = math.lcm(1, *(d for _, _, ratios in terms for _, d in ratios))
+    base = 0
+    atoms = []
+    for offset, mask, ratios in terms:
+        codes = [n * (den // d) for n, d in ratios]
+        if mask:
+            atoms.append((offset, mask, codes))
+        else:
+            base += codes[0]
+
+    def score(key: int):
+        if key & plus_inf or ~key & minus_inf:
+            return None
+        num = base + sum([codes[((key >> off) & mask).bit_count()]
+                          for off, mask, codes in atoms])
+        if den == 1:
+            return num
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+
+    return score
+
+
+# Rank tables for the directedness scan, keyed by a functional's evaluation
+# function.  A table maps the key of a subset infimum (see
+# ``interchange._rank_code``) to the value its function gives on that
+# infimum, in value and in type, or to None where the function must run.
+RANK_TABLES = {
+    lebesgue_extended: _integral_table,
+    outer_integral: _integral_table,
+    inner_integral: _integral_table,
+    ess_sup_value: ess_sup_table,
+}
 
 
 class Capacity:

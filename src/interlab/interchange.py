@@ -52,7 +52,7 @@ from .fnlattice import (
     pointwise_inf,
 )
 from .functionals import Functional
-from .integrals import lebesgue_extended
+from .integrals import RANK_TABLES, lebesgue_extended
 
 DEFAULT_SUBSET_BUDGET = 12
 DEFAULT_DIVERGENCE_THRESHOLD = 10**9
@@ -180,34 +180,18 @@ def _sampled_subsets(n: int):
         yield from combinations(range(n), k)
 
 
-def _scan_subsets(
-    members: Sequence[FnClass],
-    score: Callable[[FnClass], Scalar],
-    holds: Callable[[Scalar], bool],
-    subset_budget: int,
-    known: Dict[Tuple[int, ...], Scalar],
-) -> Tuple[Optional[Tuple[int, ...]], bool, Callable[[Sequence[int]], Scalar]]:
-    """Find the first subset S whose infimum fails ``holds(score(inf S))``.
+def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
+    """The members' values as per-atom ranks packed into one int each.
 
-    Subsets come from ``_nonempty_subsets`` while the family is within
-    ``subset_budget`` and from the fixed ``_sampled_subsets`` beyond it,
-    smallest first, so the witness is a smallest violating subset among
-    those scanned.  Either way the whole family is scanned last.
-
-    The infimum of a subset takes every atom's value from some member, so
-    it is named exactly by one rank per atom: the rank of its value among
-    that atom's distinct member values.  Rank r is stored as r one-bits in
-    the atom's field of an int (a thermometer code), which turns the
-    per-atom minimum into a bitwise AND: a subset's infimum is the AND of
-    its members' ints.  ``score`` runs once per distinct infimum, on the
-    decoded function; ``known`` gives scores already computed, keyed by
-    member indices.  Returns the witness (None when every subset holds),
-    whether the scan was exhaustive, and the memoized score of the infimum
-    of any index tuple.
+    A member's rank at an atom is the rank of its value among that atom's
+    distinct member values.  Rank r is stored as r one-bits in the atom's
+    field of the int (a thermometer code), which turns the per-atom minimum
+    into a bitwise AND: the infimum of some members is named by the AND of
+    their ints, its key.  Returns the members' ints and, per atom, the
+    field ``(distinct values in increasing order, bit offset, field mask)``.
     """
-    space = members[0].space
     rows = [0] * len(members)
-    fields = []  # (distinct values of an atom, bit offset, field mask)
+    fields = []
     offset = 0
     for column in zip(*(m.values for m in members)):
         level = sorted(set(column))
@@ -216,8 +200,44 @@ def _scan_subsets(
             rows[j] |= ((1 << rank[v]) - 1) << offset
         fields.append((level, offset, (1 << (len(level) - 1)) - 1))
         offset += len(level) - 1
+    return rows, fields
+
+
+def _scan_subsets(
+    members: Sequence[FnClass],
+    score: Callable[[FnClass], Scalar],
+    holds: Callable[[Scalar], bool],
+    subset_budget: int,
+    known: Dict[Tuple[int, ...], Scalar],
+    eval_fn: Optional[Callable] = None,
+) -> Tuple[Optional[Tuple[int, ...]], bool, Callable[[Sequence[int]], Scalar]]:
+    """Find the first subset S whose infimum fails ``holds(score(inf S))``.
+
+    Subsets come from ``_nonempty_subsets`` while the family is within
+    ``subset_budget`` and from the fixed ``_sampled_subsets`` beyond it,
+    smallest first, so the witness is a smallest violating subset among
+    those scanned.  Either way the whole family is scanned last.
+
+    A subset's infimum is named by its key under ``_rank_code``, and is
+    scored once per distinct key; ``known`` gives scores already computed,
+    keyed by member indices.  A new key is scored by ``score`` on the
+    decoded function, or by the rank table that ``integrals.RANK_TABLES``
+    keeps for ``eval_fn``, the function ``score`` evaluates: built from the
+    fields, it maps a key straight to its score, or to None where ``score``
+    must run.  A table costs about as much as one generic evaluation per
+    entry per atom, so a scan builds it only after it has made that many
+    generic evaluations, and a scan that meets few distinct infima never
+    does.  Returns the witness (None when every subset holds), whether the
+    scan was exhaustive, and the memoized score of the infimum of any
+    index tuple.
+    """
+    space = members[0].space
+    rows, fields = _rank_code(members)
     memo: Dict[int, Scalar] = {}
     passed = set()
+    table = None
+    # Entries over atoms: one entry per bit of the code and one per atom.
+    generic_left = 1 + (fields[-1][1] + fields[-1][2].bit_length()) / len(fields)
 
     def inf_key(idx: Sequence[int]) -> int:
         key = -1
@@ -226,11 +246,21 @@ def _scan_subsets(
         return key
 
     def score_key(key: int) -> Scalar:
+        nonlocal table, eval_fn, generic_left
         value = memo.get(key)
         if value is None:
-            values = tuple([lv[((key >> off) & mask).bit_count()]
-                            for lv, off, mask in fields])
-            value = memo[key] = score(FnClass.from_ext(space, values))
+            if table is None or (value := table(key)) is None:
+                values = tuple([lv[((key >> off) & mask).bit_count()]
+                                for lv, off, mask in fields])
+                value = score(FnClass.from_ext(space, values))
+                if eval_fn is not None:
+                    generic_left -= 1
+                    if generic_left <= 0:
+                        # Looked up by identity: an eval_fn need not be hashable.
+                        build = next((b for f, b in RANK_TABLES.items() if f is eval_fn), None)
+                        table = build and build(space, fields)
+                        eval_fn = None
+            memo[key] = value
         return value
 
     for idx, value in known.items():
@@ -277,9 +307,15 @@ def is_phi_inf_directed(
     sampled verdict is exact too.
 
     A subset costs one bitwise AND per member and one set lookup, plus one
-    Phi evaluation if its infimum is new: Phi is evaluated once per
-    distinct subset infimum, and not at all on the members or on the
-    infimum of the whole family when their values are passed as
+    score if its infimum is new.  A score is one Phi evaluation, or a read
+    of the rank table of ``phi.eval_fn`` when ``integrals.RANK_TABLES``
+    has one and the scan has built it (see ``_scan_subsets``): the built-in
+    integrals add one integer numerator per atom of positive weight and
+    reduce once, under exact weights and values and away from infinite
+    values on atoms of positive weight; ess_sup tests the key's bits in
+    the order of one global rank of the atoms' values.  So Phi is evaluated
+    at most once per distinct subset infimum, and not at all on the members
+    or on the infimum of the whole family when their values are passed as
     ``phi_values`` and ``phi_inf``.  The memo holds at most one entry per
     subset scanned (2^n - 1 when exhaustive) plus the members, and is freed
     on return.
@@ -295,6 +331,7 @@ def is_phi_inf_directed(
         known[tuple(range(n))] = phi_inf
     witness, exhaustive, score_inf = _scan_subsets(
         members, phi, lambda v: _leq_within(lhs, v, tol), subset_budget, known,
+        phi.eval_fn,
     )
     directed = witness is None
     shortcut = _leq_within(lhs, score_inf(range(n)), tol)

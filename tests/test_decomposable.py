@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -248,3 +249,28 @@ def test_shapiro_s1_failure_reported():
     report = verify_shapiro(scenario)
     failed = {h.name for h in report.hypotheses if not h.ok}
     assert "S1_image_in_lp" in failed
+    detail = {h.name: h.detail for h in report.hypotheses}["S1_image_in_lp"]
+    assert detail == "G([1, 0]) is infinite on a non-null atom"
+
+
+def test_shapiro_streams_the_selection_set():
+    # 4^8 = 65536 selections under float backing: holding every selection
+    # and every G(u) at once took a 17.9 MB traced peak.
+    n, k = 8, 4
+    space = MeasureSpace([f"a{i}" for i in range(n)], [1 / n] * n, backing="float")
+    integrand = Integrand(space, list(range(k)),
+                          [[2.0 ** -(c + 1) + i for c in range(k)] for i in range(n)])
+    scenario = ShapiroScenario(
+        functional=make_builtin("outer"), p=1, integrand=integrand,
+        selection_prefix=[(c,) * n for c in range(k)],
+        selection_set=SelectionSet.full_product(n, k),
+    )
+    tracemalloc.start()
+    try:
+        report = verify_shapiro(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.conclusion_mode == "exact" and report.conclusion_holds
+    assert report.conclusion_lhs == 3.5625
+    assert peak < 2 * 10**6
