@@ -295,6 +295,14 @@ class RwInterchangeReport(Report):
                                               metadata=NOT_JSON)
 
 
+def _check_fits(u_set: SelectionSet, integrand: Integrand) -> None:
+    """InputError unless ``u_set`` has the integrand's atom and control counts."""
+    if u_set.n_atoms != len(integrand.space.atoms):
+        raise InputError("selection set and integrand disagree on the atom count")
+    if u_set.n_controls != integrand.n_controls:
+        raise InputError("selection set and integrand disagree on the control count")
+
+
 def verify_rw_interchange(
     integrand: Integrand,
     u_set: SelectionSet,
@@ -313,10 +321,7 @@ def verify_rw_interchange(
     once (see ``_min_over_selections``).
     """
     tol = _tolerance(tolerance, integrand.space.backing)
-    if u_set.n_atoms != len(integrand.space.atoms):
-        raise InputError("selection set and integrand disagree on the atom count")
-    if u_set.n_controls != integrand.n_controls:
-        raise InputError("selection set and integrand disagree on the control count")
+    _check_fits(u_set, integrand)
 
     decomp = is_decomposable(u_set)
     notes = list(decomp.notes)
@@ -584,6 +589,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     u_set = sc.selection_set or SelectionSet.explicit(
         sc.selection_prefix, len(space.atoms), sc.integrand.n_controls
     )
+    _check_fits(u_set, sc.integrand)
 
     gflat = sc.integrand.g_flat()
     notes: List[str] = []
@@ -611,8 +617,6 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         sels = [tuple(s) for s in sc.selection_prefix]
         exact = False
         notes.append("selection set beyond budget: S1 checked on the prefix only")
-    if exact and u_set.n_atoms != len(space.atoms):
-        raise InputError("selection must assign a control to every atom")
     prefix_fns = [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix]
     # The set is streamed, never held: S1 reads the entries of the atoms of
     # positive weight, and the conclusion builds each G(u) when it needs it.

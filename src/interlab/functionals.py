@@ -41,11 +41,15 @@ class Functional:
 
     ``eval_fn`` must be a pure function of the representative values of its
     argument: the directedness scan scores each distinct infimum once and
-    reuses that score for every subset with the same infimum.  For the
-    built-in integrals and ess_sup the scan may score an infimum with the
-    rank table that ``integrals.RANK_TABLES`` keeps for ``eval_fn`` instead
-    of calling it, so a table must agree with its ``eval_fn`` in value and
-    in type on every infimum it scores.
+    reuses that score for every subset with the same infimum, and a
+    sequence prefix reuses the previous term's score when a member lowers
+    the running infimum nowhere.  For the built-in integrals and ess_sup
+    the scan may score an infimum with the rank table that
+    ``integrals.RANK_TABLES`` keeps for ``eval_fn`` instead of calling it,
+    and under rational backing a sequence prefix scores the built-in
+    integrals from running parts (``integrals.RunningParts``), so both must
+    agree with their ``eval_fn`` in value and in type on every function
+    they score.
     """
 
     name: str

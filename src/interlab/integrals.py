@@ -9,7 +9,9 @@ Four integrals are provided:
   of the negative part, for semi-integrable functions;
 * ``outer_integral`` / ``inner_integral`` - total on all functions; the
   closed forms combine the part integrals with the upper resp. lower
-  extended addition, so they disagree exactly when both parts diverge;
+  extended addition, so they disagree exactly when both parts diverge
+  (``PART_SUMS`` holds each integral's combination, which ``RunningParts``
+  applies to parts kept up to date atom by atom);
 * ``choquet``            - layer-cake integral with respect to a capacity,
   computed exactly by sorting the distinct finite values.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, count
 from typing import Dict, Iterable, Mapping
 
 from .errors import DomainError, InputError
@@ -25,6 +28,7 @@ from .extreal import (
     NEG_INF,
     POS_INF,
     Scalar,
+    _kept,
     add,
     as_scalar,
     ext,
@@ -56,9 +60,7 @@ def lebesgue_nonneg(f: FnClass) -> Scalar:
     return part_integrals(f)[0]
 
 
-def lebesgue_extended(f: FnClass) -> Scalar:
-    """Extended Lebesgue integral of a semi-integrable function."""
-    ip, im = part_integrals(f)
+def _semi_integrable_sum(ip: Scalar, im: Scalar) -> Scalar:
     if ip == im == POS_INF:
         raise DomainError(
             "function is not semi-integrable (both parts have infinite integral); "
@@ -67,16 +69,96 @@ def lebesgue_extended(f: FnClass) -> Scalar:
     return add(ip, -im)
 
 
+def _upper_sum(ip: Scalar, im: Scalar) -> Scalar:
+    return upper_add(ip, -im)
+
+
+def _lower_sum(ip: Scalar, im: Scalar) -> Scalar:
+    return lower_add(ip, -im)
+
+
+def lebesgue_extended(f: FnClass) -> Scalar:
+    """Extended Lebesgue integral of a semi-integrable function."""
+    return _semi_integrable_sum(*part_integrals(f))
+
+
 def outer_integral(f: FnClass) -> Scalar:
     """Infimum of integrals of dominating integrable functions (closed form)."""
-    ip, im = part_integrals(f)
-    return upper_add(ip, -im)
+    return _upper_sum(*part_integrals(f))
 
 
 def inner_integral(f: FnClass) -> Scalar:
     """Supremum of integrals of dominated integrable functions (closed form)."""
-    ip, im = part_integrals(f)
-    return lower_add(ip, -im)
+    return _lower_sum(*part_integrals(f))
+
+
+# How each integral combines its part integrals (integral of f+, integral of
+# f-) into its value, keyed by the integral, for callers that keep the parts
+# themselves (``RunningParts``).
+PART_SUMS = {
+    lebesgue_extended: _semi_integrable_sum,
+    outer_integral: _upper_sum,
+    inner_integral: _lower_sum,
+}
+
+
+class RunningParts:
+    """The part integrals of a function whose values change a few atoms at a time.
+
+    Holds the exact sums of the terms w * x of the atoms of positive weight
+    and finite value, positive and negative x apart, and the counts of those
+    atoms where x is +inf and where it is -inf, so ``move`` updates them
+    from one atom's old and new values and ``value`` costs no pass over the
+    atoms.  ``value`` combines the parts as the integral does, through its
+    entry in ``PART_SUMS``, so it raises the integral's own ``DomainError``
+    and returns its form: an int when integral, as ``weighted_parts`` gives.
+    Exact sums may be kept in any order, so this is for rational backing;
+    float sums round in atom order and are left to the integrals.
+    """
+
+    __slots__ = ("weights", "combine", "plus", "minus", "plus_inf", "minus_inf")
+
+    def __init__(self, weights, combine, values):
+        self.weights = weights
+        self.combine = combine
+        self.plus = self.minus = 0
+        self.plus_inf = self.minus_inf = 0
+        for i in compress(count(), values):  # the atoms of nonzero value
+            self.move(i, 0, values[i])
+
+    @classmethod
+    def of(cls, space: MeasureSpace, eval_fn, values):
+        """Running parts of ``values`` for the integral ``eval_fn``, or None
+        when ``eval_fn`` is not in ``PART_SUMS`` or the space is not rational."""
+        # Looked up by identity: an eval_fn need not be hashable.
+        combine = next((c for f, c in PART_SUMS.items() if f is eval_fn), None)
+        if combine is None or space.backing != "rational":
+            return None
+        return cls(space.weights, combine, values)
+
+    def move(self, i: int, old: Scalar, new: Scalar) -> None:
+        """Atom ``i`` changes its value from ``old`` to ``new``."""
+        w = self.weights[i]
+        if w:  # null atoms add 0 whatever their value
+            self._add(-w, old, -1)
+            self._add(w, new, 1)
+
+    def _add(self, w: Scalar, x: Scalar, sign: int) -> None:
+        """Add w * x to its part, or ``sign`` to its count when x is infinite."""
+        if type(x) is float and (x == POS_INF or x == NEG_INF):
+            if x > 0:
+                self.plus_inf += sign
+            else:
+                self.minus_inf += sign
+        elif x > 0:
+            self.plus += w * x
+        elif x < 0:
+            self.minus -= w * x
+
+    def value(self) -> Scalar:
+        ip = POS_INF if self.plus_inf else _kept(self.plus)
+        im = POS_INF if self.minus_inf else _kept(self.minus)
+        return self.combine(ip, im)
 
 
 _EXACT = (int, Fraction)

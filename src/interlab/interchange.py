@@ -23,12 +23,14 @@ Lazily truncated families (finite prefixes of infinite sequences) go through
 ``verify_interchange_sequence``, which watches the prefix trend of both
 sides and declares divergence to -inf once a monotone run crosses the
 configured threshold; verdicts then refer to the limit, not the prefix.
+Its prefix infima are one running infimum, lowered member by member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations, compress, count
+from operator import lt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InputError, InvariantError
@@ -52,7 +54,7 @@ from .fnlattice import (
     pointwise_inf,
 )
 from .functionals import Functional
-from .integrals import RANK_TABLES, lebesgue_extended
+from .integrals import RANK_TABLES, RunningParts, lebesgue_extended
 
 DEFAULT_SUBSET_BUDGET = 12
 DEFAULT_DIVERGENCE_THRESHOLD = 10**9
@@ -450,34 +452,76 @@ def _classify_prefix_limit(
     return "inconclusive", last
 
 
+def _prefix_terms(
+    members: Sequence[FnClass], phi: Functional
+) -> Tuple[List[Scalar], List[Scalar], List[Scalar], FnClass]:
+    """Phi on each member, its running minimum, Phi on the infimum of each
+    prefix of ``members``, and the last of those infima.
+
+    One running infimum is kept; each later member x_n lowers it on the
+    atoms where x_n < acc, found in one C-level comparison pass (strict, so
+    ties keep acc's entry, as ``pointwise_inf`` does).  The first prefix
+    infimum is the first member, whose value is known.  The built-in
+    integrals under rational backing update their exact parts on the atoms
+    that drop only (``integrals.RunningParts``); any other functional, and
+    float backing, evaluates Phi on the new infimum.  A term where no atom
+    drops repeats the previous one, since ``eval_fn`` is pure.  The running
+    parts are cross-checked once: Phi evaluated on the last infimum must
+    equal the last term in value and in type, else ``InvariantError``.
+    """
+    phi_values = [phi(x) for x in members]
+    space = members[0].space
+    acc = list(members[0].values)
+    parts = RunningParts.of(space, phi.eval_fn, acc)
+    score = phi_values[0]
+    prefix_rhs = [score]
+    for m in members[1:]:
+        new = m.values
+        drops = list(compress(count(), map(lt, new, acc)))
+        if drops:
+            for i in drops:
+                if parts:
+                    parts.move(i, acc[i], new[i])
+                acc[i] = new[i]
+            score = parts.value() if parts else phi(FnClass.from_ext(space, tuple(acc)))
+        prefix_rhs.append(score)
+    last = FnClass.from_ext(space, tuple(acc))
+    if parts:
+        check = phi(last)
+        if check != score or type(check) is not type(score):
+            raise InvariantError(
+                f"running {phi.name} of the last prefix infimum is "
+                f"{to_text(score)} ({type(score).__name__}), but Phi gives "
+                f"{to_text(check)} ({type(check).__name__})"
+            )
+    return phi_values, list(accumulate(phi_values, min)), prefix_rhs, last
+
+
 def verify_interchange_sequence(
     spec: SequenceSpec,
     phi: Functional,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
     tolerance: Optional[Scalar] = None,
 ) -> InterchangeReport:
-    """Interchange verdict for a sequence seen through a finite prefix."""
+    """Interchange verdict for a sequence seen through a finite prefix.
+
+    Phi is evaluated once on each of the N members.  The N prefix infima
+    are not stored (see ``_prefix_terms``): one running infimum is kept,
+    and a term costs one comparison pass over the atoms plus, for the
+    built-in integrals under rational backing, exact updates on the atoms
+    that drop and one generic evaluation of Phi on the last infimum as a
+    cross-check.  Every other functional, and float backing, evaluates Phi
+    in full on each infimum that changed.
+    """
     members = spec.prefix()
     backing = members[0].space.backing
     tol = _tolerance(tolerance, backing)
-
-    phi_values = [phi(x) for x in members]
-    prefix_lhs: List[Scalar] = []
-    running = phi_values[0]
-    for v in phi_values:
-        running = min(running, v)
-        prefix_lhs.append(running)
-    prefix_infs: List[FnClass] = []
-    acc = members[0]
-    for m in members:
-        acc = pointwise_inf([acc, m])
-        prefix_infs.append(acc)
-    prefix_rhs = [phi(x) for x in prefix_infs]
+    phi_values, prefix_lhs, prefix_rhs, last_inf = _prefix_terms(members, phi)
 
     prefix_data: Dict = {
-        "phi_values": list(phi_values),
-        "prefix_lhs": list(prefix_lhs),
-        "prefix_rhs": list(prefix_rhs),
+        "phi_values": phi_values,
+        "prefix_lhs": prefix_lhs,
+        "prefix_rhs": prefix_rhs,
         "prefix_len": spec.prefix_len,
     }
 
@@ -497,13 +541,13 @@ def verify_interchange_sequence(
 
     if spec.declared_limit is not None:
         limit = spec.declared_limit
-        if not mu_leq(limit, prefix_infs[-1]):
+        if not mu_leq(limit, last_inf):
             raise InputError(
                 "declared limit is not below the prefix infimum (mu-a.e.)"
             )
         rhs_trend = "declared"
         rhs = phi(limit)
-        if limit == prefix_infs[-1]:
+        if limit == last_inf:
             notes.append("declared limit witnessed by the prefix infimum")
         else:
             notes.append(

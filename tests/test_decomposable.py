@@ -274,3 +274,23 @@ def test_shapiro_streams_the_selection_set():
     assert report.conclusion_mode == "exact" and report.conclusion_holds
     assert report.conclusion_lhs == 3.5625
     assert peak < 2 * 10**6
+
+
+@pytest.mark.parametrize("u_set, what", [
+    (SelectionSet.full_product(2, 3), "control count"),  # indexed past the table
+    (SelectionSet.full_product(2, 1), "control count"),
+    (SelectionSet.full_product(3, 2), "atom count"),
+    (SelectionSet.full_product(40, 2), "atom count"),  # beyond the budget below
+])
+def test_shapiro_and_rw_reject_a_set_that_does_not_fit_the_integrand(u_set, what):
+    space = MeasureSpace(["a", "b"], [Fraction(1, 2), Fraction(1, 2)])
+    integrand = Integrand(space, [[0], [1]], [[0, 1], [1, 0]])
+    scenario = ShapiroScenario(
+        functional=LEB, p=1, integrand=integrand,
+        selection_prefix=[(0, 1), (1, 0)], selection_set=u_set,
+    )
+    message = f"selection set and integrand disagree on the {what}"
+    with pytest.raises(InputError, match=message):
+        verify_shapiro(scenario, enum_budget=10**4)
+    with pytest.raises(InputError, match=message):
+        verify_rw_interchange(integrand, u_set, enum_budget=10**4)

@@ -1,0 +1,192 @@
+"""The running prefix of a sequence against naive prefix infima, its
+cross-check, and its Phi count."""
+
+import contextlib
+import io
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from interlab import cli, integrals, interchange
+from interlab.errors import DomainError, InvariantError
+from interlab.extreal import ext
+from interlab.fnlattice import FnClass, pointwise_inf
+from interlab.functionals import make_builtin
+from interlab.integrals import Capacity, RunningParts
+from interlab.interchange import verify_interchange_sequence
+from interlab.measure import MeasureSpace, iter_atom_subsets
+from interlab.scenario import build_sequence
+
+KINDS = ("extended_lebesgue", "outer", "inner", "ess_sup", "choquet", "post_compose")
+WEIGHTS = [0, 1, "1/2", "1/3", 2]
+# Few values, so prefixes tie and often leave the infimum as it was; thirds
+# and halves, so exact sums often reduce to ints; -0.0 ties with 0.0 under
+# float backing.
+VALUES = [-2, -1, "-1/2", 0, -0.0, "1/3", "1/2", "2/3", 1, 3, "-inf", "+inf"]
+
+
+def _functional(kind, space):
+    if kind == "choquet":
+        # (mass of the set)^2: monotone and not additive.
+        table = {s: ext(sum((Fraction(w) for a, w in zip(space.atoms, space.weights)
+                             if a in s), Fraction(0)) ** 2)
+                 for s in iter_atom_subsets(space)}
+        return make_builtin("choquet", capacity=Capacity(space, table))
+    if kind == "post_compose":
+        return make_builtin("post_compose", base=make_builtin("outer"),
+                            mapping=lambda v: min(v, 2))
+    return make_builtin(kind)
+
+
+def _form(x):
+    return type(x), repr(x)
+
+
+def _naive(members, phi):
+    """Phi on the members and on every prefix infimum, each built afresh."""
+    phi_values = [phi(m) for m in members]
+    n = len(members)
+    prefix_lhs = [min(phi_values[:k + 1]) for k in range(n)]
+    prefix_rhs = [phi(pointwise_inf(members[:k + 1])) for k in range(n)]
+    return phi_values, prefix_lhs, prefix_rhs, pointwise_inf(members)
+
+
+def _outcome(run):
+    try:
+        phi_values, lhs, rhs, last = run()
+    except (DomainError, InvariantError) as e:
+        return type(e), str(e)
+    return ([_form(v) for v in phi_values], [_form(v) for v in lhs],
+            [_form(v) for v in rhs], [_form(v) for v in last.values])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_running_prefix_matches_naive_prefix(data):
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    n_atoms = data.draw(st.integers(1, 6), label="atoms")
+    weights = data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=n_atoms,
+                                 max_size=n_atoms), label="weights")
+    values = data.draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=4,
+                                unique=True), label="values")
+    rows = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_atoms,
+                                       max_size=n_atoms), min_size=1, max_size=8),
+                     label="sequence")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    members = [FnClass(space, r) for r in rows]
+    phi = _functional(kind, space)
+    got = _outcome(lambda: interchange._prefix_terms(members, phi))
+    assert got == _outcome(lambda: _naive(members, phi))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_tie_keeps_the_running_entry(kind):
+    # -0.0 == 0.0: the infimum keeps the earlier zero, as pointwise_inf does.
+    space = MeasureSpace(["a", "b"], [1, 0], backing="float")
+    members = [FnClass(space, r) for r in ([0, -0.0], [-0.0, 0], [-0.0, -1])]
+    phi = _functional(kind, space)
+    got = _outcome(lambda: interchange._prefix_terms(members, phi))
+    assert got == _outcome(lambda: _naive(members, phi))
+    assert got[3] == [_form(0.0), _form(-1.0)]
+
+
+def test_a_prefix_infimum_that_is_not_semi_integrable_raises_as_the_naive_loop():
+    # inf(x_0, x_1) is +inf on a and -inf on b.  Every infinite value of an
+    # infimum is some member's, so x_1 is not semi-integrable either, and
+    # both loops meet the error on the members.
+    space = MeasureSpace(["a", "b", "c"], [1, "1/2", 0])
+    rows = [["+inf", 1, "-inf"], ["+inf", "-inf", 2], [0, 0, 0]]
+    members = [FnClass(space, r) for r in rows]
+    got = _outcome(lambda: interchange._prefix_terms(members, make_builtin("extended_lebesgue")))
+    assert got == _outcome(lambda: _naive(members, make_builtin("extended_lebesgue")))
+    assert got == (DomainError, "function is not semi-integrable (both parts have "
+                                "infinite integral); use outer_integral or inner_integral")
+
+
+def _score(run):
+    try:
+        return _form(run())
+    except DomainError as e:
+        return DomainError, str(e)
+
+
+@pytest.mark.parametrize("kind, both_infinite", [
+    ("extended_lebesgue", DomainError), ("outer", float("inf")), ("inner", float("-inf"))])
+def test_running_parts_combine_as_each_integral(kind, both_infinite):
+    space = MeasureSpace(["a", "b", "c"], [1, "1/3", 0])
+    phi = make_builtin(kind)
+    start = (ext(2), ext("-1/2"), ext("+inf"))
+    parts = RunningParts.of(space, phi.eval_fn, start)
+    values = list(start)
+    steps = [(1, "+inf"), (0, "-inf"), (1, "1/3"), (0, "-2/3"), (2, "-inf"), (1, 3),
+             (0, "+inf"), (1, "-inf")]
+    for i, x in steps:
+        x = ext(x)
+        parts.move(i, values[i], x)
+        values[i] = x
+        assert _score(parts.value) == _score(lambda: phi(FnClass.from_ext(space, tuple(values))))
+    # Both parts end infinite: each integral's own convention.
+    if both_infinite is DomainError:
+        with pytest.raises(DomainError, match="not semi-integrable"):
+            parts.value()
+    else:
+        assert parts.value() == both_infinite
+    assert RunningParts.of(MeasureSpace(["a"], [1], backing="float"),
+                           phi.eval_fn, (1.0,)) is None
+    assert RunningParts.of(space, make_builtin("ess_sup").eval_fn, start) is None
+
+
+def _example_2_6(prefix):
+    return build_sequence({"generator": "example-2-6"}, prefix)[1]
+
+
+def _off_by_one_numerator(v):
+    q = Fraction(v)
+    off = Fraction(q.numerator + 1, q.denominator)
+    return off.numerator if off.denominator == 1 else off
+
+
+@pytest.mark.parametrize("fault, found", [
+    (_off_by_one_numerator, "-464 .int., but Phi gives -465 .int."),
+    (Fraction, "-465 .Fraction., but Phi gives -465 .int."),  # right value, wrong type
+])
+def test_cross_check_catches_a_fault_in_the_last_running_term(monkeypatch, fault, found):
+    prefix = 30
+    value = RunningParts.value
+    calls = []
+
+    def last_off(self):
+        v = value(self)
+        calls.append(v)
+        # The first term is the first member's value, so the last is call N - 1.
+        return fault(v) if len(calls) == prefix - 1 else v
+
+    monkeypatch.setattr(RunningParts, "value", last_off)
+    with pytest.raises(InvariantError, match="running extended_lebesgue of the last "
+                                             "prefix infimum is " + found):
+        verify_interchange_sequence(_example_2_6(prefix), make_builtin("extended_lebesgue"))
+    assert len(calls) == prefix - 1
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["gallery", "example-2-6", "--prefix", str(prefix)])
+    assert code == 4
+
+
+@pytest.mark.parametrize("prefix", [1, 2, 100])
+def test_example_2_6_integrates_each_member_once_and_the_last_infimum(monkeypatch, prefix):
+    calls = []
+    part_integrals = integrals.part_integrals
+
+    def counted(f):
+        calls.append(f)
+        return part_integrals(f)
+
+    monkeypatch.setattr(integrals, "part_integrals", counted)
+    monkeypatch.setattr(interchange, "pointwise_inf", None)  # never called
+    report = verify_interchange_sequence(_example_2_6(prefix), make_builtin("extended_lebesgue"))
+    assert len(calls) == prefix + 1  # the members, then the cross-check
+    assert calls[-1].values == tuple(-(k + 1) for k in range(prefix))
+    assert report.prefix["prefix_rhs"][-1] == -prefix * (prefix + 1) // 2
