@@ -52,7 +52,6 @@ from .interchange import (
     SequenceSpec,
     check_seq_inf_continuity,
     giner_gap_directed,
-    is_inf_directed,
     is_phi_inf_directed,
     verify_interchange,
     verify_interchange_sequence,

@@ -129,10 +129,12 @@ def _naive_subsets(n, subset_budget):
     return [c for c in subsets if len(c) in (1, 2, n - 1, n)], "sampled"
 
 
-def naive_phi_inf_directed(family, phi, subset_budget):
+def naive_phi_inf_directed(family, phi, subset_budget, tol=None):
     """(directed, witness, mode, shortcut_agrees) of the subset condition,
-    each subset judged within the default tolerance of the family's backing."""
-    tol = default_tolerance(family.space.backing)
+    each subset judged within ``tol``, by default the default tolerance of
+    the family's backing."""
+    if tol is None:
+        tol = default_tolerance(family.space.backing)
     members = family.members
     lhs = min(phi(x) for x in members)
 

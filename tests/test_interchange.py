@@ -25,7 +25,6 @@ from interlab.interchange import (
     SequenceSpec,
     check_seq_inf_continuity,
     giner_gap_directed,
-    is_inf_directed,
     is_phi_inf_directed,
     verify_interchange,
     verify_interchange_sequence,
@@ -50,14 +49,16 @@ def unit2():
 
 def test_is_inf_directed_examples(unit2):
     chain = Family([fn(unit2, 0, 0), fn(unit2, 1, 1), fn(unit2, 2, 2)])
-    assert is_inf_directed(chain) == (True, None)
+    res = is_phi_inf_directed(chain, LEB)
+    assert (res.directed, res.witness) == (True, None)
 
     pair = Family([fn(unit2, 0, 1), fn(unit2, 1, 0)])
-    ok, witness = is_inf_directed(pair)
-    assert not ok and witness == (0, 1)
+    res = is_phi_inf_directed(pair, LEB)
+    assert (res.directed, res.witness) == (False, (0, 1))
 
     singleton = Family([fn(unit2, 5, -1)])
-    assert is_inf_directed(singleton) == (True, None)
+    res = is_phi_inf_directed(singleton, LEB)
+    assert (res.directed, res.witness) == (True, None)
 
 
 def test_phi_inf_directed_giner_pair(unit2):
@@ -91,7 +92,7 @@ def test_inf_directed_implies_phi_inf_directed_for_all_builtins():
                 members.append(pointwise_inf([base[i], base[j]]))
         members.append(pointwise_inf(base))
         family = Family(members)
-        assert is_inf_directed(family)[0]
+        assert pointwise_inf(family.members) in family.members
         for phi in functionals:
             if all(phi.defined_on(m) for m in family.members):
                 assert is_phi_inf_directed(family, phi).directed is True
@@ -251,6 +252,23 @@ def test_undeclared_functionals_are_judged_on_the_family(data):
     with (pytest.raises(InvariantError, match=re.escape(found.group(0))) if found
           else nullcontext()):
         verify_interchange(Family(members), declared, budget, tolerance=tol)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, "3", True])
+@pytest.mark.parametrize("verifier", ["family", "directed", "sequence", "giner"])
+def test_bad_subset_budget_is_an_input_error(verifier, budget):
+    f = fn(MeasureSpace(["a", "b"], ["1/2", "1/2"]), 1, 2)
+    seq = SequenceSpec(generator=lambda n: fn(f.space, -n, -n), prefix_len=8,
+                       divergence_threshold=4)
+    run = {
+        "family": lambda: verify_interchange(Family([f]), LEB, budget),
+        "directed": lambda: is_phi_inf_directed(Family([f]), LEB, budget),
+        "sequence": lambda: verify_interchange_sequence(seq, LEB, budget),
+        "giner": lambda: giner_gap_directed(Family([f]), budget),
+    }[verifier]
+    with pytest.raises(InputError, match=re.escape(
+            f"subset_budget must be a nonnegative integer, got {budget!r}")):
+        run()
 
 
 @pytest.mark.parametrize("verifier", ["family", "sequence", "seq-continuity", "rw", "shapiro"])
@@ -465,20 +483,6 @@ def test_seq_inf_continuity_requires_nonincreasing(unit2):
 
 
 # Giner gap form ---------------------------------------------------------------
-
-def test_giner_gap_agrees_with_direct_condition_spot():
-    rng = random.Random(2)
-    for _ in range(120):
-        space = random_space(rng, 4)
-        members = [
-            FnClass(space, [ext(rng.choice([-2, -1, 0, 1, 3])) for _ in space.atoms])
-            for _ in range(rng.randint(1, 4))
-        ]
-        family = Family(members)
-        gap = giner_gap_directed(family)
-        direct = is_phi_inf_directed(family, LEB)
-        assert gap.directed == direct.directed
-
 
 def test_giner_gap_rejects_non_integrable(unit2):
     family = Family([fn(unit2, "+inf", 0)])
