@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress, islice, product, repeat
 from operator import add, contains, eq, getitem
@@ -47,6 +46,8 @@ from .extreal import (
     POS_INF,
     Report,
     Scalar,
+    _over_common_den,
+    _reduced,
     as_scalar,
     ext,
     to_text,
@@ -362,7 +363,10 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
     complex number (positive term, negative term) of ``weighted_parts``,
     whose addition adds the two parts separately with the rounding of
     ``outer_integral(G(u))``, bit for bit; under rational backing the exact
-    term.  A product folds the block of its trailing atoms whose admissible
+    term as an integer numerator over the terms' one common denominator,
+    so a fold adds plain ints and only ``lhs`` is reduced, once, by
+    ``extreal._reduced``: an int when integral, as ``outer_integral``
+    gives.  A product folds the block of its trailing atoms whose admissible
     sets multiply to at most ``SELECTION_BLOCK`` one atom layer at a time,
     from the fold of the leading atoms, one add per selection and layer; an
     explicit set folds each selection.  When a fold could differ from
@@ -381,9 +385,10 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
     space = integrand.space
     selections = u_set.iter_selections(enum_budget)
     if space.backing == "float":
-        rows, zero = _complex_codes(space.weights, integrand.table, projections), 0j
+        den, rows, zero = None, _complex_codes(space.weights, integrand.table, projections), 0j
     else:
-        rows, zero = _exact_codes(space.weights, integrand.table, projections), 0
+        den, rows = _exact_codes(space.weights, integrand.table, projections) or (None, None)
+        zero = 0
     if rows is None:
         def value(sel):
             ip, im = weighted_parts(space.weights, [row[c] for row, c in zip(integrand.table, sel)])
@@ -408,8 +413,8 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
         raise DomainError(
             "precondition failure: no selection has integrable positive part"
         )
-    if type(lhs) is Fraction and lhs.denominator == 1:
-        lhs = lhs.numerator  # an int when integral, as outer_integral gives
+    if den is not None:
+        lhs = _reduced(lhs, den)
     argmin_sets = [
         cs if space.is_null_atom(i) else best
         for i, (cs, best) in enumerate(zip(projections, integrand.per_atom_argmin(projections)))
@@ -474,19 +479,22 @@ def _complex_codes(weights, table, projections):
 
 
 def _exact_codes(weights, table, projections):
-    """Per atom, the exact terms w * x at the reachable controls; None when
-    one is infinite on an atom of positive weight, where the exact fold
-    would meet float infinities."""
+    """(den, rows): per atom, the exact terms w * x at the reachable controls
+    as integer numerators over their one least common denominator den, so
+    a fold adds plain ints; None when a term is infinite on an atom of
+    positive weight, where the exact fold would meet float infinities."""
     rows = []
     for w, row, controls in zip(weights, table, projections):
-        codes = [0] * len(row)
+        ratios = [(0, 1)] * len(row)
         if w:  # 0 * x = 0 on a null atom, infinite x included
+            wn, wd = w.as_integer_ratio()
             for c in controls:
                 if type(row[c]) is float:  # under rational backing, only ±inf
                     return None
-                codes[c] = w * row[c]
-        rows.append(codes)
-    return rows
+                n, d = row[c].as_integer_ratio()
+                ratios[c] = (wn * n, wd * d)
+        rows.append(ratios)
+    return _over_common_den(rows)
 
 
 @dataclass

@@ -30,6 +30,13 @@ since rational addition is associative and commutative: it sums int terms
 as ints and Fraction terms per denominator, and reduces each part once.
 Float addition rounds at every step, so float terms keep the atom order
 that defines the integrals' float results.
+
+Every exact sum in the package is kept as an integer numerator over a
+positive denominator and ends in the one reduction ``_reduced(num, den)``,
+which gives an int when the ratio is integral and a Fraction otherwise.
+``_over_common_den`` puts rows of exact terms over their least common
+denominator, so the integrals' rank tables and the selection fold of
+``decomposable`` add plain ints.
 """
 
 from __future__ import annotations
@@ -62,17 +69,17 @@ def as_scalar(x, backing: str = "rational") -> Scalar:
             raise InputError("NaN is not a valid scalar")
         if math.isinf(x):
             raise InputError(f"expected a finite scalar, got {to_text(x)}")
-        return _exact(Fraction(Decimal(repr(x)))) if backing == "rational" else x
+        return _kept(Fraction(Decimal(repr(x)))) if backing == "rational" else x
     if type(x) is int or isinstance(x, Fraction):
         if backing != "rational":
             return _float(x)
-        return x if type(x) is int else _exact(x)
+        return x if type(x) is int else _kept(x)
     if isinstance(x, str):
         try:
             frac = Fraction(x) if "/" in x else Fraction(Decimal(x))
         except (ValueError, ArithmeticError) as e:
             raise InputError(f"cannot interpret {x!r} as a scalar") from e
-        return _exact(frac) if backing == "rational" else _float(frac)
+        return _kept(frac) if backing == "rational" else _float(frac)
     raise InputError(f"cannot interpret {x!r} as a scalar")
 
 
@@ -82,11 +89,6 @@ def _float(q: Union[int, Fraction]) -> float:
         return float(q)
     except OverflowError:
         raise InputError("a finite scalar beyond the float range cannot be a float") from None
-
-
-def _exact(q: Fraction) -> Scalar:
-    """The rational backing's form of q: an int when integral."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def ext(x, backing: str = "rational") -> Scalar:
@@ -304,21 +306,24 @@ _ZERO = 0
 
 
 def _exact_sum(whole: int, by_den: dict) -> Scalar:
-    """whole + the sum of n / d over by_den, reduced once: an int when integral."""
+    """whole + the sum of n / d over by_den, reduced once."""
     if not by_den:
         return whole
-    if len(by_den) == 1:
-        (den, num), = by_den.items()
-        num += whole * den
-    else:
-        den = math.lcm(*by_den)
-        num = whole * den
-        for d, n in by_den.items():
-            num += n * (den // d)
-    g = math.gcd(num, den)
-    if g == den:
-        return num // den
-    return Fraction(num // g, den // g)
+    den = math.lcm(*by_den)
+    return _reduced(sum([n * (den // d) for d, n in by_den.items()], whole * den), den)
+
+
+def _over_common_den(rows):
+    """(den, rows of integers): rows of exact ratios (n, d) as the numerators
+    n * (den // d) over their least common denominator den."""
+    den = math.lcm(1, *(d for row in rows for _, d in row))
+    return den, [[n * (den // d) for n, d in row] for row in rows]
+
+
+def _reduced(num: int, den: int) -> Scalar:
+    """num / den for a positive den, reduced once: an int when integral."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _ordered_parts(weights: Sequence[Scalar],

@@ -41,6 +41,7 @@ from .extreal import (
     to_jsonable,
     to_text,
     upper_add,
+    weighted_parts,
 )
 from .measure import MeasureSpace
 
@@ -188,22 +189,21 @@ def classify(f: FnClass) -> IntegrabilityTag:
 def lp_norm(f: FnClass, p: Scalar) -> Scalar:
     """(sum of weight * |f|^p)^(1/p) for p in [1, inf).
 
-    Exact under rational backing when p == 1; otherwise evaluated in float.
-    Returns +inf when f is infinite on an atom of positive weight, and
-    raises InputError when the float evaluation overflows.
+    At p == 1 this is the integral of |f|, the positive part of
+    ``weighted_parts``, so exact under rational backing; otherwise it is
+    evaluated in float.  Returns +inf when f is infinite on an atom of
+    positive weight, and raises InputError when the float evaluation
+    overflows.
     """
     space = f.space
     p = as_scalar(p, space.backing)
     if p < 1:
         raise InputError("lp_norm requires p >= 1")
+    if p == 1:
+        return weighted_parts(space.weights, [abs(v) for v in f.values])[0]
     for i in space.non_null_indices():
         if abs(f.values[i]) == POS_INF:
             return POS_INF
-    if p == 1:
-        total = as_scalar(0, space.backing)
-        for i in space.non_null_indices():
-            total = lower_add(total, scalar_mul(space.weights[i], abs(f.values[i])))
-        return total
     try:
         acc = 0.0
         for i in space.non_null_indices():

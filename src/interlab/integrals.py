@@ -29,6 +29,8 @@ from .extreal import (
     POS_INF,
     Scalar,
     _kept,
+    _over_common_den,
+    _reduced,
     add,
     as_scalar,
     ext,
@@ -168,10 +170,11 @@ def _integral_table(space: MeasureSpace, fields):
     """Rank table of the three integrals above (see ``RANK_TABLES``).
 
     Each term w * x of an atom of positive weight and each of its ranks is
-    held as an integer numerator over one common denominator, so a key is
-    scored by adding one numerator per atom and reducing once: an int when
-    integral, as ``weighted_parts`` gives.  Null atoms add 0 whatever their
-    value.  Built only when every weight and finite value is exact (int or
+    held as an integer numerator over one common denominator
+    (``extreal._over_common_den``), so a key is scored by adding one
+    numerator per atom and reducing once (``extreal._reduced``): an int
+    when integral, as ``weighted_parts`` gives.  Null atoms add 0 whatever
+    their value.  Built only when every weight and finite value is exact (int or
     Fraction), the path on which ``weighted_parts`` sums exactly, so float
     rounding is left to the integrals.  A key with an infinite value on an
     atom of positive weight maps to None, and so do all keys when an atom
@@ -179,7 +182,7 @@ def _integral_table(space: MeasureSpace, fields):
     those, with their own convention for infinite parts and their own
     ``DomainError``.
     """
-    terms = []  # (offset, mask, [(numerator, denominator) per rank])
+    places, terms = [], []  # (offset, mask), [(numerator, denominator) per rank]
     plus_inf = minus_inf = 0  # key bits of the infinite ranks
     for w, (level, offset, mask) in zip(space.weights, fields):
         if type(w) not in _EXACT:
@@ -202,26 +205,17 @@ def _integral_table(space: MeasureSpace, fields):
             if level[0] == NEG_INF:
                 minus_inf |= 1 << offset
         wn, wd = w.as_integer_ratio()
-        terms.append((offset, mask, [(wn * n, wd * d) for n, d in ratios]))
-    den = math.lcm(1, *(d for _, _, ratios in terms for _, d in ratios))
-    base = 0
-    atoms = []
-    for offset, mask, ratios in terms:
-        codes = [n * (den // d) for n, d in ratios]
-        if mask:
-            atoms.append((offset, mask, codes))
-        else:
-            base += codes[0]
+        places.append((offset, mask))
+        terms.append([(wn * n, wd * d) for n, d in ratios])
+    den, rows = _over_common_den(terms)
+    base = sum([codes[0] for (_, mask), codes in zip(places, rows) if not mask])
+    atoms = [(offset, mask, codes) for (offset, mask), codes in zip(places, rows) if mask]
 
     def score(key: int):
         if key & plus_inf or ~key & minus_inf:
             return None
-        num = base + sum([codes[((key >> off) & mask).bit_count()]
-                          for off, mask, codes in atoms])
-        if den == 1:
-            return num
-        q, r = divmod(num, den)
-        return Fraction(num, den) if r else q
+        return _reduced(base + sum([codes[((key >> off) & mask).bit_count()]
+                                    for off, mask, codes in atoms]), den)
 
     return score
 
@@ -377,6 +371,8 @@ class Capacity:
                 raise InputError(f"capacity key {key!r} must look like '{{a,b}}'")
             inner = key[1:-1].strip()
             atoms = frozenset(a.strip() for a in inner.split(",")) if inner else frozenset()
+            if atoms in table:
+                raise InputError(f"capacity table lists the set {_set_str(space, atoms)} twice")
             table[atoms] = v  # the constructor converts it
         return cls(space, table)
 

@@ -16,12 +16,11 @@ computation: combining them raises ``InputError``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .extreal import BACKINGS, Scalar, as_scalar, to_jsonable
+from .extreal import BACKINGS, Scalar, _kept, as_scalar, to_jsonable
 
 AtomSet = FrozenSet[str]
 
@@ -76,7 +75,7 @@ class MeasureSpace:
     def total_mass(self) -> Scalar:
         """The sum of the weights; under rational backing an int when integral."""
         total = sum(self.weights, as_scalar(0, self.backing))
-        return total.numerator if type(total) is Fraction and total.denominator == 1 else total
+        return total if self.backing == "float" else _kept(total)
 
     def __len__(self) -> int:
         return len(self.atoms)

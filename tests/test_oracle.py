@@ -1,8 +1,6 @@
 import json
 import random
 
-import pytest
-
 import interlab.oracle as oracle_mod
 from interlab.cli import main
 from interlab.fnlattice import classify

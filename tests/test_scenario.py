@@ -85,15 +85,34 @@ def run_scenario(command, scenario, *flags):
     ("shapiro-check", dict(SHAPIRO, selection_set={})),
     ("shapiro-check", dict(SHAPIRO, selection_set=[])),
     ("shapiro-check", dict(SHAPIRO, selection_set=None)),
+    ("check", dict(CHOQUET, family=[[1, 1], [2, 2]], functional=dict(CHOQUET["functional"], capacity={
+        "kind": "table", "values": {"{}": 0, "{a}": "1/2", "{b}": 1, "{a,b}": 1, "{b,a}": "3/4"}}))),
+    ("check", dict(CHOQUET, family=[[1, 1], [2, 2]], functional=dict(CHOQUET["functional"], capacity={
+        "kind": "table", "values": {"{}": 0, "{a}": "1/2", "{a, a}": 1, "{b}": 1, "{a,b}": 1}}))),
 ], ids=["weights-5", "atoms-string", "atoms-numbers", "label-array", "member-5", "threshold-x",
         "threshold-true", "family-threshold-x", "family-threshold-true", "literal-threshold-x",
         "literal-threshold-true", "family-and-top-threshold-x", "distortion-of-measure-false",
         "controls-5", "table-of-numbers", "declared-gflat-5", "selection-set-empty-object",
-        "selection-set-empty-array", "selection-set-null"])
+        "selection-set-empty-array", "selection-set-null", "capacity-pair-twice",
+        "capacity-singleton-twice"])
 def test_malformed_scenario_is_a_schema_error(command, scenario):
     code, _, err = run_scenario(command, scenario)
     assert code == 2
     assert err.startswith("schema error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("first, second", [("{a,b}", "{b,a}"), ("{b,a}", "{a,b}"),
+                                           ("{a}", "{a, a}"), ("{a, a}", "{a}")])
+def test_a_capacity_set_listed_twice_is_named_in_either_key_order(first, second):
+    values = {"{}": 0, "{a}": "1/2", "{b}": 1, "{a,b}": 1}
+    values.pop(first, None)
+    values = dict(values, **{first: 1, second: "3/4"})
+    scenario = dict(CHOQUET, family=[[1, 1], [2, 2]], functional=dict(
+        CHOQUET["functional"], capacity={"kind": "table", "values": values}))
+    code, out, err = run_scenario("check", scenario)
+    twice = "{a, b}" if "b" in first else "{a}"
+    assert (code, out) == (2, "")
+    assert err == f"schema error: bad functional: capacity table lists the set {twice} twice\n"
 
 
 def test_non_finite_divergence_threshold_flag_is_a_schema_error():

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -25,7 +26,9 @@ from interlab.measure import MeasureSpace
 from oracle_helpers import naive_is_decomposable, naive_rw
 
 WEIGHTS = [0, 1, "1/2", 2, 0.1]
-VALUES = [-2, -1, "-1/3", 0, 0.1, 0.7, "1/3", 1, 3, "+inf", "-inf"]
+# Denominators 3, 7 and 97 (and 10 from the decimals): a common denominator
+# of several primes.
+VALUES = [-2, -1, "-1/3", 0, 0.1, 0.7, "1/3", "5/7", "-11/97", 1, 3, "+inf", "-inf"]
 # Largest control count per atom count that keeps the product at 81
 # selections, so the naive patch enumeration stays cheap.
 MAX_CONTROLS = {1: 4, 2: 4, 3: 4, 4: 3, 5: 2}
@@ -104,6 +107,7 @@ def test_rw_verdicts_match_naive_reference(data):
     alone = verify_rw_argmin(integrand, u_set)
     lhs, rhs, minimizers, pointwise = expected
     assert (report.lhs, report.rhs, report.minimizers) == (lhs, rhs, minimizers)
+    assert repr(report.lhs) == repr(lhs)  # the same type, and the same zero
     assert set(report.pointwise_argmin) == pointwise
     assert argmin.to_json_dict() == alone.to_json_dict()
     if lhs == NEG_INF:
@@ -293,6 +297,30 @@ def test_lhs_below_rhs_is_an_invariant_failure(monkeypatch):
                         lambda *args: (-1, [(0, 1)], []))
     with pytest.raises(InvariantError, match="below"):
         verify_rw_interchange(integrand, u_set)
+
+
+def test_rational_fold_does_no_fraction_arithmetic(monkeypatch):
+    """The exact terms are integer numerators over one denominator, so the
+    Fraction additions of a product's verdict do not grow with its size."""
+    counts = []
+    for n_atoms in (4, 6):
+        space = MeasureSpace([f"a{i}" for i in range(n_atoms)], ["1/3"] * n_atoms)
+        table = [[f"{(i + 5 * c) % 11 - 5}/{(2, 3, 7)[(i + c) % 3]}" for c in range(4)]
+                 for i in range(n_atoms)]
+        integrand = Integrand(space, [[c] for c in range(4)], table)
+        u_set = SelectionSet.full_product(n_atoms, 4)
+        adds = []
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__radd__"):
+                def counted(a, b, _op=getattr(Fraction, name)):
+                    adds.append(1)
+                    return _op(a, b)
+
+                patch.setattr(Fraction, name, counted)
+            report = verify_rw_interchange(integrand, u_set)
+        assert report.equal and type(report.lhs) is Fraction
+        counts.append(len(adds))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("backing", ["rational", "float"])
