@@ -73,7 +73,7 @@ def as_scalar(x, backing: str = "rational") -> Scalar:
     if type(x) is int or isinstance(x, Fraction):
         if backing != "rational":
             return _float(x)
-        return x if type(x) is int else _kept(x)
+        return x if type(x) is int else _kept(x if type(x) is Fraction else Fraction(x))
     if isinstance(x, str):
         try:
             frac = Fraction(x) if "/" in x else Fraction(Decimal(x))

@@ -174,9 +174,9 @@ def _integral_table(space: MeasureSpace, fields):
     (``extreal._over_common_den``), so a key is scored by adding one
     numerator per atom and reducing once (``extreal._reduced``): an int
     when integral, as ``weighted_parts`` gives.  Null atoms add 0 whatever
-    their value.  Built only when every weight and finite value is exact (int or
-    Fraction), the path on which ``weighted_parts`` sums exactly, so float
-    rounding is left to the integrals.  A key with an infinite value on an
+    their value.  Built only when every weight and finite value is exact
+    (int or Fraction), the path on which ``weighted_parts`` sums exactly, so
+    float rounding is left to the integrals.  A key with an infinite value on an
     atom of positive weight maps to None, and so do all keys when an atom
     of positive weight holds one infinite value only: the integrals score
     those, with their own convention for infinite parts and their own

@@ -122,7 +122,12 @@ def test_reported_values_keep_the_backing_form(backing, monkeypatch, tmp_path):
     assert_backing_form(seen, backing)
 
 
-@pytest.mark.parametrize("raw", [0, 3, "1/2", 0.7, 10 ** 20, "+inf", "-inf"])
+class Ratio(Fraction):
+    """A Fraction subclass, as an API caller may pass one."""
+
+
+@pytest.mark.parametrize("raw", [0, 3, "1/2", 0.7, 10 ** 20, "+inf", "-inf",
+                                 Ratio(1, 3), Ratio(3, 1)])
 def test_ext_keeps_the_backing_form(backing, raw):
     assert_backing_form([ext(raw, backing)], backing)
 

@@ -48,6 +48,12 @@ SHAPIRO = {
 }
 
 
+def choquet_table(values):
+    """A check of the family [[1, 1], [2, 2]] under Choquet with the table ``values``."""
+    return dict(CHECK, family=[[1, 1], [2, 2]], functional={"kind": "choquet", "capacity": {
+        "kind": "table", "values": values}})
+
+
 def run(argv):
     """(exit code, stdout, stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -85,10 +91,8 @@ def run_scenario(command, scenario, *flags):
     ("shapiro-check", dict(SHAPIRO, selection_set={})),
     ("shapiro-check", dict(SHAPIRO, selection_set=[])),
     ("shapiro-check", dict(SHAPIRO, selection_set=None)),
-    ("check", dict(CHOQUET, family=[[1, 1], [2, 2]], functional=dict(CHOQUET["functional"], capacity={
-        "kind": "table", "values": {"{}": 0, "{a}": "1/2", "{b}": 1, "{a,b}": 1, "{b,a}": "3/4"}}))),
-    ("check", dict(CHOQUET, family=[[1, 1], [2, 2]], functional=dict(CHOQUET["functional"], capacity={
-        "kind": "table", "values": {"{}": 0, "{a}": "1/2", "{a, a}": 1, "{b}": 1, "{a,b}": 1}}))),
+    ("check", choquet_table({"{}": 0, "{a}": "1/2", "{b}": 1, "{a,b}": 1, "{b,a}": "3/4"})),
+    ("check", choquet_table({"{}": 0, "{a}": "1/2", "{a, a}": 1, "{b}": 1, "{a,b}": 1})),
 ], ids=["weights-5", "atoms-string", "atoms-numbers", "label-array", "member-5", "threshold-x",
         "threshold-true", "family-threshold-x", "family-threshold-true", "literal-threshold-x",
         "literal-threshold-true", "family-and-top-threshold-x", "distortion-of-measure-false",
@@ -106,10 +110,7 @@ def test_malformed_scenario_is_a_schema_error(command, scenario):
 def test_a_capacity_set_listed_twice_is_named_in_either_key_order(first, second):
     values = {"{}": 0, "{a}": "1/2", "{b}": 1, "{a,b}": 1}
     values.pop(first, None)
-    values = dict(values, **{first: 1, second: "3/4"})
-    scenario = dict(CHOQUET, family=[[1, 1], [2, 2]], functional=dict(
-        CHOQUET["functional"], capacity={"kind": "table", "values": values}))
-    code, out, err = run_scenario("check", scenario)
+    code, out, err = run_scenario("check", choquet_table({**values, first: 1, second: "3/4"}))
     twice = "{a, b}" if "b" in first else "{a}"
     assert (code, out) == (2, "")
     assert err == f"schema error: bad functional: capacity table lists the set {twice} twice\n"
