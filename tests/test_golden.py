@@ -36,6 +36,13 @@ SELECTION_CASES = {
     "rw-product-blocks": ["rw-check", str(SCENARIOS / "rw-product-blocks.json")],
     "rw-explicit-decomposable": ["rw-check", str(SCENARIOS / "rw-explicit-decomposable.json")],
     "rw-explicit-holey": ["rw-check", str(SCENARIOS / "rw-explicit-holey.json")],
+    "shapiro-product-lebesgue": [
+        "shapiro-check", str(SCENARIOS / "shapiro-product-lebesgue.json")],
+    "shapiro-explicit-inner-null": [
+        "shapiro-check", str(SCENARIOS / "shapiro-explicit-inner-null.json")],
+    "shapiro-product-outer-inf": [
+        "shapiro-check", str(SCENARIOS / "shapiro-product-outer-inf.json")],
+    "shapiro-ess-sup": ["shapiro-check", str(SCENARIOS / "shapiro-ess-sup.json")],
 }
 INTERCHANGE_CASES = {
     "gallery-example-2-6": ["gallery", "example-2-6", "--prefix", "100"],
