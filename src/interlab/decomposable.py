@@ -27,15 +27,18 @@ argmins, so ``verify_rw_argmin`` checks the selection-by-selection argmin
 characterization (whenever the common value is finite) from the
 interchange report without enumerating again.  ``verify_shapiro`` checks
 the hypotheses and conclusion of the norm-convergence interchange for
-general order-preserving functionals on a probability space.
+general order-preserving functionals on a probability space; for the
+built-in integrals its conclusion takes the minimum of the same fold.
 """
 
 from __future__ import annotations
 
+import math
+from cmath import isinf
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, compress, islice, product, repeat
+from itertools import chain, combinations, compress, islice, product, repeat
 from operator import add, contains, eq, getitem
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,12 +54,11 @@ from .extreal import (
     as_scalar,
     ext,
     to_text,
-    upper_add,
     weighted_parts,
 )
 from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
 from .functionals import Functional
-from .integrals import outer_integral
+from .integrals import PART_SUMS, outer_integral, part_sum
 from .interchange import _eq_within, _tolerance
 from .measure import MeasureSpace
 
@@ -355,25 +357,8 @@ def verify_rw_interchange(
 
 
 def _min_over_selections(integrand, u_set, projections, enum_budget):
-    """(min, minimizers, pointwise argmin set) of outer_integral(G(u)) over u.
-
-    One walk over ``u_set.iter_selections``, a block of selections at a
-    time.  Every (atom, reachable control) gets one code, and a selection's
-    value is the atom-order left fold of its codes: under float backing the
-    complex number (positive term, negative term) of ``weighted_parts``,
-    whose addition adds the two parts separately with the rounding of
-    ``outer_integral(G(u))``, bit for bit; under rational backing the exact
-    term as an integer numerator over the terms' one common denominator,
-    so a fold adds plain ints and only ``lhs`` is reduced, once, by
-    ``extreal._reduced``: an int when integral, as ``outer_integral``
-    gives.  A product folds the block of its trailing atoms whose admissible
-    sets multiply to at most ``SELECTION_BLOCK`` one atom layer at a time,
-    from the fold of the leading atoms, one add per selection and layer; an
-    explicit set folds each selection.  When a fold could differ from
-    ``weighted_parts`` (see ``_complex_codes`` and ``_exact_codes``), each
-    selection is evaluated by ``weighted_parts`` itself, which raises
-    InputError for a float part beyond the float range as
-    ``outer_integral`` does.
+    """(min, minimizers, pointwise argmin set) of outer_integral(G(u)) over u,
+    from one walk of ``_selection_folds``.
 
     A block's minimizers are ``compress``-ed out of the one selection
     iterator.  A product's pointwise argmin set is the product of the
@@ -382,28 +367,10 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
     DomainError when no selection has a finite positive part, that is, when
     the minimum is +inf.
     """
-    space = integrand.space
-    selections = u_set.iter_selections(enum_budget)
-    if space.backing == "float":
-        den, rows, zero = None, _complex_codes(space.weights, integrand.table, projections), 0j
-    else:
-        den, rows = _exact_codes(space.weights, integrand.table, projections) or (None, None)
-        zero = 0
-    if rows is None:
-        def value(sel):
-            ip, im = weighted_parts(space.weights, [row[c] for row, c in zip(integrand.table, sel)])
-            return upper_add(ip, -im)
-
-        blocks = _listed_blocks(selections, value)
-    elif u_set.kind == "product":
-        blocks = _product_blocks(rows, u_set.admissible, selections, zero)
-    else:
-        blocks = _listed_blocks(selections, lambda sel: reduce(add, map(getitem, rows, sel), zero))
-
+    blocks, den = _selection_folds(integrand, u_set, projections, enum_budget,
+                                   PART_SUMS[outer_integral])
     lhs, minimizers = None, []
     for values, block in blocks:
-        if rows is not None and space.backing == "float":  # upper_add(ip, -im)
-            values = [z.real - z.imag if z.real != POS_INF else POS_INF for z in values]
         m = min(values)
         if lhs is None or m < lhs:
             lhs, minimizers = m, list(compress(block, map(eq, values, repeat(m))))
@@ -415,6 +382,7 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
         )
     if den is not None:
         lhs = _reduced(lhs, den)
+    space = integrand.space
     argmin_sets = [
         cs if space.is_null_atom(i) else best
         for i, (cs, best) in enumerate(zip(projections, integrand.per_atom_argmin(projections)))
@@ -423,6 +391,58 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
         return lhs, minimizers, list(product(*argmin_sets))
     picks = [set(cs) for cs in argmin_sets]
     return lhs, minimizers, [s for s in u_set.selections if all(map(contains, picks, s))]
+
+
+def _selection_folds(integrand, u_set, projections, enum_budget, combine):
+    """(blocks, den): (values, selections) per block of ``u_set``, in
+    enumeration order, where a value is the integral of G(u) whose
+    ``integrals.PART_SUMS`` entry is ``combine``, or its numerator over
+    ``den`` when ``den`` is not None (reduce the least one by ``_reduced``).
+
+    Every (atom, reachable control) gets one code, and a selection's parts
+    are the atom-order left fold of its codes: under float backing the
+    complex (positive term, negative term) of ``weighted_parts``, whose
+    addition adds the two parts with its rounding, bit for bit; under
+    rational backing the exact term as an integer numerator over the terms'
+    one common denominator, so a fold adds plain ints.  With no infinite
+    code all three integrals are ip - im; otherwise each float z goes
+    through ``combine(z.real, z.imag)`` in enumeration order, so the
+    integral's own DomainError comes at its first selection.  A product
+    folds the trailing atoms whose admissible sets multiply to at most
+    ``SELECTION_BLOCK`` one atom layer at a time, from the fold of the
+    leading atoms; an explicit set folds each selection.  When a fold could
+    differ from ``weighted_parts`` (see ``_complex_codes`` and
+    ``_exact_codes``), each selection is ``combine(*weighted_parts(...))``.
+    """
+    space = integrand.space
+    selections = u_set.iter_selections(enum_budget)
+    if space.backing == "float":
+        den, rows, zero = None, _complex_codes(space.weights, integrand.table, projections), 0j
+    else:
+        den, rows = _exact_codes(space.weights, integrand.table, projections) or (None, None)
+        zero = 0
+    if rows is None:
+        def value(sel):
+            return combine(*weighted_parts(
+                space.weights, [row[c] for row, c in zip(integrand.table, sel)]))
+
+        return _listed_blocks(selections, value), None
+    if u_set.kind == "product":
+        blocks = _product_blocks(rows, u_set.admissible, selections, zero)
+    else:
+        blocks = _listed_blocks(selections, lambda sel: reduce(add, map(getitem, rows, sel), zero))
+    if den is None and any(map(isinf, chain.from_iterable(rows))):
+        blocks = (([combine(z.real, z.imag) for z in values], block) for values, block in blocks)
+    elif den is None:
+        blocks = (([z.real - z.imag for z in values], block) for values, block in blocks)
+    return blocks, den
+
+
+def _min_of_folds(integrand, u_set, enum_budget, combine):
+    """The least value of ``_selection_folds``: min over u of the integral of G(u)."""
+    blocks, den = _selection_folds(integrand, u_set, u_set.projections(), enum_budget, combine)
+    least = min([min(values) for values, _ in blocks])
+    return least if den is None else _reduced(least, den)
 
 
 def _product_blocks(rows, admissible, selections, zero):
@@ -584,9 +604,16 @@ class ShapiroReport(Report):
 
 
 def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) -> ShapiroReport:
-    """Itemize the hypotheses and test the conclusion inf Phi(G(u)) = Phi(G-flat)."""
+    """Itemize the hypotheses and test the conclusion inf Phi(G(u)) = Phi(G-flat).
+
+    The space needs mass 1, under float backing as the correctly rounded sum
+    of the weights.  Within ``enum_budget``, the inf of a Phi in
+    ``integrals.PART_SUMS`` is the least value of ``_selection_folds``, in
+    value, type and first error that of min Phi(G(u)); any other Phi is
+    evaluated on each G(u).
+    """
     space = sc.integrand.space
-    if space.total_mass() != 1:
+    if not _unit_mass(space):
         raise InputError("Shapiro scenarios require a probability space (mass 1)")
     p = as_scalar(sc.p, space.backing)
     if p < 1:
@@ -627,7 +654,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         notes.append("selection set beyond budget: S1 checked on the prefix only")
     prefix_fns = [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix]
     # The set is streamed, never held: S1 reads the entries of the atoms of
-    # positive weight, and the conclusion builds each G(u) when it needs it.
+    # positive weight, and the conclusion folds codes or builds each G(u).
     infinite = [(i, [abs(v) == POS_INF for v in sc.integrand.table[i]]) for i in non_null]
     infinite = [(i, row) for i, row in infinite if any(row)]
     if infinite:
@@ -655,16 +682,16 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         "S2b_liminf", s2b,
         f"Phi(G-flat) = {to_text(phi_flat)} vs prefix liminf {to_text(liminf_est)}"))
 
-    if exact:
+    combine = part_sum(sc.functional.eval_fn)
+    mode = "exact" if exact else "sampled"
+    if not exact:
+        inf_val = min(phi_vals)
+        notes.append("conclusion estimated from the prefix only (an upper bound on inf)")
+    elif combine is None:
         g_of = sc.integrand.g_of
         inf_val = min(sc.functional(g_of(sel)) for sel in u_set.iter_selections(enum_budget))
-        mode = "exact"
     else:
-        inf_val = min(phi_vals)
-        mode = "sampled"
-        notes.append(
-            "conclusion estimated from the prefix only (an upper bound on inf)"
-        )
+        inf_val = _min_of_folds(sc.integrand, u_set, enum_budget, combine)
     holds = _eq_within(inf_val, phi_flat, tol)
     return ShapiroReport(
         hypotheses=hypotheses,
@@ -676,3 +703,12 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         notes=notes,
     )
 
+
+def _unit_mass(space: MeasureSpace) -> bool:
+    """Whether the weights sum to 1; floats by ``math.fsum``, in no atom order."""
+    if space.backing == "rational":
+        return space.total_mass() == 1
+    try:
+        return math.fsum(space.weights) == 1
+    except OverflowError:  # nonnegative weights: the sum is above 1
+        return False

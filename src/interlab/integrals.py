@@ -96,12 +96,20 @@ def inner_integral(f: FnClass) -> Scalar:
 
 # How each integral combines its part integrals (integral of f+, integral of
 # f-) into its value, keyed by the integral, for callers that keep the parts
-# themselves (``RunningParts``).
+# themselves (``RunningParts``, the selection fold of ``decomposable``).
 PART_SUMS = {
     lebesgue_extended: _semi_integrable_sum,
     outer_integral: _upper_sum,
     inner_integral: _lower_sum,
 }
+
+
+def part_sum(eval_fn):
+    """The ``PART_SUMS`` entry of ``eval_fn``, or None when it has none.
+
+    Looked up by identity: an eval_fn need not be hashable.
+    """
+    return next((c for f, c in PART_SUMS.items() if f is eval_fn), None)
 
 
 class RunningParts:
@@ -132,8 +140,7 @@ class RunningParts:
     def of(cls, space: MeasureSpace, eval_fn, values):
         """Running parts of ``values`` for the integral ``eval_fn``, or None
         when ``eval_fn`` is not in ``PART_SUMS`` or the space is not rational."""
-        # Looked up by identity: an eval_fn need not be hashable.
-        combine = next((c for f, c in PART_SUMS.items() if f is eval_fn), None)
+        combine = part_sum(eval_fn)
         if combine is None or space.backing != "rational":
             return None
         return cls(space.weights, combine, values)

@@ -653,6 +653,30 @@ def test_shapiro_exact_norm_beyond_the_float_range_is_compared_exactly(
     assert ok["S2a_norm_convergence"] is False
 
 
+@pytest.mark.parametrize("weights, code", [
+    ([0.1] * 10, 0), ([0.5, 0.4], 3), ([1e308, 1e308], 3),
+])
+def test_shapiro_probability_space_does_not_depend_on_the_backing(
+        tmp_path, capsys, cli_backing, weights, code):
+    """Ten weights 0.1 add up to 0.9999999999999999 in atom order under
+    float backing; their correctly rounded sum is 1, as the exact one is.
+    Weights whose float sum overflows are not a probability space either."""
+    n = len(weights)
+    scenario = {
+        "space": {"atoms": [f"a{i}" for i in range(n)], "weights": weights},
+        "integrand": {"controls": [[0], [1]], "table": [[1, 0]] * n},
+        "functional": {"kind": "extended_lebesgue"},
+        "selection_prefix": [[0] * n, [1] * n],
+        "selection_set": {"kind": "product"},
+    }
+    assert main(["shapiro-check", write_scenario(tmp_path, "mass.json", scenario)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "Shapiro scenarios require a probability space" in err
+    else:
+        assert json.loads(out)["report"]["conclusion_holds"] is True
+
+
 @pytest.mark.parametrize("tol, holds, directed, witness", [
     (1, "holds", "yes", None), (0.5, "fails", "no", [0, 1]),
 ])

@@ -1,4 +1,5 @@
-"""Selection-set verdicts against naive references, and the single enumeration."""
+"""Selection-set verdicts against naive references, the single enumeration, and
+the fold behind Shapiro's conclusion against the minimum of Phi over the set."""
 
 import json
 import tracemalloc
@@ -14,12 +15,22 @@ from interlab.decomposable import (
     SELECTION_BLOCK,
     Integrand,
     SelectionSet,
+    ShapiroScenario,
     is_decomposable,
     verify_rw_argmin,
     verify_rw_interchange,
+    verify_shapiro,
 )
 from interlab.errors import InterlabError, InvariantError
 from interlab.extreal import NEG_INF
+from interlab.functionals import Functional, make_builtin
+from interlab.integrals import (
+    Capacity,
+    inner_integral,
+    lebesgue_extended,
+    outer_integral,
+    part_sum,
+)
 from interlab.interchange import default_tolerance
 from interlab.measure import MeasureSpace
 
@@ -341,3 +352,100 @@ def test_enumeration_memory_does_not_grow_with_the_set(backing):
         tracemalloc.stop()
     assert len(report.minimizers) == 1 and report.equal
     assert peak < 1_000_000
+
+
+# Shapiro's conclusion: the least value of the selection fold against the
+# minimum of Phi(G(u)) over the set.  Weights 1e300 and values 1e300 or
+# 1e308 make float folds overflow, so those sets are evaluated selection by
+# selection.
+FOLD_WEIGHTS = WEIGHTS + [1e300]
+INTEGRALS = {"extended_lebesgue": lebesgue_extended, "outer": outer_integral,
+             "inner": inner_integral}
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except InterlabError as e:  # the error class and text are part of the verdict
+        return type(e), str(e)
+
+
+def _assert_fold_is_the_min_of_phi(integrand, u_set, phi):
+    expected = _value_or_error(
+        lambda: min(phi(integrand.g_of(s)) for s in u_set.iter_selections()))
+    got = _value_or_error(
+        lambda: decomposable._min_of_folds(integrand, u_set, 10**6, part_sum(phi)))
+    assert got == expected and repr(got) == repr(expected)  # value, type and zero
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_shapiro_fold_is_the_min_of_phi(data):
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    phi = INTEGRALS[data.draw(st.sampled_from(sorted(INTEGRALS)), label="phi")]
+    if data.draw(st.booleans(), label="blocks"):
+        n_controls, admissible = data.draw(multi_block_products(), label="admissible")
+        n_atoms = len(admissible)
+    else:
+        n_atoms = data.draw(st.integers(1, 4), label="atoms")
+        n_controls = data.draw(st.integers(1, 3), label="controls")
+        admissible = [data.draw(st.lists(st.integers(0, n_controls - 1), min_size=1,
+                                         max_size=n_controls, unique=True))
+                      for _ in range(n_atoms)]
+    values = data.draw(st.sampled_from([VALUES, VALUES + HUGE + ["1e300"], FINITE]),
+                       label="values")
+    weights = data.draw(st.lists(st.sampled_from(FOLD_WEIGHTS), min_size=n_atoms,
+                                 max_size=n_atoms), label="weights")
+    table = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_controls,
+                                        max_size=n_controls),
+                               min_size=n_atoms, max_size=n_atoms), label="table")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    integrand = Integrand(space, [[c] for c in range(n_controls)], table)
+    u_set = SelectionSet("product", n_atoms, n_controls, admissible=admissible)
+    if data.draw(st.booleans(), label="explicit"):
+        sels = list(u_set.iter_selections())
+        data.draw(st.randoms(use_true_random=False), label="order").shuffle(sels)
+        u_set = SelectionSet.explicit(sels[:data.draw(st.integers(1, len(sels)))],
+                                      n_atoms, n_controls)
+    _assert_fold_is_the_min_of_phi(integrand, u_set, phi)
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+@pytest.mark.parametrize("table, selections", [
+    # Both parts +inf from the first selection on.
+    ([["+inf", 0], ["-inf", 0]], [(0, 0), (1, 1), (0, 1)]),
+    # A finite minimum first; the second selection has both parts +inf.
+    ([["+inf", 1], ["-inf", 2]], [(1, 1), (0, 0)]),
+    # A float part beyond the float range before, or after, both parts +inf.
+    ([[1e308, "+inf"], [1e308, "-inf"], [1e308, 0]], [(0, 0, 0), (1, 1, 1)]),
+    ([[1e308, "+inf"], [1e308, "-inf"], [1e308, 0]], [(1, 1, 1), (0, 0, 0)]),
+])
+def test_shapiro_fold_raises_the_first_error_of_the_integral(backing, table, selections):
+    n = len(table)
+    space = MeasureSpace([f"a{i}" for i in range(n)], [1] * n, backing=backing)
+    integrand = Integrand(space, [[0], [1]], table)
+    u_set = SelectionSet.explicit(selections, n, 2)
+    for phi in INTEGRALS.values():
+        _assert_fold_is_the_min_of_phi(integrand, u_set, phi)
+    with pytest.raises(InterlabError):
+        min(lebesgue_extended(integrand.g_of(s)) for s in selections)
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+@pytest.mark.parametrize("kind", ["extended_lebesgue", "outer", "inner", "ess_sup", "choquet"])
+def test_only_other_functionals_evaluate_every_selection(backing, kind, monkeypatch):
+    """ess_sup and Choquet call Phi once per selection of the set, besides
+    the prefix and G-flat; the three integrals fold the set instead."""
+    space = MeasureSpace(["a", "b", "c"], ["1/2", "1/4", "1/4"], backing=backing)
+    integrand = Integrand(space, [[0], [1], [2]], [[3, 1, 0], [2, "1/2", 0], [1, 1, 0]])
+    phi = make_builtin(kind, capacity=Capacity.from_measure(space))
+    prefix = [(c, c, c) for c in range(3)]
+    calls = []
+    call = Functional.__call__
+    monkeypatch.setattr(Functional, "__call__", lambda self, f: calls.append(1) or call(self, f))
+    report = verify_shapiro(ShapiroScenario(
+        functional=phi, p=1, integrand=integrand, selection_prefix=prefix,
+        selection_set=SelectionSet.full_product(3, 3)))
+    assert report.conclusion_holds and report.conclusion_lhs == 0
+    per_selection = 27 if kind in ("ess_sup", "choquet") else 0
+    assert len(calls) == len(prefix) + 1 + per_selection
