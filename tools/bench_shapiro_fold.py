@@ -134,6 +134,20 @@ def l4(parent: str, change: str, workload: str, seed: int, seconds: float, pairs
     return out
 
 
+def claim(selections: dict) -> dict:
+    """The gain rule on selections verdicts_per_s: the change wins at least
+    nine tenths of the pairs, and the medians differ by more than the
+    distance between the parent's quartiles."""
+    m = selections["metrics"]["verdicts_per_s"]
+    wins = sum(map(lambda c, p: c > p, m["change_runs"], m["parent_runs"]))
+    iqr = m["parent"]["q3"] - m["parent"]["q1"]
+    gap = m["change"]["median"] - m["parent"]["median"]
+    return {"metric": "verdicts_per_s on selections", "parent_median": m["parent"]["median"],
+            "parent_iqr": round(iqr, 4), "change_median": m["change"]["median"],
+            "change_wins": f"{wins} of {selections['pairs']}",
+            "met": 10 * wins >= 9 * selections["pairs"] and gap > iqr}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True)
@@ -160,6 +174,7 @@ def main() -> None:
                    l4_run(checkout, "selections", args.seed, 1, trace=1)["metrics"].items()}
             for side, checkout in (("parent", args.parent), ("change", args.change))},
     }
+    result["claim"] = claim(result["l4"]["selections"])
     for workload in OTHER_WORKLOADS if args.other_pairs else ():
         result["l4"][workload] = l4(args.parent, args.change, workload, args.seed,
                                     args.seconds, args.other_pairs)
