@@ -77,6 +77,10 @@ GALLERY = {
         "family": {"generator": "example-2-6"},
         "functional": {"kind": "extended_lebesgue"},
     }),
+    "moving-bump": ("check", {
+        "family": {"generator": "moving-bump"},
+        "functional": {"kind": "extended_lebesgue"},
+    }),
     "choquet-demo": ("check", {
         "space": {"atoms": ["a", "b", "c"], "weights": [1, 1, 1]},
         "family": [[1, 2, 0], [2, 0, 1], [0, 1, 2]],

@@ -165,6 +165,9 @@ class RunningParts:
             self.minus -= w * x
 
     def value(self) -> Scalar:
+        if not (self.plus_inf or self.minus_inf):
+            # Finite parts: every integral is ip - im, in the exact form.
+            return _kept(self.plus - self.minus)
         ip = POS_INF if self.plus_inf else _kept(self.plus)
         im = POS_INF if self.minus_inf else _kept(self.minus)
         return self.combine(ip, im)

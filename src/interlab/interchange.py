@@ -23,15 +23,17 @@ Lazily truncated families (finite prefixes of infinite sequences) go through
 ``verify_interchange_sequence``, which watches the prefix trend of both
 sides and declares divergence to -inf once a monotone run crosses the
 configured threshold; verdicts then refer to the limit, not the prefix.
-Its prefix infima are one running infimum, lowered member by member.
+Its prefix infima are one running infimum, lowered member by member, or
+only on the atoms a term changes when the sequence declares its steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, compress, count
+from math import copysign
 from operator import lt
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DomainError, InputError, InvariantError
 from .extreal import (
@@ -110,6 +112,13 @@ class SequenceSpec:
     in sequence clothing); otherwise the prefix is a truncation and verdicts
     about the limit rely on trend detection against the divergence
     threshold.
+
+    ``generator(k)`` is the k-th term and stays the reference.  ``step``, when
+    given, declares what changes from one term to the next: ``step(k)``, for
+    k >= 1, maps the atom indices where term k differs from term k - 1 to
+    term k's values there, in backing form (as ``FnClass.from_ext`` takes
+    them).  A non-exhaustive prefix is then followed atom change by atom
+    change (see ``_prefix_terms``), without building the N dense terms.
     """
 
     generator: Callable[[int], FnClass]
@@ -117,11 +126,16 @@ class SequenceSpec:
     declared_limit: Optional[FnClass] = None
     divergence_threshold: Scalar = DEFAULT_DIVERGENCE_THRESHOLD
     exhaustive: bool = False
+    step: Optional[Callable[[int], Mapping[int, Scalar]]] = None
 
-    def prefix(self) -> List[FnClass]:
+    def first(self) -> FnClass:
+        """The first term; InputError when the prefix length is below 1."""
         if self.prefix_len < 1:
             raise InputError("prefix_len must be at least 1")
-        members = [self.generator(i) for i in range(self.prefix_len)]
+        return self.generator(0)
+
+    def prefix(self) -> List[FnClass]:
+        members = [self.first()] + [self.generator(i) for i in range(1, self.prefix_len)]
         for m in members[1:]:
             if m.space != members[0].space:
                 raise InputError("sequence terms must share one aligned space")
@@ -441,32 +455,87 @@ def _classify_prefix_limit(
     return "inconclusive", last
 
 
-def _prefix_terms(
-    members: Sequence[FnClass], phi: Functional
-) -> Tuple[List[Scalar], List[Scalar], List[Scalar], FnClass]:
-    """Phi on each member, its running minimum, Phi on the infimum of each
-    prefix of ``members``, and the last of those infima.
+def _same_entries(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> bool:
+    """Equal entry by entry in value and type, and in the sign of a float zero."""
+    return (tuple(xs) == tuple(ys) and list(map(type, xs)) == list(map(type, ys))
+            and all(copysign(1, x) == copysign(1, y)
+                    for x, y in zip(xs, ys) if type(x) is float and x == 0))
 
-    One running infimum is kept; each later member x_n lowers it on the
-    atoms where x_n < acc, found in one C-level comparison pass (strict, so
-    ties keep acc's entry, as ``pointwise_inf`` does).  The first prefix
-    infimum is the first member, whose value is known.  The built-in
-    integrals under rational backing update their exact parts on the atoms
-    that drop only (``integrals.RunningParts``); any other functional, and
-    float backing, evaluates Phi on the new infimum.  A term where no atom
-    drops repeats the previous one, since ``eval_fn`` is pure.  The running
-    parts are cross-checked once: Phi evaluated on the last infimum must
-    equal the last term in value and in type, else ``InvariantError``.
+
+def _check_term(what: str, phi: Functional, f: FnClass, term: Scalar) -> None:
+    """InvariantError unless Phi evaluated on ``f`` is ``term`` in value and type."""
+    check = phi(f)
+    if check != term or type(check) is not type(term):
+        raise InvariantError(
+            f"running {phi.name} of the last {what} is {to_text(term)} "
+            f"({type(term).__name__}), but Phi gives {to_text(check)} "
+            f"({type(check).__name__})"
+        )
+
+
+def _prefix_terms(
+    spec: SequenceSpec, phi: Functional, first: FnClass,
+    members: Optional[Sequence[FnClass]] = None,
+) -> Tuple[List[Scalar], List[Scalar], List[Scalar], FnClass]:
+    """Phi on each of the N terms of ``spec``, its running minimum, Phi on
+    the infimum of each prefix, and the last of those infima.
+
+    ``first`` is term 0; ``members`` is the whole prefix when the caller
+    holds it (an exhaustive spec), and is read in place of the generator.
+    Otherwise the terms are never held together: with ``spec.step`` term k
+    is term k - 1 with the declared changes, and without it
+    ``spec.generator(k)`` is called once per term.
+
+    One running infimum is kept.  Term k can lower it only on the atoms
+    where it differs from term k - 1, since acc <= x_{k-1}: the keys of
+    ``step(k)``, or, without steps, the atoms where x_k < acc found in one
+    C-level comparison pass.  The comparison is strict, so ties keep acc's
+    entry, as ``pointwise_inf`` does.  The built-in integrals under
+    rational backing keep exact parts (``integrals.RunningParts``) of the
+    infimum, and with steps of the term itself, updated on the atoms that
+    change; any other functional, and float backing, evaluates Phi on the
+    dense function.  A function that did not change repeats its previous
+    term, since ``eval_fn`` is pure.
+
+    Cross-checks, each an ``InvariantError``: the step-built last term must
+    equal ``spec.generator(N - 1)`` on every atom, in value and type; and
+    Phi evaluated generically on the last term and on the last infimum must
+    equal the running terms in value and type, where running parts made
+    them.  A fault in an earlier term only is left to the golden reports.
     """
-    phi_values = [phi(x) for x in members]
-    space = members[0].space
-    acc = list(members[0].values)
+    space = first.space
+    n_atoms = len(space.atoms)
+    step = spec.step if members is None else None
+    acc = list(first.values)
     parts = RunningParts.of(space, phi.eval_fn, acc)
-    score = phi_values[0]
-    prefix_rhs = [score]
-    for m in members[1:]:
-        new = m.values
-        drops = list(compress(count(), map(lt, new, acc)))
+    value = score = phi(first)
+    phi_values, prefix_rhs = [value], [score]
+    if step is not None:
+        member = list(acc)
+        member_parts = RunningParts.of(space, phi.eval_fn, member)
+    for k in range(1, spec.prefix_len):
+        if step is not None:
+            changes = step(k)
+            for i, x in changes.items():
+                if not (type(i) is int and 0 <= i < n_atoms):
+                    raise InputError(
+                        f"step {k} changes atom {i!r}, outside 0..{n_atoms - 1}")
+                if member_parts:
+                    member_parts.move(i, member[i], x)
+                member[i] = x
+            if changes:
+                value = (member_parts.value() if member_parts
+                         else phi(FnClass.from_ext(space, tuple(member))))
+            drops = [i for i in changes if member[i] < acc[i]]
+            new = member
+        else:
+            m = members[k] if members is not None else spec.generator(k)
+            if m.space != space:
+                raise InputError("sequence terms must share one aligned space")
+            value = phi(m)
+            new = m.values
+            drops = list(compress(count(), map(lt, new, acc)))
+        phi_values.append(value)
         if drops:
             for i in drops:
                 if parts:
@@ -475,14 +544,21 @@ def _prefix_terms(
             score = parts.value() if parts else phi(FnClass.from_ext(space, tuple(acc)))
         prefix_rhs.append(score)
     last = FnClass.from_ext(space, tuple(acc))
-    if parts:
-        check = phi(last)
-        if check != score or type(check) is not type(score):
+    if step is not None:
+        reference = spec.generator(spec.prefix_len - 1)
+        if reference.space != space:
+            raise InputError("sequence terms must share one aligned space")
+        if not _same_entries(member, reference.values):
+            i = next(i for i, (x, y) in enumerate(zip(member, reference.values))
+                     if not _same_entries((x,), (y,)))
             raise InvariantError(
-                f"running {phi.name} of the last prefix infimum is "
-                f"{to_text(score)} ({type(score).__name__}), but Phi gives "
-                f"{to_text(check)} ({type(check).__name__})"
-            )
+                f"the steps build {to_text(member[i])} ({type(member[i]).__name__}) "
+                f"on atom {i} of the last term, but the generator gives "
+                f"{to_text(reference.values[i])} ({type(reference.values[i]).__name__})")
+        if member_parts:
+            _check_term("term", phi, reference, value)
+    if parts:
+        _check_term("prefix infimum", phi, last, score)
     return phi_values, list(accumulate(phi_values, min)), prefix_rhs, last
 
 
@@ -494,19 +570,23 @@ def verify_interchange_sequence(
 ) -> InterchangeReport:
     """Interchange verdict for a sequence seen through a finite prefix.
 
-    Phi is evaluated once on each of the N members.  The N prefix infima
-    are not stored (see ``_prefix_terms``): one running infimum is kept,
-    and a term costs one comparison pass over the atoms plus, for the
-    built-in integrals under rational backing, exact updates on the atoms
-    that drop and one generic evaluation of Phi on the last infimum as a
-    cross-check.  Every other functional, and float backing, evaluates Phi
-    in full on each infimum that changed.
+    The N terms and the N prefix infima are not stored (see
+    ``_prefix_terms``): one running infimum is kept, and a term costs one
+    comparison pass over the atoms, or a look at the atoms its step
+    changes.  For the built-in integrals under rational backing a term of
+    either kind is updated exactly on the atoms that change, and Phi is
+    evaluated generically only on the first term and, as cross-checks, on
+    the last term and the last infimum.  Every other functional, and float
+    backing, evaluates Phi in full on each function that changed.  An
+    exhaustive prefix, and a directedness scan of the prefix family, build
+    the N terms with ``spec.prefix()``.
     """
-    members = spec.prefix()
-    backing = members[0].space.backing
+    members = spec.prefix() if spec.exhaustive else None
+    first = members[0] if members else spec.first()
+    backing = first.space.backing
     tol = _tolerance(tolerance, backing)
     _check_subset_budget(subset_budget)
-    phi_values, prefix_lhs, prefix_rhs, last_inf = _prefix_terms(members, phi)
+    phi_values, prefix_lhs, prefix_rhs, last_inf = _prefix_terms(spec, phi, first, members)
 
     prefix_data: Dict = {
         "phi_values": phi_values,
@@ -561,7 +641,7 @@ def verify_interchange_sequence(
         notes.append("prefix lhs neither stabilizes nor crosses the threshold")
     else:
         directed = is_phi_inf_directed(
-            Family(members), phi, subset_budget,
+            Family(spec.prefix()), phi, subset_budget,
             phi_values=phi_values, phi_inf=prefix_rhs[-1], tolerance=tol,
         )
         directed_verdict = directed.verdict

@@ -158,11 +158,13 @@ def build_family(obj, space: MeasureSpace) -> Family:
 
 # Named sequence generators: name -> (prefix, params, backing) -> (space, SequenceSpec).
 
-def _example_2_6(prefix: int, params: dict, backing: str) -> Tuple[MeasureSpace, SequenceSpec]:
-    """The diverging gallery family x_n = -n on the unit interval (n, n+1).
+def _unit_spikes(height, prefix: int, params: dict,
+                 backing: str) -> Tuple[MeasureSpace, SequenceSpec]:
+    """x_k = height(k) on atom I{k+1} and 0 elsewhere, k from 0.
 
     Atom I{n} stands for the interval (n, n+1) of the Lebesgue line, n from
-    1 to the prefix length; every atom has weight 1.
+    1 to the prefix length; every atom has weight 1.  Term k differs from
+    term k - 1 on two atoms only, which the spec declares as its steps.
     """
     with _bad("divergence_threshold"):
         threshold = as_scalar(params.get("divergence_threshold", 50), backing)
@@ -177,18 +179,43 @@ def _example_2_6(prefix: int, params: dict, backing: str) -> Tuple[MeasureSpace,
 
     def gen(k: int) -> FnClass:
         values = [zero] * prefix
-        values[k] = as_scalar(-(k + 1), backing)
+        values[k] = as_scalar(height(k), backing)
         return FnClass.from_ext(space, tuple(values))
+
+    def step(k: int) -> dict:
+        return {k - 1: zero, k: as_scalar(height(k), backing)}
 
     return space, SequenceSpec(
         generator=gen,
         prefix_len=prefix,
         divergence_threshold=threshold,
         exhaustive=False,
+        step=step,
     )
 
 
-SEQUENCE_GENERATORS = {"example-2-6": _example_2_6}
+def _example_2_6(prefix: int, params: dict, backing: str) -> Tuple[MeasureSpace, SequenceSpec]:
+    """The diverging gallery family x_n = -n on the unit interval (n, n+1).
+
+    Phi(x_N) = -N and Phi(inf over n <= N of x_n) = -N(N+1)/2 under the
+    Lebesgue integral: both sides tend to -inf, and the interchange holds in
+    the limit.
+    """
+    return _unit_spikes(lambda k: -(k + 1), prefix, params, backing)
+
+
+def _moving_bump(prefix: int, params: dict, backing: str) -> Tuple[MeasureSpace, SequenceSpec]:
+    """The failing classic x_n = -1 on the unit interval (n, n+1), 0 elsewhere.
+
+    Under the Lebesgue integral min over n <= N of Phi(x_n) = -1 for every
+    N, while Phi(inf over n <= N of x_n) = -N tends to -inf: the
+    interchange fails in the limit, and no two terms have a lower bound in
+    the family.
+    """
+    return _unit_spikes(lambda k: -1, prefix, params, backing)
+
+
+SEQUENCE_GENERATORS = {"example-2-6": _example_2_6, "moving-bump": _moving_bump}
 
 
 def build_sequence(obj: dict, default_prefix: int = 100,

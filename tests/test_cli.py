@@ -167,7 +167,7 @@ def test_negative_flags_exit_2(capsys, argv):
 
 @pytest.mark.parametrize(
     "name", ["giner-pair", "chain", "example-2-6", "choquet-demo", "rw-demo",
-             "shapiro-demo"]
+             "shapiro-demo", "moving-bump"]
 )
 def test_gallery_names_run(name, capsys):
     code, out = run_main(capsys, ["gallery", name])
@@ -181,6 +181,17 @@ def test_gallery_example_2_6_fires_divergence(capsys):
     report = json.loads(out)["report"]
     assert report["interchange_holds"] == "holds-in-limit"
     assert "interchange holds in the limit (-inf = -inf)" in report["notes"]
+
+
+@pytest.mark.parametrize("prefix, holds", [(20, "inconclusive"), (100, "fails")])
+def test_gallery_moving_bump_fails_and_is_not_directed(capsys, prefix, holds):
+    # lhs = -1 at every prefix; rhs = -N crosses the gallery threshold of 50.
+    code, out = run_main(capsys, ["gallery", "moving-bump", "--prefix", str(prefix)])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert (report["lhs"], report["prefix"]["prefix_rhs"][-1]) == (-1, -prefix)
+    assert report["interchange_holds"] == holds
+    assert (report["phi_inf_directed"], report["witness"]) == ("no", [0, 1])
 
 
 def test_oracle_zero_trials(capsys):

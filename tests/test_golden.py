@@ -1,9 +1,9 @@
 """Golden reports of the CLI, byte for byte, under both backings.
 
 Three groups: the selection-set commands, the interchange path (the
-integral and Choquet galleries and the ``check`` scenarios, one of them
-scanned beyond the subset budget), and the sha256 digests of the oracle
-campaign reports for seeds 0-49.
+integral, sequence and Choquet galleries and the ``check`` scenarios, one
+of them scanned beyond the subset budget), and the sha256 digests of the
+oracle campaign reports for seeds 0-49.
 
 The CLI reads ``INTERLAB_BACKING`` on each call of ``main``, so both
 backings run in this process.  After an intended change to these reports,
@@ -46,6 +46,7 @@ SELECTION_CASES = {
 }
 INTERCHANGE_CASES = {
     "gallery-example-2-6": ["gallery", "example-2-6", "--prefix", "100"],
+    "gallery-moving-bump": ["gallery", "moving-bump"],
     "gallery-chain": ["gallery", "chain"],
     "gallery-giner-pair": ["gallery", "giner-pair"],
     "gallery-choquet-demo": ["gallery", "choquet-demo"],

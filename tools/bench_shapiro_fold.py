@@ -27,13 +27,10 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 
-METRICS = ("verdicts_per_s", "verdict_ms_p50", "verdict_ms_tail", "setup_s", "peak_rss_mb")
-HIGHER_IS_BETTER = {"verdicts_per_s"}
-OTHER_WORKLOADS = ("small-families", "wide-families", "wide-atoms")
+from bench_pairs import WORKLOADS, claim, l4, probe_env, traced_cycle
 
 # Run in each checkout with src/ and perfbench/ on the path.
 L3_PROBE = r"""
@@ -77,75 +74,11 @@ print(json.dumps(out))
 """
 
 
-def _env(checkout: str) -> dict:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join([os.path.join(checkout, "src"),
-                                         os.path.join(checkout, "perfbench")])
-    return env
-
-
 def l3(checkout: str, seed: int, repeat: int) -> dict:
     proc = subprocess.run([sys.executable, "-c", L3_PROBE, str(seed), str(repeat)],
-                          cwd=checkout, env=_env(checkout), capture_output=True,
+                          cwd=checkout, env=probe_env(checkout), capture_output=True,
                           text=True, check=True)
     return json.loads(proc.stdout)
-
-
-def l4_run(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def _summary(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
-
-
-def l4(parent: str, change: str, workload: str, seed: int, seconds: float, pairs: int) -> dict:
-    runs = {"parent": [], "change": []}
-    for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(l4_run(parent if side == "parent" else change,
-                                     workload, seed, seconds))
-    out = {"pairs": pairs,
-           "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
-           "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
-           "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
-           "metrics": {}}
-    for name in METRICS:
-        p = [r["metrics"][name]["value"] for r in runs["parent"]]
-        c = [r["metrics"][name]["value"] for r in runs["change"]]
-        better = (lambda a, b: a > b) if name in HIGHER_IS_BETTER else (lambda a, b: a < b)
-        ps, cs = _summary(p), _summary(c)
-        out["metrics"][name] = {
-            "unit": runs["parent"][0]["metrics"][name]["unit"],
-            "parent": ps,
-            "change": cs,
-            "median_change": f"{(cs['median'] / ps['median'] - 1) * 100:+.1f}%",
-            "change_wins": f"{sum(map(better, c, p))} of {pairs}",
-            "parent_runs": [round(v, 4) for v in p],
-            "change_runs": [round(v, 4) for v in c],
-        }
-    return out
-
-
-def claim(selections: dict) -> dict:
-    """The gain rule on selections verdicts_per_s: the change wins at least
-    nine tenths of the pairs, and the medians differ by more than the
-    distance between the parent's quartiles."""
-    m = selections["metrics"]["verdicts_per_s"]
-    wins = sum(map(lambda c, p: c > p, m["change_runs"], m["parent_runs"]))
-    iqr = m["parent"]["q3"] - m["parent"]["q1"]
-    gap = m["change"]["median"] - m["parent"]["median"]
-    return {"metric": "verdicts_per_s on selections", "parent_median": m["parent"]["median"],
-            "parent_iqr": round(iqr, 4), "change_median": m["change"]["median"],
-            "change_wins": f"{wins} of {selections['pairs']}",
-            "met": 10 * wins >= 9 * selections["pairs"] and gap > iqr}
 
 
 def main() -> None:
@@ -170,12 +103,11 @@ def main() -> None:
                                 args.seconds, args.pairs)},
         # One traced cycle per side: where the time of a selections cycle goes.
         "traced_selections_per_cycle": {
-            side: {name: m["value"] for name, m in
-                   l4_run(checkout, "selections", args.seed, 1, trace=1)["metrics"].items()}
+            side: traced_cycle(checkout, "selections", args.seed)
             for side, checkout in (("parent", args.parent), ("change", args.change))},
     }
-    result["claim"] = claim(result["l4"]["selections"])
-    for workload in OTHER_WORKLOADS if args.other_pairs else ():
+    result["claim"] = claim(result["l4"]["selections"], "selections")
+    for workload in [w for w in WORKLOADS if w != "selections"] if args.other_pairs else ():
         result["l4"][workload] = l4(args.parent, args.change, workload, args.seed,
                                     args.seconds, args.other_pairs)
     with open(args.out, "w", encoding="utf-8") as fh:
