@@ -36,6 +36,8 @@ SELECTION_CASES = {
     "rw-product-blocks": ["rw-check", str(SCENARIOS / "rw-product-blocks.json")],
     "rw-explicit-decomposable": ["rw-check", str(SCENARIOS / "rw-explicit-decomposable.json")],
     "rw-explicit-holey": ["rw-check", str(SCENARIOS / "rw-explicit-holey.json")],
+    "rw-explicit-sparse-full": ["rw-check", str(SCENARIOS / "rw-explicit-sparse-full.json")],
+    "rw-explicit-sparse-holey": ["rw-check", str(SCENARIOS / "rw-explicit-sparse-holey.json")],
     "shapiro-product-lebesgue": [
         "shapiro-check", str(SCENARIOS / "shapiro-product-lebesgue.json")],
     "shapiro-explicit-inner-null": [
