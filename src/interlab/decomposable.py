@@ -10,8 +10,10 @@ arbitrary reachable values on arbitrary atom sets, which is the same as
 being the product of the per-atom projections; both characterizations are
 computed and must agree.  Closure under single-atom patches already implies
 closure under every patch (apply a patch one atom at a time: each
-intermediate is a member), so the patch side costs |U| * sum_i |P_i| set
-lookups for an explicit set U with projections P_i.  Note the patching
+intermediate is a member).  The patch side reads each member of an explicit
+set U with projections P_1..P_n as one mixed-radix integer code over the
+P_i, so on a decomposable set it costs about n * |U| integer operations and
+set lookups.  A set computes its projections once.  Note the patching
 clause uses the values the set actually reaches at each atom: constraining
 controls per atom is expressed through the selection set (or with +inf
 penalties in the integrand), and the minimized side of the interchange uses
@@ -39,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, compress, islice, product, repeat
-from operator import add, contains, eq, getitem
+from operator import add, contains, eq, getitem, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, DomainError, InputError, InvariantError
@@ -59,7 +61,7 @@ from .extreal import (
 from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
 from .functionals import Functional
 from .integrals import PART_SUMS, outer_integral, part_sum
-from .interchange import _eq_within, _tolerance
+from .interchange import _eq_within, _leq_within, _tolerance
 from .measure import MeasureSpace
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -148,7 +150,7 @@ def check_selection(s, n_atoms: int, n_controls: int) -> Selection:
 class SelectionSet:
     """Either an explicit list of selections or a per-atom product."""
 
-    __slots__ = ("kind", "n_atoms", "n_controls", "selections", "admissible")
+    __slots__ = ("kind", "n_atoms", "n_controls", "selections", "admissible", "_projections")
 
     def __init__(self, kind, n_atoms, n_controls, selections=None, admissible=None):
         self.kind = kind
@@ -166,6 +168,7 @@ class SelectionSet:
                 raise InputError("a selection set must be nonempty")
             self.selections = tuple(sels)
             self.admissible = None
+            self._projections = None
         elif kind == "product":
             adm = []
             if admissible is None or len(admissible) != n_atoms:
@@ -175,7 +178,7 @@ class SelectionSet:
                 if not s:
                     raise InputError("admissible sets must be nonempty")
                 adm.append(s)
-            self.admissible = tuple(adm)
+            self.admissible = self._projections = tuple(adm)
             self.selections = None
         else:
             raise InputError(f"unknown selection-set kind {kind!r}")
@@ -208,13 +211,12 @@ class SelectionSet:
         return product(*self.admissible)
 
     def projections(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-atom sets of reachable control indices."""
-        if self.kind == "product":
-            return self.admissible
-        return tuple(
-            tuple(sorted({s[i] for s in self.selections}))
-            for i in range(self.n_atoms)
-        )
+        """Per-atom sorted sets of reachable control indices, computed once."""
+        if self._projections is None:
+            self._projections = tuple(
+                tuple(sorted(set(column))) for column in zip(*self.selections)
+            )
+        return self._projections
 
 
 @dataclass
@@ -230,57 +232,106 @@ def is_decomposable(u_set: SelectionSet) -> DecomposabilityReport:
     Explicit sets are decomposable exactly when they equal the product of
     their per-atom projections.  The patch side tests closure under
     single-atom patches (replace one atom's value of a member by another
-    reachable value), |U| * sum_i |P_i| set lookups; that implies closure
-    under every patch, since a patch applied one atom at a time passes only
-    through members.  It must agree with the product count.  On failure the
-    reported witness is the first violating patch of the first member, in
-    the order of increasing atom count, then atom set, then values: every
-    point of the product of the projections is a patch of that member, so
-    no later member is ever needed.
+    reachable value) on the members' mixed-radix codes (``_patch_closed``):
+    about n * |U| integer operations and set lookups on a decomposable set,
+    with the projections computed once per set.  Closure under single-atom
+    patches implies closure under every patch, since a patch applied one
+    atom at a time passes only through members.  It must agree with the
+    product count.  On failure the reported witness is the first violating
+    patch of the first member, in the order of increasing atom count, then
+    atom set, then values: every point of the product of the projections is
+    a patch of that member, so no later member is ever needed.
     """
     if u_set.kind == "product":
         return DecomposabilityReport(True, notes=["product form: decomposable by construction"])
 
-    members = set(u_set.selections)
     projections = u_set.projections()
-    by_patching = all(
-        u[:i] + (v,) + u[i + 1:] in members
-        for u in u_set.selections
-        for i, values in enumerate(projections)
-        for v in values
-    )
-    witness = None
-    if not by_patching:
-        witness = _first_patch_witness(u_set.selections[0], projections, members)
-
-    expected = 1
-    for p in projections:
-        expected *= len(p)
-    by_product = len(members) == expected
-
+    places = _code_places(projections)
+    columns = list(zip(*u_set.selections))
+    codes = [0] * len(u_set.selections)
+    for place, column in zip(places, columns):
+        codes = list(map(add, codes, map(place.__getitem__, column)))
+    by_patching = _patch_closed(columns, places, codes)
+    by_product = len(u_set.selections) == math.prod(map(len, projections))
     if by_patching != by_product:
         raise InvariantError(
             "patch-closure and projection-product decomposability tests disagree"
         )
+    witness = None
+    if not by_patching:
+        witness = _first_patch_witness(u_set.selections[0], projections, places, set(codes))
     return DecomposabilityReport(by_patching, witness_patch=witness)
 
 
-def _first_patch_witness(base: Selection, projections, members) -> Optional[dict]:
-    """The first patch of ``base`` that leaves ``members``, or None."""
+def _code_places(projections):
+    """Per atom i, the map from a reachable control c to pos_i(c) * R_i.
+
+    A selection u gets the mixed-radix code sum_i pos_i(u_i) * R_i, where
+    pos_i is the place of a control in the sorted projection P_i and R_i the
+    product of the later projection sizes, so the points of the product of
+    the P_i get the distinct codes 0 to prod_i |P_i| - 1.
+    """
+    places, radix = [], 1
+    for values in reversed(projections):
+        places.append(dict(zip(values, range(0, radix * len(values), radix))))
+        radix *= len(values)
+    places.reverse()
+    return places
+
+
+def _patch_closed(columns, places, codes) -> bool:
+    """Whether every single-atom patch of a member by a reachable value is a
+    member, on the members' codes (see ``_code_places``), whose per-atom
+    controls are ``columns``.
+
+    The set is closed under patches at atom i iff it is closed under the
+    cyclic successor of atom i's value (one patch, and |P_i| - 1 of them
+    reach every other reachable value): every code plus R_i, or minus
+    (|P_i| - 1) * R_i at the last place, is a code.  So each atom costs one
+    addition and one set lookup per member, n * |U| in all.
+    """
+    members = set(codes)
+    for place, column in zip(places, columns):
+        offsets = list(place.values())
+        successor = dict(zip(place, map(sub, offsets[1:] + offsets[:1], offsets)))
+        if not members.issuperset(map(add, codes, map(successor.__getitem__, column))):
+            return False
+    return True
+
+
+def _first_patch_witness(base: Selection, projections, places, members) -> Optional[dict]:
+    """The first patch of ``base`` whose code (see ``_code_places``) is not
+    in ``members``, in the order of increasing atom count, then atom set,
+    then values, or None.
+
+    The codes of the patches on one atom set are built together, in the
+    product order of their values, from the code of ``base``.
+    """
     n = len(base)
+    start = sum(map(getitem, places, base))
     for k in range(1, n + 1):
         for atoms in combinations(range(n), k):
-            for patch_values in product(*(projections[i] for i in atoms)):
-                patched = list(base)
-                for i, v in zip(atoms, patch_values):
-                    patched[i] = v
-                if tuple(patched) not in members:
-                    return {
-                        "base": list(base),
-                        "atoms": list(atoms),
-                        "values": list(patch_values),
-                        "patched": patched,
-                    }
+            patches = [start]
+            for i in atoms:
+                own = places[i][base[i]]
+                patches = [c + p - own for c in patches for p in places[i].values()]
+            if members.issuperset(patches):
+                continue
+            index = next(j for j, c in enumerate(patches) if c not in members)
+            patch_values = []
+            for i in reversed(atoms):
+                index, q = divmod(index, len(projections[i]))
+                patch_values.append(projections[i][q])
+            patch_values.reverse()
+            patched = list(base)
+            for i, v in zip(atoms, patch_values):
+                patched[i] = v
+            return {
+                "base": list(base),
+                "atoms": list(atoms),
+                "values": patch_values,
+                "patched": patched,
+            }
     return None
 
 
@@ -610,7 +661,11 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     of the weights.  Within ``enum_budget``, the inf of a Phi in
     ``integrals.PART_SUMS`` is the least value of ``_selection_folds``, in
     value, type and first error that of min Phi(G(u)); any other Phi is
-    evaluated on each G(u).
+    evaluated on each G(u).  When G-flat is the computed per-atom minimum
+    over all controls (none declared, or a declared one equal to it), every
+    G(u) is at least G-flat, so for a declared order-preserving Phi the
+    conclusion's lhs below Phi(G-flat) beyond the tolerance is an
+    InvariantError, in "sampled" mode too.
     """
     space = sc.integrand.space
     if not _unit_mass(space):
@@ -629,8 +684,9 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     gflat = sc.integrand.g_flat()
     notes: List[str] = []
     hypotheses: List[Hypothesis] = []
+    gflat_computed = sc.declared_gflat is None or sc.declared_gflat == gflat
     if sc.declared_gflat is not None:
-        if sc.declared_gflat == gflat:
+        if gflat_computed:
             notes.append("declared G-flat matches the computed per-atom minimum")
         else:
             hypotheses.append(
@@ -692,6 +748,12 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         inf_val = min(sc.functional(g_of(sel)) for sel in u_set.iter_selections(enum_budget))
     else:
         inf_val = _min_of_folds(sc.integrand, u_set, enum_budget, combine)
+    if (gflat_computed and sc.functional.order_preserving
+            and not _leq_within(phi_flat, inf_val, tol)):
+        raise InvariantError(
+            f"Shapiro conclusion below Phi of the per-atom minimum for an order-preserving "
+            f"Phi: lhs={to_text(inf_val)}, rhs={to_text(phi_flat)}"
+        )
     holds = _eq_within(inf_val, phi_flat, tol)
     return ShapiroReport(
         hypotheses=hypotheses,

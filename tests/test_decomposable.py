@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from interlab import decomposable
 from interlab.decomposable import (
     Integrand,
     SelectionSet,
@@ -13,10 +14,11 @@ from interlab.decomposable import (
     verify_rw_interchange,
     verify_shapiro,
 )
-from interlab.errors import BudgetError, DomainError, InputError
+from interlab.errors import BudgetError, DomainError, InputError, InvariantError
 from interlab.extreal import ext
-from interlab.fnlattice import mu_leq
-from interlab.functionals import make_builtin
+from interlab.fnlattice import FnClass, mu_leq
+from interlab.functionals import DOMAIN_ALL, Functional, make_builtin
+from interlab.integrals import outer_integral
 from interlab.measure import MeasureSpace
 from interlab.oracle import random_integrand, random_space
 
@@ -189,6 +191,45 @@ def test_shapiro_demo_all_hypotheses_and_conclusion():
     assert report.conclusion_holds
     assert report.conclusion_mode == "exact"
     assert report.conclusion_lhs == report.conclusion_rhs == 0
+
+
+@pytest.mark.parametrize("declared", [None, (0, 0)])
+def test_shapiro_lhs_below_phi_of_gflat_is_an_invariant_failure(monkeypatch, declared):
+    scenario = shapiro_demo_scenario()
+    if declared is not None:  # a declared G-flat equal to the computed one
+        scenario.declared_gflat = FnClass(scenario.integrand.space, declared)
+    fold = decomposable._min_of_folds
+    monkeypatch.setattr(decomposable, "_min_of_folds", lambda *args: fold(*args) - 1)
+    with pytest.raises(InvariantError, match="below Phi of the per-atom minimum"):
+        verify_shapiro(scenario)
+
+
+def test_shapiro_invariant_needs_the_computed_gflat_and_a_declared_order(monkeypatch):
+    fold = decomposable._min_of_folds
+    monkeypatch.setattr(decomposable, "_min_of_folds", lambda *args: fold(*args) - 1)
+    scenario = shapiro_demo_scenario()
+    scenario.declared_gflat = FnClass(scenario.integrand.space, [1, 1])
+    report = verify_shapiro(scenario)
+    assert not report.conclusion_holds and report.conclusion_lhs == -1
+    scenario = shapiro_demo_scenario()
+    scenario.functional = Functional("outer", DOMAIN_ALL, outer_integral,
+                                     order_preserving=False)
+    assert not verify_shapiro(scenario).conclusion_holds
+
+
+@pytest.mark.parametrize("order_preserving", [True, False])
+def test_shapiro_invariant_holds_in_sampled_mode(order_preserving):
+    # -outer is order-reversing: on the prefix it reaches -1 < -outer(G-flat) = 0.
+    scenario = shapiro_demo_scenario()
+    scenario.functional = Functional("-outer", DOMAIN_ALL, lambda f: -outer_integral(f),
+                                     order_preserving=order_preserving)
+    if order_preserving:
+        with pytest.raises(InvariantError, match="below Phi of the per-atom minimum"):
+            verify_shapiro(scenario, enum_budget=10)
+    else:
+        report = verify_shapiro(scenario, enum_budget=10)
+        assert report.conclusion_mode == "sampled" and report.conclusion_lhs == -1
+        assert not report.conclusion_holds
 
 
 def test_shapiro_constant_integrand_trivially_holds():

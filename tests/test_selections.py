@@ -75,6 +75,28 @@ def test_patch_closure_matches_full_patch_enumeration(data):
     assert (report.decomposable, report.witness_patch) == naive_is_decomposable(u_set)
 
 
+@pytest.mark.parametrize("forced, sels", [
+    (True, [s for s in product(range(2), (0, 2)) if s != (1, 2)]),  # a hole
+    (False, list(product(range(2), (0, 2)))),  # the full product
+])
+def test_a_faulty_patch_closure_is_caught_by_the_product_count(monkeypatch, forced, sels):
+    u_set = SelectionSet.explicit(sels, 2, 3)
+    assert is_decomposable(u_set).decomposable is not forced
+    monkeypatch.setattr(decomposable, "_patch_closed", lambda *args: forced)
+    with pytest.raises(InvariantError, match="decomposability tests disagree"):
+        is_decomposable(u_set)
+    space = MeasureSpace(["a", "b"], [1, 1])
+    with pytest.raises(InvariantError, match="decomposability tests disagree"):
+        verify_rw_interchange(Integrand(space, [[0], [1], [2]], [[0, 1, 2]] * 2), u_set)
+
+
+def test_projections_are_computed_once_per_set():
+    sels = [(2, 0, 1), (0, 0, 1), (2, 0, 1), (0, 0, 0)]
+    u_set = SelectionSet.explicit(sels, 3, 3)
+    assert u_set.projections() == ((0, 2), (0,), (0, 1))
+    assert u_set.projections() is u_set.projections()
+
+
 def _outcome(fn):
     try:
         return fn()
