@@ -18,8 +18,10 @@ L4: alternating pairs of ``perfbench/run.py --workload W --seed S --seconds T``
 run from each checkout's root, the parent first in even pairs and the change
 first in odd ones, ``--pairs`` pairs on every workload.  For each end-to-end
 metric the file holds every run, the median and quartiles per side, and the
-pairs the change won.  Then one traced ``selections`` cycle per side
-(``--trace 1``) gives the per-layer metrics.
+pairs the change won.  Then ``--traced-runs`` traced ``selections`` cycles
+per side (``--trace 1``), alternating sides, give the per-layer metrics of
+the first and ``decomposable.patch_check_s`` of each: a traced cycle times
+each ``is_decomposable`` call once, cold, so one cycle alone is noisy.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
@@ -40,7 +43,7 @@ L3_PROBE = r"""
 import json, random, sys, time
 from itertools import product
 import workloads
-from interlab.decomposable import SelectionSet, is_decomposable
+from interlab.decomposable import is_decomposable
 from interlab.scenario import read_selection_set
 
 seed, repeat, backing = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
@@ -84,6 +87,7 @@ def main() -> None:
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--repeat", type=int, default=20)
+    parser.add_argument("--traced-runs", type=int, default=5)
     parser.add_argument("--out", default="BENCH_explicit_sets.json")
     args = parser.parse_args()
 
@@ -103,11 +107,20 @@ def main() -> None:
         "l4": {workload: l4(args.parent, args.change, workload, args.seed, args.seconds,
                             args.pairs)
                for workload in WORKLOADS},
-        # One traced cycle per side: where the time of a selections cycle goes.
-        "traced_selections_per_cycle": {
-            side: traced_cycle(checkout, "selections", args.seed)
-            for side, checkout in (("parent", args.parent), ("change", args.change))},
     }
+    traced = {"parent": [], "change": []}
+    for i in range(args.traced_runs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            traced[side].append(traced_cycle(args.parent if side == "parent" else args.change,
+                                             "selections", args.seed))
+    # Where the time of a selections cycle goes, from each side's first traced cycle.
+    result["traced_selections_per_cycle"] = {side: runs[0] for side, runs in traced.items()}
+    result["traced_patch_check_s"] = {
+        side: {"runs": [round(r["decomposable.patch_check_s"], 6) for r in runs],
+               "median": round(statistics.median(r["decomposable.patch_check_s"]
+                                                 for r in runs), 6)}
+        for side, runs in traced.items()}
     result["claim"] = claim(result["l4"]["selections"], "selections")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(result, indent=1) + "\n")
