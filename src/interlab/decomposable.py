@@ -54,7 +54,7 @@ from .extreal import (
     _over_common_den,
     _reduced,
     as_scalar,
-    ext,
+    coerce_all,
     to_text,
     weighted_parts,
 )
@@ -76,7 +76,11 @@ Selection = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class Integrand:
-    """A total table over atoms x controls, with extended-real entries."""
+    """A total table over atoms x controls, with extended-real entries.
+
+    The entries are coerced in one ``extreal.coerce_all`` call, so each
+    distinct string among them is parsed once per table.
+    """
 
     space: MeasureSpace
     controls: Tuple
@@ -86,16 +90,19 @@ class Integrand:
         controls = tuple(tuple(c) if isinstance(c, (list, tuple)) else (c,) for c in controls)
         if not controls:
             raise InputError("an integrand needs at least one control")
-        rows = []
         if len(table) != len(space.atoms):
             raise InputError("integrand table must have one row per atom")
-        for row in table:
-            if len(row) != len(controls):
-                raise InputError("integrand table row must have one entry per control")
-            rows.append(tuple(ext(v, space.backing) for v in row))
+        k = len(controls)
+        short = next((i for i, row in enumerate(table) if len(row) != k), None)
+        # The rows before the first misfit are read first, so a bad entry
+        # among them is the error reported.
+        values = coerce_all([v for row in table[:short] for v in row], space.backing)
+        if short is not None:
+            raise InputError("integrand table row must have one entry per control")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "table", tuple(rows))
+        object.__setattr__(self, "table", tuple(tuple(values[i:i + k])
+                                                for i in range(0, len(values), k)))
 
     @property
     def n_controls(self) -> int:

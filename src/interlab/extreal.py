@@ -45,7 +45,7 @@ import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
 
@@ -76,11 +76,53 @@ def as_scalar(x, backing: str = "rational") -> Scalar:
         return x if type(x) is int else _kept(x if type(x) is Fraction else Fraction(x))
     if isinstance(x, str):
         try:
-            frac = Fraction(x) if "/" in x else Fraction(Decimal(x))
+            frac = Fraction(x) if "/" in x else _decimal_fraction(Decimal(x))
         except (ValueError, ArithmeticError) as e:
             raise InputError(f"cannot interpret {x!r} as a scalar") from e
+        if frac is None:
+            raise InputError(f"cannot interpret {x!r:.40} as a scalar: its numerator or "
+                             f"denominator has more than {MAX_DIGITS} digits")
         return _kept(frac) if backing == "rational" else _float(frac)
     raise InputError(f"cannot interpret {x!r} as a scalar")
+
+
+# The longest numerator or denominator a decimal string may have: CPython's
+# default limit on converting an int to a string, so every value read can be
+# printed.  Larger decimals are rejected before the big ints are built (a
+# billion-digit ``"1e999999999"`` would take hours).
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+_LOG10_2 = math.log10(2)
+
+
+def _decimal_fraction(d: Decimal) -> Optional[Fraction]:
+    """``Fraction(d)``, or None when its numerator or denominator in lowest
+    terms has more than ``MAX_DIGITS`` digits.
+
+    With c the digits of d less its trailing zeros and e its exponent, d is
+    c * 10^e.  For e >= 0 that integer has len(c) + e digits.  For e < 0,
+    c has no factor 10, so c / 10^-e reduces by a power of 2 or of 5 alone:
+    the denominator keeps at least 2^-e, and the numerator at least
+    c / 10^-e.  Beyond those bounds d is rejected unbuilt; within them the
+    ints have at most about 18600 digits, and the reduced ratio is measured.
+    A NaN or an infinity raises ValueError or OverflowError, as Fraction does.
+    """
+    _, digits, exp = d.as_tuple()
+    if not d.is_finite() or d.is_zero():
+        return Fraction(d)
+    size = len(digits)
+    while digits[size - 1] == 0:
+        size -= 1
+    exp += len(digits) - size
+    if exp >= 0:
+        if size + exp > MAX_DIGITS:
+            return None
+    elif -exp * _LOG10_2 >= MAX_DIGITS or size - 1 + exp >= MAX_DIGITS:
+        return None
+    frac = Fraction(d)
+    if abs(frac.numerator) >= _DIGITS_BOUND or frac.denominator >= _DIGITS_BOUND:
+        return None
+    return frac
 
 
 def _float(q: Union[int, Fraction]) -> float:
@@ -102,6 +144,35 @@ def ext(x, backing: str = "rational") -> Scalar:
     elif isinstance(x, float) and math.isinf(x):
         return POS_INF if x > 0 else NEG_INF
     return as_scalar(x, backing)
+
+
+def coerce_all(values: Iterable, backing: str = "rational", finite: bool = False) -> List[Scalar]:
+    """``[ext(v, backing) for v in values]``, or ``as_scalar`` when
+    ``finite``, parsing each distinct string once.
+
+    A string met again gets the scalar built the first time, equal in value
+    and type (scalars are immutable); an error is raised where the
+    per-value coercion raises it, with its text.  Only strings are
+    remembered, never floats (-0.0 equals 0.0) or bools (True equals 1),
+    and only for this call.  Under rational backing an int is its own
+    scalar.
+    """
+    convert = as_scalar if finite else ext
+    exact = backing == "rational"
+    parsed: Dict[str, Scalar] = {}
+    out = []
+    for v in values:
+        t = type(v)
+        if t is str:
+            x = parsed.get(v)
+            if x is None:
+                x = parsed[v] = convert(v, backing)
+        elif t is int and exact:
+            x = v
+        else:
+            x = convert(v, backing)
+        out.append(x)
+    return out
 
 
 # Only floats can be infinite, and under rational backing only the
@@ -178,12 +249,20 @@ def to_jsonable(a: Scalar):
             f = None
         if f is not None and Fraction(Decimal(repr(f))) == a:
             return f
-        return f"{a.numerator}/{a.denominator}"
+        try:
+            return f"{a.numerator}/{a.denominator}"
+        except ValueError as e:  # past the interpreter's int-string limit
+            raise too_long_to_print(e) from None
     if a == POS_INF:
         return "+inf"
     if a == NEG_INF:
         return "-inf"
     return a
+
+
+def too_long_to_print(e: ValueError) -> DomainError:
+    """The error for a value whose digits exceed the int-string limit."""
+    return DomainError(f"a report value is too long to print: {e}")
 
 
 # Field metadata that ``to_json`` reads: leave the field out of the JSON

@@ -34,6 +34,7 @@ from .extreal import (
     Scalar,
     add,
     as_scalar,
+    coerce_all,
     ext,
     lower_add,
     pointwise_min,
@@ -66,7 +67,12 @@ class IntegrabilityTag(Enum):
 
 
 class FnClass:
-    """A measurable function as a vector of extended reals over the atoms."""
+    """A measurable function as a vector of extended reals over the atoms.
+
+    The constructor coerces the values with ``extreal.coerce_all`` in the
+    space's backing, so each distinct string among them is parsed once per
+    call.
+    """
 
     __slots__ = ("space", "values")
 
@@ -76,7 +82,7 @@ class FnClass:
                 f"function has {len(values)} values for {len(space.atoms)} atoms"
             )
         self.space = space
-        self.values = tuple(ext(v, space.backing) for v in values)
+        self.values = tuple(coerce_all(values, space.backing))
 
     @classmethod
     def from_ext(cls, space: MeasureSpace, values: Tuple[Scalar, ...]) -> "FnClass":

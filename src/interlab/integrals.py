@@ -33,7 +33,7 @@ from .extreal import (
     _reduced,
     add,
     as_scalar,
-    ext,
+    coerce_all,
     lower_add,
     scalar_mul,
     to_jsonable,
@@ -255,7 +255,8 @@ class Capacity:
     builds no table; it evaluates c(A) when asked, in O(n), so a Choquet
     integral costs O(n) per level set it reads and large spaces are fine.
     Table values are converted once, by the constructor, in the space's
-    backing.
+    backing, each distinct string among them parsed once
+    (``extreal.coerce_all``).
     """
 
     __slots__ = ("space", "_table")
@@ -267,12 +268,14 @@ class Capacity:
         for s in table:
             if not atoms.issuperset(s):
                 raise _foreign_set(space, frozenset(s))
-        full: Dict[AtomSet, Scalar] = {}
-        for s in iter_atom_subsets(space):
-            if s not in table:
-                raise InputError(f"capacity table misses the set {_set_str(space, s)}")
-            full[s] = ext(table[s], space.backing)
-        self._table = full
+        sets = list(iter_atom_subsets(space))
+        missing = next((i for i, s in enumerate(sets) if s not in table), None)
+        # The values before the first missing set are read first, so a bad
+        # one among them is the error reported.
+        values = coerce_all([table[s] for s in sets[:missing]], space.backing)
+        if missing is not None:
+            raise InputError(f"capacity table misses the set {_set_str(space, sets[missing])}")
+        self._table = dict(zip(sets, values))
         self._validate()
 
     def _validate(self) -> None:

@@ -30,8 +30,9 @@ only on the atoms a term changes when the sequence declares its steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate, combinations, compress, count
-from math import copysign
+from math import copysign, lcm
 from operator import lt
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -193,18 +194,49 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
     into a bitwise AND: the infimum of some members is named by the AND of
     their ints, its key.  Returns the members' ints and, per atom, the
     field ``(distinct values in increasing order, bit offset, field mask)``.
+
+    Under rational backing every finite value is an int or a Fraction and
+    only the infinities are floats, so the values are ranked by integer
+    sort keys: each finite value's numerator over the least common
+    denominator of the family's values, each infinity itself.  An int
+    hashes and compares in a fraction of the time of a Fraction, which
+    hashes with a modular inverse.  Equal values have equal keys, and the
+    levels are the values themselves, so the rows and fields are those of
+    ranking the values directly, as the float backing's columns are.
     """
+    columns = list(zip(*(m.values for m in members)))
+    keys = _exact_keys(columns) if members[0].space.backing == "rational" else columns
     rows = [0] * len(members)
     fields = []
     offset = 0
-    for column in zip(*(m.values for m in members)):
-        level = sorted(set(column))
-        rank = {v: r for r, v in enumerate(level)}
-        for j, v in enumerate(column):
-            rows[j] |= ((1 << rank[v]) - 1) << offset
+    for column, column_keys in zip(columns, keys):
+        order = sorted(set(column_keys))
+        rank = {k: r for r, k in enumerate(order)}
+        for j, k in enumerate(column_keys):
+            rows[j] |= ((1 << rank[k]) - 1) << offset
+        if column_keys is column:
+            level = order
+        else:
+            value_of = dict(zip(column_keys, column))
+            level = [value_of[k] for k in order]
         fields.append((level, offset, (1 << (len(level) - 1)) - 1))
         offset += len(level) - 1
     return rows, fields
+
+
+def _exact_keys(columns: List[Tuple]) -> List:
+    """Integer sort keys of columns of ints, Fractions and infinities: a
+    finite value's numerator over the least common denominator of all the
+    Fractions, an infinity itself.  Without a Fraction the columns are
+    their own keys."""
+    dens = {v.denominator for column in columns for v in column if type(v) is Fraction}
+    if not dens:
+        return columns
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [[v.numerator * scale[v.denominator] if type(v) is Fraction
+             else v * den if type(v) is int else v for v in column]
+            for column in columns]
 
 
 def _scan_subsets(
@@ -234,7 +266,17 @@ def _scan_subsets(
     does.  Returns the witness (None when every subset holds), whether the
     scan was exhaustive, and the memoized score of the infimum of any
     index tuple.
+
+    When ``known`` scores every nonempty subset, as it does for one or two
+    members with the whole family's score given, the scan reads it and
+    builds no rank code.
     """
+    n = len(members)
+    exhaustive = n <= subset_budget
+    subsets = _nonempty_subsets(n) if exhaustive else _sampled_subsets(n)
+    if all(idx in known for k in range(1, n + 1) for idx in combinations(range(n), k)):
+        witness = next((idx for idx in subsets if not holds(known[idx])), None)
+        return witness, exhaustive, lambda idx: known[tuple(idx)]
     space = members[0].space
     rows, fields = _rank_code(members)
     memo: Dict[int, Scalar] = {}
@@ -269,9 +311,6 @@ def _scan_subsets(
 
     for idx, value in known.items():
         memo[inf_key(idx)] = value
-    n = len(members)
-    exhaustive = n <= subset_budget
-    subsets = _nonempty_subsets(n) if exhaustive else _sampled_subsets(n)
     witness = None
     for idx in subsets:
         key = inf_key(idx)
@@ -320,9 +359,16 @@ def is_phi_inf_directed(
     the order of one global rank of the atoms' values.  So Phi is evaluated
     at most once per distinct subset infimum, and not at all on the members
     or on the infimum of the whole family when their values are passed as
-    ``phi_values`` and ``phi_inf``.  The memo holds at most one entry per
-    subset scanned (2^n - 1 when exhaustive) plus the members, and is freed
-    on return.
+    ``phi_values`` and ``phi_inf``.  Before the first subset the scan
+    ranks every member value once (``_rank_code``), on integer keys under
+    rational backing.  The memo holds at most one entry per subset scanned
+    (2^n - 1 when exhaustive) plus the members, and is freed on return.
+
+    With n <= 2 members and both ``phi_values`` and ``phi_inf`` given, as
+    ``verify_interchange`` gives them, every subset is a member or the
+    whole family: the scan compares the given values and builds no rank
+    code, so a subset costs one comparison.  The verdict, witness and mode
+    are those of the full scan; a failing pair's witness is (0, 1).
     """
     tol = _tolerance(tolerance, family.space.backing)
     _check_subset_budget(subset_budget)

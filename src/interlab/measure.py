@@ -20,13 +20,18 @@ from itertools import combinations
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .extreal import BACKINGS, Scalar, _kept, as_scalar, to_jsonable
+from .extreal import BACKINGS, Scalar, _kept, as_scalar, coerce_all, to_jsonable
 
 AtomSet = FrozenSet[str]
 
 
 class MeasureSpace:
-    """Atoms with weights; immutable after construction."""
+    """Atoms with weights; immutable after construction.
+
+    The weights are coerced with ``extreal.coerce_all`` in ``backing``, as
+    finite scalars, so each distinct string among them is parsed once per
+    call.
+    """
 
     __slots__ = ("atoms", "weights", "truncation_of", "backing", "_index", "_non_null")
 
@@ -46,12 +51,10 @@ class MeasureSpace:
             raise InputError("atom identifiers must be distinct")
         if len(weights) != len(atoms):
             raise InputError("weights and atoms must align")
-        ws = []
-        for w in weights:
-            w = as_scalar(w, backing)
+        ws = coerce_all(weights, backing, finite=True)
+        for w in ws:
             if w < 0:
                 raise InputError(f"negative atom weight {w}")
-            ws.append(w)
         self.atoms = atoms
         self.weights = tuple(ws)
         self.truncation_of = truncation_of

@@ -31,12 +31,13 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
 
 from . import __version__
 from .decomposable import Integrand, SelectionSet, ShapiroScenario, check_selection
 from .errors import InterlabError, ScenarioError
-from .extreal import Scalar, as_scalar, to_jsonable
+from .extreal import Scalar, as_scalar, to_jsonable, too_long_to_print
 from .fnlattice import FnClass
 from .functionals import Functional, make_builtin
 from .integrals import Capacity
@@ -78,6 +79,8 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"cannot read scenario {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario {path!r} is not valid JSON: {e}") from e
+    except ValueError as e:  # an integer literal past the int-string limit
+        raise ScenarioError(f"scenario {path!r} holds a number too long to read: {e}") from e
     if not isinstance(obj, dict):
         raise ScenarioError("a scenario must be a JSON object")
     return obj
@@ -338,7 +341,90 @@ def environment_echo(command: str, seed: Optional[int], tolerance: Scalar,
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``json`` encodes with its pure-Python encoder whenever it indents; this
+    one writes each leaf with the C string escaper or the number's repr and
+    a list of leaves in one join.  A payload of other types (a dict with a
+    key that is not a string, a subclass of a JSON type) goes to ``json``.
+    An int past the int-string limit raises ``DomainError``.
+    """
+    chunks: list = []
+    try:
+        _encode(payload, "\n", chunks)
+    except _Unusual:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except ValueError as e:  # from int.__repr__
+        raise too_long_to_print(e) from None
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+class _Unusual(Exception):
+    """A value ``_encode`` leaves to ``json``."""
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it, allowing NaN and the infinities."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The JSON text of a leaf, by exact type.
+_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, newline: str, chunks: list) -> None:
+    """Append the text of ``obj``, indented as ``json`` indents by 2 at the
+    depth ``newline`` ends with, to ``chunks``."""
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        chunks.append(leaf(obj))
+        return
+    t = type(obj)
+    inner = newline + "  "
+    if t is dict:
+        if not obj:
+            chunks.append("{}")
+            return
+        if any(type(k) is not str for k in obj):
+            raise _Unusual
+        head = "{" + inner
+        for key in sorted(obj):
+            chunks.append(head)
+            chunks.append(encode_basestring_ascii(key))
+            chunks.append(": ")
+            _encode(obj[key], inner, chunks)
+            head = "," + inner
+        chunks.append(newline + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            chunks.append("[]")
+            return
+        try:
+            texts = [_LEAF[type(x)](x) for x in obj]
+        except KeyError:  # a container among the items
+            head = "[" + inner
+            for x in obj:
+                chunks.append(head)
+                _encode(x, inner, chunks)
+                head = "," + inner
+        else:
+            chunks.append("[" + inner + ("," + inner).join(texts))
+        chunks.append(newline + "]")
+    else:
+        raise _Unusual
 
 
 def _flatten(prefix: str, value, lines) -> None:
@@ -352,6 +438,11 @@ def _flatten(prefix: str, value, lines) -> None:
 
 
 def render_text(payload: dict) -> str:
+    """One ``key.path: value`` line per leaf; an int past the int-string
+    limit raises ``DomainError``."""
     lines: list = []
-    _flatten("", payload, lines)
+    try:
+        _flatten("", payload, lines)
+    except ValueError as e:  # from int.__repr__
+        raise too_long_to_print(e) from None
     return "\n".join(lines) + "\n"

@@ -12,7 +12,8 @@ selection by selection.  The naive kernels fold one extended real per atom
 and operation, with ``lower_add`` and ``scalar_mul``, and classify and order
 values by their (kind, value) model rather than by native comparison.  The
 naive distortion table is the dense 2^n construction, with the float weights
-of each subset summed in atom order.
+of each subset summed in atom order.  The reference rank code ranks each
+atom's member values with ``sorted(set(column))``, whatever their type.
 
 The (kind, value) model is the textbook case analysis of the extended
 reals: kind -1 is -inf, 1 is +inf, and 0 a finite value.  Its operations
@@ -118,6 +119,22 @@ def choquet_riemann(f: FnClass, capacity, step_units_per_one=10_000):
         )
         lookup[code] = float(capacity.of(atoms))
     return float(lookup[codes].sum()) / step_units_per_one
+
+
+def reference_rank_code(members):
+    """The scan's thermometer code, ranking each atom's values directly:
+    (rows, fields) as ``interchange._rank_code`` returns them."""
+    rows = [0] * len(members)
+    fields = []
+    offset = 0
+    for column in zip(*(m.values for m in members)):
+        level = sorted(set(column))
+        rank = {v: r for r, v in enumerate(level)}
+        for j, v in enumerate(column):
+            rows[j] |= ((1 << rank[v]) - 1) << offset
+        fields.append((level, offset, (1 << (len(level) - 1)) - 1))
+        offset += len(level) - 1
+    return rows, fields
 
 
 def _naive_subsets(n, subset_budget):

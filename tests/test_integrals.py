@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interlab.errors import DomainError, InputError
-from interlab.extreal import NEG_INF, POS_INF, ext
+from interlab.extreal import NEG_INF, POS_INF, coerce_all, ext
 from interlab.fnlattice import (
     FnClass,
     classify,
@@ -291,20 +291,28 @@ def test_distortion_capacity_monotone_and_serializable():
 
 @pytest.mark.parametrize("backing", ["rational", "float"])
 def test_capacity_table_values_are_converted_once(monkeypatch, backing):
+    import interlab.extreal
     import interlab.integrals
 
-    calls = []
+    batches, parsed = [], []
+
+    def counting_coerce_all(values, *args, **kwargs):
+        batches.append((len(values), args, kwargs))
+        return coerce_all(values, *args, **kwargs)
 
     def counting_ext(*args):
-        calls.append(args)
+        parsed.append(args)
         return ext(*args)
 
-    monkeypatch.setattr(interlab.integrals, "ext", counting_ext)
+    monkeypatch.setattr(interlab.integrals, "coerce_all", counting_coerce_all)
+    monkeypatch.setattr(interlab.extreal, "ext", counting_ext)
     space = MeasureSpace(["a", "b", "c", "d"], [1, 1, 1, 1], backing=backing)
-    values = {"{" + ",".join(sorted(s)) + "}": len(s) for s in iter_atom_subsets(space)}
+    values = {"{" + ",".join(sorted(s)) + "}": str(len(s)) for s in iter_atom_subsets(space)}
     cap = Capacity.from_json_dict({"kind": "table", "values": values}, space)
-    assert len(calls) == 16
-    assert all(b == backing for _, b in calls)
+    # One conversion of the 16 values in the space's backing, which parses
+    # each of the five distinct strings once.
+    assert batches == [(16, (backing,), {})]
+    assert sorted(parsed) == [(str(k), backing) for k in range(5)]
     assert cap.of({"a", "b"}) == 2 and type(cap.of({"a", "b"})) is type(space.weights[0])
 
 
