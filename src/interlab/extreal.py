@@ -228,8 +228,14 @@ def scalar_mul(lam: Scalar, a: Scalar) -> Scalar:
 
 
 def to_text(a: Scalar) -> str:
-    """``a`` as messages print it: "+inf", "-inf" or the finite scalar."""
-    return "+inf" if a == POS_INF else str(a)
+    """``a`` as messages print it: "+inf", "-inf" or the finite scalar.
+
+    A value whose digits exceed the int-string limit raises ``DomainError``.
+    """
+    try:
+        return "+inf" if a == POS_INF else str(a)
+    except ValueError as e:  # from int.__str__
+        raise too_long_to_print(e) from None
 
 
 def to_jsonable(a: Scalar):

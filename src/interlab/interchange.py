@@ -198,7 +198,8 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
     Under rational backing every finite value is an int or a Fraction and
     only the infinities are floats, so the values are ranked by integer
     sort keys: each finite value's numerator over the least common
-    denominator of the family's values, each infinity itself.  An int
+    denominator of the family's values, each infinity itself, as long as
+    that denominator has at most ``_KEY_BITS`` bits.  An int
     hashes and compares in a fraction of the time of a Fraction, which
     hashes with a modular inverse.  Equal values have equal keys, and the
     levels are the values themselves, so the rows and fields are those of
@@ -224,15 +225,26 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
     return rows, fields
 
 
+# Integer keys still beat Fractions on a common denominator just below this
+# many bits; past it the lcm of many large denominators grows toward their
+# product, whose keys cost far more to build than the Fractions to compare.
+_KEY_BITS = 4096
+
+
 def _exact_keys(columns: List[Tuple]) -> List:
     """Integer sort keys of columns of ints, Fractions and infinities: a
     finite value's numerator over the least common denominator of all the
-    Fractions, an infinity itself.  Without a Fraction the columns are
-    their own keys."""
+    Fractions, an infinity itself.  Without a Fraction, or with a common
+    denominator of more than ``_KEY_BITS`` bits, the columns are their own
+    keys."""
     dens = {v.denominator for column in columns for v in column if type(v) is Fraction}
     if not dens:
         return columns
-    den = lcm(*dens)
+    den = 1
+    for d in dens:
+        den = lcm(den, d)
+        if den.bit_length() > _KEY_BITS:
+            return columns
     scale = {d: den // d for d in dens}
     return [[v.numerator * scale[v.denominator] if type(v) is Fraction
              else v * den if type(v) is int else v for v in column]

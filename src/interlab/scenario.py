@@ -345,23 +345,18 @@ def render_json(payload: dict) -> str:
 
     ``json`` encodes with its pure-Python encoder whenever it indents; this
     one writes each leaf with the C string escaper or the number's repr and
-    a list of leaves in one join.  A payload of other types (a dict with a
-    key that is not a string, a subclass of a JSON type) goes to ``json``.
-    An int past the int-string limit raises ``DomainError``.
+    a list of leaves in one join.  The payload holds only dicts with string
+    keys, lists, tuples, strings, ints, floats, bools and None, matched by
+    exact type, as ``to_json`` emits them; any other value raises
+    ``TypeError``.  An int past the int-string limit raises ``DomainError``.
     """
     chunks: list = []
     try:
         _encode(payload, "\n", chunks)
-    except _Unusual:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     except ValueError as e:  # from int.__repr__
         raise too_long_to_print(e) from None
     chunks.append("\n")
     return "".join(chunks)
-
-
-class _Unusual(Exception):
-    """A value ``_encode`` leaves to ``json``."""
 
 
 def _float_text(x: float) -> str:
@@ -398,8 +393,6 @@ def _encode(obj, newline: str, chunks: list) -> None:
         if not obj:
             chunks.append("{}")
             return
-        if any(type(k) is not str for k in obj):
-            raise _Unusual
         head = "{" + inner
         for key in sorted(obj):
             chunks.append(head)
@@ -424,7 +417,7 @@ def _encode(obj, newline: str, chunks: list) -> None:
             chunks.append("[" + inner + ("," + inner).join(texts))
         chunks.append(newline + "]")
     else:
-        raise _Unusual
+        raise TypeError(f"{t.__name__} is not a report value")
 
 
 def _flatten(prefix: str, value, lines) -> None:

@@ -164,19 +164,28 @@ BIG_PRODUCT = {"space": {"atoms": ["a"], "weights": ["1" + "0" * 4000 + "/1"]},
                "family": [["1e4000"]], "functional": LEBESGUE}
 TINY_PRODUCT = {"space": {"atoms": ["a"], "weights": ["1/1" + "0" * 3000]},
                 "family": [["3e-3000"]], "functional": LEBESGUE}
+# The same product as Phi(G-flat) on a probability space, which the S2b
+# detail message prints before any report is rendered.
+TINY_SHAPIRO = {"space": {"atoms": ["a", "b"],
+                          "weights": ["1/1" + "0" * 3000, "9" * 3000 + "/1" + "0" * 3000]},
+                "integrand": {"controls": [[0]], "table": [["3e-3000"], [0]]},
+                "functional": LEBESGUE, "p": 2, "selection_prefix": [[0, 0]],
+                "selection_set": {"kind": "product"}}
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("backing, scenario, code", [
-    ("rational", BIG_PRODUCT, 3),
-    ("rational", TINY_PRODUCT, 3),
-    ("float", BIG_PRODUCT, 2),   # the weight is beyond the float range
-    ("float", TINY_PRODUCT, 0),  # both products round to 0.0
+@pytest.mark.parametrize("backing, command, scenario, code", [
+    ("rational", "check", BIG_PRODUCT, 3),
+    ("rational", "check", TINY_PRODUCT, 3),
+    ("rational", "shapiro-check", TINY_SHAPIRO, 3),
+    ("float", "check", BIG_PRODUCT, 2),   # the weight is beyond the float range
+    ("float", "check", TINY_PRODUCT, 0),  # both products round to 0.0
+    ("float", "shapiro-check", TINY_SHAPIRO, 0),
 ])
 def test_report_values_too_long_to_print(tmp_path, capsys, monkeypatch, fmt, backing,
-                                         scenario, code):
+                                         command, scenario, code):
     monkeypatch.setenv("INTERLAB_BACKING", backing)
-    assert main(["check", _scenario(tmp_path, scenario), "--format", fmt]) == code
+    assert main([command, _scenario(tmp_path, scenario), "--format", fmt]) == code
     captured = capsys.readouterr()
     if code == 3:
         assert captured.err.startswith("domain error: a report value is too long to print")
@@ -187,7 +196,10 @@ def test_report_values_too_long_to_print(tmp_path, capsys, monkeypatch, fmt, bac
 
 # The scan's rank code ----------------------------------------------------------
 
-VALUES = [-3, -1, 0, 2, 5, "-7/3", "-1/2", "1/3", "2/3", "5/4", "+inf", "-inf"]
+# The last two have 2109- and 2106-bit denominators: with either alone the
+# family is ranked on integer keys, with both on the Fractions themselves.
+VALUES = [-3, -1, 0, 2, 5, "-7/3", "-1/2", "1/3", "2/3", "5/4", "+inf", "-inf",
+          f"{3 ** 1330 + 1}/{3 ** 1330}", f"-{7 ** 750 - 2}/{7 ** 750}"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -292,8 +304,7 @@ LEAVES = (st.none() | st.booleans() | st.integers(-10**40, 10**40)
 PAYLOADS = st.recursive(
     LEAVES,
     lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
-                   | st.dictionaries(st.text(max_size=5), inner, max_size=5)
-                   | st.dictionaries(st.integers(-3, 3), inner, min_size=1, max_size=3)),
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=5)),
     max_leaves=30)
 
 
@@ -301,3 +312,9 @@ PAYLOADS = st.recursive(
 @given(payload=PAYLOADS)
 def test_render_json_matches_json_dumps(payload):
     assert render_json(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [{1: 2}, {"a": {1, 2}}, {"a": Fraction(1, 3)}])
+def test_render_json_rejects_values_reports_never_hold(payload):
+    with pytest.raises(TypeError):
+        render_json(payload)

@@ -11,12 +11,16 @@ L0-L3, in one fresh process per checkout, rational backing: best of
 ``--repeat`` timings on the three dense ``check`` families of the full
 ``wide-atoms`` plan (``perfbench/workloads.py``), one per part of the change,
 and on a worst case for the string memo, a 4-member family on 400 atoms
-whose 1600 strings are all distinct:
+whose 1600 strings are all distinct, and one for the integer ranks (rank
+code only, since a verdict would sum the values), 4 members on 400 atoms
+whose 1600 denominators are distinct 2000-digit numbers, about pairwise
+coprime, so the family is ranked on its Fractions:
 
 * ``intake_ms``: ``build_space`` and ``build_family`` from the scenario
   dict, where each distinct string is now parsed once per call;
 * ``rank_code_ms``: ``interchange._rank_code`` on the members, now ranked
-  on integer keys;
+  on integer keys while the family's common denominator has at most
+  ``interchange._KEY_BITS`` bits;
 * ``scan_ms``: ``is_phi_inf_directed`` given the members' and the
   infimum's values, as ``verify_interchange`` calls it, which now builds no
   rank code for two members;
@@ -24,9 +28,12 @@ whose 1600 strings are all distinct:
   file, whose report must be byte-identical in both checkouts.
 
 A checkout whose ``tests/oracle_helpers.py`` has ``reference_rank_code``
-(the ``sorted(set(column))`` code) also gives ``cli_ms_reference_ranks``:
-the verdict with that code in place of ``_rank_code``, so the difference to
-``cli_ms`` is the integer ranks' own share.
+(the ``sorted(set(column))`` code) times its rank code and its verdicts in
+alternation with that code in place of ``_rank_code``:
+``rank_code_ms_reference`` and ``cli_ms_reference_ranks``, and the number
+of the ``--repeat`` alternations the integer ranks won (``rank_code_wins``,
+``cli_wins_over_reference_ranks``), so the difference is the integer
+ranks' own share.
 
 Inputs: per workload, the share of the scalar strings of the full plan
 that repeat a string of the same intake call (a member, a weight list, a
@@ -87,11 +94,42 @@ def best(fn):
     return round(min(times) * 1e3, 4)
 
 
+# Best of repeat timings of fn and of reference, run in alternation so that
+# a change in the machine's load reaches both, and how many fn won.
+def paired(fn, reference):
+    a, b = [], []
+    for _ in range(repeat):
+        for times, f in ((a, fn), (b, reference)):
+            t0 = time.perf_counter()
+            f()
+            times.append(time.perf_counter() - t0)
+    return round(min(a) * 1e3, 4), round(min(b) * 1e3, 4), sum(x < y for x, y in zip(a, b))
+
+
+def with_reference_ranks(fn):
+    own = interchange._rank_code
+    interchange._rank_code = reference_rank_code
+    try:
+        return fn()
+    finally:
+        interchange._rank_code = own
+
+
 def verdict(path):
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["check", path]) == 0
     return out.getvalue()
+
+
+def rank_code_times(row, members):
+    rank = lambda: interchange._rank_code(members)
+    if reference_rank_code is None:
+        row["rank_code_ms"] = best(rank)
+        return
+    assert reference_rank_code(members) == rank()
+    (row["rank_code_ms"], row["rank_code_ms_reference"],
+     row["rank_code_wins"]) = paired(rank, lambda: reference_rank_code(members))
 
 
 out = {}
@@ -109,21 +147,25 @@ with tempfile.TemporaryDirectory() as tmp:
             "members": len(family.members), "atoms": len(space.atoms),
             "intake_ms": best(lambda: build_family(sc["family"],
                                                    build_space(sc["space"], "rational"))),
-            "rank_code_ms": best(lambda: interchange._rank_code(family.members)),
             "scan_ms": best(lambda: interchange.is_phi_inf_directed(
                 family, phi, phi_values=values, phi_inf=inf)),
-            "cli_ms": best(lambda: verdict(path)),
             "report": verdict(path),
         }
-        if reference_rank_code is not None:
-            own = interchange._rank_code
-            interchange._rank_code = reference_rank_code
-            try:
-                row["cli_ms_reference_ranks"] = best(lambda: verdict(path))
-                assert verdict(path) == row["report"]
-            finally:
-                interchange._rank_code = own
+        rank_code_times(row, family.members)
+        if reference_rank_code is None:
+            row["cli_ms"] = best(lambda: verdict(path))
+        else:
+            assert with_reference_ranks(lambda: verdict(path)) == row["report"]
+            (row["cli_ms"], row["cli_ms_reference_ranks"],
+             row["cli_wins_over_reference_ranks"]) = paired(
+                lambda: verdict(path), lambda: with_reference_ranks(lambda: verdict(path)))
         out[label] = row
+space = build_space({"atoms": atoms, "weights": [1] * 400}, "rational")
+members = build_family([[f"{k * 400 + i + 1}/{10 ** 2000 + 2 * (k * 400 + i) + 1}"
+                         for i in range(400)] for k in range(4)], space).members
+row = {"members": 4, "atoms": 400}
+rank_code_times(row, members)
+out["large-denominators-400"] = row
 print(json.dumps(out))
 """
 
@@ -205,7 +247,7 @@ def main() -> None:
     sides = (("parent", args.parent), ("change", args.change))
     in_process = {side: probe(checkout, args.seed, args.repeat) for side, checkout in sides}
     for label, row in in_process["parent"].items():
-        assert row.pop("report") == in_process["change"][label].pop("report"), label
+        assert row.pop("report", None) == in_process["change"][label].pop("report", None), label
     result = {
         "topic": "Dense families on hundreds of atoms: each distinct scalar string parsed "
                  "once per intake call, no rank code for a scan that is given every "
