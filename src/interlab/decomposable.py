@@ -51,6 +51,8 @@ from .extreal import (
     POS_INF,
     Report,
     Scalar,
+    _eq_within,
+    _leq_within,
     _over_common_den,
     _reduced,
     as_scalar,
@@ -61,7 +63,7 @@ from .extreal import (
 from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
 from .functionals import Functional
 from .integrals import PART_SUMS, outer_integral, part_sum
-from .interchange import _eq_within, _leq_within, _tolerance
+from .interchange import _tolerance
 from .measure import MeasureSpace
 
 DEFAULT_ENUM_BUDGET = 10**6

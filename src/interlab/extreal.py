@@ -33,9 +33,10 @@ that defines the integrals' float results.
 
 Every exact sum in the package is kept as an integer numerator over a
 positive denominator and ends in the one reduction ``_reduced(num, den)``,
-which gives an int when the ratio is integral and a Fraction otherwise.
-``_over_common_den`` puts rows of exact terms over their least common
-denominator, so the integrals' rank tables and the selection fold of
+which gives an int when the ratio is integral and a Fraction otherwise;
+the integrals' rank tables compare the numerator with an integer bound
+instead.  ``_over_common_den`` puts rows of exact terms over their least
+common denominator, so those tables and the selection fold of
 ``decomposable`` add plain ints.
 """
 
@@ -216,6 +217,18 @@ def add(a: Scalar, b: Scalar) -> Scalar:
     if type(a) is float and abs(a) == POS_INF and a == -b:
         raise DomainError("(+inf) + (-inf) is undefined for the plain addition")
     return lower_add(a, b)
+
+
+def _eq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
+    """a = b within ``tol`` when both are finite, else a == b."""
+    if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
+        return abs(lower_add(a, -b)) <= tol
+    return a == b
+
+
+def _leq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
+    """a <= b, or a = b within ``tol``."""
+    return a <= b or _eq_within(a, b, tol)
 
 
 def scalar_mul(lam: Scalar, a: Scalar) -> Scalar:

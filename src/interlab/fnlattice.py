@@ -24,6 +24,7 @@ Integrability classification splits functions into the integrable cone
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum
 from typing import Callable, Iterable, Sequence, Tuple
 
@@ -32,6 +33,7 @@ from .extreal import (
     NEG_INF,
     POS_INF,
     Scalar,
+    _leq_within,
     add,
     as_scalar,
     coerce_all,
@@ -228,7 +230,7 @@ def ess_sup_value(f: FnClass) -> Scalar:
     return max([values[i] for i in f.space.non_null_indices()], default=NEG_INF)
 
 
-def ess_sup_table(space: MeasureSpace, fields):
+def ess_sup_table(space: MeasureSpace, fields, lhs: Scalar, tol: Scalar):
     """Rank table of ``ess_sup_value`` (see ``integrals.RANK_TABLES``).
 
     One global rank orders the values of every non-null atom, ties going
@@ -236,14 +238,19 @@ def ess_sup_table(space: MeasureSpace, fields):
     its own rank r, and in the thermometer code of a key the bit r - 1 of
     the atom's field is set exactly when its rank is at least r, so a
     key's score is the value of its set bit of highest global rank, else
-    the largest value at rank 0: bits tested in global order, no scalar
-    compared.
+    the largest value at rank 0.  Passing the bound is monotone in the
+    value, so one bisection finds the first passing global rank, and a key
+    passes exactly when the largest rank-0 value does or it has a bit set
+    at or above that rank: one AND with a mask, no scalar compared.  The
+    bisection judges values with ``_leq_within`` itself, so the table is
+    exact at any bound, a float one included.
     """
     non_null = space.non_null_indices()
     if not non_null:
-        return lambda key: NEG_INF
+        empty = _leq_within(lhs, NEG_INF, tol)
+        return lambda key: empty
     levels = []
-    bits = []  # (global rank, key bit) of the ranks r >= 1, increasing
+    bits = []  # (global rank, key bit) of the ranks r >= 1
     for g, (v, neg_i, r) in enumerate(sorted(
             (v, -i, r) for i in non_null for r, v in enumerate(fields[i][0]))):
         levels.append(v)
@@ -251,12 +258,8 @@ def ess_sup_table(space: MeasureSpace, fields):
             bits.append((g, 1 << (fields[-neg_i][1] + r - 1)))
         else:
             base = g  # the largest global rank at rank 0, in the end
-    bits = [gb for gb in reversed(bits) if gb[0] > base]
-
-    def score(key: int) -> Scalar:
-        for g, bit in bits:
-            if key & bit:
-                return levels[g]
-        return levels[base]
-
-    return score
+    first = bisect_left(levels, True, key=lambda v: _leq_within(lhs, v, tol))
+    if base >= first:
+        return lambda key: True
+    mask = sum(bit for g, bit in bits if g >= first)
+    return lambda key: key & mask != 0

@@ -44,12 +44,13 @@ class Functional:
     reuses that score for every subset with the same infimum, and a
     sequence prefix reuses the previous term's score when a member lowers
     the running infimum nowhere.  For the built-in integrals and ess_sup
-    the scan may score an infimum with the rank table that
+    the scan may judge an infimum with the rank table that
     ``integrals.RANK_TABLES`` keeps for ``eval_fn`` instead of calling it,
     and under rational backing a sequence prefix scores the built-in
-    integrals from running parts (``integrals.RunningParts``), so both must
-    agree with their ``eval_fn`` in value and in type on every function
-    they score.
+    integrals from running parts (``integrals.RunningParts``), so a table
+    must agree with ``eval_fn`` on whether each infimum it judges passes
+    the scan's bound, and running parts in value and in type on every
+    function they score.
     """
 
     name: str

@@ -30,7 +30,6 @@ from .extreal import (
     Scalar,
     _kept,
     _over_common_den,
-    _reduced,
     add,
     as_scalar,
     coerce_all,
@@ -176,22 +175,26 @@ class RunningParts:
 _EXACT = (int, Fraction)
 
 
-def _integral_table(space: MeasureSpace, fields):
+def _integral_table(space: MeasureSpace, fields, lhs: Scalar, tol: Scalar):
     """Rank table of the three integrals above (see ``RANK_TABLES``).
 
     Each term w * x of an atom of positive weight and each of its ranks is
-    held as an integer numerator over one common denominator
-    (``extreal._over_common_den``), so a key is scored by adding one
-    numerator per atom and reducing once (``extreal._reduced``): an int
-    when integral, as ``weighted_parts`` gives.  Null atoms add 0 whatever
-    their value.  Built only when every weight and finite value is exact
-    (int or Fraction), the path on which ``weighted_parts`` sums exactly, so
-    float rounding is left to the integrals.  A key with an infinite value on an
-    atom of positive weight maps to None, and so do all keys when an atom
-    of positive weight holds one infinite value only: the integrals score
-    those, with their own convention for infinite parts and their own
-    ``DomainError``.
+    held as an integer numerator over one common denominator den
+    (``extreal._over_common_den``), so a key's integral is S / den for the
+    sum S of one numerator per atom, and it passes the bound exactly when S
+    is at least the one integer ceil((lhs - tol) * den): an int compared,
+    no ``Fraction`` built.  Null atoms add 0 whatever their value.  Built
+    only when every weight and finite value is exact (int or Fraction), the
+    path on which ``weighted_parts`` sums exactly, and when tol is exact
+    and lhs exact or infinite, so float rounding is left to the integrals
+    and to the scan's own comparison.  A key with an infinite value on an
+    atom of positive weight maps to None whatever lhs is, and so do all
+    keys when an atom of positive weight holds one infinite value only: the
+    integrals score those, with their own convention for infinite parts and
+    their own ``DomainError``.
     """
+    if type(tol) not in _EXACT or not (type(lhs) in _EXACT or lhs in (POS_INF, NEG_INF)):
+        return None
     places, terms = [], []  # (offset, mask), [(numerator, denominator) per rank]
     plus_inf = minus_inf = 0  # key bits of the infinite ranks
     for w, (level, offset, mask) in zip(space.weights, fields):
@@ -220,20 +223,30 @@ def _integral_table(space: MeasureSpace, fields):
     den, rows = _over_common_den(terms)
     base = sum([codes[0] for (_, mask), codes in zip(places, rows) if not mask])
     atoms = [(offset, mask, codes) for (offset, mask), codes in zip(places, rows) if mask]
+    # ceil((lhs - tol) * den); an int compares exactly with an infinity, and
+    # every finite integral passes lhs = -inf and none passes +inf, as
+    # ``_leq_within`` has it.
+    if lhs == POS_INF or lhs == NEG_INF:
+        threshold = lhs
+    else:
+        num, lhs_den = (lhs - tol if tol else lhs).as_integer_ratio()
+        threshold = -(-num * den // lhs_den)
 
-    def score(key: int):
+    def passes(key: int):
         if key & plus_inf or ~key & minus_inf:
             return None
-        return _reduced(base + sum([codes[((key >> off) & mask).bit_count()]
-                                    for off, mask, codes in atoms]), den)
+        return base + sum([codes[((key >> off) & mask).bit_count()]
+                           for off, mask, codes in atoms]) >= threshold
 
-    return score
+    return passes
 
 
 # Rank tables for the directedness scan, keyed by a functional's evaluation
-# function.  A table maps the key of a subset infimum (see
-# ``interchange._rank_code``) to the value its function gives on that
-# infimum, in value and in type, or to None where the function must run.
+# function.  ``build(space, fields, lhs, tol)`` takes the fields of
+# ``interchange._rank_code`` and the scan's bound, and returns None (no
+# table) or ``passes``: it maps the key of a subset infimum to whether
+# ``extreal._leq_within(lhs, value, tol)`` holds for the value the function
+# gives on that infimum, or to None where the function must run.
 RANK_TABLES = {
     lebesgue_extended: _integral_table,
     outer_integral: _integral_table,

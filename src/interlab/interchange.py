@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, compress, count
-from math import copysign, lcm
+from itertools import accumulate, chain, combinations, compress, count
+from math import comb, copysign, lcm
 from operator import lt
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,6 +43,8 @@ from .extreal import (
     POS_INF,
     Report,
     Scalar,
+    _eq_within,
+    _leq_within,
     as_scalar,
     lower_add,
     to_text,
@@ -73,16 +75,6 @@ def _check_subset_budget(subset_budget) -> None:
             or subset_budget < 0):
         raise InputError(
             f"subset_budget must be a nonnegative integer, got {subset_budget!r}")
-
-
-def _eq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
-        return abs(lower_add(a, -b)) <= tol
-    return a == b
-
-
-def _leq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    return a <= b or _eq_within(a, b, tol)
 
 
 @dataclass(frozen=True)
@@ -251,33 +243,71 @@ def _exact_keys(columns: List[Tuple]) -> List:
             for column in columns]
 
 
+def _level_keys(rows: Sequence[int]):
+    """The keys of the subsets ``_nonempty_subsets(len(rows))`` draws, in its
+    order, one list per subset size; ``rows`` are the members' rank codes.
+
+    That order is size by size and, within a size, lexicographic: by first
+    member, then by the rest, a subset of the later members.  The k-subsets
+    of the members after f are the last C(n - 1 - f, k) of the k-subsets,
+    in order, so each (k + 1)-subset's key is one AND of its first member's
+    row with a key of the size below.  A size's list is built from the one
+    before when its first key is read, so at most two sizes are held, at
+    most C(n, n // 2) keys in one.
+    """
+    n = len(rows)
+    keys = list(rows)
+    for k in range(1, n + 1):
+        yield keys
+        keys = [row & key for f, row in enumerate(rows)
+                for key in keys[len(keys) - comb(n - 1 - f, k):]]
+
+
+# The first family size whose exhaustive scan takes its keys from
+# ``_level_keys``; a smaller one ANDs the rows of each subset's members
+# (``inf_key``), since the walk's lists and generator cost more than the few
+# ANDs they save.  Whole scans of directed families on 8 atoms, level keys
+# against ANDed rows, best of alternating runs on a 2-core x86_64 with
+# CPython 3.11 (``tools/bench_level_scan.py``, "cutoff"), took 1.09-1.11
+# times the time at 3 members, 1.02-1.09 at 6, 0.98-0.99 at 7, 0.85-0.93
+# at 8 and 0.49-0.56 at 12, for extended_lebesgue and ess_sup.
+_LEVEL_KEYS_FROM = 7
+
+
 def _scan_subsets(
     members: Sequence[FnClass],
     score: Callable[[FnClass], Scalar],
-    holds: Callable[[Scalar], bool],
+    lhs: Scalar,
+    tol: Scalar,
     subset_budget: int,
     known: Dict[Tuple[int, ...], Scalar],
     eval_fn: Optional[Callable] = None,
 ) -> Tuple[Optional[Tuple[int, ...]], bool, Callable[[Sequence[int]], Scalar]]:
-    """Find the first subset S whose infimum fails ``holds(score(inf S))``.
+    """Find the first subset S whose infimum fails min Phi(X) = ``lhs`` <=
+    ``score(inf S)`` within ``tol`` (``_leq_within``).
 
     Subsets come from ``_nonempty_subsets`` while the family is within
     ``subset_budget`` and from the fixed ``_sampled_subsets`` beyond it,
     smallest first, so the witness is a smallest violating subset among
     those scanned.  Either way the whole family is scanned last.
 
-    A subset's infimum is named by its key under ``_rank_code``, and is
-    scored once per distinct key; ``known`` gives scores already computed,
-    keyed by member indices.  A new key is scored by ``score`` on the
+    A subset's infimum is named by its key under ``_rank_code``.  An
+    exhaustive scan of at least ``_LEVEL_KEYS_FROM`` members reads the keys
+    from ``_level_keys``, one AND per subset, in step with the subsets it
+    draws; any other scan ANDs the rows of each subset's members.  Each
+    distinct key is judged once; ``known`` gives scores already computed,
+    keyed by member indices.  A new key is judged by ``score`` on the
     decoded function, or by the rank table that ``integrals.RANK_TABLES``
     keeps for ``eval_fn``, the function ``score`` evaluates: built from the
-    fields, it maps a key straight to its score, or to None where ``score``
-    must run.  A table costs about as much as one generic evaluation per
-    entry per atom, so a scan builds it only after it has made that many
-    generic evaluations, and a scan that meets few distinct infima never
-    does.  Returns the witness (None when every subset holds), whether the
-    scan was exhaustive, and the memoized score of the infimum of any
-    index tuple.
+    fields and the bound (lhs, tol), it tells from the key alone whether
+    the infimum passes, or gives None where ``score`` must run.  A table
+    costs about as much as one generic evaluation per entry per atom, so a
+    scan builds it only after it has made that many generic evaluations,
+    and a scan that meets few distinct infima never does.
+    A witness that a table failed is scored once more by ``score``, and
+    ``InvariantError`` is raised if it passes.  Returns the witness (None
+    when every subset holds), whether the scan was exhaustive, and the
+    memoized score of the infimum of any index tuple.
 
     When ``known`` scores every nonempty subset, as it does for one or two
     members with the whole family's score given, the scan reads it and
@@ -286,6 +316,10 @@ def _scan_subsets(
     n = len(members)
     exhaustive = n <= subset_budget
     subsets = _nonempty_subsets(n) if exhaustive else _sampled_subsets(n)
+
+    def holds(value: Scalar) -> bool:
+        return _leq_within(lhs, value, tol)
+
     if all(idx in known for k in range(1, n + 1) for idx in combinations(range(n), k)):
         witness = next((idx for idx in subsets if not holds(known[idx])), None)
         return witness, exhaustive, lambda idx: known[tuple(idx)]
@@ -307,31 +341,46 @@ def _scan_subsets(
         nonlocal table, eval_fn, generic_left
         value = memo.get(key)
         if value is None:
-            if table is None or (value := table(key)) is None:
-                values = tuple([lv[((key >> off) & mask).bit_count()]
-                                for lv, off, mask in fields])
-                value = score(FnClass.from_ext(space, values))
-                if eval_fn is not None:
-                    generic_left -= 1
-                    if generic_left <= 0:
-                        # Looked up by identity: an eval_fn need not be hashable.
-                        build = next((b for f, b in RANK_TABLES.items() if f is eval_fn), None)
-                        table = build and build(space, fields)
-                        eval_fn = None
-            memo[key] = value
+            values = tuple([lv[((key >> off) & mask).bit_count()] for lv, off, mask in fields])
+            value = memo[key] = score(FnClass.from_ext(space, values))
+            if eval_fn is not None:
+                generic_left -= 1
+                if generic_left <= 0:
+                    # Looked up by identity: an eval_fn need not be hashable.
+                    build = next((b for f, b in RANK_TABLES.items() if f is eval_fn), None)
+                    table = build and build(space, fields, lhs, tol)
+                    eval_fn = None
         return value
 
     for idx, value in known.items():
         memo[inf_key(idx)] = value
     witness = None
-    for idx in subsets:
-        key = inf_key(idx)
-        if key in passed:
-            continue
-        if not holds(score_key(key)):
-            witness = idx
-            break
-        passed.add(key)
+    # Two copies of one loop, so that a small scan pays for no pairing of
+    # subsets with keys, nor a large one for a call per subset.
+    if exhaustive and n >= _LEVEL_KEYS_FROM:
+        for idx, key in zip(subsets, chain.from_iterable(_level_keys(rows))):
+            if key in passed:
+                continue
+            ok = None if table is None or key in memo else table(key)
+            if not (holds(score_key(key)) if ok is None else ok):
+                witness = idx
+                break
+            passed.add(key)
+    else:
+        for idx in subsets:
+            key = inf_key(idx)
+            if key in passed:
+                continue
+            ok = None if table is None or key in memo else table(key)
+            if not (holds(score_key(key)) if ok is None else ok):
+                witness = idx
+                break
+            passed.add(key)
+    if witness is not None and key not in memo and holds(score_key(key)):
+        raise InvariantError(
+            f"the rank table of the directedness scan fails the infimum of members "
+            f"{list(witness)}, but Phi gives {to_text(memo[key])}, which passes "
+            f"min Phi(X) = {to_text(lhs)}")
     return witness, exhaustive, lambda idx: score_key(inf_key(idx))
 
 
@@ -361,20 +410,28 @@ def is_phi_inf_directed(
     order-preserving Phi, where that condition decides directedness, the
     sampled verdict is exact too.
 
-    A subset costs one bitwise AND per member and one set lookup, plus one
-    score if its infimum is new.  A score is one Phi evaluation, or a read
-    of the rank table of ``phi.eval_fn`` when ``integrals.RANK_TABLES``
-    has one and the scan has built it (see ``_scan_subsets``): the built-in
-    integrals add one integer numerator per atom of positive weight and
-    reduce once, under exact weights and values and away from infinite
-    values on atoms of positive weight; ess_sup tests the key's bits in
-    the order of one global rank of the atoms' values.  So Phi is evaluated
-    at most once per distinct subset infimum, and not at all on the members
-    or on the infimum of the whole family when their values are passed as
-    ``phi_values`` and ``phi_inf``.  Before the first subset the scan
-    ranks every member value once (``_rank_code``), on integer keys under
-    rational backing.  The memo holds at most one entry per subset scanned
-    (2^n - 1 when exhaustive) plus the members, and is freed on return.
+    In an exhaustive scan of at least ``_LEVEL_KEYS_FROM`` members a subset
+    costs one bitwise AND, of its first member's rank code with the key of
+    the rest (``_level_keys``), and one set lookup; in a smaller or sampled
+    scan, one AND per member and the lookup.  A subset whose infimum is new
+    is judged once more: by one Phi evaluation and one comparison with
+    min Phi(X), or, once the scan has built the rank table that
+    ``integrals.RANK_TABLES`` keeps for ``phi.eval_fn`` (see
+    ``_scan_subsets``), by integers alone.  The built-in integrals add one
+    integer numerator per atom of positive weight and compare the sum with
+    one integer computed from min Phi(X) and the tolerance, under exact
+    weights, values and bound and away from infinite values on atoms of
+    positive weight; ess_sup ANDs the key with one mask, the bits of the
+    ranks whose values pass, found by one bisection of one global rank of
+    the atoms' values.  So Phi is evaluated at most once per distinct
+    subset infimum, and once more on a witness that a table failed, and
+    not at all on the members or on the infimum of the whole family when
+    their values are passed as ``phi_values`` and ``phi_inf``.  Before the
+    first subset the scan ranks every member value once (``_rank_code``),
+    on integer keys under rational backing.  The memo and the set of
+    passing keys hold at most one entry per subset scanned (2^n - 1 when
+    exhaustive) plus the members, the level lists at most 2 C(n, n // 2)
+    keys, and all are freed on return.
 
     With n <= 2 members and both ``phi_values`` and ``phi_inf`` given, as
     ``verify_interchange`` gives them, every subset is a member or the
@@ -393,9 +450,7 @@ def is_phi_inf_directed(
     if phi_inf is not None:
         known[tuple(range(n))] = phi_inf
     witness, exhaustive, score_inf = _scan_subsets(
-        members, phi, lambda v: _leq_within(lhs, v, tol), subset_budget, known,
-        phi.eval_fn,
-    )
+        members, phi, lhs, tol, subset_budget, known, phi.eval_fn)
     directed = witness is None
     shortcut = _leq_within(lhs, score_inf(range(n)), tol)
     if phi.order_preserving and shortcut != directed:

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations, islice
 from math import comb
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from interlab import interchange
-from interlab.errors import DomainError
-from interlab.extreal import NEG_INF, POS_INF, ext
+from interlab.errors import DomainError, InvariantError
+from interlab.extreal import NEG_INF, POS_INF, _leq_within, as_scalar, ext
 from interlab.fnlattice import FnClass, ess_sup_value, pointwise_inf
 from interlab.functionals import Functional, make_builtin
 from interlab.integrals import RANK_TABLES, Capacity, lebesgue_extended
@@ -157,14 +159,16 @@ TABLE_VALUES = [-2, -1, "-2/3", "-1/2", 0, -0.0, "1/3", "1/2", "2/3", 1, 3, "-in
 
 
 def _table_mismatches(phi, members, build=None):
-    """Subsets whose rank-table score differs from Phi on their decoded
-    infimum in value or in type (or in the sign of a float zero); None when
-    no table is built.
+    """(lhs, tol, subset) triples where the rank table's answer differs from
+    ``_leq_within(lhs, Phi(decoded infimum), tol)``, with lhs each value Phi
+    gives on a subset infimum, each finite one plus and minus 10^-9, -inf
+    and +inf, and tol 0 and 1/3; None when no table is built.
 
     Also checks when a table may decline: an integral table is built under
     exact weights unless an atom of positive weight holds one infinite value
     only, and declines exactly the keys with an infinite value on an atom of
-    positive weight; the ess_sup table is always built and declines nothing.
+    positive weight, whatever the bound; the ess_sup table is always built
+    and declines nothing.
     """
     space = members[0].space
     integral = phi.eval_fn is not ess_sup_value
@@ -174,12 +178,7 @@ def _table_mismatches(phi, members, build=None):
         return any(values[i] in (POS_INF, NEG_INF) for i in heavy)
 
     rows, fields = interchange._rank_code(members)
-    table = (build or RANK_TABLES[phi.eval_fn])(space, fields)
-    stuck = any(fields[i][0] in ([POS_INF], [NEG_INF]) for i in heavy)
-    assert (table is None) == (integral and (space.backing == "float" or stuck))
-    if table is None:
-        return None
-    mismatches = []
+    scored = []  # (subset, key, Phi on its infimum or None where Phi raises)
     for k in range(1, len(members) + 1):
         for idx in combinations(range(len(members)), k):
             key = -1
@@ -187,18 +186,38 @@ def _table_mismatches(phi, members, build=None):
                 key &= rows[i]
             inf_s = tuple(lv[((key >> off) & mask).bit_count()] for lv, off, mask in fields)
             assert inf_s == pointwise_inf([members[i] for i in idx]).values
-            got = table(key)
-            assert (got is None) == (integral and infinite(inf_s))
-            if got is not None:
-                want = phi(FnClass.from_ext(space, inf_s))
-                if (type(got), repr(got)) != (type(want), repr(want)):
-                    mismatches.append((idx, got, want))
+            try:
+                value = phi(FnClass.from_ext(space, inf_s))
+            except DomainError:
+                assert integral and infinite(inf_s)
+                value = None
+            scored.append((idx, key, infinite(inf_s), value))
+    # Just above and below a value, ceil((lhs - tol) * den) is no multiple
+    # of den, so a floor in its place fails too.
+    tiny = as_scalar("1/1000000000", space.backing)
+    finite = {v for *_, v in scored if v is not None and NEG_INF < v < POS_INF}
+    bounds = ({v for *_, v in scored if v is not None} | {NEG_INF, POS_INF}
+              | {v + tiny for v in finite} | {v - tiny for v in finite})
+    tols = [as_scalar(t, space.backing) for t in (0, "1/3")]
+    stuck = any(fields[i][0] in ([POS_INF], [NEG_INF]) for i in heavy)
+    mismatches = []
+    for lhs in sorted(bounds):
+        for tol in tols:
+            table = (build or RANK_TABLES[phi.eval_fn])(space, fields, lhs, tol)
+            assert (table is None) == (integral and (space.backing == "float" or stuck))
+            if table is None:
+                return None
+            for idx, key, inf, value in scored:
+                got = table(key)
+                assert (got is None) == (integral and inf)
+                if got is not None and got is not _leq_within(lhs, value, tol):
+                    mismatches.append((lhs, tol, idx, got, value))
     return mismatches
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_rank_tables_agree_with_phi_in_value_and_type(data):
+def test_rank_tables_answer_as_phi_does_on_every_bound(data):
     backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
     kind = data.draw(st.sampled_from(BUILTINS), label="kind")
     n_atoms = data.draw(st.integers(1, 5), label="atoms")
@@ -219,6 +238,17 @@ def test_all_null_space_tables():
         assert _table_mismatches(make_builtin(kind), members) == []
 
 
+def test_integral_table_needs_an_exact_bound():
+    space = MeasureSpace(["a", "b"], [1, "1/2"])
+    _, fields = interchange._rank_code([FnClass(space, r) for r in ([1, 2], [2, "1/3"])])
+    assert lebesgue_extended(FnClass(space, [1, "1/3"])) == Fraction(7, 6)
+    passes = RANK_TABLES[lebesgue_extended](space, fields, Fraction(7, 6), 0)
+    assert passes(0) is True
+    assert RANK_TABLES[lebesgue_extended](space, fields, 7 / 6, 0) is None
+    assert RANK_TABLES[lebesgue_extended](space, fields, Fraction(7, 6), 1e-9) is None
+    assert RANK_TABLES[lebesgue_extended](space, fields, NEG_INF, 0)(0) is True
+
+
 @pytest.mark.parametrize("kind", BUILTINS)
 def test_table_comparison_catches_a_dropped_atom(kind):
     space = MeasureSpace(["a", "b"], [1, "1/2"])
@@ -228,37 +258,99 @@ def test_table_comparison_catches_a_dropped_atom(kind):
     # An atom whose code is dropped adds nothing: 0 to a sum, -inf to a max.
     blank = NEG_INF if kind == "ess_sup" else 0
 
-    def dropping(space, fields):
+    def dropping(space, fields, lhs, tol):
         level, offset, mask = fields[0]
-        return build(space, [([blank] * len(level), offset, mask)] + fields[1:])
+        return build(space, [([blank] * len(level), offset, mask)] + fields[1:], lhs, tol)
 
     assert _table_mismatches(phi, members) == []
     assert _table_mismatches(phi, members, dropping)
 
 
-def test_both_parts_infinite_after_the_table_is_built(monkeypatch):
+# A not semi-integrable last member, given a caller's value: -inf, so that
+# every subset infimum passes until the scan meets one that is +inf on a and
+# -inf on b, or a finite value below every finite infimum, where the first
+# member is +inf on a, so that the first such infimum is also the first to
+# go below that value.
+BOTH_PARTS_INFINITE = [
+    ([[1, 2, 3], [2, 3, 1], [3, 1, 2], ["+inf", 0, 4], ["+inf", "-inf", 5]], NEG_INF),
+    ([["+inf", 0, 4], [1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 3, 2], [2, 1, 3], [3, 2, 1],
+      ["+inf", "-inf", 5]], NEG_INF),
+    ([["+inf", 0, 4], [1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 3, 2], [2, 1, 3], [3, 2, 1],
+      ["+inf", "-inf", 5]], -100),
+]
+
+
+@pytest.mark.parametrize("rows,last", BOTH_PARTS_INFINITE)
+def test_both_parts_infinite_after_the_table_is_built(monkeypatch, rows, last):
     builds = []
     build = RANK_TABLES[lebesgue_extended]
 
-    def counted(space, fields):
-        builds.append(fields)
-        return build(space, fields)
+    def counted(space, fields, lhs, tol):
+        builds.append(lhs)
+        return build(space, fields, lhs, tol)
 
     monkeypatch.setitem(RANK_TABLES, lebesgue_extended, counted)
     space = MeasureSpace(["a", "b", "c"], [1, 1, 1])
-    rows = [[1, 2, 3], [2, 3, 1], [3, 1, 2], ["+inf", 0, 4], ["+inf", "-inf", 5]]
     family = Family([FnClass(space, r) for r in rows])
     phi = make_builtin("extended_lebesgue")
-    # The last member is not semi-integrable, so it gets a caller's value;
-    # only the last pair's infimum is +inf on a and -inf on b.
-    values = [phi(m) for m in family.members[:-1]] + [NEG_INF]
+    values = [phi(m) for m in family.members[:-1]] + [last]
     with pytest.raises(DomainError) as err:
         is_phi_inf_directed(family, phi, phi_values=values)
     assert str(err.value) == (
         "function is not semi-integrable (both parts have infinite integral); "
         "use outer_integral or inner_integral"
     )
-    assert len(builds) == 1
+    assert builds == [last]
+
+
+def test_a_witness_the_table_fails_is_scored_again(monkeypatch):
+    """A table's false "fails" on a family whose verdict fails anyway would
+    move the witness; Phi re-scores the witness and disagrees."""
+    build = RANK_TABLES[ess_sup_value]
+    monkeypatch.setitem(RANK_TABLES, ess_sup_value, lambda *args: (lambda key: False))
+    rows = [[0 if i == j % 8 else 1 for i in range(8)] for j in range(10)]
+    family = Family([FnClass(WIDE, r) for r in rows])
+    with pytest.raises(InvariantError, match="rank table of the directedness scan fails"):
+        verify_interchange(family, make_builtin("ess_sup"))
+    monkeypatch.setitem(RANK_TABLES, ess_sup_value, build)
+    report = verify_interchange(family, make_builtin("ess_sup"))
+    assert (report.interchange_holds, report.witness) == ("fails", tuple(range(8)))
+
+
+# -- level keys ---------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_level_keys_follow_the_subset_order(data):
+    n = data.draw(st.integers(1, 12), label="members")
+    rows = data.draw(st.lists(st.integers(0, 2 ** 16 - 1), min_size=n, max_size=n),
+                     label="rows")
+    stop = data.draw(st.integers(1, 2 ** n - 1), label="stop")
+    expected = [(idx, reduce(and_, (rows[i] for i in idx), -1))
+                for idx in interchange._nonempty_subsets(n)]
+    walk = zip(interchange._nonempty_subsets(n),
+               chain.from_iterable(interchange._level_keys(rows)))
+    assert list(islice(walk, stop)) == expected[:stop]
+    assert list(walk) == expected[stop:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_level_scan_stops_where_the_naive_scan_does(data):
+    """Families of 8-12 members, whose exhaustive scans read level keys,
+    against the naive scan, with a functional that is not monotone, so the
+    witness may come at any size."""
+    n = data.draw(st.integers(interchange._LEVEL_KEYS_FROM, 12), label="members")
+    n_atoms = data.draw(st.integers(1, 3), label="atoms")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], [1] * n_atoms)
+    rows = data.draw(st.lists(st.lists(st.sampled_from(FINITE), min_size=n_atoms,
+                                       max_size=n_atoms), min_size=n, max_size=n),
+                     label="family")
+    family = Family([FnClass(space, r) for r in rows])
+    res = is_phi_inf_directed(family, WOBBLE, 12)
+    assert res.mode == "exhaustive"
+    assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == \
+        naive_phi_inf_directed(family, WOBBLE, 12)
 
 
 # -- subset counts ----------------------------------------------------------

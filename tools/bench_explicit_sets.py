@@ -7,12 +7,14 @@ Compares two checkouts of the repository, each holding ``src/interlab`` and
     python3 tools/bench_explicit_sets.py --parent OLD --change NEW \\
         --seed 5171 --seconds 20 --pairs 10 --out BENCH_explicit_sets.json
 
-L3, in one fresh process per checkout and backing: best of ``--repeat``
+L3, in one process per checkout and backing, the two checkouts timed in
+alternation per repetition (``bench_pairs.alternating``): ``--repeat``
 timings of ``is_decomposable`` on the ``explicit-243`` set of the full
 ``selections`` plan (``perfbench/workloads.py``) and on a shuffled explicit
 4^7 full product, each time on a freshly built ``SelectionSet``, so the
-projections are computed inside the timing; both checkouts must give the
-same verdict and witness.
+projections are computed inside the timing; per case each side's best and
+median time and the repetitions the change won.  Both checkouts must give
+the same verdict and witness.
 
 L4: alternating pairs of ``perfbench/run.py --workload W --seed S --seconds T``
 run from each checkout's root, the parent first in even pairs and the change
@@ -31,52 +33,40 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 
-from bench_pairs import WORKLOADS, claim, l4, probe_env, traced_cycle
+from bench_pairs import WORKLOADS, alternating, claim, l4, traced_cycle
 
 BACKINGS = ("rational", "float")
 
 # Run in each checkout with src/ and perfbench/ on the path.
 L3_PROBE = r"""
-import json, random, sys, time
+import random, sys
 from itertools import product
 import workloads
 from interlab.decomposable import is_decomposable
 from interlab.scenario import read_selection_set
 
-seed, repeat, backing = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-cases = {}
+seed, backing = int(sys.argv[1]), sys.argv[2]
+sets = {}
 for item in workloads.plan_selections(seed, False):
-    if item["label"] == "explicit-243" and "explicit-243" not in cases:
+    if item["label"] == "explicit-243" and "explicit-243" not in sets:
         sc = item["scenario"]
-        cases["explicit-243"] = (sc["selection_set"], len(sc["integrand"]["table"]),
-                                 len(sc["integrand"]["controls"]))
+        sets["explicit-243"] = (sc["selection_set"], len(sc["integrand"]["table"]),
+                                len(sc["integrand"]["controls"]))
 sels = [list(s) for s in product(range(4), repeat=7)]
 random.Random(seed).shuffle(sels)
-cases["shuffled-explicit-4^7"] = ({"kind": "explicit", "selections": sels}, 7, 4)
+sets["shuffled-explicit-4^7"] = ({"kind": "explicit", "selections": sels}, 7, 4)
 
-out = {}
-for label, (obj, n_atoms, n_controls) in cases.items():
-    times, report = [], None
-    for _ in range(repeat):
-        u_set = read_selection_set(obj, n_atoms, n_controls)
-        t0 = time.perf_counter()
-        report = is_decomposable(u_set)
-        times.append(time.perf_counter() - t0)
-    out[label] = {"selections": u_set.count(), "backing": backing,
-                  "decomposable": report.decomposable, "witness_patch": report.witness_patch,
-                  "is_decomposable_ms": round(min(times) * 1e3, 4)}
-print(json.dumps(out))
+info, cases, prepare = {}, {}, {}
+for label, args in sets.items():
+    u_set = read_selection_set(*args)
+    report = is_decomposable(u_set)
+    info[label] = {"selections": u_set.count(), "backing": backing,
+                   "decomposable": report.decomposable, "witness_patch": report.witness_patch}
+    cases[label] = is_decomposable
+    prepare[label] = lambda args=args: read_selection_set(*args)
 """
-
-
-def l3(checkout: str, seed: int, repeat: int, backing: str) -> dict:
-    proc = subprocess.run([sys.executable, "-c", L3_PROBE, str(seed), str(repeat), backing],
-                          cwd=checkout, env=dict(probe_env(checkout), INTERLAB_BACKING=backing),
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
 
 
 def main() -> None:
@@ -91,19 +81,17 @@ def main() -> None:
     parser.add_argument("--out", default="BENCH_explicit_sets.json")
     args = parser.parse_args()
 
-    l3_runs = {side: {backing: l3(checkout, args.seed, args.repeat, backing)
-                      for backing in BACKINGS}
-               for side, checkout in (("parent", args.parent), ("change", args.change))}
-    for backing in BACKINGS:
-        for label, row in l3_runs["parent"][backing].items():
-            other = l3_runs["change"][backing][label]
-            assert (row["decomposable"], row["witness_patch"]) == \
-                (other["decomposable"], other["witness_patch"]), (backing, label)
+    l3_runs = {backing: alternating(args.parent, args.change, L3_PROBE, [args.seed, backing],
+                                    args.repeat, env={"INTERLAB_BACKING": backing})
+               for backing in BACKINGS}
+    for backing, run in l3_runs.items():
+        assert run["info"]["parent"] == run["info"]["change"], backing
     result = {
         "command": " ".join(["python3", "tools/bench_explicit_sets.py"] + sys.argv[1:]),
         "host": f"{os.cpu_count()}-core {platform.machine()}, "
                 f"CPython {platform.python_version()}, PYTHONDONTWRITEBYTECODE=1",
-        "l3_in_process": l3_runs,
+        "l3_alternating": {backing: {"sets": run["info"]["change"], "cases": run["cases"]}
+                           for backing, run in l3_runs.items()},
         "l4": {workload: l4(args.parent, args.change, workload, args.seed, args.seconds,
                             args.pairs)
                for workload in WORKLOADS},

@@ -1,10 +1,11 @@
-"""Alternating parent/change runs of ``perfbench/run.py``, shared by the
-``tools/bench_*.py`` scripts.
+"""Alternating parent/change runs of ``perfbench/run.py`` and of in-process
+probes, shared by the ``tools/bench_*.py`` scripts.
 
 Each run is ``perfbench/run.py --workload W --seed S --seconds T`` from one
 checkout's root, with ``PYTHONDONTWRITEBYTECODE=1`` as the benchmark sets
 it.  Pair i runs the parent first when i is even and the change first when
-it is odd.  A gain is claimed by the rule of ``claim``.
+it is odd, and so does repetition i of a probe (``alternating``).  A gain is
+claimed by the rule of ``claim``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import statistics
 import subprocess
 import sys
+from operator import lt
 
 METRICS = ("verdicts_per_s", "verdict_ms_p50", "verdict_ms_tail", "setup_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"verdicts_per_s"}
@@ -27,6 +29,67 @@ def probe_env(checkout: str) -> dict:
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(checkout, "src"),
                                          os.path.join(checkout, "perfbench")])
     return env
+
+
+# Appended to a probe's source: ``info`` is printed once, then each line
+# read from stdin times every function of ``cases`` once, on the value of
+# its ``prepare`` function, made untimed, if it has one.
+_SERVE = r"""
+import json as _json, sys as _sys, time as _time
+print(_json.dumps(info), flush=True)
+for _ in _sys.stdin:
+    _row = {}
+    for _label, _fn in cases.items():
+        _args = (prepare[_label](),) if _label in globals().get("prepare", {}) else ()
+        _t0 = _time.perf_counter()
+        _fn(*_args)
+        _row[_label] = _time.perf_counter() - _t0
+    print(_json.dumps(_row), flush=True)
+"""
+
+
+def alternating(parent: str, change: str, probe: str, argv: list, repeat: int,
+                env: dict = None) -> dict:
+    """``repeat`` timings of each case of ``probe`` in each checkout, the two
+    sides in alternation.
+
+    ``probe`` is the source of a script, run once per checkout with
+    ``argv``, ``probe_env`` and ``env``, that sets ``info``, a JSON value
+    about its cases, ``cases``, a dict of label to function, and optionally
+    ``prepare``, a dict of label to a function whose value, made before the
+    timing, that case's function is called with.  Repetition
+    i times every case once in the parent and then in the change when i is
+    even, the other way round when it is odd, so that a change in the
+    machine's load reaches both sides.  Returns each side's ``info`` and, per
+    case, each side's best and median time in ms and the repetitions the
+    change won.
+    """
+    procs = {side: subprocess.Popen(
+        [sys.executable, "-c", probe + _SERVE, *map(str, argv)], cwd=checkout,
+        env=dict(probe_env(checkout), **(env or {})), stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True)
+        for side, checkout in (("parent", parent), ("change", change))}
+    try:
+        info = {side: json.loads(proc.stdout.readline()) for side, proc in procs.items()}
+        runs = {side: [] for side in procs}
+        for i in range(repeat):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                procs[side].stdin.write("\n")
+                procs[side].stdin.flush()
+                runs[side].append(json.loads(procs[side].stdout.readline()))
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    cases = {}
+    for label in runs["parent"][0]:
+        p = [r[label] for r in runs["parent"]]
+        c = [r[label] for r in runs["change"]]
+        cases[label] = {"parent_ms": round(min(p) * 1e3, 4), "change_ms": round(min(c) * 1e3, 4),
+                        "parent_median_ms": round(statistics.median(p) * 1e3, 4),
+                        "change_median_ms": round(statistics.median(c) * 1e3, 4),
+                        "change_wins": f"{sum(map(lt, c, p))} of {repeat}"}
+    return {"info": info, "cases": cases}
 
 
 def l4_run(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:

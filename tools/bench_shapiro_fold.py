@@ -6,11 +6,14 @@ Compares two checkouts of the repository, each holding ``src/interlab`` and
     python3 tools/bench_shapiro_fold.py --parent OLD --change NEW \\
         --seed 2718 --seconds 20 --pairs 10 --other-pairs 3 --out BENCH_shapiro_fold.json
 
-L3, in one fresh process per checkout: the Shapiro scenarios of the full
+L3, in one process per checkout, the two checkouts timed in alternation per
+repetition (``bench_pairs.alternating``): the Shapiro scenarios of the full
 ``selections`` plan (``perfbench/workloads.py``, float backing, as the
-workload runs them), best of ``--repeat`` timings of the conclusion alone
-(the minimum over the selection set as the checkout computes it) and of a
-whole ``verify_shapiro``; both checkouts must report the same conclusion.
+workload runs them), ``--repeat`` timings of the conclusion alone (the
+minimum over the selection set as the checkout computes it) and of a whole
+``verify_shapiro``; per case each side's best and median time and the
+repetitions the change won.  Both checkouts must report the same
+conclusion.
 
 L4: alternating pairs of ``perfbench/run.py --workload W --seed S --seconds T``
 run from each checkout's root, the parent first in even pairs and the change
@@ -27,14 +30,13 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 
-from bench_pairs import WORKLOADS, claim, l4, probe_env, traced_cycle
+from bench_pairs import WORKLOADS, alternating, claim, l4, traced_cycle
 
 # Run in each checkout with src/ and perfbench/ on the path.
 L3_PROBE = r"""
-import json, sys, time
+import sys
 import workloads
 from interlab import decomposable
 from interlab.integrals import PART_SUMS
@@ -48,37 +50,19 @@ def conclusion(sc):
     g_of = sc.integrand.g_of
     return min(sc.functional(g_of(s)) for s in u_set.iter_selections())
 
-def best_ms(fn, repeat):
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return round(min(times) * 1e3, 4)
-
-seed, repeat = int(sys.argv[1]), int(sys.argv[2])
-out = {}
-for item in workloads.plan_selections(seed, False):
+info, cases = {}, {}
+for item in workloads.plan_selections(int(sys.argv[1]), False):
     if item["command"] != "shapiro-check":
         continue
     sc, _ = read_shapiro(item["scenario"], {"backing": "float"})
     report = decomposable.verify_shapiro(sc)
     assert repr(conclusion(sc)) == repr(report.conclusion_lhs)
-    out[item["label"]] = {
-        "selections": sc.selection_set.count(),
-        "conclusion_lhs": repr(report.conclusion_lhs),
-        "conclusion_ms": best_ms(lambda: conclusion(sc), repeat),
-        "verify_shapiro_ms": best_ms(lambda: decomposable.verify_shapiro(sc), repeat),
-    }
-print(json.dumps(out))
+    label = item["label"]
+    info[label] = {"selections": sc.selection_set.count(),
+                   "conclusion_lhs": repr(report.conclusion_lhs)}
+    cases[label + "/conclusion"] = lambda sc=sc: conclusion(sc)
+    cases[label + "/verify_shapiro"] = lambda sc=sc: decomposable.verify_shapiro(sc)
 """
-
-
-def l3(checkout: str, seed: int, repeat: int) -> dict:
-    proc = subprocess.run([sys.executable, "-c", L3_PROBE, str(seed), str(repeat)],
-                          cwd=checkout, env=probe_env(checkout), capture_output=True,
-                          text=True, check=True)
-    return json.loads(proc.stdout)
 
 
 def main() -> None:
@@ -93,12 +77,13 @@ def main() -> None:
     parser.add_argument("--out", default="BENCH_shapiro_fold.json")
     args = parser.parse_args()
 
+    l3 = alternating(args.parent, args.change, L3_PROBE, [args.seed], args.repeat)
+    assert l3["info"]["parent"] == l3["info"]["change"], "the conclusions differ"
     result = {
         "command": " ".join(["python3", "tools/bench_shapiro_fold.py"] + sys.argv[1:]),
         "host": f"{os.cpu_count()}-core {platform.machine()}, "
                 f"CPython {platform.python_version()}, PYTHONDONTWRITEBYTECODE=1",
-        "l3_in_process": {"parent": l3(args.parent, args.seed, args.repeat),
-                          "change": l3(args.change, args.seed, args.repeat)},
+        "l3_alternating": {"scenarios": l3["info"]["change"], "cases": l3["cases"]},
         "l4": {"selections": l4(args.parent, args.change, "selections", args.seed,
                                 args.seconds, args.pairs)},
         # One traced cycle per side: where the time of a selections cycle goes.
