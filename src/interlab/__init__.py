@@ -26,19 +26,15 @@ from .fnlattice import (
     ess_sup_value,
     fn_add,
     fn_neg,
-    fn_scale,
-    fn_shift,
     lp_norm,
     mu_leq,
     pointwise_inf,
-    pos_neg_parts,
 )
 from .integrals import (
     Capacity,
     choquet,
     inner_integral,
     lebesgue_extended,
-    lebesgue_nonneg,
     outer_integral,
 )
 from .functionals import (
@@ -50,7 +46,6 @@ from .interchange import (
     Family,
     InterchangeReport,
     SequenceSpec,
-    check_seq_inf_continuity,
     giner_gap_directed,
     is_phi_inf_directed,
     verify_interchange,

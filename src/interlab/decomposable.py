@@ -658,10 +658,6 @@ class ShapiroReport(Report):
     conclusion_mode: str  # "exact" or "sampled"
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def hypotheses_ok(self) -> bool:
-        return all(h.ok for h in self.hypotheses)
-
 
 def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) -> ShapiroReport:
     """Itemize the hypotheses and test the conclusion inf Phi(G(u)) = Phi(G-flat).

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import InputError
 from .extreal import (
@@ -37,10 +37,8 @@ from .extreal import (
     add,
     as_scalar,
     coerce_all,
-    ext,
     lower_add,
     pointwise_min,
-    scalar_mul,
     to_jsonable,
     to_text,
     upper_add,
@@ -54,18 +52,6 @@ class IntegrabilityTag(Enum):
     L1_PLUS = "L1_PLUS"
     L1_MINUS = "L1_MINUS"
     L0_ONLY = "L0_ONLY"
-
-    @property
-    def semi_integrable(self) -> bool:
-        return self is not IntegrabilityTag.L0_ONLY
-
-    @property
-    def in_l1_plus(self) -> bool:
-        return self in (IntegrabilityTag.L1_PLUS, IntegrabilityTag.L1_FULL)
-
-    @property
-    def in_l1_minus(self) -> bool:
-        return self in (IntegrabilityTag.L1_MINUS, IntegrabilityTag.L1_FULL)
 
 
 class FnClass:
@@ -99,10 +85,6 @@ class FnClass:
         f.values = values
         return f
 
-    @classmethod
-    def constant(cls, space: MeasureSpace, value) -> "FnClass":
-        return cls(space, [value] * len(space.atoms))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FnClass):
             return NotImplemented
@@ -119,9 +101,6 @@ class FnClass:
 
     def __repr__(self) -> str:
         return f"FnClass([{', '.join(map(to_text, self.values))}])"
-
-    def map(self, op: Callable[[Scalar], Scalar]) -> "FnClass":
-        return FnClass(self.space, [op(v) for v in self.values])
 
     def to_jsonable(self) -> list:
         return [to_jsonable(v) for v in self.values]
@@ -149,18 +128,8 @@ def pointwise_inf(family: Iterable[FnClass]) -> FnClass:
     return FnClass.from_ext(space, pointwise_min([m.values for m in members]))
 
 
-def pos_neg_parts(f: FnClass) -> Tuple[FnClass, FnClass]:
-    """(f_plus, f_minus), both nonnegative, with f = f_plus + (-f_minus)."""
-    return f.map(lambda v: max(0, v)), f.map(lambda v: max(0, -v))
-
-
 def fn_neg(f: FnClass) -> FnClass:
     return FnClass.from_ext(f.space, tuple(-v for v in f.values))
-
-
-def fn_scale(lam: Scalar, f: FnClass) -> FnClass:
-    lam = as_scalar(lam, f.space.backing)
-    return f.map(lambda v: scalar_mul(lam, v))
 
 
 def fn_add(f: FnClass, g: FnClass, mode: str = "plain") -> FnClass:
@@ -170,12 +139,6 @@ def fn_add(f: FnClass, g: FnClass, mode: str = "plain") -> FnClass:
     if op is None:
         raise InputError(f"unknown addition mode {mode!r}")
     return FnClass(f.space, [op(a, b) for a, b in zip(f.values, g.values)])
-
-
-def fn_shift(f: FnClass, c) -> FnClass:
-    """Add the constant c atomwise (plain addition; c must be finite)."""
-    c = ext(c, f.space.backing)
-    return f.map(lambda v: add(v, c))
 
 
 def classify(f: FnClass) -> IntegrabilityTag:

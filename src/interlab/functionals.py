@@ -1,15 +1,16 @@
 """Order-preserving functionals from the function lattice to the extended reals.
 
-A Functional bundles an evaluation map with its validity domain and a
-declared order-preservation flag.  The flag is a declaration, not a proof:
-the interchange verifier checks it on each family it is given, where the
-theorem uses it, and raises InvariantError when a counterexample
-contradicts it.
+A Functional bundles an evaluation map with a declared order-preservation
+flag.  The flag is a declaration, not a proof: the interchange verifier
+checks it on each family it is given, where the theorem uses it, and raises
+InvariantError when a counterexample contradicts it.
 
-Built-ins: extended Lebesgue integral (semi-integrable functions), outer and
-inner integrals (all functions), Choquet integral for a given capacity
-(one-signed functions), essential supremum, and post-composition with a
-nondecreasing scalar map.
+Built-ins: extended Lebesgue integral, outer and inner integrals, Choquet
+integral for a given capacity, essential supremum, and post-composition with
+a nondecreasing scalar map.  No domain is declared: each integral raises
+DomainError on a function it is not defined on (the extended Lebesgue
+integral on one whose parts both diverge, Choquet on one of mixed sign), and
+post-composition raises what its base raises.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, List, Optional
 
 from .errors import InputError
 from .extreal import Scalar, ext, to_text
-from .fnlattice import FnClass, IntegrabilityTag, classify, ess_sup_value
+from .fnlattice import FnClass, ess_sup_value
 from .integrals import (
     Capacity,
     choquet,
@@ -27,12 +28,6 @@ from .integrals import (
     lebesgue_extended,
     outer_integral,
 )
-
-DOMAIN_SEMI_INTEGRABLE = "semi_integrable"
-DOMAIN_NONNEGATIVE = "nonnegative"
-DOMAIN_ALL = "all"
-# A domain may also name one integrability cone: "L1_FULL", "L1_PLUS",
-# "L1_MINUS" (cone membership, so L1_FULL functions belong to both).
 
 
 @dataclass(frozen=True)
@@ -54,27 +49,11 @@ class Functional:
     """
 
     name: str
-    domain: str
     eval_fn: Callable[[FnClass], Scalar]
     order_preserving: bool = True
 
     def __call__(self, f: FnClass) -> Scalar:
         return self.eval_fn(f)
-
-    def defined_on(self, f: FnClass) -> bool:
-        if self.domain == DOMAIN_ALL:
-            return True
-        if self.domain == DOMAIN_SEMI_INTEGRABLE:
-            return classify(f).semi_integrable
-        if self.domain == DOMAIN_NONNEGATIVE:
-            return all(f.values[i] >= 0 for i in f.space.non_null_indices())
-        if self.domain == "L1_FULL":
-            return classify(f) is IntegrabilityTag.L1_FULL
-        if self.domain == "L1_PLUS":
-            return classify(f).in_l1_plus
-        if self.domain == "L1_MINUS":
-            return classify(f).in_l1_minus
-        return True
 
     def __repr__(self) -> str:
         return f"Functional({self.name!r})"
@@ -107,25 +86,24 @@ def make_builtin(
     and a nondecreasing map on the extended reals (checked on a probe grid).
     """
     if kind == "extended_lebesgue":
-        return Functional("extended_lebesgue", DOMAIN_SEMI_INTEGRABLE, lebesgue_extended)
+        return Functional("extended_lebesgue", lebesgue_extended)
     if kind == "outer":
-        return Functional("outer", DOMAIN_ALL, outer_integral)
+        return Functional("outer", outer_integral)
     if kind == "inner":
-        return Functional("inner", DOMAIN_ALL, inner_integral)
+        return Functional("inner", inner_integral)
     if kind == "ess_sup":
-        return Functional("ess_sup", DOMAIN_ALL, ess_sup_value)
+        return Functional("ess_sup", ess_sup_value)
     if kind == "choquet":
         if capacity is None:
             raise InputError("choquet functional needs a capacity")
         cap = capacity
-        return Functional(name or "choquet", DOMAIN_NONNEGATIVE, lambda f: choquet(f, cap))
+        return Functional(name or "choquet", lambda f: choquet(f, cap))
     if kind == "post_compose":
         if base is None or mapping is None:
             raise InputError("post_compose needs a base functional and a mapping")
         _validate_nondecreasing(mapping)
         return Functional(
-            name or f"post({base.name})", base.domain,
-            lambda f: mapping(base.eval_fn(f)),
+            name or f"post({base.name})", lambda f: mapping(base.eval_fn(f)),
             order_preserving=base.order_preserving,
         )
     raise InputError(f"unknown builtin functional kind {kind!r}")

@@ -2,11 +2,9 @@
 
 Four integrals are provided:
 
-* ``lebesgue_nonneg``    - weighted sum for nonnegative functions; equals the
-  supremum over dominated simple functions (atom weights are finite, so a
-  +inf value on a zero-weight atom contributes 0 * inf = 0);
 * ``lebesgue_extended``  - integral of positive part plus minus the integral
-  of the negative part, for semi-integrable functions;
+  of the negative part, for semi-integrable functions (atom weights are
+  finite, so a +inf value on a zero-weight atom contributes 0 * inf = 0);
 * ``outer_integral`` / ``inner_integral`` - total on all functions; the
   closed forms combine the part integrals with the upper resp. lower
   extended addition, so they disagree exactly when both parts diverge
@@ -14,6 +12,10 @@ Four integrals are provided:
   applies to parts kept up to date atom by atom);
 * ``choquet``            - layer-cake integral with respect to a capacity,
   computed exactly by sorting the distinct finite values.
+
+On a mu-a.e. nonnegative function all three Lebesgue forms equal the
+weighted sum of the values on the atoms of positive weight, the supremum
+over dominated simple functions.
 """
 
 from __future__ import annotations
@@ -47,18 +49,6 @@ from .measure import AtomSet, MeasureSpace, iter_atom_subsets
 def part_integrals(f: FnClass) -> tuple:
     """(integral of f+, integral of f-) in one pass over the atoms."""
     return weighted_parts(f.space.weights, f.values)
-
-
-def lebesgue_nonneg(f: FnClass) -> Scalar:
-    """Integral of a mu-a.e. nonnegative function; value in [0, +inf]."""
-    for i in f.space.non_null_indices():
-        if f.values[i] < 0:
-            raise DomainError(
-                f"lebesgue_nonneg: negative value {f.values[i]} on non-null atom "
-                f"{f.space.atoms[i]!r}"
-            )
-    # Null atoms add 0 whatever their value, so this is the positive part.
-    return part_integrals(f)[0]
 
 
 def _semi_integrable_sum(ip: Scalar, im: Scalar) -> Scalar:
@@ -321,13 +311,6 @@ class Capacity:
         """``of`` for reads along a chain of shrinking sets (Choquet's level
         sets).  A table was validated whole, so it needs no further check."""
         return self.of
-
-    @classmethod
-    def from_measure(cls, space: MeasureSpace) -> "Capacity":
-        """The additive capacity A -> mu(A); makes Choquet match Lebesgue."""
-        from .measure import measure
-
-        return cls(space, {s: measure(space, s) for s in iter_atom_subsets(space)})
 
     @classmethod
     def distortion(cls, space: MeasureSpace, gamma: Scalar) -> "Capacity":

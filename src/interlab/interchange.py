@@ -46,7 +46,6 @@ from .extreal import (
     _eq_within,
     _leq_within,
     as_scalar,
-    lower_add,
     to_text,
 )
 from .fnlattice import FnClass, IntegrabilityTag, classify, mu_leq, pointwise_inf
@@ -441,6 +440,7 @@ def is_phi_inf_directed(
     """
     tol = _tolerance(tolerance, family.space.backing)
     _check_subset_budget(subset_budget)
+    _check_phi_values(phi_values, family)
     members = family.members
     n = len(members)
     if phi_values is None:
@@ -461,6 +461,13 @@ def is_phi_inf_directed(
         mode="exhaustive" if exhaustive else "sampled",
         shortcut_agrees=shortcut == directed,
     )
+
+
+def _check_phi_values(phi_values: Optional[Sequence[Scalar]], family: Family) -> None:
+    """InputError unless the given ``phi_values`` hold one value per member."""
+    if phi_values is not None and len(phi_values) != len(family.members):
+        raise InputError(
+            f"phi_values has {len(phi_values)} values for {len(family.members)} members")
 
 
 def _counterexample(
@@ -504,10 +511,12 @@ def verify_interchange(
     attaining min Phi(X) when Phi(inf X) exceeds it (checked before the
     scan), else the scan's witness.  See ``_counterexample``.
     ``phi_values`` and ``phi_inf``, when given, are Phi on the members and
-    on their infimum, already computed by the caller.  Either way the scan
+    on their infimum, already computed by the caller; ``phi_values`` of
+    another length than the family is an InputError.  Either way the scan
     reuses them, so Phi runs once per member and once on the infimum.
     """
     tol = _tolerance(tolerance, family.space.backing)
+    _check_phi_values(phi_values, family)
     notes = [
         "existence hypotheses hold automatically: finite family on an atomic space"
     ]
@@ -783,70 +792,6 @@ def verify_interchange_sequence(
         notes=notes,
         mode="sequence",
         prefix=prefix_data,
-    )
-
-
-@dataclass
-class SeqContinuityReport(Report):
-    functional: str
-    prefix_values: List[Scalar]
-    rhs: Scalar
-    verdict: str  # "holds" or "fails"
-    exact: bool
-    diverging: bool
-    gaps: List[Optional[Scalar]]
-    notes: List[str] = field(default_factory=list)
-
-
-def check_seq_inf_continuity(
-    phi: Functional,
-    spec: SequenceSpec,
-    tolerance: Optional[Scalar] = None,
-) -> SeqContinuityReport:
-    """Check min over n of Phi(x_n) <= Phi(limit) along a nonincreasing prefix.
-
-    The limit is the declared one when given, otherwise the prefix infimum
-    (its last term, since the sequence is nonincreasing).  A monotone run of
-    Phi-values crossing the divergence threshold counts as -inf, which
-    satisfies the inequality against any right-hand side.
-    """
-    members = spec.prefix()
-    backing = members[0].space.backing
-    tol = _tolerance(tolerance, backing)
-    for a, b in zip(members, members[1:]):
-        if not mu_leq(b, a):
-            raise InputError("sequence prefix is not nonincreasing (mu-a.e.)")
-    values = [phi(x) for x in members]
-    limit = spec.declared_limit if spec.declared_limit is not None else members[-1]
-    if spec.declared_limit is not None and not mu_leq(limit, members[-1]):
-        raise InputError("declared limit is not below the prefix (mu-a.e.)")
-    rhs = phi(limit)
-    notes: List[str] = []
-
-    gaps: List[Optional[Scalar]] = []
-    for v in values:
-        if NEG_INF < v < POS_INF and NEG_INF < rhs < POS_INF:
-            gaps.append(lower_add(v, -rhs))
-        elif v == rhs:
-            gaps.append(as_scalar(0, backing))
-        else:
-            gaps.append(None)
-
-    kind, lhs_limit = _classify_prefix_limit(values, spec.divergence_threshold, backing)
-    if kind == "diverging" and lhs_limit == NEG_INF:
-        notes.append("prefix Phi-values diverge to -inf")
-        return SeqContinuityReport(
-            phi.name, values, rhs, "holds", exact=False, diverging=True,
-            gaps=gaps, notes=notes,
-        )
-    last = values[-1]
-    exact = last <= rhs
-    verdict = "holds" if _leq_within(last, rhs, tol) else "fails"
-    if verdict == "holds" and not exact:
-        notes.append("inequality holds within tolerance at the prefix end")
-    return SeqContinuityReport(
-        phi.name, values, rhs, verdict, exact=exact, diverging=False,
-        gaps=gaps, notes=notes,
     )
 
 

@@ -99,26 +99,6 @@ def random_family(
     return Family([draw(rng, space) for _ in range(n)])
 
 
-def random_integrand(rng: random.Random, space: MeasureSpace, max_controls: int = 4):
-    """A random finite table; control 0 is kept finite so that the
-    integrable-positive-part precondition always has a witness selection."""
-    from .decomposable import Integrand
-
-    n_controls = rng.randint(1, max_controls)
-    grid = FINITE_VALUE_GRID
-    table = []
-    for _ in space.atoms:
-        row = [rng.choice(grid)]
-        for _ in range(n_controls - 1):
-            if rng.random() < 0.08:
-                row.append(POS_INF)
-            else:
-                row.append(rng.choice(grid))
-        table.append(row)
-    controls = [[k] for k in range(n_controls)]
-    return Integrand(space, controls, table)
-
-
 @dataclass
 class OracleInstance:
     space: MeasureSpace

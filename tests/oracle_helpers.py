@@ -21,18 +21,24 @@ add and multiply finite values with Python's operators, so they follow the
 operands' backing, and ``from_model`` coerces a finite result the way the
 library must: under float backing a finite result beyond the float range
 raises InputError.
+
+The builders at the end (constants, shifts, scalings, the additive
+capacity, cone membership and a random integrand table) make test inputs
+the library has no command for.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
+from interlab.decomposable import Integrand
 from interlab.errors import DomainError, InvariantError
 from interlab.extreal import POS_INF, add, as_scalar, ext, lower_add, scalar_mul, upper_add
-from interlab.fnlattice import FnClass, classify, fn_add, fn_neg, pointwise_inf
-from interlab.integrals import lebesgue_extended, outer_integral
+from interlab.fnlattice import FnClass, IntegrabilityTag, classify, fn_add, fn_neg, pointwise_inf
+from interlab.integrals import Capacity, lebesgue_extended, outer_integral
 from interlab.interchange import _eq_within, default_tolerance
-from interlab.measure import iter_atom_subsets
+from interlab.measure import iter_atom_subsets, measure
+from interlab.oracle import FINITE_VALUE_GRID
 
 
 def weighted_sum(space, values):
@@ -222,7 +228,7 @@ def naive_rw(integrand, u_set, tolerance):
     lhs, minimizers, has_l1_plus = None, [], False
     for sel in u_set.iter_selections():
         g = integrand.g_of(sel)
-        if classify(g).in_l1_plus:
+        if in_l1_plus(g):
             has_l1_plus = True
         v = outer_integral(g)
         if lhs is None or v < lhs:
@@ -334,3 +340,60 @@ def naive_distortion_table(space, gamma):
                       for ws in combinations(weights, k))
     return {s: ext((sum(ws) / total) ** g * total, space.backing)
             for s, ws in zip(iter_atom_subsets(space), subset_weights)}
+
+
+# Builders ---------------------------------------------------------------------
+
+def constant(space, value):
+    """The function equal to ``value`` on every atom."""
+    return FnClass(space, [value] * len(space.atoms))
+
+
+def shift(f, c):
+    """f + c atomwise, by plain extended addition (c finite)."""
+    c = ext(c, f.space.backing)
+    return FnClass(f.space, [add(v, c) for v in f.values])
+
+
+def scale(lam, f):
+    """lam * f atomwise, with 0 * inf = 0."""
+    lam = as_scalar(lam, f.space.backing)
+    return FnClass(f.space, [scalar_mul(lam, v) for v in f.values])
+
+
+def additive_capacity(space):
+    """The table capacity A -> mu(A), under which Choquet is the Lebesgue integral."""
+    return Capacity(space, {s: measure(space, s) for s in iter_atom_subsets(space)})
+
+
+def in_l1_plus(f):
+    """The positive part of f has a finite integral."""
+    return classify(f) in (IntegrabilityTag.L1_PLUS, IntegrabilityTag.L1_FULL)
+
+
+def in_l1_minus(f):
+    """The negative part of f has a finite integral."""
+    return classify(f) in (IntegrabilityTag.L1_MINUS, IntegrabilityTag.L1_FULL)
+
+
+def semi_integrable(f):
+    """One part of f at least has a finite integral."""
+    return classify(f) is not IntegrabilityTag.L0_ONLY
+
+
+def random_integrand(rng, space, max_controls=4):
+    """A random finite table; control 0 is kept finite so that the
+    integrable-positive-part precondition always has a witness selection."""
+    n_controls = rng.randint(1, max_controls)
+    grid = FINITE_VALUE_GRID
+    table = []
+    for _ in space.atoms:
+        row = [rng.choice(grid)]
+        for _ in range(n_controls - 1):
+            if rng.random() < 0.08:
+                row.append(POS_INF)
+            else:
+                row.append(rng.choice(grid))
+        table.append(row)
+    controls = [[k] for k in range(n_controls)]
+    return Integrand(space, controls, table)

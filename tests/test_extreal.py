@@ -17,7 +17,8 @@ from interlab.extreal import (
     to_jsonable,
     upper_add,
 )
-from interlab.fnlattice import FnClass, pos_neg_parts
+from interlab.fnlattice import FnClass
+from interlab.integrals import part_integrals
 from interlab.measure import MeasureSpace
 
 from oracle_helpers import (
@@ -56,9 +57,8 @@ def test_scalar_mul_examples():
 
 
 def _parts(x):
-    """(max(0, x), max(0, -x)) through the library's pos_neg_parts."""
-    fp, fm = pos_neg_parts(FnClass(MeasureSpace(["a"], [1]), [x]))
-    return fp.values[0], fm.values[0]
+    """(max(0, x), max(0, -x)) as the part integrals on one atom of weight 1."""
+    return part_integrals(FnClass(MeasureSpace(["a"], [1]), [x]))
 
 
 def test_parts_and_neg_examples():

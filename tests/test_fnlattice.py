@@ -16,9 +16,10 @@ from interlab.fnlattice import (
     lp_norm,
     mu_leq,
     pointwise_inf,
-    pos_neg_parts,
 )
+from interlab.integrals import part_integrals
 from interlab.measure import MeasureSpace
+from oracle_helpers import constant, in_l1_plus
 
 GRID = ["-inf", -2, 0, 1, "+inf"]
 
@@ -108,13 +109,12 @@ def test_pointwise_inf_is_greatest_lower_bound_exhaustively():
 
 # parts, classification ----------------------------------------------------
 
-def test_pos_neg_parts_examples(space2):
-    fp, fm = pos_neg_parts(fn(space2, -2, 3))
-    assert fp == fn(space2, 0, 3) and fm == fn(space2, 2, 0)
-    fp, fm = pos_neg_parts(fn(space2, "-inf", 0))
-    assert fp == fn(space2, 0, 0) and fm == fn(space2, "+inf", 0)
-    zero = FnClass.constant(space2, 0)
-    assert pos_neg_parts(zero) == (zero, zero)
+def test_part_integrals_examples():
+    # Weights 1 and 10 tell the atoms apart: (-2, 3) has parts (0, 3) and (2, 0).
+    space = MeasureSpace(["a", "b"], [1, 10])
+    assert part_integrals(fn(space, -2, 3)) == (30, 2)
+    assert part_integrals(fn(space, "-inf", 0)) == (0, POS_INF)
+    assert part_integrals(constant(space, 0)) == (0, 0)
 
 
 def test_classify_examples(space2):
@@ -152,8 +152,8 @@ def test_semi_integrable_members_give_semi_integrable_infima():
     plus_grid = ["-inf", -2, 0, 1, 3]
     for _ in range(150):
         members = [random_fn(rng, space, plus_grid) for _ in range(rng.randint(1, 4))]
-        assert all(classify(m).in_l1_plus for m in members)
-        assert classify(pointwise_inf(members)).in_l1_plus
+        assert all(in_l1_plus(m) for m in members)
+        assert in_l1_plus(pointwise_inf(members))
 
 
 # norms, essential supremum ------------------------------------------------
@@ -161,7 +161,7 @@ def test_semi_integrable_members_give_semi_integrable_infima():
 def test_lp_norm_examples():
     space = MeasureSpace(["a", "b"], [Fraction(1, 2), Fraction(1, 2)])
     assert lp_norm(fn(space, 1, -1), 2) == ext(1)
-    assert lp_norm(FnClass.constant(space, 0), 3) == 0
+    assert lp_norm(constant(space, 0), 3) == 0
     assert lp_norm(fn(space, 3, 4), 1) == ext(Fraction(7, 2))
 
 
@@ -174,7 +174,7 @@ def test_lp_norm_infinite_value_flags_plus_inf():
 
 def test_lp_norm_requires_p_at_least_one(space2):
     with pytest.raises(InputError):
-        lp_norm(FnClass.constant(space2, 1), Fraction(1, 2))
+        lp_norm(constant(space2, 1), Fraction(1, 2))
 
 
 def test_ess_sup_ignores_null_atoms():

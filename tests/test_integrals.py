@@ -8,12 +8,9 @@ from interlab.errors import DomainError, InputError
 from interlab.extreal import NEG_INF, POS_INF, coerce_all, ext
 from interlab.fnlattice import (
     FnClass,
-    classify,
     ess_sup_value,
     fn_add,
     fn_neg,
-    fn_scale,
-    fn_shift,
     mu_leq,
 )
 from interlab.functionals import make_builtin
@@ -22,15 +19,21 @@ from interlab.integrals import (
     choquet,
     inner_integral,
     lebesgue_extended,
-    lebesgue_nonneg,
     outer_integral,
 )
 from interlab.measure import MeasureSpace, iter_atom_subsets
 from interlab.oracle import random_capacity, random_semi_integrable, random_space
 from oracle_helpers import (
+    additive_capacity,
     choquet_riemann,
+    constant,
     dominating_psi_infimum,
+    in_l1_minus,
+    in_l1_plus,
     naive_distortion_table,
+    scale,
+    semi_integrable,
+    shift,
     simple_function_sup,
 )
 
@@ -44,23 +47,25 @@ def unit2():
     return MeasureSpace(["a", "b"], [1, 1])
 
 
-# Lebesgue integral for nonnegative functions ------------------------------
+# Nonnegative functions: the simple-function supremum -----------------------
+# On a mu-a.e. nonnegative function the extended Lebesgue and the outer
+# integral are the supremum of the integrals of dominated simple functions.
 
-def test_lebesgue_nonneg_examples_against_simple_function_oracle():
+def test_nonneg_examples_against_simple_function_oracle():
     w12 = MeasureSpace(["a", "b"], [1, 2])
     f = fn(w12, 3, "+inf")
     assert simple_function_sup(f) == POS_INF
-    assert lebesgue_nonneg(f) == POS_INF
+    assert lebesgue_extended(f) == outer_integral(f) == POS_INF
 
     w10 = MeasureSpace(["a", "b"], [1, 0])
     g = fn(w10, 3, "+inf")
     assert simple_function_sup(g) == ext(3)
-    assert lebesgue_nonneg(g) == ext(3)
+    assert lebesgue_extended(g) == outer_integral(g) == ext(3)
 
-    assert lebesgue_nonneg(FnClass.constant(w12, 0)) == 0
+    assert lebesgue_extended(constant(w12, 0)) == outer_integral(constant(w12, 0)) == 0
 
 
-def test_lebesgue_nonneg_matches_oracle_on_random_grid_functions():
+def test_nonneg_matches_oracle_on_random_grid_functions():
     rng = random.Random(2)
     grid = [0, Fraction(1, 4), Fraction(1, 2), 1, 2, 3, "+inf"]
     for _ in range(40):
@@ -68,14 +73,12 @@ def test_lebesgue_nonneg_matches_oracle_on_random_grid_functions():
             ["a", "b", "c"], [rng.choice([0, 1, 2, Fraction(1, 2)]) for _ in range(3)]
         )
         f = FnClass(space, [ext(rng.choice(grid)) for _ in range(3)])
-        assert lebesgue_nonneg(f) == simple_function_sup(f)
+        assert lebesgue_extended(f) == outer_integral(f) == simple_function_sup(f)
 
 
-def test_lebesgue_nonneg_rejects_negative_on_non_null_atom(unit2):
-    with pytest.raises(DomainError):
-        lebesgue_nonneg(fn(unit2, -1, 0))
+def test_negative_values_on_null_atoms_add_nothing():
     null = MeasureSpace(["a", "b"], [1, 0])
-    assert lebesgue_nonneg(fn(null, 2, -5)) == ext(2)
+    assert lebesgue_extended(fn(null, 2, -5)) == outer_integral(fn(null, 2, -5)) == ext(2)
 
 
 # Extended Lebesgue integral ------------------------------------------------
@@ -98,7 +101,7 @@ def test_outer_inner_on_the_conflicting_pair(unit2):
 
 def test_outer_matches_extended_on_semi_integrable(unit2):
     assert outer_integral(fn(unit2, 5, "-inf")) == NEG_INF
-    assert outer_integral(FnClass.constant(unit2, 0)) == 0
+    assert outer_integral(constant(unit2, 0)) == 0
     assert inner_integral(fn(unit2, 1, 2)) == ext(3)
 
 
@@ -110,7 +113,7 @@ def test_inner_is_negated_outer_of_negation_randomly():
         f = FnClass(space, [ext(rng.choice(grid)) for _ in space.atoms])
         assert inner_integral(f) == -outer_integral(fn_neg(f))
         assert inner_integral(f) <= outer_integral(f)
-        if classify(f).semi_integrable:
+        if semi_integrable(f):
             assert outer_integral(f) == lebesgue_extended(f)
             assert inner_integral(f) == lebesgue_extended(f)
 
@@ -169,8 +172,11 @@ def test_every_integral_is_monotone_on_random_pairs():
             cap = Capacity.distortion(space, (0.5, 0.8, 2)[k % 3])
             functionals.append(make_builtin("choquet", capacity=cap))
         for phi in functionals:
-            if phi.defined_on(f) and phi.defined_on(g):
-                assert phi(f) <= phi(g), phi
+            try:
+                ordered = phi(f) <= phi(g)
+            except DomainError:
+                continue
+            assert ordered, phi
 
 
 # Additivity, negation, homogeneity (spot checks; bulk runs in acceptance) ---
@@ -181,13 +187,12 @@ def test_additivity_within_each_cone():
         space = random_space(rng, 4)
         f = random_semi_integrable(rng, space)
         g = random_semi_integrable(rng, space)
-        tf, tg = classify(f), classify(g)
-        if tf.in_l1_plus and tg.in_l1_plus:
+        if in_l1_plus(f) and in_l1_plus(g):
             s = fn_add(f, g, mode="lower")  # no +inf on non-null atoms
             assert lebesgue_extended(s) == ext_add(
                 lebesgue_extended(f), lebesgue_extended(g)
             )
-        if tf.in_l1_minus and tg.in_l1_minus:
+        if in_l1_minus(f) and in_l1_minus(g):
             s = fn_add(f, g, mode="upper")
             assert lebesgue_extended(s) == ext_add(
                 lebesgue_extended(f), lebesgue_extended(g)
@@ -215,7 +220,7 @@ def test_homogeneity_on_semi_integrable():
         space = random_space(rng, 4)
         f = random_semi_integrable(rng, space)
         lam = rng.choice(lams)
-        scaled = fn_scale(lam, f)
+        scaled = scale(lam, f)
         if lam == 0:
             assert lebesgue_extended(scaled) == 0
         else:
@@ -231,12 +236,12 @@ def test_extended_mct_rate_on_shifted_sequences():
     for _ in range(40):
         space = random_space(rng, 4)
         f = random_semi_integrable(rng, space)
-        if not classify(f).in_l1_plus:
+        if not in_l1_plus(f):
             f = fn_neg(f)
         base = lebesgue_extended(f)
         mass = space.total_mass()
         for n in range(12):
-            fn_n = fn_shift(f, Fraction(1, n + 1))
+            fn_n = shift(f, Fraction(1, n + 1))
             val = lebesgue_extended(fn_n)
             if abs(base) != POS_INF:
                 assert val - base == mass * Fraction(1, n + 1)
@@ -271,10 +276,10 @@ def test_capacity_validation():
         Capacity(space, missing)
 
 
-def test_capacity_from_measure_makes_choquet_additive(unit2):
-    cap = Capacity.from_measure(unit2)
+def test_additive_capacity_makes_choquet_additive(unit2):
+    cap = additive_capacity(unit2)
     f = fn(unit2, 2, 5)
-    assert choquet(f, cap) == lebesgue_nonneg(f)
+    assert choquet(f, cap) == lebesgue_extended(f)
 
 
 def test_distortion_capacity_monotone_and_serializable():
@@ -415,8 +420,8 @@ def test_choquet_worked_example_is_exactly_17_tenths(unit2):
 
 def test_choquet_constants(unit2):
     cap = worked_capacity(unit2)
-    assert choquet(FnClass.constant(unit2, 1), cap) == ext(1)
-    assert choquet(FnClass.constant(unit2, 0), cap) == 0
+    assert choquet(constant(unit2, 1), cap) == ext(1)
+    assert choquet(constant(unit2, 0), cap) == 0
 
 
 def test_choquet_infinite_plateau(unit2):
@@ -445,7 +450,7 @@ def test_choquet_mixed_sign_rejected(unit2):
 
 def test_choquet_negative_only_on_null_atoms_is_fine():
     space = MeasureSpace(["a", "b"], [1, 0])
-    cap = Capacity.from_measure(space)
+    cap = additive_capacity(space)
     assert choquet(fn(space, 2, -7), cap) == ext(2)
 
 
@@ -479,7 +484,7 @@ def test_choquet_monotone_and_homogeneous_on_nonneg():
         lam = rng.choice([Fraction(1, 2), 2, 3])
         from interlab.extreal import scalar_mul
 
-        assert choquet(fn_scale(lam, f), cap) == scalar_mul(lam, choquet(f, cap))
+        assert choquet(scale(lam, f), cap) == scalar_mul(lam, choquet(f, cap))
 
 
 def test_choquet_monotone_pointwise_convergence():
@@ -493,7 +498,7 @@ def test_choquet_monotone_pointwise_convergence():
         base = choquet(f, cap)
         prev = None
         for n in range(10):
-            val = choquet(fn_scale(1 + Fraction(1, n + 1), f), cap)
+            val = choquet(scale(1 + Fraction(1, n + 1), f), cap)
             assert val >= base
             if prev is not None:
                 assert val <= prev
@@ -504,6 +509,6 @@ def test_choquet_monotone_pointwise_convergence():
 
 def test_choquet_capacity_space_mismatch(unit2):
     other = MeasureSpace(["x", "y"], [1, 1])
-    cap = Capacity.from_measure(other)
+    cap = additive_capacity(other)
     with pytest.raises(InputError):
-        choquet(FnClass.constant(unit2, 1), cap)
+        choquet(constant(unit2, 1), cap)

@@ -15,15 +15,14 @@ from interlab.decomposable import (
     verify_shapiro,
 )
 from interlab.errors import DomainError, InputError, InvariantError, ScenarioError
-from interlab.extreal import NEG_INF, POS_INF, as_scalar, ext, to_text
-from interlab.fnlattice import FnClass, fn_shift, mu_leq, pointwise_inf
+from interlab.extreal import NEG_INF, POS_INF, _leq_within, as_scalar, ext, to_text
+from interlab.fnlattice import FnClass, mu_leq, pointwise_inf
 from interlab.functionals import Functional, make_builtin, parameterless_builtins
 from interlab.integrals import Capacity, lebesgue_extended, outer_integral
 from interlab.interchange import (
     _eq_within,
     Family,
     SequenceSpec,
-    check_seq_inf_continuity,
     giner_gap_directed,
     is_phi_inf_directed,
     verify_interchange,
@@ -32,6 +31,7 @@ from interlab.interchange import (
 from interlab.measure import MeasureSpace
 from interlab.oracle import random_instance, random_space
 from interlab.scenario import build_sequence
+from oracle_helpers import shift
 
 LEB = make_builtin("extended_lebesgue")
 
@@ -94,8 +94,11 @@ def test_inf_directed_implies_phi_inf_directed_for_all_builtins():
         family = Family(members)
         assert pointwise_inf(family.members) in family.members
         for phi in functionals:
-            if all(phi.defined_on(m) for m in family.members):
-                assert is_phi_inf_directed(family, phi).directed is True
+            try:
+                directed = is_phi_inf_directed(family, phi).directed
+            except DomainError:
+                continue
+            assert directed is True
 
 
 # verify_interchange ---------------------------------------------------------
@@ -126,7 +129,7 @@ def test_verify_interchange_singleton(unit2):
 
 def test_wrongly_declared_functional_raises_invariant_error(unit2):
     bad = Functional(
-        "bad", "semi_integrable", lambda f: -lebesgue_extended(f),
+        "bad", lambda f: -lebesgue_extended(f),
         order_preserving=True,  # a lie; must surface loudly, never silently
     )
     with pytest.raises(InvariantError):
@@ -137,7 +140,7 @@ def test_undeclared_functional_gets_counterexample_note(unit2):
     # A chain: the verdict fails (lhs -2, rhs 0) while the scan says yes.
     # The member attaining min Phi is the counterexample K.
     honest = Functional(
-        "anti", "semi_integrable", lambda f: -lebesgue_extended(f),
+        "anti", lambda f: -lebesgue_extended(f),
         order_preserving=False,
     )
     report = verify_interchange(Family([fn(unit2, 0, 0), fn(unit2, 1, 1)]), honest)
@@ -157,7 +160,7 @@ def _negated_from_five(f):
 
 def test_non_monotone_functional_beyond_any_fixed_grid_is_judged_on_the_family(unit2):
     family = Family([fn(unit2, 5, 6), fn(unit2, 6, 5)])
-    undeclared = Functional("neg5", "all", _negated_from_five, order_preserving=False)
+    undeclared = Functional("neg5", _negated_from_five, order_preserving=False)
     report = verify_interchange(family, undeclared)
     assert (report.lhs, report.rhs) == (-11, -10)
     assert (report.interchange_holds, report.phi_inf_directed) == ("fails", "yes")
@@ -234,7 +237,7 @@ def test_undeclared_functionals_are_judged_on_the_family(data):
             table[f.values] = ext(table_rng.choice(PHI_VALUES), backing)
         return table[f.values]
 
-    undeclared = Functional("table", "all", lookup, order_preserving=False)
+    undeclared = Functional("table", lookup, order_preserving=False)
     budget = data.draw(st.sampled_from([0, 2, 12]), label="budget")
     tol = data.draw(st.sampled_from([0, "1/2", 1]), label="tolerance")
     report = verify_interchange(Family(members), undeclared, budget, tolerance=tol)
@@ -271,7 +274,7 @@ def test_bad_subset_budget_is_an_input_error(verifier, budget):
         run()
 
 
-@pytest.mark.parametrize("verifier", ["family", "sequence", "seq-continuity", "rw", "shapiro"])
+@pytest.mark.parametrize("verifier", ["family", "sequence", "rw", "shapiro"])
 def test_negative_tolerance_is_an_input_error(verifier):
     half = MeasureSpace(["a", "b"], ["1/2", "1/2"])
     f = fn(half, 1, 2)
@@ -280,7 +283,6 @@ def test_negative_tolerance_is_an_input_error(verifier):
     run = {
         "family": lambda: verify_interchange(Family([f]), LEB, tolerance=-1),
         "sequence": lambda: verify_interchange_sequence(seq, LEB, tolerance=-1),
-        "seq-continuity": lambda: check_seq_inf_continuity(LEB, seq, tolerance=-1),
         "rw": lambda: verify_rw_interchange(
             integrand, SelectionSet.full_product(2, 2), tolerance=-1),
         "shapiro": lambda: verify_shapiro(
@@ -288,6 +290,15 @@ def test_negative_tolerance_is_an_input_error(verifier):
     }[verifier]
     with pytest.raises(InputError, match="tolerance must be nonnegative, got -1"):
         run()
+
+
+@pytest.mark.parametrize("verifier", [verify_interchange, is_phi_inf_directed])
+@pytest.mark.parametrize("values", [[0], [0, 0, 0]], ids=["1-value", "3-values"])
+def test_phi_values_of_another_length_are_an_input_error(unit2, verifier, values):
+    # The true lhs is 1 and the verdict "fails"; three values read lhs 0.
+    pair = Family([fn(unit2, 1, 0), fn(unit2, 0, 1)])
+    with pytest.raises(InputError, match=f"phi_values has {len(values)} values for 2 members"):
+        verifier(pair, make_builtin("outer"), phi_values=values)
 
 
 # sequences ------------------------------------------------------------------
@@ -349,7 +360,7 @@ def test_finite_family_as_exhaustive_sequence_agrees(unit2):
 
 def test_declared_limit_witnessed_by_prefix(unit2):
     f = fn(unit2, 1, 2)
-    members = [fn_shift(f, Fraction(1, n + 1)) for n in range(3)] + [f] * 5
+    members = [shift(f, Fraction(1, n + 1)) for n in range(3)] + [f] * 5
     seq = SequenceSpec(
         generator=lambda n: members[n], prefix_len=len(members), declared_limit=f
     )
@@ -361,7 +372,7 @@ def test_declared_limit_witnessed_by_prefix(unit2):
 def test_declared_limit_not_witnessed_is_flagged(unit2):
     f = fn(unit2, 0, 0)
     seq = SequenceSpec(
-        generator=lambda n: fn_shift(f, Fraction(1, n + 1)),
+        generator=lambda n: shift(f, Fraction(1, n + 1)),
         prefix_len=6,
         declared_limit=f,
     )
@@ -400,7 +411,7 @@ def test_stabilized_lhs_with_diverging_rhs_fails():
 
 def test_fails_in_limit_for_non_monotone_functional(unit2):
     anti = Functional(
-        "anti", "semi_integrable", lambda f: -lebesgue_extended(f),
+        "anti", lambda f: -lebesgue_extended(f),
         order_preserving=False,
     )
     zero = fn(unit2, 0, 0)
@@ -424,19 +435,24 @@ def test_slowly_decreasing_prefix_is_inconclusive(unit2):
     assert report.phi_inf_directed == "inconclusive"
 
 
-# sequential-inf continuity ---------------------------------------------------
+# sequential-inf continuity -------------------------------------------------
+# Through the sequence verifier with a declared limit: min over n of Phi(x_n)
+# is the last prefix lhs, Phi(limit) is the rhs, and the gap of term n is
+# Phi(x_n) - Phi(limit).
 
 def test_seq_inf_continuity_mct_rate(unit2):
     f = fn(unit2, 1, -3)
     mass = unit2.total_mass()
     seq = SequenceSpec(
-        generator=lambda n: fn_shift(f, Fraction(1, n + 1)),
+        generator=lambda n: shift(f, Fraction(1, n + 1)),
         prefix_len=10,
         declared_limit=f,
     )
-    report = check_seq_inf_continuity(LEB, seq, tolerance=Fraction(mass, 10))
-    assert report.verdict == "holds"
-    for n, gap in enumerate(report.gaps):
+    tol = Fraction(mass, 10)
+    report = verify_interchange_sequence(seq, LEB, tolerance=tol)
+    assert _leq_within(report.prefix["prefix_lhs"][-1], report.rhs, tol)
+    for n, value in enumerate(report.prefix["phi_values"]):
+        gap = value - report.rhs
         assert gap == ext(Fraction(mass, n + 1))
         assert gap <= ext(3 * Fraction(mass, n + 1))
 
@@ -445,19 +461,20 @@ def test_seq_inf_continuity_ess_sup(unit2):
     ess = make_builtin("ess_sup")
     f = fn(unit2, 0, 2)
     seq = SequenceSpec(
-        generator=lambda n: fn_shift(f, Fraction(1, n + 1)),
+        generator=lambda n: shift(f, Fraction(1, n + 1)),
         prefix_len=10,
         declared_limit=f,
     )
-    report = check_seq_inf_continuity(ess, seq, tolerance=Fraction(1, 10))
-    assert report.verdict == "holds"
+    tol = Fraction(1, 10)
+    report = verify_interchange_sequence(seq, ess, tolerance=tol)
+    assert _leq_within(report.prefix["prefix_lhs"][-1], report.rhs, tol)
 
 
 def test_seq_inf_continuity_constant_is_exact(unit2):
     f = fn(unit2, 3, 3)
-    seq = SequenceSpec(generator=lambda n: f, prefix_len=5)
-    report = check_seq_inf_continuity(LEB, seq)
-    assert report.verdict == "holds" and report.exact
+    seq = SequenceSpec(generator=lambda n: f, prefix_len=5, declared_limit=f)
+    report = verify_interchange_sequence(seq, LEB)
+    assert report.prefix["prefix_lhs"][-1] <= report.rhs
 
 
 def test_seq_inf_continuity_divergence(unit2):
@@ -468,18 +485,10 @@ def test_seq_inf_continuity_divergence(unit2):
         declared_limit=fn(unit2, 1, "-inf"),
         divergence_threshold=5000,
     )
-    report = check_seq_inf_continuity(LEB, seq)
-    assert report.diverging
-    assert report.verdict == "holds"
+    report = verify_interchange_sequence(seq, LEB)
+    assert report.prefix["lhs_trend"] == "diverging"
+    assert report.interchange_holds == "holds-in-limit"
     assert report.rhs == NEG_INF
-
-
-def test_seq_inf_continuity_requires_nonincreasing(unit2):
-    seq = SequenceSpec(
-        generator=lambda n: fn(unit2, n, n), prefix_len=4
-    )
-    with pytest.raises(InputError):
-        check_seq_inf_continuity(LEB, seq)
 
 
 # Giner gap form ---------------------------------------------------------------

@@ -76,10 +76,11 @@ def test_iter_atom_subsets_counts(space):
 
 HASH_SEED_PROBE = """
 from interlab.integrals import Capacity
-from interlab.measure import MeasureSpace, measure
+from interlab.measure import MeasureSpace, iter_atom_subsets, measure
 space = MeasureSpace(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.7], backing="float")
 print(repr(measure(space, {"a", "b", "c", "d"})), repr(measure(space, {"d", "c", "b"})))
-print(repr(Capacity.from_measure(space).of({"a", "b", "c"})))
+additive = Capacity(space, {s: measure(space, s) for s in iter_atom_subsets(space)})
+print(repr(additive.of({"a", "b", "c"})))
 """
 
 

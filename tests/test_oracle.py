@@ -3,7 +3,6 @@ import random
 
 import interlab.oracle as oracle_mod
 from interlab.cli import main
-from interlab.fnlattice import classify
 from interlab.functionals import make_builtin
 from interlab.interchange import Family, is_phi_inf_directed, verify_interchange
 from interlab.oracle import (
@@ -15,6 +14,7 @@ from interlab.oracle import (
     run_campaign,
     shrink_instance,
 )
+from oracle_helpers import semi_integrable
 
 
 def test_campaign_is_clean_and_deterministic():
@@ -29,7 +29,7 @@ def test_random_semi_integrable_is_semi_integrable():
     rng = random.Random(0)
     for _ in range(300):
         space = random_space(rng, 6)
-        assert classify(random_semi_integrable(rng, space)).semi_integrable
+        assert semi_integrable(random_semi_integrable(rng, space))
 
 
 def test_random_capacity_is_monotone_by_construction():

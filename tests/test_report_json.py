@@ -12,7 +12,6 @@ from interlab.functionals import make_builtin
 from interlab.interchange import (
     Family,
     SequenceSpec,
-    check_seq_inf_continuity,
     verify_interchange,
     verify_interchange_sequence,
 )
@@ -20,24 +19,6 @@ from interlab.measure import MeasureSpace
 
 LEB = make_builtin("extended_lebesgue")
 SPACE = MeasureSpace(["a", "b"], [1, "1/2"])
-
-
-def test_seq_continuity_report_json():
-    terms = [FnClass(SPACE, ["+inf", 1]), FnClass(SPACE, [1, 1]),
-             FnClass(SPACE, ["2/3", "1/3"])]
-    seq = SequenceSpec(generator=lambda n: terms[n], prefix_len=3,
-                       declared_limit=FnClass(SPACE, ["2/3", "1/6"]))
-    report = check_seq_inf_continuity(LEB, seq, tolerance="1/10")
-    assert report.to_json_dict() == {
-        "functional": "extended_lebesgue",
-        "prefix_values": ["+inf", 1.5, "5/6"],
-        "rhs": 0.75,
-        "verdict": "holds",
-        "exact": False,
-        "diverging": False,
-        "gaps": [None, 0.75, "1/12"],
-        "notes": ["inequality holds within tolerance at the prefix end"],
-    }
 
 
 def test_decomposability_report_json_with_witness_patch():

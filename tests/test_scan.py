@@ -34,7 +34,7 @@ NONNEG = [0, "1/3", 1, 3, "+inf"]
 
 # Neither monotone nor declared so: the scan must not lean on monotonicity.
 WOBBLE = Functional(
-    "wobble", "all",
+    "wobble",
     lambda f: f.values[-1] if f.values[0] <= 0 else -f.values[-1],
     order_preserving=False,
 )
@@ -137,7 +137,7 @@ def test_phi_evaluated_once_per_member_and_once_on_the_infimum():
         calls.append(f)
         return lebesgue_extended(f)
 
-    phi = Functional("counted", "semi_integrable", counted)
+    phi = Functional("counted", counted)
     space = MeasureSpace(["a", "b", "c"], [1, "1/2", 2])
     chain = Family([FnClass(space, [k, k + 1, 2 * k]) for k in (3, 2, 1, 0)])
 

@@ -187,6 +187,13 @@ def test_readme_scenario_runs(command, scenario):
     assert code == 0, err
 
 
+def test_readme_lists_each_module_once():
+    inside = README.read_text(encoding="utf-8").split("## What's inside\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `interlab\.(\w+)`", inside, re.M)
+    modules = [p.stem for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
+
+
 # Mutations: replace one entry (at any depth) with a value of another shape,
 # delete it, wrap it in an array, unwrap an array to its first element, or
 # add to an object an entry that some reader looks for.

@@ -25,7 +25,6 @@ from interlab.errors import InterlabError, InvariantError
 from interlab.extreal import NEG_INF
 from interlab.functionals import Functional, make_builtin
 from interlab.integrals import (
-    Capacity,
     inner_integral,
     lebesgue_extended,
     outer_integral,
@@ -34,7 +33,7 @@ from interlab.integrals import (
 from interlab.interchange import default_tolerance
 from interlab.measure import MeasureSpace
 
-from oracle_helpers import naive_is_decomposable, naive_rw
+from oracle_helpers import additive_capacity, naive_is_decomposable, naive_rw
 
 WEIGHTS = [0, 1, "1/2", 2, 0.1]
 # Denominators 3, 7 and 97 (and 10 from the decimals): a common denominator
@@ -460,7 +459,7 @@ def test_only_other_functionals_evaluate_every_selection(backing, kind, monkeypa
     the prefix and G-flat; the three integrals fold the set instead."""
     space = MeasureSpace(["a", "b", "c"], ["1/2", "1/4", "1/4"], backing=backing)
     integrand = Integrand(space, [[0], [1], [2]], [[3, 1, 0], [2, "1/2", 0], [1, 1, 0]])
-    phi = make_builtin(kind, capacity=Capacity.from_measure(space))
+    phi = make_builtin(kind, capacity=additive_capacity(space))
     prefix = [(c, c, c) for c in range(3)]
     calls = []
     call = Functional.__call__
