@@ -56,6 +56,12 @@ INTERCHANGE_CASES = {
     "check-choquet-distortion": ["check", str(SCENARIOS / "check-choquet-distortion.json")],
     "check-choquet-distortion-16": ["check", str(SCENARIOS / "check-choquet-distortion-16.json")],
     "check-sampled-pair-cover": ["check", str(SCENARIOS / "check-sampled-pair-cover.json")],
+    # Infinite values on atoms of positive weight, in families large enough
+    # that the scan builds the integral's rank table; the inner family's
+    # atom d holds +inf in every member.
+    "check-lebesgue-inf": ["check", str(SCENARIOS / "check-lebesgue-inf.json")],
+    "check-outer-inf": ["check", str(SCENARIOS / "check-outer-inf.json")],
+    "check-inner-inf-column": ["check", str(SCENARIOS / "check-inner-inf-column.json")],
 }
 
 
