@@ -53,10 +53,9 @@ from .extreal import (
     Scalar,
     _eq_within,
     _leq_within,
-    _over_common_den,
-    _reduced,
     as_scalar,
     coerce_all,
+    exact_codes,
     to_text,
     weighted_parts,
 )
@@ -427,8 +426,8 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
     DomainError when no selection has a finite positive part, that is, when
     the minimum is +inf.
     """
-    blocks, den = _selection_folds(integrand, u_set, projections, enum_budget,
-                                   PART_SUMS[outer_integral])
+    blocks, finish = _selection_folds(integrand, u_set, projections, enum_budget,
+                                      PART_SUMS[outer_integral])
     lhs, minimizers = None, []
     for values, block in blocks:
         m = min(values)
@@ -436,12 +435,11 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
             lhs, minimizers = m, list(compress(block, map(eq, values, repeat(m))))
         elif m == lhs:
             minimizers += compress(block, map(eq, values, repeat(m)))
+    lhs = finish(lhs)
     if lhs == POS_INF:
         raise DomainError(
             "precondition failure: no selection has integrable positive part"
         )
-    if den is not None:
-        lhs = _reduced(lhs, den)
     space = integrand.space
     argmin_sets = [
         cs if space.is_null_atom(i) else best
@@ -454,55 +452,65 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
 
 
 def _selection_folds(integrand, u_set, projections, enum_budget, combine):
-    """(blocks, den): (values, selections) per block of ``u_set``, in
-    enumeration order, where a value is the integral of G(u) whose
-    ``integrals.PART_SUMS`` entry is ``combine``, or its numerator over
-    ``den`` when ``den`` is not None (reduce the least one by ``_reduced``).
+    """(blocks, finish): (values, selections) per block of ``u_set``, in
+    enumeration order, and the map from the least value to the least
+    integral of G(u) whose ``integrals.PART_SUMS`` entry is ``combine``.
+    Values order as those integrals do, and equal integrals have equal
+    values but for +inf, which is least only when every value is.
 
     Every (atom, reachable control) gets one code, and a selection's parts
-    are the atom-order left fold of its codes: under float backing the
-    complex (positive term, negative term) of ``weighted_parts``, whose
-    addition adds the two parts with its rounding, bit for bit; under
-    rational backing the exact term as an integer numerator over the terms'
-    one common denominator, so a fold adds plain ints.  With no infinite
-    code all three integrals are ip - im; otherwise each float z goes
-    through ``combine(z.real, z.imag)`` in enumeration order, so the
-    integral's own DomainError comes at its first selection.  A product
-    folds the trailing atoms whose admissible sets multiply to at most
-    ``SELECTION_BLOCK`` one atom layer at a time, from the fold of the
-    leading atoms; an explicit set folds each selection.  When a fold could
-    differ from ``weighted_parts`` (see ``_complex_codes`` and
-    ``_exact_codes``), each selection is ``combine(*weighted_parts(...))``.
+    are the atom-order left fold of its codes.  Under float backing a code
+    is the complex (positive term, negative term) of ``weighted_parts``,
+    whose addition adds the two parts with its rounding, bit for bit, and a
+    fold z gives ``combine(z.real, z.imag)`` when a code is infinite, else
+    ip - im.  Under rational backing it is the int of ``extreal.exact_codes``;
+    a fold above the codes' finite band is +inf for every integral, and a
+    block whose least fold is below it has each fold outside it decoded
+    (``ExactCodes.value``).  Either way the integral's own DomainError comes
+    at its first selection.  A product folds the trailing atoms whose
+    admissible sets multiply to at most ``SELECTION_BLOCK`` one atom layer
+    at a time, from the fold of the leading atoms; an explicit set folds
+    each selection.  Where a fold could differ from ``weighted_parts`` (see
+    ``_complex_codes``) or no exact code is built, each selection is
+    ``combine(*weighted_parts(...))``.
     """
     space = integrand.space
     selections = u_set.iter_selections(enum_budget)
     if space.backing == "float":
-        den, rows, zero = None, _complex_codes(space.weights, integrand.table, projections), 0j
+        codes, rows, zero = None, _complex_codes(space.weights, integrand.table, projections), 0j
     else:
-        den, rows = _exact_codes(space.weights, integrand.table, projections) or (None, None)
-        zero = 0
+        codes = exact_codes(space.weights, integrand.table)
+        rows, zero = codes and codes.rows, 0
+
+    def finish(least):
+        return least if codes is None or type(least) is float else codes.value(least, combine)
+
     if rows is None:
         def value(sel):
             return combine(*weighted_parts(
                 space.weights, [row[c] for row, c in zip(integrand.table, sel)]))
 
-        return _listed_blocks(selections, value), None
+        return _listed_blocks(selections, value), finish
     if u_set.kind == "product":
         blocks = _product_blocks(rows, u_set.admissible, selections, zero)
     else:
         blocks = _listed_blocks(selections, lambda sel: reduce(add, map(getitem, rows, sel), zero))
-    if den is None and any(map(isinf, chain.from_iterable(rows))):
+    if codes is None and any(map(isinf, chain.from_iterable(rows))):
         blocks = (([combine(z.real, z.imag) for z in values], block) for values, block in blocks)
-    elif den is None:
+    elif codes is None:
         blocks = (([z.real - z.imag for z in values], block) for values, block in blocks)
-    return blocks, den
+    elif codes.infinite:
+        half = codes.scale // 2
+        blocks = ((values if min(values) > -half else
+                   [v if -half < v < half else codes.value(v, combine) for v in values], block)
+                  for values, block in blocks)
+    return blocks, finish
 
 
 def _min_of_folds(integrand, u_set, enum_budget, combine):
     """The least value of ``_selection_folds``: min over u of the integral of G(u)."""
-    blocks, den = _selection_folds(integrand, u_set, u_set.projections(), enum_budget, combine)
-    least = min([min(values) for values, _ in blocks])
-    return least if den is None else _reduced(least, den)
+    blocks, finish = _selection_folds(integrand, u_set, u_set.projections(), enum_budget, combine)
+    return finish(min([min(values) for values, _ in blocks]))
 
 
 def _product_blocks(rows, admissible, selections, zero):
@@ -556,25 +564,6 @@ def _complex_codes(weights, table, projections):
     if plus_bound == POS_INF or minus_bound == POS_INF:
         return None
     return rows
-
-
-def _exact_codes(weights, table, projections):
-    """(den, rows): per atom, the exact terms w * x at the reachable controls
-    as integer numerators over their one least common denominator den, so
-    a fold adds plain ints; None when a term is infinite on an atom of
-    positive weight, where the exact fold would meet float infinities."""
-    rows = []
-    for w, row, controls in zip(weights, table, projections):
-        ratios = [(0, 1)] * len(row)
-        if w:  # 0 * x = 0 on a null atom, infinite x included
-            wn, wd = w.as_integer_ratio()
-            for c in controls:
-                if type(row[c]) is float:  # under rational backing, only ±inf
-                    return None
-                n, d = row[c].as_integer_ratio()
-                ratios[c] = (wn * n, wd * d)
-        rows.append(ratios)
-    return _over_common_den(rows)
 
 
 @dataclass

@@ -35,9 +35,12 @@ Every exact sum in the package is kept as an integer numerator over a
 positive denominator and ends in the one reduction ``_reduced(num, den)``,
 which gives an int when the ratio is integral and a Fraction otherwise;
 the integrals' rank tables compare the numerator with an integer bound
-instead.  ``_over_common_den`` puts rows of exact terms over their least
-common denominator, so those tables and the selection fold of
-``decomposable`` add plain ints.
+instead.  ``exact_codes`` alone puts exact terms over a common denominator:
+it makes rows of terms w * x, infinities included, ints whose sums carry
+the finite numerator and the counts of +inf and -inf terms, for the rank
+keys and tables of the directedness scan and the selection fold of
+``decomposable``; ``parts_value`` gives each integral from a finite sum
+and the two counts, which is what ``integrals.RunningParts`` keeps.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
 
@@ -411,11 +415,81 @@ def _exact_sum(whole: int, by_den: dict) -> Scalar:
     return _reduced(sum([n * (den // d) for d, n in by_den.items()], whole * den), den)
 
 
-def _over_common_den(rows):
-    """(den, rows of integers): rows of exact ratios (n, d) as the numerators
-    n * (den // d) over their least common denominator den."""
-    den = math.lcm(1, *(d for row in rows for _, d in row))
-    return den, [[n * (den // d) for n, d in row] for row in rows]
+# The most bits of a common denominator that ``exact_codes`` builds: past it
+# the lcm of many denominators nears their product, costlier than Fractions.
+_KEY_BITS = 4096
+
+
+class ExactCodes(NamedTuple):
+    """Rows of exact terms w * x as ints: a finite term is its numerator over
+    ``den``; with S (``scale``) above twice the sum over rows of the row's
+    largest |numerator| and A rows, a +inf term is S, a -inf term -S (A + 1)
+    and a term of weight 0 is 0.  So a code orders like its term, and a sum
+    of at most one code per row is N + S (p - (A + 1) m) for the sum N of
+    its finite numerators, |N| < S / 2, and the counts p and m of its +inf
+    and -inf terms.  ``infinite`` tells whether any code is."""
+
+    den: int
+    rows: list
+    scale: int
+    infinite: bool
+
+    def value(self, code: int, combine) -> Scalar:
+        """The integral whose ``integrals.PART_SUMS`` entry is ``combine`` of
+        the function whose terms' codes sum to ``code``."""
+        half = self.scale // 2
+        q, num = divmod(code + half, self.scale)
+        minus, plus = divmod(q, len(self.rows) + 1)
+        return parts_value(0 if q else _reduced(num - half, self.den), plus, -minus, combine)
+
+
+def exact_codes(weights: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]):
+    """The ``ExactCodes`` of the terms w * x, for each x of a row and w its
+    weight, or None when a weight is a float or the common denominator, the
+    lcm of the weights' denominators times that of the values', would have
+    more than ``_KEY_BITS`` bits.  Rows of ints of weight 1 over it are
+    their own codes."""
+    weight_types, types = set(map(type, weights)), set(map(type, chain.from_iterable(rows)))
+    dens = ({x.denominator for row in rows for x in row if type(x) is Fraction}
+            if Fraction in types else ())
+    lw = _lcm({w.denominator for w in weights}) if Fraction in weight_types else 1
+    lx = _lcm(dens) if dens else 1
+    if float in weight_types or not (lw and lx) or (lw * lx).bit_length() > _KEY_BITS:
+        return None
+    codes = rows if lx == 1 and types == {int} else [
+        [x.numerator * (lx // x.denominator) if type(x) is Fraction
+         else 0 if type(x) is float else x * lx for x in row] for row in rows]
+    factors = weights if lw == 1 else [w.numerator * (lw // w.denominator) for w in weights]
+    if factors.count(1) < len(rows):
+        codes = [row if f == 1 else [c * f for c in row] for f, row in zip(factors, codes)]
+    scale = 2 * len(rows) * max(map(abs, chain((0,), *codes))) + 2
+    # Under exact weights the only floats are infinities; a row of weight 0
+    # keeps its codes 0.
+    infinite = [(codes[r], j, x > 0) for r, row in enumerate(rows) if factors[r]
+                for j, x in enumerate(row) if type(x) is float] if float in types else []
+    for out, j, positive in infinite:
+        out[j] = scale if positive else -scale * (len(rows) + 1)
+    return ExactCodes(lw * lx, codes, scale, bool(infinite))
+
+
+def _lcm(dens) -> int:
+    """The lcm of ``dens``, or 0 past ``_KEY_BITS`` bits."""
+    den = 1
+    for d in dens:
+        den = math.lcm(den, d)
+        if den.bit_length() > _KEY_BITS:
+            return 0
+    return den
+
+
+def parts_value(finite: Scalar, plus: int, minus: int, combine) -> Scalar:
+    """The integral whose ``integrals.PART_SUMS`` entry is ``combine`` of a
+    function whose finite terms sum to ``finite``, with ``plus`` terms +inf
+    and ``minus`` terms -inf: that sum when both counts are 0; else the
+    integral depends only on which counts are nonzero."""
+    if plus or minus:
+        return combine(POS_INF if plus else 0, POS_INF if minus else 0)
+    return finite
 
 
 def _reduced(num: int, den: int) -> Scalar:

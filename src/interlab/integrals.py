@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import compress, count
 from typing import Dict, Iterable, Mapping
 
@@ -31,11 +32,12 @@ from .extreal import (
     POS_INF,
     Scalar,
     _kept,
-    _over_common_den,
     add,
     as_scalar,
     coerce_all,
+    exact_codes,
     lower_add,
+    parts_value,
     scalar_mul,
     to_jsonable,
     to_text,
@@ -104,24 +106,23 @@ def part_sum(eval_fn):
 class RunningParts:
     """The part integrals of a function whose values change a few atoms at a time.
 
-    Holds the exact sums of the terms w * x of the atoms of positive weight
-    and finite value, positive and negative x apart, and the counts of those
-    atoms where x is +inf and where it is -inf, so ``move`` updates them
-    from one atom's old and new values and ``value`` costs no pass over the
-    atoms.  ``value`` combines the parts as the integral does, through its
-    entry in ``PART_SUMS``, so it raises the integral's own ``DomainError``
-    and returns its form: an int when integral, as ``weighted_parts`` gives.
-    Exact sums may be kept in any order, so this is for rational backing;
-    float sums round in atom order and are left to the integrals.
+    Holds the exact sum of the terms w * x of the atoms of positive weight
+    and finite value, and the counts of those atoms where x is +inf and
+    where it is -inf, so ``move`` updates them from one atom's old and new
+    values and ``value`` costs no pass over the atoms.  ``value`` is
+    ``extreal.parts_value`` with the integral's ``PART_SUMS`` entry: the
+    integral's own value, form and ``DomainError``.  Exact sums may be kept
+    in any order, so this is for rational backing; float sums round in atom
+    order and are left to the integrals.
     """
 
-    __slots__ = ("weights", "combine", "plus", "minus", "plus_inf", "minus_inf")
+    __slots__ = ("weights", "combine", "total", "infinite")
 
     def __init__(self, weights, combine, values):
         self.weights = weights
         self.combine = combine
-        self.plus = self.minus = 0
-        self.plus_inf = self.minus_inf = 0
+        self.total = 0
+        self.infinite = {POS_INF: 0, NEG_INF: 0}  # the two counts
         for i in compress(count(), values):  # the atoms of nonzero value
             self.move(i, 0, values[i])
 
@@ -138,95 +139,60 @@ class RunningParts:
         """Atom ``i`` changes its value from ``old`` to ``new``."""
         w = self.weights[i]
         if w:  # null atoms add 0 whatever their value
-            self._add(-w, old, -1)
-            self._add(w, new, 1)
-
-    def _add(self, w: Scalar, x: Scalar, sign: int) -> None:
-        """Add w * x to its part, or ``sign`` to its count when x is infinite."""
-        if type(x) is float and (x == POS_INF or x == NEG_INF):
-            if x > 0:
-                self.plus_inf += sign
-            else:
-                self.minus_inf += sign
-        elif x > 0:
-            self.plus += w * x
-        elif x < 0:
-            self.minus -= w * x
+            if type(old) is float and (old == POS_INF or old == NEG_INF):
+                self.infinite[old] -= 1
+            elif old:
+                self.total -= w * old
+            if type(new) is float and (new == POS_INF or new == NEG_INF):
+                self.infinite[new] += 1
+            elif new:
+                self.total += w * new
 
     def value(self) -> Scalar:
-        if not (self.plus_inf or self.minus_inf):
-            # Finite parts: every integral is ip - im, in the exact form.
-            return _kept(self.plus - self.minus)
-        ip = POS_INF if self.plus_inf else _kept(self.plus)
-        im = POS_INF if self.minus_inf else _kept(self.minus)
-        return self.combine(ip, im)
+        infinite = self.infinite
+        return parts_value(_kept(self.total), infinite[POS_INF], infinite[NEG_INF], self.combine)
 
 
 _EXACT = (int, Fraction)
 
 
-def _integral_table(space: MeasureSpace, fields, lhs: Scalar, tol: Scalar):
-    """Rank table of the three integrals above (see ``RANK_TABLES``).
+def _integral_table(combine, space: MeasureSpace, fields, lhs: Scalar, tol: Scalar):
+    """Rank table of the integral whose ``PART_SUMS`` entry is ``combine``
+    (see ``RANK_TABLES``).
 
-    Each term w * x of an atom of positive weight and each of its ranks is
-    held as an integer numerator over one common denominator den
-    (``extreal._over_common_den``), so a key's integral is S / den for the
-    sum S of one numerator per atom, and it passes the bound exactly when S
-    is at least the one integer ceil((lhs - tol) * den): an int compared,
-    no ``Fraction`` built.  Null atoms add 0 whatever their value.  Built
-    only when every weight and finite value is exact (int or Fraction), the
-    path on which ``weighted_parts`` sums exactly, and when tol is exact
-    and lhs exact or infinite, so float rounding is left to the integrals
-    and to the scan's own comparison.  A key with an infinite value on an
-    atom of positive weight maps to None whatever lhs is, and so do all
-    keys when an atom of positive weight holds one infinite value only: the
-    integrals score those, with their own convention for infinite parts and
-    their own ``DomainError``.
+    The term w * x of each rank of each atom of positive weight is one int
+    of ``extreal.exact_codes``, and a key's code is their sum.  In the
+    codes' finite band that is the integral's numerator S over their
+    denominator den, and the key passes exactly when S is at least the one
+    integer ceil((lhs - tol) * den).  Outside it, the key passes when lhs is
+    at most the infinity the code decodes to (``ExactCodes.value``), and
+    maps to None where the integral raises, so that the scan runs it.  Built
+    only when the codes are, and when tol is exact and lhs exact or
+    infinite, so float rounding is left to the integrals and to the scan.
     """
-    if type(tol) not in _EXACT or not (type(lhs) in _EXACT or lhs in (POS_INF, NEG_INF)):
+    exact = type(tol) in _EXACT and (type(lhs) in _EXACT or lhs in (POS_INF, NEG_INF))
+    codes = exact and exact_codes(space.weights, [level for level, _, _ in fields])
+    if not codes:
         return None
-    places, terms = [], []  # (offset, mask), [(numerator, denominator) per rank]
-    plus_inf = minus_inf = 0  # key bits of the infinite ranks
-    for w, (level, offset, mask) in zip(space.weights, fields):
-        if type(w) not in _EXACT:
-            return None
-        ratios = []
-        for x in level:
-            if type(x) in _EXACT:
-                ratios.append(x.as_integer_ratio())
-            elif x == POS_INF or x == NEG_INF:
-                ratios.append((0, 1))  # never read: the key maps to None
-            else:
-                return None
-        if w == 0:
-            continue
-        if level[-1] == POS_INF or level[0] == NEG_INF:
-            if not mask:
-                return None
-            if level[-1] == POS_INF:
-                plus_inf |= 1 << (offset + mask.bit_length() - 1)
-            if level[0] == NEG_INF:
-                minus_inf |= 1 << offset
-        wn, wd = w.as_integer_ratio()
-        places.append((offset, mask))
-        terms.append([(wn * n, wd * d) for n, d in ratios])
-    den, rows = _over_common_den(terms)
-    base = sum([codes[0] for (_, mask), codes in zip(places, rows) if not mask])
-    atoms = [(offset, mask, codes) for (offset, mask), codes in zip(places, rows) if mask]
+    atoms = [(off, mask, row) for (_, off, mask), row in zip(fields, codes.rows) if any(row)]
+    base = sum([row[0] for _, mask, row in atoms if not mask])
+    atoms = [atom for atom in atoms if atom[1]]
     # ceil((lhs - tol) * den); an int compares exactly with an infinity, and
     # every finite integral passes lhs = -inf and none passes +inf, as
     # ``_leq_within`` has it.
-    if lhs == POS_INF or lhs == NEG_INF:
-        threshold = lhs
-    else:
-        num, lhs_den = (lhs - tol if tol else lhs).as_integer_ratio()
-        threshold = -(-num * den // lhs_den)
+    bound = lhs - tol if tol else lhs
+    threshold = (bound if type(bound) is float
+                 else -(-bound.numerator * codes.den // bound.denominator))
+    half = codes.scale // 2
 
     def passes(key: int):
-        if key & plus_inf or ~key & minus_inf:
+        total = base + sum([row[((key >> off) & mask).bit_count()] for off, mask, row in atoms])
+        if -half < total < half:
+            return total >= threshold
+        try:
+            return lhs <= codes.value(total, combine)
+        except DomainError:
             return None
-        return base + sum([codes[((key >> off) & mask).bit_count()]
-                           for off, mask, codes in atoms]) >= threshold
 
     return passes
 
@@ -238,9 +204,7 @@ def _integral_table(space: MeasureSpace, fields, lhs: Scalar, tol: Scalar):
 # ``extreal._leq_within(lhs, value, tol)`` holds for the value the function
 # gives on that infimum, or to None where the function must run.
 RANK_TABLES = {
-    lebesgue_extended: _integral_table,
-    outer_integral: _integral_table,
-    inner_integral: _integral_table,
+    **{f: partial(_integral_table, combine) for f, combine in PART_SUMS.items()},
     ess_sup_value: ess_sup_table,
 }
 

@@ -30,9 +30,8 @@ only on the atoms a term changes when the sequence declares its steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, count
-from math import comb, copysign, lcm
+from math import comb, copysign
 from operator import lt
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,6 +45,7 @@ from .extreal import (
     _eq_within,
     _leq_within,
     as_scalar,
+    exact_codes,
     to_text,
 )
 from .fnlattice import FnClass, IntegrabilityTag, classify, mu_leq, pointwise_inf
@@ -186,18 +186,16 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
     their ints, its key.  Returns the members' ints and, per atom, the
     field ``(distinct values in increasing order, bit offset, field mask)``.
 
-    Under rational backing every finite value is an int or a Fraction and
-    only the infinities are floats, so the values are ranked by integer
-    sort keys: each finite value's numerator over the least common
-    denominator of the family's values, each infinity itself, as long as
-    that denominator has at most ``_KEY_BITS`` bits.  An int
-    hashes and compares in a fraction of the time of a Fraction, which
-    hashes with a modular inverse.  Equal values have equal keys, and the
-    levels are the values themselves, so the rows and fields are those of
-    ranking the values directly, as the float backing's columns are.
+    Under rational backing the values are ranked by their integer codes
+    (``extreal.exact_codes`` at weight 1), which order like the values,
+    while their common denominator has at most ``extreal._KEY_BITS`` bits:
+    an int hashes and compares in a fraction of the time of a Fraction.
+    The levels are the values themselves, so the rows and fields are those
+    of ranking the values directly.
     """
     columns = list(zip(*(m.values for m in members)))
-    keys = _exact_keys(columns) if members[0].space.backing == "rational" else columns
+    codes = members[0].space.backing == "rational" and exact_codes([1] * len(columns), columns)
+    keys = codes.rows if codes else columns
     rows = [0] * len(members)
     fields = []
     offset = 0
@@ -214,32 +212,6 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
         fields.append((level, offset, (1 << (len(level) - 1)) - 1))
         offset += len(level) - 1
     return rows, fields
-
-
-# Integer keys still beat Fractions on a common denominator just below this
-# many bits; past it the lcm of many large denominators grows toward their
-# product, whose keys cost far more to build than the Fractions to compare.
-_KEY_BITS = 4096
-
-
-def _exact_keys(columns: List[Tuple]) -> List:
-    """Integer sort keys of columns of ints, Fractions and infinities: a
-    finite value's numerator over the least common denominator of all the
-    Fractions, an infinity itself.  Without a Fraction, or with a common
-    denominator of more than ``_KEY_BITS`` bits, the columns are their own
-    keys."""
-    dens = {v.denominator for column in columns for v in column if type(v) is Fraction}
-    if not dens:
-        return columns
-    den = 1
-    for d in dens:
-        den = lcm(den, d)
-        if den.bit_length() > _KEY_BITS:
-            return columns
-    scale = {d: den // d for d in dens}
-    return [[v.numerator * scale[v.denominator] if type(v) is Fraction
-             else v * den if type(v) is int else v for v in column]
-            for column in columns]
 
 
 def _level_keys(rows: Sequence[int]):
@@ -417,20 +389,19 @@ def is_phi_inf_directed(
     min Phi(X), or, once the scan has built the rank table that
     ``integrals.RANK_TABLES`` keeps for ``phi.eval_fn`` (see
     ``_scan_subsets``), by integers alone.  The built-in integrals add one
-    integer numerator per atom of positive weight and compare the sum with
-    one integer computed from min Phi(X) and the tolerance, under exact
-    weights, values and bound and away from infinite values on atoms of
-    positive weight; ess_sup ANDs the key with one mask, the bits of the
-    ranks whose values pass, found by one bisection of one global rank of
-    the atoms' values.  So Phi is evaluated at most once per distinct
-    subset infimum, and once more on a witness that a table failed, and
-    not at all on the members or on the infimum of the whole family when
-    their values are passed as ``phi_values`` and ``phi_inf``.  Before the
-    first subset the scan ranks every member value once (``_rank_code``),
-    on integer keys under rational backing.  The memo and the set of
-    passing keys hold at most one entry per subset scanned (2^n - 1 when
-    exhaustive) plus the members, the level lists at most 2 C(n, n // 2)
-    keys, and all are freed on return.
+    integer code per atom of positive weight and compare the sum with one
+    integer computed from min Phi(X) and the tolerance, under exact weights,
+    values and bound, infinite values included; ess_sup ANDs the key with
+    one mask, the bits of the ranks whose values pass, found by one
+    bisection of one global rank of the atoms' values.  So Phi is evaluated
+    at most once per distinct subset infimum, and once more on a witness
+    that a table failed, and not at all on the members or on the infimum
+    of the whole family when their values are passed as ``phi_values`` and
+    ``phi_inf``.  Before the first subset the scan ranks every member value
+    once (``_rank_code``), on integer keys under rational backing.  The
+    memo and the set of passing keys hold at most one entry per subset
+    scanned (2^n - 1 when exhaustive) plus the members, the level lists at
+    most 2 C(n, n // 2) keys, and all are freed on return.
 
     With n <= 2 members and both ``phi_values`` and ``phi_inf`` given, as
     ``verify_interchange`` gives them, every subset is a member or the

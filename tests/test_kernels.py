@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interlab.errors import DomainError, InputError
-from interlab.extreal import NEG_INF, POS_INF, ext
+from interlab.extreal import NEG_INF, POS_INF, exact_codes, ext, weighted_parts
 from interlab.fnlattice import FnClass, pointwise_inf
 from interlab.integrals import (
+    PART_SUMS,
     inner_integral,
     lebesgue_extended,
     outer_integral,
@@ -162,3 +163,47 @@ def test_exact_parts_match_naive_folds(case):
     for p in parts:
         assert_rational_form(p)
 
+
+
+@st.composite
+def code_rows(draw):
+    """Exact weights, some null, rows of exact values and infinities, and one
+    value picked from each row."""
+    n_atoms = draw(st.integers(1, 12), label="atoms")
+    weights = draw(st.lists(st.one_of(st.just(0), exact_scalars(0)), min_size=n_atoms,
+                            max_size=n_atoms), label="weights")
+    value = st.one_of(exact_scalars(-60), st.sampled_from([POS_INF, NEG_INF]))
+    rows = draw(st.lists(st.lists(value, min_size=1, max_size=4), min_size=n_atoms,
+                         max_size=n_atoms), label="rows")
+    picks = [draw(st.integers(0, len(row) - 1), label="pick") for row in rows]
+    return weights, rows, picks
+
+
+def _outcome(run):
+    """(type, value) of what ``run`` returns, or (error class, text)."""
+    try:
+        value = run()
+    except DomainError as e:
+        return DomainError, str(e)
+    return type(value), value
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=code_rows())
+def test_exact_codes_decode_as_each_integral_combines_its_parts(case):
+    """Under rational backing a sum of one exact code per row decodes to each
+    integral of the picked values, in value, type, error class and text, as
+    its ``PART_SUMS`` entry combines ``weighted_parts``; in a row of positive
+    weight the codes order like the values."""
+    weights, rows, picks = case
+    codes = exact_codes(weights, rows)
+    values = [row[j] for row, j in zip(rows, picks)]
+    code = sum(row[j] for row, j in zip(codes.rows, picks))
+    for combine in PART_SUMS.values():
+        assert (_outcome(lambda: codes.value(code, combine))
+                == _outcome(lambda: combine(*weighted_parts(weights, values))))
+    assert codes.infinite == any(w and abs(x) == POS_INF for w, row in zip(weights, rows)
+                                 for x in row)
+    for w, row, row_codes in zip(weights, rows, codes.rows):
+        assert all((a < b, a == b) == ((x < y, x == y) if w else (False, True))
+                   for x, a in zip(row, row_codes) for y, b in zip(row, row_codes))

@@ -1,10 +1,12 @@
 """The directedness scan against naive reference scans, and its Phi count."""
 
+import json
 import random
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, islice
 from math import comb
+from pathlib import Path
 from operator import and_
 
 import pytest
@@ -23,6 +25,7 @@ from interlab.interchange import (
     verify_interchange,
 )
 from interlab.measure import MeasureSpace, iter_atom_subsets
+from interlab.scenario import build_family, build_space
 
 from oracle_helpers import naive_giner_gap_directed, naive_phi_inf_directed
 
@@ -31,6 +34,7 @@ KINDS = ("extended_lebesgue", "outer", "inner", "ess_sup", "choquet", "wobble")
 WEIGHTS = [0, 1, "1/2", 2]
 FINITE = [-2, -1, "-1/2", 0, "1/3", 1, 3]
 NONNEG = [0, "1/3", 1, 3, "+inf"]
+GOLDEN_SCENARIOS = Path(__file__).resolve().parent / "golden" / "scenarios"
 
 # Neither monotone nor declared so: the scan must not lean on monotonicity.
 WOBBLE = Functional(
@@ -165,18 +169,12 @@ def _table_mismatches(phi, members, build=None):
     and +inf, and tol 0 and 1/3; None when no table is built.
 
     Also checks when a table may decline: an integral table is built under
-    exact weights unless an atom of positive weight holds one infinite value
-    only, and declines exactly the keys with an infinite value on an atom of
-    positive weight, whatever the bound; the ess_sup table is always built
-    and declines nothing.
+    exact weights, infinite values included, and declines exactly the keys
+    where Phi raises DomainError, whatever the bound; the ess_sup table is
+    always built and declines nothing.
     """
     space = members[0].space
     integral = phi.eval_fn is not ess_sup_value
-    heavy = space.non_null_indices()
-
-    def infinite(values):
-        return any(values[i] in (POS_INF, NEG_INF) for i in heavy)
-
     rows, fields = interchange._rank_code(members)
     scored = []  # (subset, key, Phi on its infimum or None where Phi raises)
     for k in range(1, len(members) + 1):
@@ -189,9 +187,9 @@ def _table_mismatches(phi, members, build=None):
             try:
                 value = phi(FnClass.from_ext(space, inf_s))
             except DomainError:
-                assert integral and infinite(inf_s)
+                assert integral
                 value = None
-            scored.append((idx, key, infinite(inf_s), value))
+            scored.append((idx, key, value))
     # Just above and below a value, ceil((lhs - tol) * den) is no multiple
     # of den, so a floor in its place fails too.
     tiny = as_scalar("1/1000000000", space.backing)
@@ -199,17 +197,16 @@ def _table_mismatches(phi, members, build=None):
     bounds = ({v for *_, v in scored if v is not None} | {NEG_INF, POS_INF}
               | {v + tiny for v in finite} | {v - tiny for v in finite})
     tols = [as_scalar(t, space.backing) for t in (0, "1/3")]
-    stuck = any(fields[i][0] in ([POS_INF], [NEG_INF]) for i in heavy)
     mismatches = []
     for lhs in sorted(bounds):
         for tol in tols:
             table = (build or RANK_TABLES[phi.eval_fn])(space, fields, lhs, tol)
-            assert (table is None) == (integral and (space.backing == "float" or stuck))
+            assert (table is None) == (integral and space.backing == "float")
             if table is None:
                 return None
-            for idx, key, inf, value in scored:
+            for idx, key, value in scored:
                 got = table(key)
-                assert (got is None) == (integral and inf)
+                assert (got is None) == (value is None)
                 if got is not None and got is not _leq_within(lhs, value, tol):
                     mismatches.append((lhs, tol, idx, got, value))
     return mismatches
@@ -301,6 +298,38 @@ def test_both_parts_infinite_after_the_table_is_built(monkeypatch, rows, last):
         "use outer_integral or inner_integral"
     )
     assert builds == [last]
+
+
+@pytest.mark.parametrize("name", ["check-lebesgue-inf", "check-outer-inf",
+                                  "check-inner-inf-column"])
+def test_rank_tables_score_infinite_values(monkeypatch, name):
+    """On the golden families with infinite values on atoms of positive
+    weight, one of them +inf in every member on an atom, the scan builds the
+    integral's rank table, and the table answers every key it is asked,
+    infinite integrals included, as Phi does."""
+    sc = json.loads((GOLDEN_SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+    space = build_space(sc["space"], "rational")
+    family = build_family(sc["family"], space)
+    phi = make_builtin(sc["functional"]["kind"])
+    build = RANK_TABLES[phi.eval_fn]
+    scored = []  # (answer, Phi on the key's infimum)
+
+    def counted(space, fields, lhs, tol):
+        table = build(space, fields, lhs, tol)
+        assert table is not None
+
+        def passes(key):
+            inf_s = tuple(lv[((key >> off) & mask).bit_count()] for lv, off, mask in fields)
+            value = phi(FnClass.from_ext(space, inf_s))
+            scored.append((table(key), _leq_within(lhs, value, tol), value))
+            return scored[-1][0]
+
+        return passes
+
+    monkeypatch.setitem(RANK_TABLES, phi.eval_fn, counted)
+    verify_interchange(family, phi)
+    assert scored and all(answer is holds for answer, holds, _ in scored)
+    assert any(value in (POS_INF, NEG_INF) for *_, value in scored)
 
 
 def test_a_witness_the_table_fails_is_scored_again(monkeypatch):

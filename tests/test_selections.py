@@ -22,7 +22,7 @@ from interlab.decomposable import (
     verify_shapiro,
 )
 from interlab.errors import InterlabError, InvariantError
-from interlab.extreal import NEG_INF
+from interlab.extreal import NEG_INF, weighted_parts
 from interlab.functionals import Functional, make_builtin
 from interlab.integrals import (
     inner_integral,
@@ -332,27 +332,35 @@ def test_lhs_below_rhs_is_an_invariant_failure(monkeypatch):
 
 
 def test_rational_fold_does_no_fraction_arithmetic(monkeypatch):
-    """The exact terms are integer numerators over one denominator, so the
-    Fraction additions of a product's verdict do not grow with its size."""
-    counts = []
-    for n_atoms in (4, 6):
-        space = MeasureSpace([f"a{i}" for i in range(n_atoms)], ["1/3"] * n_atoms)
-        table = [[f"{(i + 5 * c) % 11 - 5}/{(2, 3, 7)[(i + c) % 3]}" for c in range(4)]
-                 for i in range(n_atoms)]
-        integrand = Integrand(space, [[c] for c in range(4)], table)
-        u_set = SelectionSet.full_product(n_atoms, 4)
-        adds = []
-        with monkeypatch.context() as patch:
-            for name in ("__add__", "__radd__"):
-                def counted(a, b, _op=getattr(Fraction, name)):
-                    adds.append(1)
-                    return _op(a, b)
+    """The exact terms are integer codes over one denominator, infinite
+    values included, so the Fraction additions of a product's verdict do not
+    grow with its size, and no selection is evaluated on its own."""
+    for infinite in (False, True):
+        counts = []
+        for n_atoms in (4, 6):
+            space = MeasureSpace([f"a{i}" for i in range(n_atoms)], ["1/3"] * n_atoms)
+            table = [[f"{(i + 5 * c) % 11 - 5}/{(2, 3, 7)[(i + c) % 3]}" for c in range(4)]
+                     for i in range(n_atoms)]
+            if infinite:  # on atoms of positive weight
+                table[0][1], table[1][2], table[2][3] = "+inf", "-inf", "+inf"
+            integrand = Integrand(space, [[c] for c in range(4)], table)
+            u_set = SelectionSet.full_product(n_atoms, 4)
+            adds, parts = [], []
+            with monkeypatch.context() as patch:
+                for name in ("__add__", "__radd__"):
+                    def counted(a, b, _op=getattr(Fraction, name)):
+                        adds.append(1)
+                        return _op(a, b)
 
-                patch.setattr(Fraction, name, counted)
-            report = verify_rw_interchange(integrand, u_set)
-        assert report.equal and type(report.lhs) is Fraction
-        counts.append(len(adds))
-    assert counts[0] == counts[1]
+                    patch.setattr(Fraction, name, counted)
+                patch.setattr(decomposable, "weighted_parts",
+                              lambda *args: parts.append(1) or weighted_parts(*args))
+                report = verify_rw_interchange(integrand, u_set)
+            assert report.equal
+            assert report.lhs == NEG_INF if infinite else type(report.lhs) is Fraction
+            assert parts == []
+            counts.append(len(adds))
+        assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("backing", ["rational", "float"])

@@ -20,7 +20,7 @@ coprime, so the family is ranked on its Fractions:
   dict, where each distinct string is now parsed once per call;
 * ``rank_code_ms``: ``interchange._rank_code`` on the members, now ranked
   on integer keys while the family's common denominator has at most
-  ``interchange._KEY_BITS`` bits;
+  ``extreal._KEY_BITS`` bits;
 * ``scan_ms``: ``is_phi_inf_directed`` given the members' and the
   infimum's values, as ``verify_interchange`` calls it, which now builds no
   rank code for two members;
