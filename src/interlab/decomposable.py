@@ -463,14 +463,14 @@ def _selection_folds(integrand, u_set, projections, enum_budget, combine):
     is the complex (positive term, negative term) of ``weighted_parts``,
     whose addition adds the two parts with its rounding, bit for bit, and a
     fold z gives ``combine(z.real, z.imag)`` when a code is infinite, else
-    ip - im.  Under rational backing it is the int of ``extreal.exact_codes``;
-    a fold above the codes' finite band is +inf for every integral, and a
-    block whose least fold is below it has each fold outside it decoded
-    (``ExactCodes.value``).  Either way the integral's own DomainError comes
-    at its first selection.  A product folds the trailing atoms whose
-    admissible sets multiply to at most ``SELECTION_BLOCK`` one atom layer
-    at a time, from the fold of the leading atoms; an explicit set folds
-    each selection.  Where a fold could differ from ``weighted_parts`` (see
+    ip - im.  Under rational backing it is the int of
+    ``extreal.exact_codes`` of the reachable entries, and
+    ``ExactCodes.ordered`` makes a block's folds order as their integrals
+    do.  Either way the integral's own DomainError comes at its first
+    selection.  A product folds the trailing atoms whose admissible sets
+    multiply to at most ``SELECTION_BLOCK`` one atom layer at a time, from
+    the fold of the leading atoms; an explicit set folds each selection.
+    Where a fold could differ from ``weighted_parts`` (see
     ``_complex_codes``) or no exact code is built, each selection is
     ``combine(*weighted_parts(...))``.
     """
@@ -479,7 +479,9 @@ def _selection_folds(integrand, u_set, projections, enum_budget, combine):
     if space.backing == "float":
         codes, rows, zero = None, _complex_codes(space.weights, integrand.table, projections), 0j
     else:
-        codes = exact_codes(space.weights, integrand.table)
+        codes = exact_codes(space.weights, [  # 0 where no selection reaches
+            [x if c in reach else 0 for c, x in enumerate(row)]
+            for row, reach in zip(integrand.table, map(set, projections))])
         rows, zero = codes and codes.rows, 0
 
     def finish(least):
@@ -500,10 +502,7 @@ def _selection_folds(integrand, u_set, projections, enum_budget, combine):
     elif codes is None:
         blocks = (([z.real - z.imag for z in values], block) for values, block in blocks)
     elif codes.infinite:
-        half = codes.scale // 2
-        blocks = ((values if min(values) > -half else
-                   [v if -half < v < half else codes.value(v, combine) for v in values], block)
-                  for values, block in blocks)
+        blocks = ((codes.ordered(values, combine), block) for values, block in blocks)
     return blocks, finish
 
 

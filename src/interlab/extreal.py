@@ -31,16 +31,15 @@ as ints and Fraction terms per denominator, and reduces each part once.
 Float addition rounds at every step, so float terms keep the atom order
 that defines the integrals' float results.
 
-Every exact sum in the package is kept as an integer numerator over a
-positive denominator and ends in the one reduction ``_reduced(num, den)``,
-which gives an int when the ratio is integral and a Fraction otherwise;
-the integrals' rank tables compare the numerator with an integer bound
-instead.  ``exact_codes`` alone puts exact terms over a common denominator:
-it makes rows of terms w * x, infinities included, ints whose sums carry
-the finite numerator and the counts of +inf and -inf terms, for the rank
-keys and tables of the directedness scan and the selection fold of
-``decomposable``; ``parts_value`` gives each integral from a finite sum
-and the two counts, which is what ``integrals.RunningParts`` keeps.
+Every exact sum in the package is an integer numerator over a positive
+denominator that ends in the one reduction ``_reduced(num, den)``: an int
+when integral, else a Fraction.  ``exact_numerators`` alone puts exact
+terms over a common denominator, as ints that order like them (the rank
+keys of the directedness scan); ``exact_codes`` makes their infinities ints
+too, whose sums carry the finite numerator and the counts of +inf and -inf
+terms (the scan's rank tables and the selection fold of ``decomposable``);
+``parts_value`` gives each integral from a finite sum and the two counts,
+which is what ``integrals.RunningParts`` keeps.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
@@ -415,68 +414,85 @@ def _exact_sum(whole: int, by_den: dict) -> Scalar:
     return _reduced(sum([n * (den // d) for d, n in by_den.items()], whole * den), den)
 
 
-# The most bits of a common denominator that ``exact_codes`` builds: past it
+# The most bits of a common denominator ``exact_numerators`` builds: past it
 # the lcm of many denominators nears their product, costlier than Fractions.
 _KEY_BITS = 4096
 
 
 class ExactCodes(NamedTuple):
-    """Rows of exact terms w * x as ints: a finite term is its numerator over
-    ``den``; with S (``scale``) above twice the sum over rows of the row's
-    largest |numerator| and A rows, a +inf term is S, a -inf term -S (A + 1)
-    and a term of weight 0 is 0.  So a code orders like its term, and a sum
-    of at most one code per row is N + S (p - (A + 1) m) for the sum N of
-    its finite numerators, |N| < S / 2, and the counts p and m of its +inf
-    and -inf terms.  ``infinite`` tells whether any code is."""
+    """Rows of exact terms w * x as ints: ``exact_numerators``, with S
+    (``scale``) above twice the sum over the A rows of the row's largest
+    |numerator| for a +inf term and -S (A + 1) for a -inf one.  So a code
+    orders like its term, and a sum of at most one code per row is
+    N + S (p - (A + 1) m) for the sum N of its finite numerators, |N| < S / 2,
+    and the counts p and m of its +inf and -inf terms.  ``infinite`` tells
+    whether any code is; without one, S is 0 and every sum is its N."""
 
     den: int
     rows: list
     scale: int
     infinite: bool
 
+    def finite(self, code: int) -> bool:
+        """Whether the sum ``code`` is the numerator N of a finite sum."""
+        return not self.infinite or 2 * abs(code) < self.scale
+
+    def ceil(self, x: Scalar) -> Scalar:
+        """ceil(x * den), or an infinite ``x`` itself."""
+        return x if type(x) is float else -(-x.numerator * self.den // x.denominator)
+
     def value(self, code: int, combine) -> Scalar:
-        """The integral whose ``integrals.PART_SUMS`` entry is ``combine`` of
-        the function whose terms' codes sum to ``code``."""
-        half = self.scale // 2
-        q, num = divmod(code + half, self.scale)
-        minus, plus = divmod(q, len(self.rows) + 1)
-        return parts_value(0 if q else _reduced(num - half, self.den), plus, -minus, combine)
+        """The ``combine`` integral (see ``PART_SUMS``) of terms whose codes sum to ``code``."""
+        if self.finite(code):
+            return _reduced(code, self.den)
+        minus, plus = divmod((code + self.scale // 2) // self.scale, len(self.rows) + 1)
+        return parts_value(0, plus, -minus, combine)
+
+    def ordered(self, sums: list, combine) -> list:
+        """``sums``, those outside the finite band decoded, so that they order
+        as their integrals do; a sum above it is +inf for every integral."""
+        return sums if 2 * min(sums) > -self.scale else [
+            v if self.finite(v) else self.value(v, combine) for v in sums]
 
 
 def exact_codes(weights: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]):
-    """The ``ExactCodes`` of the terms w * x, for each x of a row and w its
-    weight, or None when a weight is a float or the common denominator, the
-    lcm of the weights' denominators times that of the values', would have
-    more than ``_KEY_BITS`` bits.  Rows of ints of weight 1 over it are
-    their own codes."""
-    weight_types, types = set(map(type, weights)), set(map(type, chain.from_iterable(rows)))
-    dens = ({x.denominator for row in rows for x in row if type(x) is Fraction}
-            if Fraction in types else ())
+    """The ``ExactCodes`` of ``exact_numerators``, or None where that is."""
+    den, codes = exact_numerators(weights, rows) or (None, None)
+    if codes is None or not any(POS_INF in row or NEG_INF in row for row in codes):
+        return None if codes is None else ExactCodes(den, codes, 0, False)
+    scale = 2 * len(codes) * max([abs(c) for row in codes for c in row if type(c) is int],
+                                 default=0) + 2
+    return ExactCodes(den, [[c if type(c) is int else scale if c > 0 else -scale * (len(codes) + 1)
+                             for c in row] for row in codes], scale, True)
+
+
+def exact_numerators(weights: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]):
+    """(den, codes): the terms w * x, for each x of a row and w its weight, as
+    int numerators over den, the lcm of the weights' denominators times that
+    of the values' (a term of weight 0 is 0, an infinite one its infinity),
+    so each orders like its term; rows of ints of weight 1 are their own.
+    None for a float weight or a den of more than ``_KEY_BITS`` bits."""
+    weight_types = set(map(type, weights))
+    dens = {x.denominator for row in rows for x in row if type(x) is Fraction}
     lw = _lcm({w.denominator for w in weights}) if Fraction in weight_types else 1
-    lx = _lcm(dens) if dens else 1
+    lx = _lcm(dens)
     if float in weight_types or not (lw and lx) or (lw * lx).bit_length() > _KEY_BITS:
         return None
-    codes = rows if lx == 1 and types == {int} else [
-        [x.numerator * (lx // x.denominator) if type(x) is Fraction
-         else 0 if type(x) is float else x * lx for x in row] for row in rows]
+    # Under exact weights the only floats are infinities.
+    up = {d: lx // d for d in dens}
+    codes = rows if not dens else [[x.numerator * up[x.denominator] if type(x) is Fraction
+                                    else x * lx if type(x) is int else x for x in row]
+                                   for row in rows]
     factors = weights if lw == 1 else [w.numerator * (lw // w.denominator) for w in weights]
     if factors.count(1) < len(rows):
-        codes = [row if f == 1 else [c * f for c in row] for f, row in zip(factors, codes)]
-    scale = 2 * len(rows) * max(map(abs, chain((0,), *codes))) + 2
-    # Under exact weights the only floats are infinities; a row of weight 0
-    # keeps its codes 0.
-    infinite = [(codes[r], j, x > 0) for r, row in enumerate(rows) if factors[r]
-                for j, x in enumerate(row) if type(x) is float] if float in types else []
-    for out, j, positive in infinite:
-        out[j] = scale if positive else -scale * (len(rows) + 1)
-    return ExactCodes(lw * lx, codes, scale, bool(infinite))
+        codes = [row if f == 1 else [c * f for c in row] if f else [0] * len(row)
+                 for f, row in zip(factors, codes)]
+    return lw * lx, codes
 
 
 def _lcm(dens) -> int:
     """The lcm of ``dens``, or 0 past ``_KEY_BITS`` bits."""
-    den = 1
-    for d in dens:
-        den = math.lcm(den, d)
+    for den in accumulate(dens, math.lcm, initial=1):
         if den.bit_length() > _KEY_BITS:
             return 0
     return den

@@ -21,7 +21,6 @@ over dominated simple functions.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import partial
 from itertools import compress, count
 from typing import Dict, Iterable, Mapping
@@ -107,22 +106,19 @@ class RunningParts:
     """The part integrals of a function whose values change a few atoms at a time.
 
     Holds the exact sum of the terms w * x of the atoms of positive weight
-    and finite value, and the counts of those atoms where x is +inf and
-    where it is -inf, so ``move`` updates them from one atom's old and new
-    values and ``value`` costs no pass over the atoms.  ``value`` is
-    ``extreal.parts_value`` with the integral's ``PART_SUMS`` entry: the
-    integral's own value, form and ``DomainError``.  Exact sums may be kept
-    in any order, so this is for rational backing; float sums round in atom
-    order and are left to the integrals.
+    and finite value and the counts of those where x is +inf and -inf, which
+    ``move`` updates from one atom's old and new values, so ``value``, that
+    is ``extreal.parts_value`` with the integral's ``PART_SUMS`` entry, costs
+    no pass over the atoms.  Exact sums may be kept in any order, so this is
+    for rational backing; float sums round in atom order and are left to the
+    integrals.
     """
 
     __slots__ = ("weights", "combine", "total", "infinite")
 
     def __init__(self, weights, combine, values):
-        self.weights = weights
-        self.combine = combine
-        self.total = 0
-        self.infinite = {POS_INF: 0, NEG_INF: 0}  # the two counts
+        self.weights, self.combine, self.total = weights, combine, 0
+        self.infinite = {POS_INF: 0, NEG_INF: 0}  # the two counts, in this order
         for i in compress(count(), values):  # the atoms of nonzero value
             self.move(i, 0, values[i])
 
@@ -149,45 +145,34 @@ class RunningParts:
                 self.total += w * new
 
     def value(self) -> Scalar:
-        infinite = self.infinite
-        return parts_value(_kept(self.total), infinite[POS_INF], infinite[NEG_INF], self.combine)
-
-
-_EXACT = (int, Fraction)
+        return parts_value(_kept(self.total), *self.infinite.values(), self.combine)
 
 
 def _integral_table(combine, space: MeasureSpace, fields, lhs: Scalar, tol: Scalar):
     """Rank table of the integral whose ``PART_SUMS`` entry is ``combine``
-    (see ``RANK_TABLES``).
-
-    The term w * x of each rank of each atom of positive weight is one int
-    of ``extreal.exact_codes``, and a key's code is their sum.  In the
-    codes' finite band that is the integral's numerator S over their
-    denominator den, and the key passes exactly when S is at least the one
-    integer ceil((lhs - tol) * den).  Outside it, the key passes when lhs is
-    at most the infinity the code decodes to (``ExactCodes.value``), and
-    maps to None where the integral raises, so that the scan runs it.  Built
-    only when the codes are, and when tol is exact and lhs exact or
-    infinite, so float rounding is left to the integrals and to the scan.
+    (see ``RANK_TABLES``): a key's code is the sum of the
+    ``extreal.exact_codes`` of its ranks' terms w * x.  A finite sum passes
+    exactly when it is at least the one int ``ExactCodes.ceil(lhs - tol)``;
+    any other when lhs is at most its infinite value, and maps to None where
+    the integral raises, so that the scan runs it.  Built only when the
+    codes are, tol is exact and lhs exact or infinite, so float rounding is
+    left to the integrals and the scan.
     """
-    exact = type(tol) in _EXACT and (type(lhs) in _EXACT or lhs in (POS_INF, NEG_INF))
+    exact = type(tol) is not float and (type(lhs) is not float or lhs in (POS_INF, NEG_INF))
     codes = exact and exact_codes(space.weights, [level for level, _, _ in fields])
     if not codes:
         return None
     atoms = [(off, mask, row) for (_, off, mask), row in zip(fields, codes.rows) if any(row)]
     base = sum([row[0] for _, mask, row in atoms if not mask])
     atoms = [atom for atom in atoms if atom[1]]
-    # ceil((lhs - tol) * den); an int compares exactly with an infinity, and
-    # every finite integral passes lhs = -inf and none passes +inf, as
+    # Every finite integral passes lhs = -inf and none passes +inf, as
     # ``_leq_within`` has it.
-    bound = lhs - tol if tol else lhs
-    threshold = (bound if type(bound) is float
-                 else -(-bound.numerator * codes.den // bound.denominator))
-    half = codes.scale // 2
+    threshold = codes.ceil(lhs - tol if tol else lhs)
+    infinite, finite = codes.infinite, codes.finite
 
     def passes(key: int):
         total = base + sum([row[((key >> off) & mask).bit_count()] for off, mask, row in atoms])
-        if -half < total < half:
+        if not infinite or finite(total):  # no call per key without infinities
             return total >= threshold
         try:
             return lhs <= codes.value(total, combine)

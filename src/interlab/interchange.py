@@ -45,7 +45,7 @@ from .extreal import (
     _eq_within,
     _leq_within,
     as_scalar,
-    exact_codes,
+    exact_numerators,
     to_text,
 )
 from .fnlattice import FnClass, IntegrabilityTag, classify, mu_leq, pointwise_inf
@@ -187,15 +187,16 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
     field ``(distinct values in increasing order, bit offset, field mask)``.
 
     Under rational backing the values are ranked by their integer codes
-    (``extreal.exact_codes`` at weight 1), which order like the values,
+    (``extreal.exact_numerators`` at weight 1), which order like the values,
     while their common denominator has at most ``extreal._KEY_BITS`` bits:
     an int hashes and compares in a fraction of the time of a Fraction.
     The levels are the values themselves, so the rows and fields are those
     of ranking the values directly.
     """
     columns = list(zip(*(m.values for m in members)))
-    codes = members[0].space.backing == "rational" and exact_codes([1] * len(columns), columns)
-    keys = codes.rows if codes else columns
+    rational = members[0].space.backing == "rational"
+    found = rational and exact_numerators([1] * len(columns), columns)
+    keys = found[1] if found else columns
     rows = [0] * len(members)
     fields = []
     offset = 0

@@ -170,11 +170,17 @@ def _table_mismatches(phi, members, build=None):
 
     Also checks when a table may decline: an integral table is built under
     exact weights, infinite values included, and declines exactly the keys
-    where Phi raises DomainError, whatever the bound; the ess_sup table is
-    always built and declines nothing.
+    where Phi raises DomainError, which it does only on an infimum with an
+    infinite value on an atom of positive weight, whatever the bound; the
+    ess_sup table is always built and declines nothing.
     """
     space = members[0].space
     integral = phi.eval_fn is not ess_sup_value
+    heavy = space.non_null_indices()
+
+    def infinite(values):
+        return any(values[i] in (POS_INF, NEG_INF) for i in heavy)
+
     rows, fields = interchange._rank_code(members)
     scored = []  # (subset, key, Phi on its infimum or None where Phi raises)
     for k in range(1, len(members) + 1):
@@ -187,7 +193,7 @@ def _table_mismatches(phi, members, build=None):
             try:
                 value = phi(FnClass.from_ext(space, inf_s))
             except DomainError:
-                assert integral
+                assert integral and infinite(inf_s)
                 value = None
             scored.append((idx, key, value))
     # Just above and below a value, ceil((lhs - tol) * den) is no multiple

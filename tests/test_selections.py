@@ -363,6 +363,28 @@ def test_rational_fold_does_no_fraction_arithmetic(monkeypatch):
         assert counts[0] == counts[1]
 
 
+def test_unreachable_entries_bear_on_no_exact_code(monkeypatch):
+    """An entry whose denominator alone passes the exact codes' bit cap
+    turns the rational fold off only when a selection reaches it; out of
+    every admissible set it bears on no code, and no selection is evaluated
+    on its own."""
+    table = [[(i + 3 * c) % 7 - 3 for c in range(4)] for i in range(4)]
+    table[1][3] = f"1/{2 ** 5000 + 1}"
+    integrand = Integrand(MeasureSpace(["a", "b", "c", "d"], ["1/3"] * 4),
+                          [[c] for c in range(4)], table)
+    calls = []
+    monkeypatch.setattr(decomposable, "weighted_parts",
+                        lambda *args: calls.append(1) or weighted_parts(*args))
+    reports = []
+    for reached in (range(4), range(3)):
+        calls.clear()
+        u_set = SelectionSet("product", 4, 4, admissible=[range(4), reached, range(4), range(4)])
+        reports.append(verify_rw_interchange(integrand, u_set))
+        assert reports[-1].equal
+        assert (calls == []) == (len(reached) == 3)
+    assert reports[0].lhs == reports[1].lhs == -3
+
+
 @pytest.mark.parametrize("backing", ["rational", "float"])
 def test_enumeration_memory_does_not_grow_with_the_set(backing):
     """A 4^9 product holds 262144 selections; their float values alone
