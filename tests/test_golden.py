@@ -1,9 +1,11 @@
 """Golden reports of the CLI, byte for byte, under both backings.
 
-Three groups: the selection-set commands, the interchange path (the
+Four groups: the selection-set commands, the interchange path (the
 integral, sequence and Choquet galleries and the ``check`` scenarios, one
-of them scanned beyond the subset budget), and the sha256 digests of the
-oracle campaign reports for seeds 0-49.
+of them scanned beyond the subset budget), the sha256 digests of the
+oracle campaign reports for seeds 0-49, and oracle reports whose violation
+is forced, so that each carries the shrunk reproducing scenario the
+campaign writes.
 
 The CLI reads ``INTERLAB_BACKING`` on each call of ``main``, so both
 backings run in this process.  After an intended change to these reports,
@@ -21,6 +23,7 @@ from unittest import mock
 
 import pytest
 
+import interlab.oracle as oracle
 from interlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -64,6 +67,29 @@ INTERCHANGE_CASES = {
     "check-inner-inf-column": ["check", str(SCENARIOS / "check-inner-inf-column.json")],
 }
 
+# name -> (functional kind whose violation is forced, argv).  The Choquet
+# reproducer holds a table capacity, a null atom and a +inf value; the
+# extended-Lebesgue one holds +inf on its null atom and -inf on an atom of
+# positive weight.
+REPRODUCER_CASES = {
+    "oracle-reproducer-choquet": (
+        "choquet", ["oracle", "--trials", "20", "--seed", "7", "--max-atoms", "4"]),
+    "oracle-reproducer-lebesgue": (
+        "extended_lebesgue", ["oracle", "--trials", "20", "--seed", "10", "--max-atoms", "4"]),
+}
+
+
+def forced_violation(kind):
+    """A stand-in for ``oracle._violates``: an instance of ``kind`` with at
+    least two members on at least two atoms, one of them null, violates.
+    The shrink then ends at two members on two atoms."""
+    def violates(instance):
+        if (instance.kind == kind and len(instance.family.members) >= 2
+                and len(instance.space.atoms) >= 2 and 0 in instance.space.weights):
+            return f"forced violation ({kind})"
+        return None
+    return violates
+
 
 def run_reports(backing, out_dir, cases):
     """{(case, format): exit code}, with each report written to out_dir."""
@@ -88,9 +114,17 @@ def oracle_digests(backing):
     return digests
 
 
-def assert_match_golden(backing, out_dir, cases):
-    codes = run_reports(backing, out_dir, cases)
-    assert set(codes.values()) == {0}
+def run_reproducers(backing, out_dir):
+    """``run_reports`` of the oracle campaigns with forced violations."""
+    codes = {}
+    for case, (kind, argv) in REPRODUCER_CASES.items():
+        with mock.patch.object(oracle, "_violates", forced_violation(kind)):
+            codes.update(run_reports(backing, out_dir, {case: argv}))
+    return codes
+
+
+def assert_match_golden(backing, out_dir, codes, code=0):
+    assert set(codes.values()) == {code}
     for name in codes:
         expected = (GOLDEN / backing / name).read_bytes()
         assert (out_dir / name).read_bytes() == expected, f"{backing}/{name}"
@@ -98,12 +132,18 @@ def assert_match_golden(backing, out_dir, cases):
 
 @pytest.mark.parametrize("backing", BACKINGS)
 def test_selection_reports_match_golden_files(backing, tmp_path):
-    assert_match_golden(backing, tmp_path, SELECTION_CASES)
+    assert_match_golden(backing, tmp_path, run_reports(backing, tmp_path, SELECTION_CASES))
 
 
 @pytest.mark.parametrize("backing", BACKINGS)
 def test_interchange_reports_match_golden_files(backing, tmp_path):
-    assert_match_golden(backing, tmp_path, INTERCHANGE_CASES)
+    assert_match_golden(backing, tmp_path, run_reports(backing, tmp_path, INTERCHANGE_CASES))
+
+
+@pytest.mark.parametrize("backing", BACKINGS)
+def test_oracle_reproducers_match_golden_files(backing, tmp_path):
+    # A violation exits 4, and the report names the shrunk reproducer.
+    assert_match_golden(backing, tmp_path, run_reproducers(backing, tmp_path), code=4)
 
 
 @pytest.mark.parametrize("backing", BACKINGS)
@@ -117,6 +157,7 @@ if __name__ == "__main__":
         (GOLDEN / backing).mkdir(parents=True, exist_ok=True)
         codes = run_reports(backing, GOLDEN / backing,
                             {**SELECTION_CASES, **INTERCHANGE_CASES})
+        codes.update(run_reproducers(backing, GOLDEN / backing))
         print(backing, codes)
     digests = {backing: oracle_digests(backing) for backing in BACKINGS}
     ORACLE_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
