@@ -79,21 +79,21 @@ Selection = Tuple[int, ...]
 class Integrand:
     """A total table over atoms x controls, with extended-real entries.
 
-    The entries are coerced in one ``extreal.coerce_all`` call, so each
-    distinct string among them is parsed once per table.
+    The control labels only name the table's columns, so only their count
+    is kept.  The entries are coerced in one ``extreal.coerce_all`` call, so
+    each distinct string among them is parsed once per table.
     """
 
     space: MeasureSpace
-    controls: Tuple
+    n_controls: int
     table: Tuple[Tuple[Scalar, ...], ...]
 
     def __init__(self, space: MeasureSpace, controls: Sequence, table: Sequence[Sequence]):
-        controls = tuple(tuple(c) if isinstance(c, (list, tuple)) else (c,) for c in controls)
-        if not controls:
+        k = len(controls)
+        if not k:
             raise InputError("an integrand needs at least one control")
         if len(table) != len(space.atoms):
             raise InputError("integrand table must have one row per atom")
-        k = len(controls)
         short = next((i for i, row in enumerate(table) if len(row) != k), None)
         # The rows before the first misfit are read first, so a bad entry
         # among them is the error reported.
@@ -101,13 +101,9 @@ class Integrand:
         if short is not None:
             raise InputError("integrand table row must have one entry per control")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "n_controls", k)
         object.__setattr__(self, "table", tuple(tuple(values[i:i + k])
                                                 for i in range(0, len(values), k)))
-
-    @property
-    def n_controls(self) -> int:
-        return len(self.controls)
 
     def g_of(self, selection: Selection) -> FnClass:
         """The function omega -> f(omega, u(omega)) for a selection u."""

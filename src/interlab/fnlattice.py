@@ -39,7 +39,6 @@ from .extreal import (
     coerce_all,
     lower_add,
     pointwise_min,
-    to_jsonable,
     to_text,
     upper_add,
     weighted_parts,
@@ -101,9 +100,6 @@ class FnClass:
 
     def __repr__(self) -> str:
         return f"FnClass([{', '.join(map(to_text, self.values))}])"
-
-    def to_jsonable(self) -> list:
-        return [to_jsonable(v) for v in self.values]
 
 
 def _same_space(f: FnClass, g: FnClass) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import compress, count
-from typing import Dict, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DomainError, InputError
 from .extreal import (
@@ -38,7 +38,6 @@ from .extreal import (
     lower_add,
     parts_value,
     scalar_mul,
-    to_jsonable,
     to_text,
     upper_add,
     weighted_parts,
@@ -292,48 +291,6 @@ class Capacity:
         """
         return _Distortion(space, gamma)
 
-    def to_json_dict(self) -> dict:
-        values = {}
-        for s in iter_atom_subsets(self.space):
-            for a in s:
-                if "," in a or "{" in a or "}" in a:
-                    raise InputError(
-                        f"atom id {a!r} cannot appear in a capacity table key"
-                    )
-            key = "{" + ",".join(a for a in self.space.atoms if a in s) + "}"
-            values[key] = to_jsonable(self._table[s])
-        return {"kind": "table", "values": values}
-
-    @classmethod
-    def from_json_dict(cls, d: dict, space: MeasureSpace) -> "Capacity":
-        if not isinstance(d, dict):
-            raise InputError(f"a capacity must be a JSON object, got {d!r}")
-        kind = d.get("kind")
-        if kind == "distortion":
-            if d.get("of_measure", True) is not True:
-                raise InputError(f"distortion 'of_measure' must be true, got {d['of_measure']!r}")
-            if "gamma" not in d:
-                raise InputError("a distortion capacity needs 'gamma'")
-            if isinstance(d["gamma"], bool):
-                raise InputError(f"distortion 'gamma' must be a number, got {d['gamma']!r}")
-            return cls.distortion(space, as_scalar(d["gamma"], space.backing))
-        if kind != "table":
-            raise InputError(f"unknown capacity kind {kind!r}")
-        values = d.get("values", {})
-        if not isinstance(values, dict):
-            raise InputError(f"capacity 'values' must be a JSON object, got {values!r}")
-        table: Dict[AtomSet, Scalar] = {}
-        for key, v in values.items():
-            key = key.strip()
-            if not (key.startswith("{") and key.endswith("}")):
-                raise InputError(f"capacity key {key!r} must look like '{{a,b}}'")
-            inner = key[1:-1].strip()
-            atoms = frozenset(a.strip() for a in inner.split(",")) if inner else frozenset()
-            if atoms in table:
-                raise InputError(f"capacity table lists the set {_set_str(space, atoms)} twice")
-            table[atoms] = v  # the constructor converts it
-        return cls(space, table)
-
 
 _BEYOND_FLOAT = "distortion gamma, weights and values must lie within the float range"
 
@@ -386,9 +343,6 @@ class _Distortion(Capacity):
             return v
 
         return read
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "distortion", "of_measure": True, "gamma": self.gamma}
 
 
 def _set_str(space: MeasureSpace, s: AtomSet) -> str:

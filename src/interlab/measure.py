@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .extreal import BACKINGS, Scalar, _kept, as_scalar, coerce_all, to_jsonable
+from .extreal import BACKINGS, Scalar, _kept, as_scalar, coerce_all
 
 AtomSet = FrozenSet[str]
 
@@ -101,25 +101,6 @@ class MeasureSpace:
     def __repr__(self) -> str:
         label = f", truncation_of={self.truncation_of!r}" if self.truncation_of else ""
         return f"MeasureSpace({list(self.atoms)!r}, {list(self.weights)!r}{label})"
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "atoms": list(self.atoms),
-            "weights": [to_jsonable(w) for w in self.weights],
-        }
-        if self.truncation_of is not None:
-            d["truncation_of"] = self.truncation_of
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict, backing: str = "rational") -> "MeasureSpace":
-        if not isinstance(d, dict) or "atoms" not in d or "weights" not in d:
-            raise InputError("space object needs 'atoms' and 'weights'")
-        for w in d["weights"]:
-            # JSON numbers and "p/q" strings; the constructor converts them.
-            if not (type(w) in (int, float) or isinstance(w, str) and "/" in w):
-                raise InputError(f"cannot decode {w!r} as a weight")
-        return cls(d["atoms"], d["weights"], d.get("truncation_of"), backing)
 
 
 def _check_subset(space: MeasureSpace, s: Iterable[str]) -> AtomSet:

@@ -7,7 +7,8 @@ verifier raises InvariantError on any disagreement).  Under rational
 backing all comparisons are exact, so the expected violation count is zero.
 
 A failing instance is greedily shrunk (drop members, then atoms) to a
-minimal reproducing scenario before being reported.
+minimal instance, which the summary reports as the ``check`` scenario that
+``scenario.write_check`` writes for it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .functionals import Functional, make_builtin
 from .integrals import Capacity
 from .interchange import Family, verify_interchange
 from .measure import MeasureSpace, iter_atom_subsets
+from .scenario import write_check
 
 WEIGHT_GRID = [0, "1/2", 1, 2]
 FINITE_VALUE_GRID = [-2, -1, 0, "1/2", 1, 3]
@@ -106,16 +108,6 @@ class OracleInstance:
     functional: Functional
     kind: str
     capacity: Optional[Capacity] = None
-
-    def to_scenario_dict(self) -> dict:
-        func: dict = {"kind": self.kind}
-        if self.capacity is not None:
-            func = {"kind": "choquet", "capacity": self.capacity.to_json_dict()}
-        return {
-            "space": self.space.to_json_dict(),
-            "family": [f.to_jsonable() for f in self.family.members],
-            "functional": func,
-        }
 
 
 def random_instance(
@@ -218,6 +210,7 @@ def run_campaign(
                 minimal = shrink_instance(instance)
                 summary.first_violation = {
                     "message": message,
-                    "scenario": minimal.to_scenario_dict(),
+                    "scenario": write_check(minimal.space, minimal.family.members,
+                                            minimal.kind, minimal.capacity),
                 }
     return summary

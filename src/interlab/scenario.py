@@ -1,15 +1,20 @@
-"""Scenario files: one reader per CLI command, and the report envelopes.
+"""Scenario files: one reader per CLI command, the one writer, and the
+report envelopes.
 
-A scenario is a JSON object.  ``read_check``, ``read_rw`` and
-``read_shapiro`` each read one command's scenario and check every
-container shape once: required keys are present, JSON arrays stand where
-arrays are due (atoms, weights, family members, integrand controls and
-table rows, selections, admissible sets, ``declared_gflat``), atom ids are
-JSON strings, integer options are integers, and tolerances and divergence
+This is the only module that reads or writes a scenario object; the
+library constructors take plain Python values.  A scenario is a JSON
+object.  ``read_check``, ``read_rw`` and ``read_shapiro`` each read one
+command's scenario and check every container shape once: required keys are
+present, JSON arrays stand where arrays are due (atoms, weights, family
+members, integrand controls and table rows, selections, admissible sets,
+``declared_gflat``), atom ids are JSON strings, weights are JSON numbers or
+"p/q" strings, integer options are integers, and tolerances and divergence
 thresholds are finite numbers.  Any failure, of a shape or of a value the
 library constructors reject, is a ``ScenarioError`` (exit 2).  Each scalar
 is converted once, by those constructors.  Unknown top-level keys are
-ignored.
+ignored.  ``write_check`` writes the ``check`` scenario of a space, literal
+members and an optional capacity table, as the oracle reports a
+reproducer.
 
 ``flags`` maps option names (``tolerance``, ``seed``, ``subset_budget``,
 ``prefix``, ``divergence_threshold``, and the oracle's ``trials``,
@@ -32,17 +37,17 @@ import json
 import math
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import __version__
 from .decomposable import Integrand, SelectionSet, ShapiroScenario, check_selection
-from .errors import InterlabError, ScenarioError
+from .errors import InputError, InterlabError, ScenarioError
 from .extreal import Scalar, as_scalar, to_jsonable, too_long_to_print
 from .fnlattice import FnClass
 from .functionals import Functional, make_builtin
-from .integrals import Capacity
+from .integrals import Capacity, _set_str
 from .interchange import DEFAULT_SUBSET_BUDGET, Family, SequenceSpec, default_tolerance
-from .measure import MeasureSpace
+from .measure import AtomSet, MeasureSpace, iter_atom_subsets
 
 
 @contextmanager
@@ -132,20 +137,74 @@ def read_tolerance(sc: dict, flags: dict) -> Scalar:
 
 def build_space(obj, backing: str) -> MeasureSpace:
     atoms = _array(_need(obj, "atoms", "space"), "space atoms")
-    _array(_need(obj, "weights", "space"), "space weights")
+    weights = _array(_need(obj, "weights", "space"), "space weights")
     if not all(isinstance(a, str) for a in atoms):
         raise ScenarioError("atom ids must be JSON strings")
     if not isinstance(obj.get("truncation_of", ""), str):
         raise ScenarioError("a space's 'truncation_of' label must be a JSON string")
     with _bad("space"):
-        return MeasureSpace.from_json_dict(obj, backing)
+        for w in weights:
+            # JSON numbers and "p/q" strings; the constructor converts them.
+            if not (type(w) in (int, float) or isinstance(w, str) and "/" in w):
+                raise InputError(f"cannot decode {w!r} as a weight")
+        return MeasureSpace(atoms, weights, obj.get("truncation_of"), backing)
+
+
+def _table_key(atoms) -> str:
+    """The capacity table key of atoms listed in space order, "{a,b}".  An
+    atom id that ``_key_set`` would not read back, one that is empty, has a
+    blank at either end, or holds a comma or a brace, cannot appear in one."""
+    for a in atoms:
+        if not a or a != a.strip() or "," in a or "{" in a or "}" in a:
+            raise InputError(f"atom id {a!r} cannot appear in a capacity table key")
+    return "{" + ",".join(atoms) + "}"
+
+
+def _key_set(key: str) -> AtomSet:
+    """The atom set of a capacity table key, the inverse of ``_table_key``;
+    blanks around the key and its atoms are dropped."""
+    key = key.strip()
+    if not (key.startswith("{") and key.endswith("}")):
+        raise InputError(f"capacity key {key!r} must look like '{{a,b}}'")
+    inner = key[1:-1].strip()
+    return frozenset(a.strip() for a in inner.split(",")) if inner else frozenset()
+
+
+def read_capacity(obj, space: MeasureSpace) -> Capacity:
+    """A ``"table"`` capacity, its ``"values"`` keyed by ``_table_key``, or
+    a ``"distortion"`` of the space's measure with exponent ``"gamma"``.
+    Errors are ``InputError``s, reported by ``build_functional`` as a bad
+    functional."""
+    if not isinstance(obj, dict):
+        raise InputError(f"a capacity must be a JSON object, got {obj!r}")
+    kind = obj.get("kind")
+    if kind == "distortion":
+        if obj.get("of_measure", True) is not True:
+            raise InputError(f"distortion 'of_measure' must be true, got {obj['of_measure']!r}")
+        if "gamma" not in obj:
+            raise InputError("a distortion capacity needs 'gamma'")
+        if isinstance(obj["gamma"], bool):
+            raise InputError(f"distortion 'gamma' must be a number, got {obj['gamma']!r}")
+        return Capacity.distortion(space, as_scalar(obj["gamma"], space.backing))
+    if kind != "table":
+        raise InputError(f"unknown capacity kind {kind!r}")
+    values = obj.get("values", {})
+    if not isinstance(values, dict):
+        raise InputError(f"capacity 'values' must be a JSON object, got {values!r}")
+    table = {}
+    for key, v in values.items():
+        atoms = _key_set(key)
+        if atoms in table:
+            raise InputError(f"capacity table lists the set {_set_str(space, atoms)} twice")
+        table[atoms] = v  # the constructor converts it
+    return Capacity(space, table)
 
 
 def build_functional(obj, space: MeasureSpace) -> Functional:
     kind = _need(obj, "kind", "functional")
     with _bad("functional"):
         if kind == "choquet":
-            cap = Capacity.from_json_dict(obj.get("capacity", {}), space)
+            cap = read_capacity(obj.get("capacity", {}), space)
             return make_builtin("choquet", capacity=cap)
         if kind in ("extended_lebesgue", "outer", "inner", "ess_sup"):
             return make_builtin(kind)
@@ -258,6 +317,27 @@ def read_check(sc: dict, flags: dict):
         members = build_family(family, space)
     phi = build_functional(sc.get("functional", {}), space)
     return members, phi, budget, tol, seed
+
+
+def write_check(space: MeasureSpace, members: Sequence[FnClass], kind: str,
+                capacity: Optional[Capacity] = None) -> dict:
+    """The ``check`` scenario of the functions ``members`` on ``space`` under
+    the functional ``kind``, with the values of ``capacity`` as a table when
+    it is given; ``read_check`` reads it back to an equal space, members and
+    capacity.  Scalars are written by ``extreal.to_jsonable``."""
+    functional = {"kind": kind}
+    if capacity is not None:
+        functional["capacity"] = {"kind": "table", "values": {
+            _table_key([a for a in space.atoms if a in s]): to_jsonable(capacity.of(s))
+            for s in iter_atom_subsets(space)}}
+    written = {"atoms": list(space.atoms), "weights": [to_jsonable(w) for w in space.weights]}
+    if space.truncation_of is not None:
+        written["truncation_of"] = space.truncation_of
+    return {
+        "space": written,
+        "family": [[to_jsonable(v) for v in m.values] for m in members],
+        "functional": functional,
+    }
 
 
 # Integrands and selection sets ---------------------------------------------

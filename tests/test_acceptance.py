@@ -345,10 +345,8 @@ def test_criterion_7_choquet():
     unit2 = MeasureSpace(["a", "b"], [1, 1])
     from interlab.integrals import Capacity
 
-    cap = Capacity.from_json_dict(
-        {"kind": "table", "values": {"{}": 0, "{a}": 0.5, "{b}": 0.7, "{a,b}": 1}},
-        unit2,
-    )
+    cap = Capacity(unit2, {frozenset(): 0, frozenset({"a"}): 0.5, frozenset({"b"}): 0.7,
+                           frozenset({"a", "b"}): 1})
     worked_ok = choquet(FnClass(unit2, [1, 2]), cap) == ext(Fraction(17, 10))
 
     disagreements = 0

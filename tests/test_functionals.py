@@ -26,10 +26,8 @@ def test_builtin_examples(unit2):
     phi = make_builtin("extended_lebesgue")
     assert phi(fn(unit2, 1, -2)) == ext(-1)
 
-    cap = Capacity.from_json_dict(
-        {"kind": "table", "values": {"{}": 0, "{a}": 0.5, "{b}": 0.7, "{a,b}": 1}},
-        unit2,
-    )
+    cap = Capacity(unit2, {frozenset(): 0, frozenset({"a"}): 0.5, frozenset({"b"}): 0.7,
+                           frozenset({"a", "b"}): 1})
     cho = make_builtin("choquet", capacity=cap)
     assert cho(constant(unit2, 1)) == ext(1)
 

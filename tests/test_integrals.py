@@ -23,6 +23,7 @@ from interlab.integrals import (
 )
 from interlab.measure import MeasureSpace, iter_atom_subsets
 from interlab.oracle import random_capacity, random_semi_integrable, random_space
+from interlab.scenario import read_capacity, write_check
 from oracle_helpers import (
     additive_capacity,
     choquet_riemann,
@@ -287,9 +288,7 @@ def test_distortion_capacity_monotone_and_serializable():
     cap = Capacity.distortion(space, 0.8)
     assert cap.of(set()) == 0
     assert cap.of({"a"}) <= cap.of({"a", "b"}) <= cap.of({"a", "b", "c"})
-    d = cap.to_json_dict()
-    assert d == {"kind": "distortion", "of_measure": True, "gamma": 0.8}
-    back = Capacity.from_json_dict(d, space)
+    back = read_capacity({"kind": "distortion", "of_measure": True, "gamma": 0.8}, space)
     for s in iter_atom_subsets(space):
         assert back.of(s) == cap.of(s)
 
@@ -313,7 +312,7 @@ def test_capacity_table_values_are_converted_once(monkeypatch, backing):
     monkeypatch.setattr(interlab.extreal, "ext", counting_ext)
     space = MeasureSpace(["a", "b", "c", "d"], [1, 1, 1, 1], backing=backing)
     values = {"{" + ",".join(sorted(s)) + "}": str(len(s)) for s in iter_atom_subsets(space)}
-    cap = Capacity.from_json_dict({"kind": "table", "values": values}, space)
+    cap = read_capacity({"kind": "table", "values": values}, space)
     # One conversion of the 16 values in the space's backing, which parses
     # each of the five distinct strings once.
     assert batches == [(16, (backing,), {})]
@@ -392,25 +391,27 @@ def test_choquet_rejects_a_distortion_that_grows_on_a_shrinking_level_set(monkey
 
 
 def test_capacity_table_json_roundtrip(unit2):
-    cap = Capacity.from_json_dict(
-        {"kind": "table",
-         "values": {"{}": 0, "{a}": 0.5, "{b}": 0.7, "{a,b}": 1}},
-        unit2,
-    )
-    d = cap.to_json_dict()
-    back = Capacity.from_json_dict(d, unit2)
+    cap = worked_capacity(unit2)
+    back = read_capacity(write_check(unit2, [], "choquet", cap)["functional"]["capacity"], unit2)
     for s in iter_atom_subsets(unit2):
         assert back.of(s) == cap.of(s)
+
+
+@pytest.mark.parametrize("atom", ["b,c", "{b", "b}", "", " b", "b "])
+def test_capacity_table_keys_name_only_atoms_that_read_back(atom):
+    space = MeasureSpace(["a", atom], [1, 1])
+    cap = Capacity(space, {s: len(s) for s in iter_atom_subsets(space)})
+    with pytest.raises(InputError, match=f"atom id {atom!r} cannot appear in a capacity table key"):
+        write_check(space, [], "choquet", cap)
+    with pytest.raises(InputError, match=r"capacity key 'a' must look like '\{a,b\}'"):
+        read_capacity({"kind": "table", "values": {" a ": 1}}, space)
 
 
 # Choquet integral ------------------------------------------------------------
 
 def worked_capacity(space):
-    return Capacity.from_json_dict(
-        {"kind": "table",
-         "values": {"{}": 0, "{a}": 0.5, "{b}": 0.7, "{a,b}": 1}},
-        space,
-    )
+    return Capacity(space, {frozenset(): 0, frozenset({"a"}): 0.5, frozenset({"b"}): 0.7,
+                            frozenset({"a", "b"}): 1})
 
 
 def test_choquet_worked_example_is_exactly_17_tenths(unit2):
@@ -428,10 +429,8 @@ def test_choquet_infinite_plateau(unit2):
     cap = worked_capacity(unit2)
     assert choquet(fn(unit2, "+inf", 1), cap) == POS_INF
     # A capacity that ignores atom a turns the plateau off.
-    cap0 = Capacity.from_json_dict(
-        {"kind": "table", "values": {"{}": 0, "{a}": 0, "{b}": 1, "{a,b}": 1}},
-        unit2,
-    )
+    cap0 = Capacity(unit2, {frozenset(): 0, frozenset({"a"}): 0, frozenset({"b"}): 1,
+                            frozenset({"a", "b"}): 1})
     assert choquet(fn(unit2, "+inf", 1), cap0) == ext(1)
 
 

@@ -6,6 +6,7 @@ import pytest
 from interlab.errors import InputError
 from interlab.extreal import ext
 from interlab.measure import MeasureSpace, is_null, iter_atom_subsets, measure
+from interlab.scenario import build_space, write_check
 
 
 @pytest.fixture
@@ -64,9 +65,9 @@ def test_total_mass_and_null_atoms(space):
 
 def test_json_roundtrip():
     space = MeasureSpace(["x", "y"], [Fraction(1, 3), 1], truncation_of="demo")
-    d = space.to_json_dict()
+    d = write_check(space, [], "extended_lebesgue")["space"]
     assert d["weights"][0] == "1/3"
-    back = MeasureSpace.from_json_dict(d)
+    back = build_space(d, "rational")
     assert back == space
 
 

@@ -5,6 +5,7 @@ import interlab.oracle as oracle_mod
 from interlab.cli import main
 from interlab.functionals import make_builtin
 from interlab.interchange import Family, is_phi_inf_directed, verify_interchange
+from interlab.measure import iter_atom_subsets
 from interlab.oracle import (
     OracleInstance,
     random_capacity,
@@ -14,6 +15,7 @@ from interlab.oracle import (
     run_campaign,
     shrink_instance,
 )
+from interlab.scenario import load_scenario, read_capacity, read_check, write_check
 from oracle_helpers import semi_integrable
 
 
@@ -39,13 +41,36 @@ def test_random_capacity_is_monotone_by_construction():
         random_capacity(rng, space)  # Capacity.__init__ validates monotonicity
 
 
-def test_minimal_scenario_round_trips_through_check(tmp_path):
-    rng = random.Random(3)
-    for _ in range(20):
-        inst = random_instance(rng, max_atoms=4, max_family=3)
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps(inst.to_scenario_dict()))
-        assert main(["check", str(path), "--out", str(tmp_path / "r.json")]) == 0
+def typed(values):
+    return [(v, type(v)) for v in values]
+
+
+def test_minimal_scenario_round_trips_through_check(tmp_path, monkeypatch):
+    # Under both backings, the scenario the oracle writes for an instance
+    # reads back to an equal space, equal members and an equal capacity,
+    # each scalar of its type, and runs.
+    for backing in ("rational", "float"):
+        monkeypatch.setenv("INTERLAB_BACKING", backing)
+        rng = random.Random(3)
+        for _ in range(20):
+            inst = random_instance(rng, max_atoms=4, max_family=3, backing=backing)
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps(write_check(inst.space, inst.family.members, inst.kind,
+                                                   inst.capacity)))
+            sc = load_scenario(str(path))
+            family = read_check(sc, {"backing": backing})[0]
+            space = family.members[0].space
+            assert (space.atoms, space.backing, space.truncation_of) == (
+                inst.space.atoms, backing, None)
+            assert typed(space.weights) == typed(inst.space.weights)
+            assert len(family.members) == len(inst.family.members)
+            for got, want in zip(family.members, inst.family.members):
+                assert typed(got.values) == typed(want.values)
+            if inst.capacity is not None:
+                cap = read_capacity(sc["functional"]["capacity"], space)
+                for s in iter_atom_subsets(space):
+                    assert typed([cap.of(s)]) == typed([inst.capacity.of(s)])
+            assert main(["check", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_shrinker_reaches_a_minimal_instance(monkeypatch):

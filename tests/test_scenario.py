@@ -116,6 +116,16 @@ def test_a_capacity_set_listed_twice_is_named_in_either_key_order(first, second)
     assert err == f"schema error: bad functional: capacity table lists the set {twice} twice\n"
 
 
+@pytest.mark.parametrize("weight", ["0.5", "+inf", True])
+def test_a_weight_is_a_json_number_or_a_fraction_string(weight):
+    # Function values may be decimal strings or infinities; weights may not.
+    code, out, err = run_scenario("check", dict(CHECK, space=dict(CHECK["space"],
+                                                                weights=[weight, 1])))
+    assert (code, out) == (2, "")
+    assert err == f"schema error: bad space: cannot decode {weight!r} as a weight\n"
+    assert run_scenario("check", dict(CHECK, family=[[weight, 0]]))[0] == (2 if weight is True else 0)
+
+
 def test_non_finite_divergence_threshold_flag_is_a_schema_error():
     code, _, err = run(["gallery", "example-2-6", "--divergence-threshold", "nan"])
     assert code == 2 and err.startswith("schema error:")
