@@ -193,19 +193,20 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
     The levels are the values themselves, so the rows and fields are those
     of ranking the values directly.
     """
-    columns = list(zip(*(m.values for m in members)))
+    values = [m.values for m in members]
     rational = members[0].space.backing == "rational"
-    found = rational and exact_numerators([1] * len(columns), columns)
-    keys = found[1] if found else columns
+    found = rational and exact_numerators([1] * len(values), values)
+    keys = found[1] if found else values
     rows = [0] * len(members)
     fields = []
     offset = 0
-    for column, column_keys in zip(columns, keys):
+    # One column at a time: the members' values are held once, as rows.
+    for column, column_keys in zip(zip(*values), zip(*keys)):
         order = sorted(set(column_keys))
         rank = {k: r for r, k in enumerate(order)}
         for j, k in enumerate(column_keys):
             rows[j] |= ((1 << rank[k]) - 1) << offset
-        if column_keys is column:
+        if keys is values:
             level = order
         else:
             value_of = dict(zip(column_keys, column))
@@ -240,9 +241,9 @@ def _level_keys(rows: Sequence[int]):
 # (``inf_key``), since the walk's lists and generator cost more than the few
 # ANDs they save.  Whole scans of directed families on 8 atoms, level keys
 # against ANDed rows, best of alternating runs on a 2-core x86_64 with
-# CPython 3.11 (``tools/bench_level_scan.py``, "cutoff"), took 1.09-1.11
-# times the time at 3 members, 1.02-1.09 at 6, 0.98-0.99 at 7, 0.85-0.93
-# at 8 and 0.49-0.56 at 12, for extended_lebesgue and ess_sup.
+# CPython 3.11 (``tools/bench.py --case level-scan``, "cutoff"), took
+# 1.09-1.11 times the time at 3 members, 1.02-1.09 at 6, 0.98-0.99 at 7,
+# 0.85-0.93 at 8 and 0.49-0.56 at 12, for extended_lebesgue and ess_sup.
 _LEVEL_KEYS_FROM = 7
 
 

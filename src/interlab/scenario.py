@@ -146,7 +146,7 @@ def build_space(obj, backing: str) -> MeasureSpace:
         for w in weights:
             # JSON numbers and "p/q" strings; the constructor converts them.
             if not (type(w) in (int, float) or isinstance(w, str) and "/" in w):
-                raise InputError(f"cannot decode {w!r} as a weight")
+                raise InputError(f"cannot decode {w!r:.60} as a weight")
         return MeasureSpace(atoms, weights, obj.get("truncation_of"), backing)
 
 
@@ -176,7 +176,7 @@ def read_capacity(obj, space: MeasureSpace) -> Capacity:
     Errors are ``InputError``s, reported by ``build_functional`` as a bad
     functional."""
     if not isinstance(obj, dict):
-        raise InputError(f"a capacity must be a JSON object, got {obj!r}")
+        raise InputError(f"a capacity must be a JSON object, got {obj!r:.60}")
     kind = obj.get("kind")
     if kind == "distortion":
         if obj.get("of_measure", True) is not True:
@@ -187,10 +187,10 @@ def read_capacity(obj, space: MeasureSpace) -> Capacity:
             raise InputError(f"distortion 'gamma' must be a number, got {obj['gamma']!r}")
         return Capacity.distortion(space, as_scalar(obj["gamma"], space.backing))
     if kind != "table":
-        raise InputError(f"unknown capacity kind {kind!r}")
+        raise InputError(f"unknown capacity kind {kind!r:.60}")
     values = obj.get("values", {})
     if not isinstance(values, dict):
-        raise InputError(f"capacity 'values' must be a JSON object, got {values!r}")
+        raise InputError(f"capacity 'values' must be a JSON object, got {values!r:.60}")
     table = {}
     for key, v in values.items():
         atoms = _key_set(key)

@@ -126,6 +126,21 @@ def test_a_weight_is_a_json_number_or_a_fraction_string(weight):
     assert run_scenario("check", dict(CHECK, family=[[weight, 0]]))[0] == (2 if weight is True else 0)
 
 
+LONG = [0] * 20000
+
+
+@pytest.mark.parametrize("scenario", [
+    dict(CHECK, space=dict(CHECK["space"], weights=[LONG, 1])),
+    dict(CHECK, functional={"kind": "choquet", "capacity": LONG}),
+    dict(CHECK, functional={"kind": "choquet", "capacity": {"kind": LONG}}),
+    dict(CHECK, functional={"kind": "choquet", "capacity": {"kind": "table", "values": LONG}}),
+], ids=["weight", "capacity", "capacity-kind", "capacity-values"])
+def test_a_long_bad_value_is_cut_in_its_message(scenario):
+    code, out, err = run_scenario("check", scenario)
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error:") and err.count("\n") == 1 and len(err) < 200
+
+
 def test_non_finite_divergence_threshold_flag_is_a_schema_error():
     code, _, err = run(["gallery", "example-2-6", "--divergence-threshold", "nan"])
     assert code == 2 and err.startswith("schema error:")

@@ -1,14 +1,7 @@
-"""Alternating parent/change runs of ``perfbench/run.py`` and of in-process
-probes, shared by the ``tools/bench_*.py`` scripts.
-
-Each run is ``perfbench/run.py --workload W --seed S --seconds T`` from one
-checkout's root, with ``PYTHONDONTWRITEBYTECODE=1`` as the benchmark sets
-it.  Pair i runs the parent first when i is even and the change first when
-it is odd, and so does repetition i of a probe (``alternating``).  A gain is
-claimed by the rule of ``claim``.
+"""Alternating runs of ``perfbench/run.py`` (``l4``) and of in-process
+probes (``alternating``) in two checkouts, ``sides`` "parent" and "change":
+the parent first in pair i when i is even, the change first when it is odd.
 """
-
-from __future__ import annotations
 
 import json
 import os
@@ -20,15 +13,25 @@ from operator import lt
 METRICS = ("verdicts_per_s", "verdict_ms_p50", "verdict_ms_tail", "setup_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"verdicts_per_s"}
 WORKLOADS = ("small-families", "wide-families", "wide-atoms", "selections")
+SIDES = ("parent", "change")
+
+def run_env(checkout: str = None, env: dict = None) -> dict:
+    """``env`` and no bytecode written, as the benchmark runs; for a probe of
+    ``checkout``, its ``src``, ``perfbench`` and ``tests`` on the path."""
+    out = dict(os.environ, **(env or {}), PYTHONDONTWRITEBYTECODE="1")
+    if checkout:
+        out["PYTHONPATH"] = os.pathsep.join(os.path.join(checkout, d)
+                                            for d in ("src", "perfbench", "tests"))
+    return out
 
 
-def probe_env(checkout: str) -> dict:
-    """Environment for an in-process probe of ``checkout``: its ``src`` and
-    ``perfbench`` on the path, no bytecode written."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join([os.path.join(checkout, "src"),
-                                         os.path.join(checkout, "perfbench")])
-    return env
+def run_probe(checkout: str, probe: str, argv: list, env: dict = None):
+    """The JSON value that the script ``probe`` prints, run once in
+    ``checkout`` with ``argv`` and ``run_env(checkout, env)``."""
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], cwd=checkout,
+                          env=run_env(checkout, env), stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return json.loads(proc.stdout)
 
 
 # Appended to a probe's source: ``info`` is printed once, then each line
@@ -48,32 +51,24 @@ for _ in _sys.stdin:
 """
 
 
-def alternating(parent: str, change: str, probe: str, argv: list, repeat: int,
-                env: dict = None) -> dict:
-    """``repeat`` timings of each case of ``probe`` in each checkout, the two
-    sides in alternation.
-
-    ``probe`` is the source of a script, run once per checkout with
-    ``argv``, ``probe_env`` and ``env``, that sets ``info``, a JSON value
-    about its cases, ``cases``, a dict of label to function, and optionally
-    ``prepare``, a dict of label to a function whose value, made before the
-    timing, that case's function is called with.  Repetition
-    i times every case once in the parent and then in the change when i is
-    even, the other way round when it is odd, so that a change in the
-    machine's load reaches both sides.  Returns each side's ``info`` and, per
-    case, each side's best and median time in ms and the repetitions the
-    change won.
-    """
+def alternating(sides: dict, probe: str, argv: list, repeat: int, env: dict = None) -> dict:
+    """Each case of ``probe`` timed ``repeat`` times in each checkout, the
+    sides alternating.  ``probe``, run as ``run_probe`` runs one, sets
+    ``info``, a JSON value, ``cases``, a dict of label to function, and
+    optionally ``prepare``, label to a function whose value, made untimed,
+    that case is called with.  Returns the ``info``, which must be the same
+    on both sides, and per case each side's best and median ms and the
+    repetitions the change won."""
     procs = {side: subprocess.Popen(
         [sys.executable, "-c", probe + _SERVE, *map(str, argv)], cwd=checkout,
-        env=dict(probe_env(checkout), **(env or {})), stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE, text=True)
-        for side, checkout in (("parent", parent), ("change", change))}
+        env=run_env(checkout, env), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for side, checkout in sides.items()}
     try:
         info = {side: json.loads(proc.stdout.readline()) for side, proc in procs.items()}
+        assert info["parent"] == info["change"], "the two checkouts' probes differ"
         runs = {side: [] for side in procs}
         for i in range(repeat):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            for side in SIDES[::-1] if i % 2 else SIDES:
                 procs[side].stdin.write("\n")
                 procs[side].stdin.flush()
                 runs[side].append(json.loads(procs[side].stdout.readline()))
@@ -89,15 +84,14 @@ def alternating(parent: str, change: str, probe: str, argv: list, repeat: int,
                         "parent_median_ms": round(statistics.median(p) * 1e3, 4),
                         "change_median_ms": round(statistics.median(c) * 1e3, 4),
                         "change_wins": f"{sum(map(lt, c, p))} of {repeat}"}
-    return {"info": info, "cases": cases}
+    return {"info": info["change"], "cases": cases}
 
 
 def l4_run(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        capture_output=True, text=True, check=True)
+        cwd=checkout, env=run_env(), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -106,16 +100,14 @@ def _summary(values: list) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def l4(parent: str, change: str, workload: str, seed: int, seconds: float, pairs: int) -> dict:
+def l4(sides: dict, workload: str, seed: int, seconds: float, pairs: int) -> dict:
     """Every run of ``pairs`` alternating pairs on ``workload``, and per
     end-to-end metric each side's median and quartiles and the pairs the
     change won."""
-    runs = {"parent": [], "change": []}
+    runs = {side: [] for side in SIDES}
     for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(l4_run(parent if side == "parent" else change,
-                                     workload, seed, seconds))
+        for side in SIDES[::-1] if i % 2 else SIDES:
+            runs[side].append(l4_run(sides[side], workload, seed, seconds))
     out = {"pairs": pairs,
            "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
            "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
@@ -136,12 +128,6 @@ def l4(parent: str, change: str, workload: str, seed: int, seconds: float, pairs
             "change_runs": [round(v, 4) for v in c],
         }
     return out
-
-
-def traced_cycle(checkout: str, workload: str, seed: int) -> dict:
-    """The per-layer metrics of one traced cycle (``--trace 1``)."""
-    return {name: m["value"] for name, m in
-            l4_run(checkout, workload, seed, 1, trace=1)["metrics"].items()}
 
 
 def claim(result: dict, workload: str) -> dict:
