@@ -19,18 +19,18 @@ controls per atom is expressed through the selection set (or with +inf
 penalties in the integrand), and the minimized side of the interchange uses
 the same reachable sets.
 
-``verify_rw_interchange`` brute-forces the selection side against the
-integral of the per-atom minimum in one pass over the set, a block of
-selections at a time; a product folds its trailing atoms one atom layer
-at a time, with the additions of ``outer_integral(G(u))`` in its order.
-The same pass collects the minimizers, and the selections that pick a
-per-atom minimizer on every non-null atom are read off the per-atom
-argmins, so ``verify_rw_argmin`` checks the selection-by-selection argmin
-characterization (whenever the common value is finite) from the
-interchange report without enumerating again.  ``verify_shapiro`` checks
-the hypotheses and conclusion of the norm-convergence interchange for
-general order-preserving functionals on a probability space; for the
-built-in integrals its conclusion takes the minimum of the same fold.
+One walk, ``_selection_folds``, takes min over u of Phi(G(u)) for every
+Phi, a block of selections at a time.  It folds the built-in integrals (a
+product's trailing atoms one atom layer at a time, with the additions of
+the integral of G(u) in its order) and evaluates any other Phi on each
+G(u).  ``verify_rw_interchange`` takes the outer integral's minimum and
+minimizers from it, against the integral of the per-atom minimum.
+``verify_rw_argmin`` derives the selections that pick a per-atom minimizer
+on every non-null atom from the per-atom argmins, and checks the argmin
+characterization (whenever the common value is finite) against those
+minimizers without enumerating again.  ``verify_shapiro`` checks the
+hypotheses and conclusion of the norm-convergence interchange for general
+order-preserving functionals on a probability space by the same walk.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import BudgetError, DomainError, InputError, InvariantError
 from .extreal import (
     NEG_INF,
-    NOT_JSON,
     POS_INF,
     Report,
     Scalar,
@@ -61,7 +60,7 @@ from .extreal import (
 )
 from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
 from .functionals import Functional
-from .integrals import PART_SUMS, outer_integral, part_sum
+from .integrals import outer_integral, part_sum
 from .interchange import _tolerance
 from .measure import MeasureSpace
 
@@ -73,6 +72,8 @@ DEFAULT_ENUM_BUDGET = 10**6
 SELECTION_BLOCK = 1024
 
 Selection = Tuple[int, ...]
+
+OUTER = Functional("outer", outer_integral)  # the Phi of rw-check
 
 
 @dataclass(frozen=True)
@@ -347,10 +348,6 @@ class RwInterchangeReport(Report):
     decomposable: bool
     hypothesis_notes: List[str] = field(default_factory=list)
     minimizers: List[Selection] = field(default_factory=list)
-    # Selections picking a per-atom minimizer on every non-null atom, in
-    # enumeration order; read by verify_rw_argmin, not reported.
-    pointwise_argmin: List[Selection] = field(default_factory=list, repr=False,
-                                              metadata=NOT_JSON)
 
 
 def _check_fits(u_set: SelectionSet, integrand: Integrand) -> None:
@@ -387,9 +384,7 @@ def verify_rw_interchange(
         notes.append("hypothesis violated: selection set is not decomposable")
 
     projections = u_set.projections()
-    lhs, minimizers, pointwise_argmin = _min_over_selections(
-        integrand, u_set, projections, enum_budget
-    )
+    lhs, minimizers = _min_over_selections(integrand, u_set, projections, enum_budget)
     rhs = outer_integral(integrand.g_flat(projections))
     equal = _eq_within(lhs, rhs, tol)
     if not equal and decomp.decomposable:
@@ -407,23 +402,18 @@ def verify_rw_interchange(
     return RwInterchangeReport(
         lhs=lhs, rhs=rhs, equal=equal, decomposable=decomp.decomposable,
         hypothesis_notes=notes, minimizers=minimizers,
-        pointwise_argmin=pointwise_argmin,
     )
 
 
 def _min_over_selections(integrand, u_set, projections, enum_budget):
-    """(min, minimizers, pointwise argmin set) of outer_integral(G(u)) over u,
-    from one walk of ``_selection_folds``.
+    """(min, minimizers) of outer_integral(G(u)) over u, from one walk of
+    ``_selection_folds``.
 
     A block's minimizers are ``compress``-ed out of the one selection
-    iterator.  A product's pointwise argmin set is the product of the
-    per-atom argmin controls (every reachable control on a null atom); an
-    explicit set's is its members that pick such controls.  Raises
-    DomainError when no selection has a finite positive part, that is, when
-    the minimum is +inf.
+    iterator.  Raises DomainError when no selection has a finite positive
+    part, that is, when the minimum is +inf.
     """
-    blocks, finish = _selection_folds(integrand, u_set, projections, enum_budget,
-                                      PART_SUMS[outer_integral])
+    blocks, finish = _selection_folds(integrand, u_set, projections, enum_budget, OUTER)
     lhs, minimizers = None, []
     for values, block in blocks:
         m = min(values)
@@ -436,30 +426,24 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
         raise DomainError(
             "precondition failure: no selection has integrable positive part"
         )
-    space = integrand.space
-    argmin_sets = [
-        cs if space.is_null_atom(i) else best
-        for i, (cs, best) in enumerate(zip(projections, integrand.per_atom_argmin(projections)))
-    ]
-    if u_set.kind == "product":
-        return lhs, minimizers, list(product(*argmin_sets))
-    picks = [set(cs) for cs in argmin_sets]
-    return lhs, minimizers, [s for s in u_set.selections if all(map(contains, picks, s))]
+    return lhs, minimizers
 
 
-def _selection_folds(integrand, u_set, projections, enum_budget, combine):
+def _selection_folds(integrand, u_set, projections, enum_budget, phi):
     """(blocks, finish): (values, selections) per block of ``u_set``, in
     enumeration order, and the map from the least value to the least
-    integral of G(u) whose ``integrals.PART_SUMS`` entry is ``combine``.
-    Values order as those integrals do, and equal integrals have equal
+    ``phi(G(u))``: the one walk over a selection set, for every Phi.
+    Values order as those of Phi do, and equal Phi values have equal
     values but for +inf, which is least only when every value is.
 
-    Every (atom, reachable control) gets one code, and a selection's parts
-    are the atom-order left fold of its codes.  Under float backing a code
-    is the complex (positive term, negative term) of ``weighted_parts``,
-    whose addition adds the two parts with its rounding, bit for bit, and a
-    fold z gives ``combine(z.real, z.imag)`` when a code is infinite, else
-    ip - im.  Under rational backing it is the int of
+    A Phi with no ``integrals.PART_SUMS`` entry is evaluated on each G(u),
+    and ``finish`` is the identity.  For an integral, whose entry is
+    ``combine``, every (atom, reachable control) gets one code, and a
+    selection's parts are the atom-order left fold of its codes.  Under
+    float backing a code is the complex (positive term, negative term) of
+    ``weighted_parts``, whose addition adds the two parts with its rounding,
+    bit for bit, and a fold z gives ``combine(z.real, z.imag)`` when a code
+    is infinite, else ip - im.  Under rational backing it is the int of
     ``extreal.exact_codes`` of the reachable entries, and
     ``ExactCodes.ordered`` makes a block's folds order as their integrals
     do.  Either way the integral's own DomainError comes at its first
@@ -472,6 +456,10 @@ def _selection_folds(integrand, u_set, projections, enum_budget, combine):
     """
     space = integrand.space
     selections = u_set.iter_selections(enum_budget)
+    combine = part_sum(phi.eval_fn)
+    if combine is None:
+        g_of = integrand.g_of
+        return _listed_blocks(selections, lambda sel: phi(g_of(sel))), lambda least: least
     if space.backing == "float":
         codes, rows, zero = None, _complex_codes(space.weights, integrand.table, projections), 0j
     else:
@@ -502,9 +490,9 @@ def _selection_folds(integrand, u_set, projections, enum_budget, combine):
     return blocks, finish
 
 
-def _min_of_folds(integrand, u_set, enum_budget, combine):
-    """The least value of ``_selection_folds``: min over u of the integral of G(u)."""
-    blocks, finish = _selection_folds(integrand, u_set, u_set.projections(), enum_budget, combine)
+def _min_of_folds(integrand, u_set, enum_budget, phi):
+    """The least value of ``_selection_folds``: min over u of ``phi(G(u))``."""
+    blocks, finish = _selection_folds(integrand, u_set, u_set.projections(), enum_budget, phi)
     return finish(min([min(values) for values, _ in blocks]))
 
 
@@ -581,8 +569,9 @@ def verify_rw_argmin(
     minimizers on every non-null atom.  Not applicable at common value -inf.
 
     ``interchange`` is the report of ``verify_rw_interchange`` on the same
-    integrand and set, whose single enumeration already collected both
-    sides; without it the interchange is run here, at the default tolerance.
+    integrand and set, whose single enumeration already collected the
+    minimizers; without it the interchange is run here, at the default
+    tolerance.  ``_pointwise_argmin`` derives the other side.
     """
     base = interchange
     if base is None:
@@ -592,15 +581,30 @@ def verify_rw_argmin(
             applicable=False, characterization_holds=None, common_value=base.lhs,
             notes=["common value is -inf: characterization not applicable"],
         )
-    holds = set(base.minimizers) == set(base.pointwise_argmin)
+    per_atom = integrand.per_atom_argmin(u_set.projections())
+    holds = set(base.minimizers) == set(_pointwise_argmin(integrand, u_set, per_atom))
     return RwArgminReport(
         applicable=True,
         characterization_holds=holds,
         common_value=base.lhs,
         argmin_selections=base.minimizers,
-        per_atom_argmin=integrand.per_atom_argmin(u_set.projections()),
+        per_atom_argmin=per_atom,
         notes=[] if holds else ["argmin sets differ"],
     )
+
+
+def _pointwise_argmin(integrand, u_set, per_atom):
+    """The selections of ``u_set`` that pick a control of ``per_atom`` (the
+    per-atom argmins over the projections) on every non-null atom, in
+    enumeration order: for a product, the product of those controls, with
+    every reachable control on a null atom."""
+    space = integrand.space
+    picks = [cs if space.is_null_atom(i) else best
+             for i, (cs, best) in enumerate(zip(u_set.projections(), per_atom))]
+    if u_set.kind == "product":
+        return list(product(*picks))
+    picks = list(map(set, picks))
+    return [s for s in u_set.selections if all(map(contains, picks, s))]
 
 
 @dataclass
@@ -647,14 +651,13 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     """Itemize the hypotheses and test the conclusion inf Phi(G(u)) = Phi(G-flat).
 
     The space needs mass 1, under float backing as the correctly rounded sum
-    of the weights.  Within ``enum_budget``, the inf of a Phi in
-    ``integrals.PART_SUMS`` is the least value of ``_selection_folds``, in
-    value, type and first error that of min Phi(G(u)); any other Phi is
-    evaluated on each G(u).  When G-flat is the computed per-atom minimum
-    over all controls (none declared, or a declared one equal to it), every
-    G(u) is at least G-flat, so for a declared order-preserving Phi the
-    conclusion's lhs below Phi(G-flat) beyond the tolerance is an
-    InvariantError, in "sampled" mode too.
+    of the weights.  Within ``enum_budget``, the inf is the least value of
+    ``_selection_folds``, the walk of ``rw-check`` too, in value, type and
+    first error that of min Phi(G(u)).  When G-flat is the computed
+    per-atom minimum over all controls (none declared, or a declared one
+    equal to it), every G(u) is at least G-flat, so for a declared
+    order-preserving Phi the conclusion's lhs below Phi(G-flat) beyond the
+    tolerance is an InvariantError, in "sampled" mode too.
     """
     space = sc.integrand.space
     if not _unit_mass(space):
@@ -727,16 +730,11 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         "S2b_liminf", s2b,
         f"Phi(G-flat) = {to_text(phi_flat)} vs prefix liminf {to_text(liminf_est)}"))
 
-    combine = part_sum(sc.functional.eval_fn)
-    mode = "exact" if exact else "sampled"
-    if not exact:
+    if exact:
+        inf_val = _min_of_folds(sc.integrand, u_set, enum_budget, sc.functional)
+    else:
         inf_val = min(phi_vals)
         notes.append("conclusion estimated from the prefix only (an upper bound on inf)")
-    elif combine is None:
-        g_of = sc.integrand.g_of
-        inf_val = min(sc.functional(g_of(sel)) for sel in u_set.iter_selections(enum_budget))
-    else:
-        inf_val = _min_of_folds(sc.integrand, u_set, enum_budget, combine)
     if (gflat_computed and sc.functional.order_preserving
             and not _leq_within(phi_flat, inf_val, tol)):
         raise InvariantError(
@@ -750,7 +748,7 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         conclusion_lhs=inf_val,
         conclusion_rhs=phi_flat,
         conclusion_holds=holds,
-        conclusion_mode=mode,
+        conclusion_mode="exact" if exact else "sampled",
         notes=notes,
     )
 

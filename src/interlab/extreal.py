@@ -288,8 +288,7 @@ def too_long_to_print(e: ValueError) -> DomainError:
 
 
 # Field metadata that ``to_json`` reads: leave the field out of the JSON
-# form, always or when its value is None.
-NOT_JSON = {"json": "omit"}
+# form when its value is None.
 JSON_UNLESS_NONE = {"json": "omit_none"}
 
 _PLAIN = frozenset({int, str, bool, type(None)})
@@ -300,8 +299,8 @@ def to_json(obj):
     a list or tuple a list, a dict a dict, and a scalar ``to_jsonable(scalar)``.
 
     Types are matched exactly, plain scalars first, since reports are
-    mostly scalars; a dataclass leaves out the fields its metadata marks
-    with ``NOT_JSON`` or ``JSON_UNLESS_NONE``.
+    mostly scalars; a dataclass leaves out the fields of value None that
+    its metadata marks with ``JSON_UNLESS_NONE``.
     """
     t = type(obj)
     if t in _PLAIN:
@@ -314,9 +313,8 @@ def to_json(obj):
         return {k: to_json(v) for k, v in obj.items()}
     out = {}
     for f in dataclasses.fields(obj):  # TypeError for any other type
-        omit = f.metadata.get("json")
         value = getattr(obj, f.name)
-        if omit != "omit" and not (omit == "omit_none" and value is None):
+        if value is not None or f.metadata.get("json") != "omit_none":
             out[f.name] = to_json(value)
     return out
 

@@ -10,6 +10,7 @@ workloads and seeds; and the ``claim`` on the case's workload.
 """
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -501,17 +502,21 @@ def sequence_steps(sides, seed, repeat):
 
 
 SHAPIRO_FOLD_PROBE = _API + r"""
+import inspect
 from interlab import decomposable
 from interlab.integrals import PART_SUMS
 from interlab.scenario import read_shapiro
 
+# The walk takes the Functional; the fold of 16c2c78 up to 577a49a takes
+# the integral's part sum, and 387394f and earlier evaluate each selection.
 def conclusion(sc):
-    u_set = sc.selection_set
-    if hasattr(decomposable, "_min_of_folds"):
-        combine = next(c for f, c in PART_SUMS.items() if f is sc.functional.eval_fn)
-        return decomposable._min_of_folds(sc.integrand, u_set, 10**6, combine)
-    g_of = sc.integrand.g_of
-    return min(sc.functional(g_of(s)) for s in u_set.iter_selections())
+    u_set, phi = sc.selection_set, sc.functional
+    if not hasattr(decomposable, "_min_of_folds"):
+        g_of = sc.integrand.g_of
+        return min(phi(g_of(s)) for s in u_set.iter_selections())
+    if "combine" in inspect.signature(decomposable._min_of_folds).parameters:
+        phi = next(c for f, c in PART_SUMS.items() if f is phi.eval_fn)
+    return decomposable._min_of_folds(sc.integrand, u_set, 10**6, phi)
 
 info, cases = {}, {}
 for item in workloads.plan_selections(int(sys.argv[1]), False):
@@ -538,6 +543,51 @@ def shapiro_fold(sides, seed, repeat):
     """
     run = alternating(sides, SHAPIRO_FOLD_PROBE, [seed], repeat)
     return {"l3_alternating": {"scenarios": run["info"], "cases": run["cases"]}}
+
+
+def probe_sources() -> dict:
+    """Each probe source of this module, by name."""
+    return {name: value for name, value in globals().items() if name.endswith("_PROBE")}
+
+
+# Run once per driver run in each checkout: imports every module of
+# src/interlab and perfbench/ and each module a probe imports, then
+# compiles the standard-library sources among them into the bytecode
+# prefix.  ``run_env`` writes no other bytecode, so a checkout's own
+# sources stay uncompiled.
+STDLIB_PROBE = r"""
+import importlib, json, os, pkgutil, py_compile, sys, sysconfig
+import interlab
+names = [f"interlab.{m.name}" for m in pkgutil.iter_modules(interlab.__path__)]
+for name in names + [m.name for m in pkgutil.iter_modules(["perfbench"])] + sys.argv[1:]:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        pass
+paths = sysconfig.get_paths()
+stdlib = tuple(os.path.join(paths[k], "") for k in ("stdlib", "platstdlib"))
+site = tuple(os.path.join(paths[k], "") for k in ("purelib", "platlib"))
+sources = sorted({m.__file__ for m in list(sys.modules.values())
+                  if str(getattr(m, "__file__", "")).endswith(".py")
+                  and m.__file__.startswith(stdlib) and not m.__file__.startswith(site)})
+for source in sources:
+    py_compile.compile(source, doraise=True)
+print(json.dumps(len(sources)))
+"""
+
+
+def compile_stdlib(sides: dict) -> None:
+    """The standard-library modules that the probes and ``perfbench/run.py``
+    import, compiled into ``PYTHONPYCACHEPREFIX`` for each checkout."""
+    names = set()
+    for source in probe_sources().values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+    for checkout in dict.fromkeys(sides.values()):
+        run_probe(checkout, STDLIB_PROBE, sorted(names))
 
 
 def traced(sides: dict, case: Case, seed: int, runs: int) -> dict:
@@ -579,10 +629,11 @@ def main() -> None:
     seed = chosen.seed if args.seed is None else args.seed
     sides = {"parent": args.parent, "change": args.change}
     # Every process started below looks its bytecode up in this directory,
-    # which stays empty (``run_env`` writes none), so it reads no checkout's
-    # __pycache__ and compiles both sides alike.
-    empty = tempfile.TemporaryDirectory(prefix="bench-pycache-")
-    os.environ["PYTHONPYCACHEPREFIX"] = empty.name
+    # which holds the standard library's only (``run_env`` writes none), so
+    # it reads no checkout's __pycache__ and compiles both sides alike.
+    prefix = tempfile.TemporaryDirectory(prefix="bench-pycache-")
+    os.environ["PYTHONPYCACHEPREFIX"] = prefix.name
+    compile_stdlib(sides)
     result = {
         "topic": " ".join(chosen.run.__doc__.split("\n\n")[0].split()),
         "command": " ".join(["python3", "tools/bench.py"] + sys.argv[1:]),
