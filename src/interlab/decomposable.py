@@ -582,7 +582,9 @@ def verify_rw_argmin(
             notes=["common value is -inf: characterization not applicable"],
         )
     per_atom = integrand.per_atom_argmin(u_set.projections())
-    holds = set(base.minimizers) == set(_pointwise_argmin(integrand, u_set, per_atom))
+    pointwise = _pointwise_argmin(integrand, u_set, per_atom)
+    # No selection repeats in either list, so this is set equality.
+    holds = len(base.minimizers) == len(pointwise) and set(pointwise).issuperset(base.minimizers)
     return RwArgminReport(
         applicable=True,
         characterization_holds=holds,
