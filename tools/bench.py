@@ -551,10 +551,10 @@ def probe_sources() -> dict:
 
 
 # Run once per driver run in each checkout: imports every module of
-# src/interlab and perfbench/ and each module a probe imports, then
-# compiles the standard-library sources among them into the bytecode
-# prefix.  ``run_env`` writes no other bytecode, so a checkout's own
-# sources stay uncompiled.
+# src/interlab and perfbench/ and each module a probe imports (an older
+# checkout may lack some), then compiles the standard-library sources
+# among them into the bytecode prefix.  ``run_env`` writes no other
+# bytecode, so a checkout's own sources stay uncompiled.
 STDLIB_PROBE = r"""
 import importlib, json, os, pkgutil, py_compile, sys, sysconfig
 import interlab
