@@ -30,7 +30,8 @@ on every non-null atom from the per-atom argmins, and checks the argmin
 characterization (whenever the common value is finite) against those
 minimizers without enumerating again.  ``verify_shapiro`` checks the
 hypotheses and conclusion of the norm-convergence interchange for general
-order-preserving functionals on a probability space by the same walk.
+order-preserving functionals on a probability space by the same walk; its
+S1 check reads only the entries at reachable controls and walks no product.
 """
 
 from __future__ import annotations
@@ -659,7 +660,8 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
     per-atom minimum over all controls (none declared, or a declared one
     equal to it), every G(u) is at least G-flat, so for a declared
     order-preserving Phi the conclusion's lhs below Phi(G-flat) beyond the
-    tolerance is an InvariantError, in "sampled" mode too.
+    tolerance is an InvariantError, in "sampled" mode too.  A prefix member
+    outside the selection set is an InputError.
     """
     space = sc.integrand.space
     if not _unit_mass(space):
@@ -694,25 +696,22 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         "gflat_in_lp", gflat_finite,
         "G-flat finite on non-null atoms" if gflat_finite else "G-flat is infinite somewhere"))
 
-    s1_ok, s1_detail = True, "all G(u) finite on non-null atoms"
-    try:
-        sels = u_set.iter_selections(enum_budget)
-        exact = True
-    except BudgetError:
-        sels = [tuple(s) for s in sc.selection_prefix]
-        exact = False
+    prefix = [tuple(s) for s in sc.selection_prefix]
+    prefix_fns = [sc.integrand.g_of(s) for s in prefix]
+    in_set = (set(u_set.selections).__contains__ if u_set.kind == "explicit"
+              else lambda s: all(map(contains, u_set.admissible, s)))
+    outside = next((s for s in prefix if not in_set(s)), None)
+    if outside is not None:
+        raise InputError(f"selection prefix member {list(outside)} is not in the selection set")
+    exact = u_set.count() <= enum_budget
+    if not exact:
         notes.append("selection set beyond budget: S1 checked on the prefix only")
-    prefix_fns = [sc.integrand.g_of(tuple(s)) for s in sc.selection_prefix]
-    # The set is streamed, never held: S1 reads the entries of the atoms of
-    # positive weight, and the conclusion folds codes or builds each G(u).
-    infinite = [(i, [abs(v) == POS_INF for v in sc.integrand.table[i]]) for i in non_null]
-    infinite = [(i, row) for i, row in infinite if any(row)]
-    if infinite:
-        for sel in sels:
-            if any(row[sel[i]] for i, row in infinite):
-                s1_ok, s1_detail = False, f"G({list(sel)}) is infinite on a non-null atom"
-                break
-    hypotheses.append(Hypothesis("S1_image_in_lp", s1_ok, s1_detail))
+    failing = _first_infinite_selection(
+        sc.integrand, u_set, non_null, None if exact else prefix)
+    hypotheses.append(Hypothesis(
+        "S1_image_in_lp", failing is None,
+        "all G(u) finite on non-null atoms" if failing is None else
+        f"G({list(failing)}) is infinite on a non-null atom"))
 
     norms = [lp_norm(fn_add(g, fn_neg(gflat), mode="lower"), p) for g in prefix_fns]
     # Norms are float-valued for p != 1, so a zero tolerance would be
@@ -753,6 +752,28 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
         conclusion_mode="exact" if exact else "sampled",
         notes=notes,
     )
+
+
+def _first_infinite_selection(integrand, u_set, non_null, prefix=None):
+    """The first selection of ``prefix`` when given, else of ``u_set``,
+    whose G(u) is infinite on an atom of ``non_null``, or None; only the
+    entries at reachable controls are read.  A product's is computed: the
+    all-first selection if it fails, else that one with its last failing
+    atom set to its least infinite control, as any earlier change of it
+    comes later in the product order."""
+    projections = u_set.projections()
+    infinite = {i: cs for i in non_null
+                if (cs := {c for c in projections[i] if abs(integrand.table[i][c]) == POS_INF})}
+    if not infinite:
+        return None
+    if prefix is None and u_set.kind == "product":
+        first = [cs[0] for cs in u_set.admissible]
+        if not any(first[i] in cs for i, cs in infinite.items()):
+            last = max(infinite)
+            first[last] = min(infinite[last])
+        return first
+    sels = u_set.selections if prefix is None else prefix
+    return next((s for s in sels if any(s[i] in cs for i, cs in infinite.items())), None)
 
 
 def _unit_mass(space: MeasureSpace) -> bool:

@@ -100,24 +100,22 @@ class Family:
 class SequenceSpec:
     """A lazily generated sequence inspected through a finite prefix.
 
-    ``exhaustive`` marks the prefix as the entire sequence (a finite family
-    in sequence clothing); otherwise the prefix is a truncation and verdicts
-    about the limit rely on trend detection against the divergence
-    threshold.
+    The prefix is a truncation: verdicts about the limit rely on trend
+    detection against the divergence threshold.  A finite family is checked
+    by ``verify_interchange`` instead.
 
     ``generator(k)`` is the k-th term and stays the reference.  ``step``, when
     given, declares what changes from one term to the next: ``step(k)``, for
     k >= 1, maps the atom indices where term k differs from term k - 1 to
     term k's values there, in backing form (as ``FnClass.from_ext`` takes
-    them).  A non-exhaustive prefix is then followed atom change by atom
-    change (see ``_prefix_terms``), without building the N dense terms.
+    them).  The prefix is then followed atom change by atom change (see
+    ``_prefix_terms``), without building the N dense terms.
     """
 
     generator: Callable[[int], FnClass]
     prefix_len: int
     declared_limit: Optional[FnClass] = None
     divergence_threshold: Scalar = DEFAULT_DIVERGENCE_THRESHOLD
-    exhaustive: bool = False
     step: Optional[Callable[[int], Mapping[int, Scalar]]] = None
 
     def first(self) -> FnClass:
@@ -236,17 +234,6 @@ def _level_keys(rows: Sequence[int]):
                 for key in keys[len(keys) - comb(n - 1 - f, k):]]
 
 
-# The first family size whose exhaustive scan takes its keys from
-# ``_level_keys``; a smaller one ANDs the rows of each subset's members
-# (``inf_key``), since the walk's lists and generator cost more than the few
-# ANDs they save.  Whole scans of directed families on 8 atoms, level keys
-# against ANDed rows, best of alternating runs on a 2-core x86_64 with
-# CPython 3.11 (``tools/bench.py --case level-scan``, "cutoff"), took
-# 1.09-1.11 times the time at 3 members, 1.02-1.09 at 6, 0.98-0.99 at 7,
-# 0.85-0.93 at 8 and 0.49-0.56 at 12, for extended_lebesgue and ess_sup.
-_LEVEL_KEYS_FROM = 7
-
-
 def _scan_subsets(
     members: Sequence[FnClass],
     score: Callable[[FnClass], Scalar],
@@ -264,10 +251,11 @@ def _scan_subsets(
     smallest first, so the witness is a smallest violating subset among
     those scanned.  Either way the whole family is scanned last.
 
-    A subset's infimum is named by its key under ``_rank_code``.  An
-    exhaustive scan of at least ``_LEVEL_KEYS_FROM`` members reads the keys
-    from ``_level_keys``, one AND per subset, in step with the subsets it
-    draws; any other scan ANDs the rows of each subset's members.  Each
+    A subset's infimum is named by its key under ``_rank_code``.  One loop
+    reads (subset, key) pairs: an exhaustive scan takes the keys from
+    ``_level_keys``, one AND per subset, in step with the subsets it draws,
+    and a sampled scan ANDs the rows of each subset's members as it draws
+    the subset, so each scan draws its subsets once.  Each
     distinct key is judged once; ``known`` gives scores already computed,
     keyed by member indices.  A new key is judged by ``score`` on the
     decoded function, or by the rank table that ``integrals.RANK_TABLES``
@@ -327,28 +315,19 @@ def _scan_subsets(
 
     for idx, value in known.items():
         memo[inf_key(idx)] = value
-    witness = None
-    # Two copies of one loop, so that a small scan pays for no pairing of
-    # subsets with keys, nor a large one for a call per subset.
-    if exhaustive and n >= _LEVEL_KEYS_FROM:
-        for idx, key in zip(subsets, chain.from_iterable(_level_keys(rows))):
-            if key in passed:
-                continue
-            ok = None if table is None or key in memo else table(key)
-            if not (holds(score_key(key)) if ok is None else ok):
-                witness = idx
-                break
-            passed.add(key)
+    if exhaustive:
+        pairs = zip(subsets, chain.from_iterable(_level_keys(rows)))
     else:
-        for idx in subsets:
-            key = inf_key(idx)
-            if key in passed:
-                continue
-            ok = None if table is None or key in memo else table(key)
-            if not (holds(score_key(key)) if ok is None else ok):
-                witness = idx
-                break
-            passed.add(key)
+        pairs = ((idx, inf_key(idx)) for idx in subsets)
+    witness = None
+    for idx, key in pairs:
+        if key in passed:
+            continue
+        ok = None if table is None or key in memo else table(key)
+        if not (holds(score_key(key)) if ok is None else ok):
+            witness = idx
+            break
+        passed.add(key)
     if witness is not None and key not in memo and holds(score_key(key)):
         raise InvariantError(
             f"the rank table of the directedness scan fails the infimum of members "
@@ -383,13 +362,12 @@ def is_phi_inf_directed(
     order-preserving Phi, where that condition decides directedness, the
     sampled verdict is exact too.
 
-    In an exhaustive scan of at least ``_LEVEL_KEYS_FROM`` members a subset
-    costs one bitwise AND, of its first member's rank code with the key of
-    the rest (``_level_keys``), and one set lookup; in a smaller or sampled
-    scan, one AND per member and the lookup.  A subset whose infimum is new
-    is judged once more: by one Phi evaluation and one comparison with
-    min Phi(X), or, once the scan has built the rank table that
-    ``integrals.RANK_TABLES`` keeps for ``phi.eval_fn`` (see
+    In an exhaustive scan a subset costs one bitwise AND, of its first
+    member's rank code with the key of the rest (``_level_keys``), and one
+    set lookup; in a sampled scan, one AND per member and the lookup.  A
+    subset whose infimum is new is judged once more: by one Phi evaluation
+    and one comparison with min Phi(X), or, once the scan has built the rank
+    table that ``integrals.RANK_TABLES`` keeps for ``phi.eval_fn`` (see
     ``_scan_subsets``), by integers alone.  The built-in integrals add one
     integer code per atom of positive weight and compare the sum with one
     integer computed from min Phi(X) and the tolerance, under exact weights,
@@ -570,16 +548,13 @@ def _check_term(what: str, phi: Functional, f: FnClass, term: Scalar) -> None:
 
 def _prefix_terms(
     spec: SequenceSpec, phi: Functional, first: FnClass,
-    members: Optional[Sequence[FnClass]] = None,
 ) -> Tuple[List[Scalar], List[Scalar], List[Scalar], FnClass]:
     """Phi on each of the N terms of ``spec``, its running minimum, Phi on
     the infimum of each prefix, and the last of those infima.
 
-    ``first`` is term 0; ``members`` is the whole prefix when the caller
-    holds it (an exhaustive spec), and is read in place of the generator.
-    Otherwise the terms are never held together: with ``spec.step`` term k
-    is term k - 1 with the declared changes, and without it
-    ``spec.generator(k)`` is called once per term.
+    ``first`` is term 0.  The terms are never held together: with
+    ``spec.step`` term k is term k - 1 with the declared changes, and
+    without it ``spec.generator(k)`` is called once per term.
 
     One running infimum is kept.  Term k can lower it only on the atoms
     where it differs from term k - 1, since acc <= x_{k-1}: the keys of
@@ -600,7 +575,7 @@ def _prefix_terms(
     """
     space = first.space
     n_atoms = len(space.atoms)
-    step = spec.step if members is None else None
+    step = spec.step
     acc = list(first.values)
     parts = RunningParts.of(space, phi.eval_fn, acc)
     value = score = phi(first)
@@ -624,7 +599,7 @@ def _prefix_terms(
             drops = [i for i in changes if member[i] < acc[i]]
             new = member
         else:
-            m = members[k] if members is not None else spec.generator(k)
+            m = spec.generator(k)
             if m.space != space:
                 raise InputError("sequence terms must share one aligned space")
             value = phi(m)
@@ -672,16 +647,16 @@ def verify_interchange_sequence(
     either kind is updated exactly on the atoms that change, and Phi is
     evaluated generically only on the first term and, as cross-checks, on
     the last term and the last infimum.  Every other functional, and float
-    backing, evaluates Phi in full on each function that changed.  An
-    exhaustive prefix, and a directedness scan of the prefix family, build
-    the N terms with ``spec.prefix()``.
+    backing, evaluates Phi in full on each function that changed.  A
+    directedness scan of the prefix family builds the N terms with
+    ``spec.prefix()``.  The prefix is a truncation, so the verdicts refer
+    to the limit; a finite family goes to ``verify_interchange``.
     """
-    members = spec.prefix() if spec.exhaustive else None
-    first = members[0] if members else spec.first()
+    first = spec.first()
     backing = first.space.backing
     tol = _tolerance(tolerance, backing)
     _check_subset_budget(subset_budget)
-    phi_values, prefix_lhs, prefix_rhs, last_inf = _prefix_terms(spec, phi, first, members)
+    phi_values, prefix_lhs, prefix_rhs, last_inf = _prefix_terms(spec, phi, first)
 
     prefix_data: Dict = {
         "phi_values": phi_values,
@@ -689,16 +664,6 @@ def verify_interchange_sequence(
         "prefix_rhs": prefix_rhs,
         "prefix_len": spec.prefix_len,
     }
-
-    if spec.exhaustive:
-        base = verify_interchange(
-            Family(members), phi, subset_budget, tolerance,
-            phi_values=phi_values, phi_inf=prefix_rhs[-1],
-        )
-        base.mode = "sequence"
-        base.prefix = prefix_data
-        base.notes.append("prefix is exhaustive: verdicts are exact, not limits")
-        return base
 
     notes: List[str] = []
     lhs_trend, lhs = _classify_prefix_limit(prefix_lhs, spec.divergence_threshold, backing)

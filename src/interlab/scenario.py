@@ -251,7 +251,6 @@ def _unit_spikes(height, prefix: int, params: dict,
         generator=gen,
         prefix_len=prefix,
         divergence_threshold=threshold,
-        exhaustive=False,
         step=step,
     )
 

@@ -19,7 +19,6 @@ import bench
 KNOWN = {
     "interlab.decomposable._min_of_folds",
     "oracle_helpers.reference_rank_code",
-    "interlab.interchange._LEVEL_KEYS_FROM",
     "interlab.interchange._rank_code",
     "interlab.functionals.Functional.__call__",
 }

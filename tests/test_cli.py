@@ -784,3 +784,16 @@ def test_non_utf8_scenario_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("schema error: cannot read scenario ")
     assert "Traceback" not in err
+
+
+def test_shapiro_prefix_member_outside_the_set_exits_3(tmp_path, capsys):
+    """The inner-null golden scenario as it was before its prefix member
+    [1, 1, 1], which is not among its explicit selections, became [1, 1, 0]."""
+    golden = Path(__file__).resolve().parent / "golden" / "scenarios"
+    scenario = json.loads((golden / "shapiro-explicit-inner-null.json").read_text())
+    assert scenario["selection_prefix"][1] == [1, 1, 0]
+    scenario["selection_prefix"][1] = [1, 1, 1]
+    path = write_scenario(tmp_path, "outside.json", scenario)
+    assert main(["shapiro-check", path]) == 3
+    assert capsys.readouterr().err == (
+        "domain error: selection prefix member [1, 1, 1] is not in the selection set\n")

@@ -345,19 +345,6 @@ def test_constant_sequence_stabilizes(unit2):
     assert report.phi_inf_directed == "yes"
 
 
-def test_finite_family_as_exhaustive_sequence_agrees(unit2):
-    members = [fn(unit2, 0, 1), fn(unit2, 1, 0), fn(unit2, 0, 0)]
-    direct = verify_interchange(Family(members), LEB)
-    seq = SequenceSpec(
-        generator=lambda n: members[n], prefix_len=3, exhaustive=True
-    )
-    via_seq = verify_interchange_sequence(seq, LEB)
-    assert via_seq.lhs == direct.lhs
-    assert via_seq.rhs == direct.rhs
-    assert via_seq.interchange_holds == direct.interchange_holds
-    assert via_seq.phi_inf_directed == direct.phi_inf_directed
-
-
 def test_declared_limit_witnessed_by_prefix(unit2):
     f = fn(unit2, 1, 2)
     members = [shift(f, Fraction(1, n + 1)) for n in range(3)] + [f] * 5

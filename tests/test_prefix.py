@@ -57,7 +57,7 @@ def _naive(members, phi):
     return phi_values, prefix_lhs, prefix_rhs, pointwise_inf(members)
 
 
-def _spec(members, step=False, exhaustive=False):
+def _spec(members, step=False):
     """The sequence of ``members``; with ``step``, declared by the atoms
     where each term differs from the one before in type or ``repr`` (so a
     float -0.0 after 0.0 is a change), plus every third atom anyway."""
@@ -65,14 +65,12 @@ def _spec(members, step=False, exhaustive=False):
         return {i: y for i, (x, y) in enumerate(zip(members[k - 1].values, members[k].values))
                 if _form(x) != _form(y) or i % 3 == k % 3}
     return SequenceSpec(generator=members.__getitem__, prefix_len=len(members),
-                        exhaustive=exhaustive, step=changes if step else None)
+                        step=changes if step else None)
 
 
 def _terms(spec, phi):
     """``_prefix_terms`` as ``verify_interchange_sequence`` calls it."""
-    members = spec.prefix() if spec.exhaustive else None
-    return interchange._prefix_terms(spec, phi, members[0] if members else spec.first(),
-                                     members)
+    return interchange._prefix_terms(spec, phi, spec.first())
 
 
 def _outcome(run):
@@ -100,7 +98,7 @@ def test_running_prefix_matches_naive_prefix(data):
     space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
     members = [FnClass(space, r) for r in rows]
     phi = _functional(kind, space)
-    got = _outcome(lambda: _terms(_spec(members, exhaustive=True), phi))
+    got = _outcome(lambda: _terms(_spec(members), phi))
     assert got == _outcome(lambda: _naive(members, phi))
 
 

@@ -35,10 +35,11 @@ def test_only_a_sequence_report_has_a_prefix_key():
     f = FnClass(SPACE, [0, 1])
     family = verify_interchange(Family([f, FnClass(SPACE, [1, 0])]), LEB)
     assert family.prefix is None and "prefix" not in family.to_json_dict()
-    seq = SequenceSpec(generator=lambda n: f, prefix_len=2, exhaustive=True)
+    seq = SequenceSpec(generator=lambda n: f, prefix_len=2)
     sequence = verify_interchange_sequence(seq, LEB).to_json_dict()
     assert sequence["prefix"] == {"phi_values": [0.5, 0.5], "prefix_lhs": [0.5, 0.5],
-                                  "prefix_rhs": [0.5, 0.5], "prefix_len": 2}
+                                  "prefix_rhs": [0.5, 0.5], "prefix_len": 2,
+                                  "lhs_trend": "stabilized", "rhs_trend": "stabilized"}
 
 
 def test_rw_report_json_leaves_out_pointwise_argmin():

@@ -21,7 +21,7 @@ from interlab.decomposable import (
     verify_rw_interchange,
     verify_shapiro,
 )
-from interlab.errors import InterlabError, InvariantError
+from interlab.errors import InputError, InterlabError, InvariantError
 from interlab.extreal import NEG_INF, weighted_parts
 from interlab.functionals import Functional, make_builtin
 from interlab.integrals import lebesgue_extended
@@ -541,3 +541,99 @@ def test_shapiro_walk_of_any_phi_holds_one_block(backing):
         tracemalloc.stop()
     assert report.conclusion_holds and report.conclusion_lhs == 3
     assert peak < 500_000
+
+
+def _naive_s1(integrand, u_set, prefix, enum_budget):
+    """S1 by the walk: the first selection of the set within the budget, of
+    the prefix beyond it, with an infinite entry on an atom of positive
+    weight, read over every control."""
+    sels = u_set.iter_selections() if u_set.count() <= enum_budget else prefix
+    non_null = integrand.space.non_null_indices()
+    for s in sels:
+        if any(abs(integrand.table[i][s[i]]) == float("inf") for i in non_null):
+            return False, f"G({list(s)}) is infinite on a non-null atom"
+    return True, "all G(u) finite on non-null atoms"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_s1_matches_the_naive_walk(data):
+    """Products and explicit sets, with infinite entries at reachable and
+    unreachable controls, null atoms among them, within and beyond the
+    enumeration budget."""
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    n_atoms = data.draw(st.integers(1, 4), label="atoms")
+    n_controls = data.draw(st.integers(1, 4), label="controls")
+    null = data.draw(st.lists(st.booleans(), min_size=n_atoms, max_size=n_atoms), label="null")
+    null[data.draw(st.integers(0, n_atoms - 1), label="heavy")] = False
+    # Halves down the atoms of positive weight, the last one taking the
+    # rest, so the mass is 1 exactly under both backings.
+    heavy = [i for i in range(n_atoms) if not null[i]]
+    weights = [0] * n_atoms
+    for j, i in enumerate(heavy):
+        weights[i] = f"1/{2 ** min(j + 1, len(heavy) - 1)}"
+    table = data.draw(st.lists(st.lists(st.sampled_from([0, 1, "-1/3"]), min_size=n_controls,
+                                        max_size=n_controls),
+                               min_size=n_atoms, max_size=n_atoms), label="table")
+    cells = st.tuples(st.integers(0, n_atoms - 1), st.integers(0, n_controls - 1),
+                      st.sampled_from(["+inf", "-inf"]))
+    for i, c, x in data.draw(st.lists(cells, max_size=6), label="infinite entries"):
+        table[i][c] = x
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    integrand = Integrand(space, [[c] for c in range(n_controls)], table)
+    if data.draw(st.booleans(), label="explicit"):
+        u_set = SelectionSet.explicit(data.draw(explicit_selections(n_atoms, n_controls)),
+                                      n_atoms, n_controls)
+    else:
+        u_set = SelectionSet("product", n_atoms, n_controls, admissible=[
+            data.draw(st.lists(st.integers(0, n_controls - 1), min_size=1,
+                               max_size=n_controls, unique=True)) for _ in range(n_atoms)])
+    members = list(u_set.iter_selections())
+    prefix = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4),
+                       label="prefix")
+    if data.draw(st.booleans(), label="within budget"):
+        enum_budget = len(members) + data.draw(st.integers(0, 1), label="spare")
+    else:
+        enum_budget = data.draw(st.integers(0, len(members) - 1), label="budget")
+    report = verify_shapiro(ShapiroScenario(
+        functional=make_builtin("ess_sup"), p=1, integrand=integrand,
+        selection_prefix=prefix, selection_set=u_set), enum_budget)
+    s1 = next(h for h in report.hypotheses if h.name == "S1_image_in_lp")
+    assert (s1.ok, s1.detail) == _naive_s1(integrand, u_set, prefix, enum_budget)
+
+
+@pytest.mark.parametrize("u_set", [
+    SelectionSet("product", 2, 3, admissible=[[0, 1], [1, 2]]),
+    SelectionSet.explicit([(0, 1), (1, 2), (1, 1)], 2, 3),
+])
+def test_a_prefix_member_outside_the_set_is_an_input_error(u_set):
+    space = MeasureSpace(["a", "b"], ["1/2", "1/2"])
+    scenario = ShapiroScenario(
+        functional=make_builtin("extended_lebesgue"), p=1,
+        integrand=Integrand(space, [[0], [1], [2]], [[0, 1, 2], [2, 1, 0]]),
+        selection_prefix=[(0, 1), (1, 0), (2, 2)], selection_set=u_set)
+    with pytest.raises(InputError, match=r"selection prefix member \[1, 0\] is not in"):
+        verify_shapiro(scenario)
+
+
+@pytest.mark.parametrize("admissible, cells", [
+    # The all-first selection fails.
+    ([[1, 2], [0], [0, 3]], [(0, 1), (2, 3)]),
+    # It holds; the last failing atom has two infinite admissible controls.
+    ([[0, 1], [0, 1], [1, 2, 3]], [(0, 1), (2, 3), (2, 2)]),
+    # Infinite only at controls no admissible set reaches, or on the null atom.
+    ([[0, 1], [0, 1], [0, 1]], [(0, 2), (2, 3), (1, 0)]),
+])
+def test_s1_of_a_product_is_the_first_of_the_walk(admissible, cells):
+    space = MeasureSpace(["a", "b", "c"], ["1/2", 0, "1/2"])
+    table = [[0, 1, 2, 3] for _ in range(3)]
+    for i, c in cells:
+        table[i][c] = "+inf"
+    integrand = Integrand(space, [[c] for c in range(4)], table)
+    u_set = SelectionSet("product", 3, 4, admissible=admissible)
+    prefix = [tuple(cs[0] for cs in admissible)]
+    report = verify_shapiro(ShapiroScenario(
+        functional=make_builtin("ess_sup"), p=1, integrand=integrand,
+        selection_prefix=prefix, selection_set=u_set))
+    s1 = next(h for h in report.hypotheses if h.name == "S1_image_in_lp")
+    assert (s1.ok, s1.detail) == _naive_s1(integrand, u_set, prefix, 10**6)

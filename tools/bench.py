@@ -357,46 +357,6 @@ for n in range(1, 6):
     cases[f"small-{n}-members-x{len(runs)}"] = lambda runs=runs: [run() for run in runs]
 """
 
-CUTOFF_PROBE = _API + r"""
-import json, random, time
-from interlab.fnlattice import FnClass, pointwise_inf
-from interlab.functionals import make_builtin
-from interlab.interchange import Family, is_phi_inf_directed
-from interlab.measure import MeasureSpace
-
-seed, repeat = int(sys.argv[1]), int(sys.argv[2])
-rng = random.Random(f"cutoff:{seed}")
-space = MeasureSpace([f"a{i}" for i in range(8)],
-                     [rng.choice(workloads.WIDE_WEIGHTS) for _ in range(8)])
-out = {}
-for kind in ("extended_lebesgue", "ess_sup"):
-    phi = make_builtin(kind)
-    rows_out = {}
-    for n in range(3, 13):
-        scans = []
-        for _ in range(5):
-            rows = [FnClass(space, [rng.choice(workloads.WIDE_VALUES) for _ in range(8)])
-                    for _ in range(n - 1)]
-            family = Family(rows + [pointwise_inf(rows)])
-            scans.append((family, [phi(m) for m in family.members],
-                          phi(pointwise_inf(family.members))))
-        times = {"level": [], "inf_key": []}
-        reps = max(repeat, (repeat * 256) >> n)
-        for r in range(reps):
-            for mode in ("level", "inf_key") if r % 2 == 0 else ("inf_key", "level"):
-                interchange._LEVEL_KEYS_FROM = 1 if mode == "level" else n + 1
-                t0 = time.perf_counter()
-                for family, values, inf in scans:
-                    is_phi_inf_directed(family, phi, phi_values=values, phi_inf=inf)
-                times[mode].append((time.perf_counter() - t0) / len(scans))
-        level, plain = min(times["level"]), min(times["inf_key"])
-        wins = sum(a < b for a, b in zip(times["level"], times["inf_key"]))
-        rows_out[n] = {"level_us": round(level * 1e6, 2), "inf_key_us": round(plain * 1e6, 2),
-                       "ratio": round(level / plain, 3), "level_wins": f"{wins} of {reps}"}
-    out[kind] = rows_out
-print(json.dumps(out))
-"""
-
 RECHECK_PROBE = _API + r"""
 import json, time
 from interlab import functionals
@@ -440,13 +400,11 @@ def level_scan(sides, seed, repeat):
     the size below, and rank tables that answer pass/fail on integers.
 
     Alternating: every ``wide-families`` verdict and the ``small-families``
-    verdicts by size.  ``cutoff``, in the change: level keys against ANDed
-    rows on directed families of 3-12 members.  ``recheck``: per covering
-    case, the Phi calls beyond the members and inf X, and Phi on the witness.
+    verdicts by size.  ``recheck``: per covering case, the Phi calls beyond
+    the members and inf X, and Phi on the witness.
     """
     run = alternating(sides, LEVEL_SCAN_PROBE, [seed], repeat)
     return {"l3_alternating_rational": run["cases"],
-            "cutoff": run_probe(sides["change"], CUTOFF_PROBE, [seed, repeat]),
             "recheck": {side: run_probe(checkout, RECHECK_PROBE, [seed, repeat])
                         for side, checkout in sides.items()}}
 
