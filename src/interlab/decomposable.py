@@ -698,11 +698,12 @@ def verify_shapiro(sc: ShapiroScenario, enum_budget: int = DEFAULT_ENUM_BUDGET) 
 
     prefix = [tuple(s) for s in sc.selection_prefix]
     prefix_fns = [sc.integrand.g_of(s) for s in prefix]
-    in_set = (set(u_set.selections).__contains__ if u_set.kind == "explicit"
-              else lambda s: all(map(contains, u_set.admissible, s)))
-    outside = next((s for s in prefix if not in_set(s)), None)
-    if outside is not None:
-        raise InputError(f"selection prefix member {list(outside)} is not in the selection set")
+    # One pass over an explicit set, holding only the prefix members.
+    outside = (set(prefix).difference(u_set.selections) if u_set.kind == "explicit"
+               else {s for s in prefix if not all(map(contains, u_set.admissible, s))})
+    if outside:
+        first = next(s for s in prefix if s in outside)
+        raise InputError(f"selection prefix member {list(first)} is not in the selection set")
     exact = u_set.count() <= enum_budget
     if not exact:
         notes.append("selection set beyond budget: S1 checked on the prefix only")
