@@ -222,16 +222,16 @@ def _level_keys(rows: Sequence[int]):
     member, then by the rest, a subset of the later members.  The k-subsets
     of the members after f are the last C(n - 1 - f, k) of the k-subsets,
     in order, so each (k + 1)-subset's key is one AND of its first member's
-    row with a key of the size below.  A size's list is built from the one
-    before when its first key is read, so at most two sizes are held, at
-    most C(n, n // 2) keys in one.
+    row with a key of the size below.  Only the first n - k members have a
+    k-subset after them, so only their rows are read.  A size's list is
+    built from the one before when its first key is read, so at most two
+    sizes are held, at most C(n, n // 2) keys in one.
     """
     n = len(rows)
-    keys = list(rows)
+    keys = rows
     for k in range(1, n + 1):
         yield keys
-        keys = [row & key for f, row in enumerate(rows)
-                for key in keys[len(keys) - comb(n - 1 - f, k):]]
+        keys = [rows[f] & key for f in range(n - k) for key in keys[-comb(n - 1 - f, k):]]
 
 
 def _scan_subsets(
@@ -239,17 +239,18 @@ def _scan_subsets(
     score: Callable[[FnClass], Scalar],
     lhs: Scalar,
     tol: Scalar,
-    subset_budget: int,
+    exhaustive: bool,
     known: Dict[Tuple[int, ...], Scalar],
     eval_fn: Optional[Callable] = None,
-) -> Tuple[Optional[Tuple[int, ...]], bool, Callable[[Sequence[int]], Scalar]]:
+) -> Tuple[Optional[Tuple[int, ...]], Callable[[Sequence[int]], Scalar]]:
     """Find the first subset S whose infimum fails min Phi(X) = ``lhs`` <=
     ``score(inf S)`` within ``tol`` (``_leq_within``).
 
-    Subsets come from ``_nonempty_subsets`` while the family is within
-    ``subset_budget`` and from the fixed ``_sampled_subsets`` beyond it,
-    smallest first, so the witness is a smallest violating subset among
-    those scanned.  Either way the whole family is scanned last.
+    Subsets come from ``_nonempty_subsets`` when ``exhaustive`` and from
+    the fixed ``_sampled_subsets`` otherwise, smallest first, so the witness
+    is a smallest violating subset among those scanned.  Either way the
+    whole family is scanned last.  At ``lhs`` = -inf every subset passes,
+    and ``is_phi_inf_directed`` answers without calling this scan.
 
     A subset's infimum is named by its key under ``_rank_code``.  One loop
     reads (subset, key) pairs: an exhaustive scan takes the keys from
@@ -275,7 +276,6 @@ def _scan_subsets(
     builds no rank code.
     """
     n = len(members)
-    exhaustive = n <= subset_budget
     subsets = _nonempty_subsets(n) if exhaustive else _sampled_subsets(n)
 
     def holds(value: Scalar) -> bool:
@@ -283,7 +283,7 @@ def _scan_subsets(
 
     if all(idx in known for k in range(1, n + 1) for idx in combinations(range(n), k)):
         witness = next((idx for idx in subsets if not holds(known[idx])), None)
-        return witness, exhaustive, lambda idx: known[tuple(idx)]
+        return witness, lambda idx: known[tuple(idx)]
     space = members[0].space
     rows, fields = _rank_code(members)
     memo: Dict[int, Scalar] = {}
@@ -333,7 +333,7 @@ def _scan_subsets(
             f"the rank table of the directedness scan fails the infimum of members "
             f"{list(witness)}, but Phi gives {to_text(memo[key])}, which passes "
             f"min Phi(X) = {to_text(lhs)}")
-    return witness, exhaustive, lambda idx: score_key(inf_key(idx))
+    return witness, lambda idx: score_key(inf_key(idx))
 
 
 def is_phi_inf_directed(
@@ -361,6 +361,13 @@ def is_phi_inf_directed(
     condition min Phi(X) <= Phi(inf X) in both, and for an
     order-preserving Phi, where that condition decides directedness, the
     sampled verdict is exact too.
+
+    When min Phi(X) = -inf every subset passes, whatever Phi gives on the
+    infima: the answer is "yes" with no witness, from the member values
+    alone, after the same input checks and with the mode that the family
+    size gives ("sampled" beyond ``subset_budget``), and no rank code, rank
+    table or Phi call on an infimum is made.  A disagreement there, Phi(inf
+    X) > -inf, is the member check of ``verify_interchange``.
 
     In an exhaustive scan a subset costs one bitwise AND, of its first
     member's rank code with the key of the rest (``_level_keys``), and one
@@ -397,11 +404,16 @@ def is_phi_inf_directed(
     if phi_values is None:
         phi_values = [phi(x) for x in members]
     lhs = min(phi_values)
+    exhaustive = n <= subset_budget
+    mode = "exhaustive" if exhaustive else "sampled"
+    if lhs == NEG_INF:
+        # -inf <= Phi(inf S) for every S, X included: nothing to scan.
+        return DirectednessResult(directed=True, witness=None, mode=mode, shortcut_agrees=True)
     known = {(j,): v for j, v in enumerate(phi_values)}
     if phi_inf is not None:
         known[tuple(range(n))] = phi_inf
-    witness, exhaustive, score_inf = _scan_subsets(
-        members, phi, lhs, tol, subset_budget, known, phi.eval_fn)
+    witness, score_inf = _scan_subsets(
+        members, phi, lhs, tol, exhaustive, known, phi.eval_fn)
     directed = witness is None
     shortcut = _leq_within(lhs, score_inf(range(n)), tol)
     if phi.order_preserving and shortcut != directed:
@@ -409,7 +421,7 @@ def is_phi_inf_directed(
     return DirectednessResult(
         directed=directed,
         witness=witness,
-        mode="exhaustive" if exhaustive else "sampled",
+        mode=mode,
         shortcut_agrees=shortcut == directed,
     )
 
@@ -649,8 +661,10 @@ def verify_interchange_sequence(
     the last term and the last infimum.  Every other functional, and float
     backing, evaluates Phi in full on each function that changed.  A
     directedness scan of the prefix family builds the N terms with
-    ``spec.prefix()``.  The prefix is a truncation, so the verdicts refer
-    to the limit; a finite family goes to ``verify_interchange``.
+    ``spec.prefix()``, unless the lhs stabilized at -inf: every subset then
+    passes, as in ``is_phi_inf_directed``, and the verdict is "yes" without
+    the terms.  The prefix is a truncation, so the verdicts refer to the
+    limit; a finite family goes to ``verify_interchange``.
     """
     first = spec.first()
     backing = first.space.backing
@@ -700,12 +714,17 @@ def verify_interchange_sequence(
         witness = None
         notes.append("prefix lhs neither stabilizes nor crosses the threshold")
     else:
-        directed = is_phi_inf_directed(
-            Family(spec.prefix()), phi, subset_budget,
-            phi_values=phi_values, phi_inf=prefix_rhs[-1], tolerance=tol,
-        )
-        directed_verdict = directed.verdict
-        witness = directed.witness
+        witness = None
+        if lhs == NEG_INF:
+            # Every subset passes, as in is_phi_inf_directed: no terms to build.
+            directed_verdict = "yes"
+        else:
+            directed = is_phi_inf_directed(
+                Family(spec.prefix()), phi, subset_budget,
+                phi_values=phi_values, phi_inf=prefix_rhs[-1], tolerance=tol,
+            )
+            directed_verdict = directed.verdict
+            witness = directed.witness
         notes.append("directedness checked on the prefix family")
 
     if lhs_trend == "inconclusive" or rhs_trend == "inconclusive":

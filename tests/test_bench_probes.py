@@ -1,18 +1,21 @@
-"""Every name that a probe of ``tools/bench.py`` may fall back on exists in
-this checkout.
+"""Every name that a probe of ``tools/bench.py`` reads, or may fall back on,
+exists in this checkout.
 
 A probe tests a name with ``hasattr``, imports it inside ``try/except
 ImportError``, or assigns to it as a module attribute, so that it also runs
 against older parent checkouts.  Once such a name has gone from this
 checkout, the probe times its fallback or patches an attribute nothing
-reads, and still runs."""
+reads, and still runs.  Any other name it imports or reads from a module
+fails the probe when it is gone, in the bench run, long after the change
+that removed it."""
 
 import ast
 import importlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 import bench
 
 # The names the probes fall back on today; the parse below must find them.
@@ -21,6 +24,13 @@ KNOWN = {
     "oracle_helpers.reference_rank_code",
     "interlab.interchange._rank_code",
     "interlab.functionals.Functional.__call__",
+}
+# Some names the probes read today; the parse below must find them.
+READ = {
+    "interlab.cli.main",
+    "interlab.interchange.is_phi_inf_directed",
+    "interlab.scenario.build_family",
+    "workloads.plan_wide_atoms",
 }
 
 
@@ -42,11 +52,9 @@ def _catches_import_error(handler):
                for n in names)
 
 
-def fallback_names(source):
-    """The dotted names that ``source`` tests with ``hasattr``, imports
-    inside ``try/except ImportError`` or assigns to as attributes."""
-    tree = ast.parse(source)
-    bound, found = {}, set()
+def _bound(tree):
+    """Each name an import of ``tree`` binds, to what it imports."""
+    bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -55,6 +63,26 @@ def fallback_names(source):
         elif isinstance(node, ast.ImportFrom) and not node.level:
             for alias in node.names:
                 bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bound
+
+
+def read_names(source):
+    """The dotted names that ``source`` imports, and the attributes it reads
+    from them."""
+    tree = ast.parse(source)
+    bound = _bound(tree)
+    found = set(bound.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(_dotted(node, bound))
+    return found - {None}
+
+
+def fallback_names(source):
+    """The dotted names that ``source`` tests with ``hasattr``, imports
+    inside ``try/except ImportError`` or assigns to as attributes."""
+    tree = ast.parse(source)
+    bound, found = _bound(tree), set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "hasattr" and len(node.args) == 2
@@ -97,4 +125,12 @@ def exists(dotted):
 def test_every_name_a_probe_falls_back_on_exists():
     found = set().union(*map(fallback_names, bench.probe_sources().values()))
     assert KNOWN <= found
+    assert sorted(name for name in found if not exists(name)) == []
+
+
+def test_every_name_a_probe_reads_exists(monkeypatch):
+    # A probe runs with src, perfbench and tests on its path.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    found = set().union(*map(read_names, bench.probe_sources().values()))
+    assert READ <= found
     assert sorted(name for name in found if not exists(name)) == []

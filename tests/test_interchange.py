@@ -31,7 +31,7 @@ from interlab.interchange import (
 from interlab.measure import MeasureSpace
 from interlab.oracle import random_instance, random_space
 from interlab.scenario import build_sequence
-from oracle_helpers import shift
+from oracle_helpers import naive_phi_inf_directed, shift
 
 LEB = make_builtin("extended_lebesgue")
 
@@ -394,6 +394,25 @@ def test_stabilized_lhs_with_diverging_rhs_fails():
     assert report.rhs == NEG_INF
     assert report.interchange_holds == "fails"
     assert report.phi_inf_directed == "no"
+
+
+def test_a_prefix_lhs_stabilized_at_minus_infinity_builds_no_prefix_family(unit2):
+    # Term 2 integrates to -inf, so every prefix subset passes: the report
+    # is the scan's "yes" without the N terms that spec.prefix() builds.
+    members = [fn(unit2, k, 1) for k in range(2)] + [fn(unit2, "-inf", k) for k in range(4)]
+    seq = SequenceSpec(generator=lambda k: members[k], prefix_len=len(members))
+
+    def no_prefix():
+        raise AssertionError("the prefix family was built")
+
+    seq.prefix = no_prefix
+    report = verify_interchange_sequence(seq, LEB)
+    assert report.prefix["lhs_trend"] == "stabilized"
+    assert report.lhs == report.rhs == NEG_INF
+    assert (report.phi_inf_directed, report.witness, report.interchange_holds) == \
+        ("yes", None, "holds")
+    assert "directedness checked on the prefix family" in report.notes
+    assert naive_phi_inf_directed(Family(members), LEB, 12)[:2] == (True, None)
 
 
 def test_fails_in_limit_for_non_monotone_functional(unit2):

@@ -10,7 +10,7 @@ from pathlib import Path
 from operator import and_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from interlab import interchange
 from interlab.errors import DomainError, InvariantError
@@ -103,6 +103,55 @@ def test_scan_matches_naive_reference(data):
     res = is_phi_inf_directed(family, phi, budget)
     expected = naive_phi_inf_directed(family, phi, budget)
     assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_minus_infinity_on_a_member_needs_no_scan(data):
+    """A family with a member of Phi = -inf is directed whatever Phi gives
+    on the infima: the verdict, witness and mode are the naive scan's, and
+    Phi runs on the members only, with no rank code and no rank table."""
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    kind = data.draw(st.sampled_from(KINDS[:5]), label="kind")
+    n_atoms = data.draw(st.integers(1, 4), label="atoms")
+    weights = data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=n_atoms,
+                                 max_size=n_atoms), label="weights")
+    cap_weights = data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=n_atoms,
+                                     max_size=n_atoms), label="capacity")
+    # Choquet integrates nonpositive functions through -C(-f).
+    grid = (["-inf", -3, -1, "-1/3", 0] if kind == "choquet" else
+            _grid(kind, data.draw(st.sampled_from(["-inf", "+inf"]), label="inf")))
+    # Both sides of the default subset budget of 12.
+    n = data.draw(st.one_of(st.integers(1, 12), st.integers(13, 14)), label="members")
+    rows = data.draw(st.lists(st.lists(st.sampled_from(grid), min_size=n_atoms,
+                                       max_size=n_atoms), min_size=n, max_size=n),
+                     label="family")
+    # A member that is -inf on every atom has Phi = -inf, unless no atom
+    # carries weight (or capacity); assume() drops those draws.
+    rows[data.draw(st.integers(0, n - 1), label="low")] = ["-inf"] * n_atoms
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    family = Family([FnClass(space, r) for r in rows])
+    phi = _functional(kind, space, cap_weights)
+    try:
+        values = [phi(m) for m in family.members]
+    except DomainError:
+        values = None
+    assume(values is not None and min(values) == NEG_INF)
+    expected = naive_phi_inf_directed(family, phi, interchange.DEFAULT_SUBSET_BUDGET)
+
+    def raising(*args):
+        raise AssertionError("the scan scored a subset")
+
+    calls = []
+    call = Functional.__call__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interchange, "_rank_code", raising)
+        for eval_fn in list(RANK_TABLES):
+            mp.setitem(RANK_TABLES, eval_fn, raising)
+        mp.setattr(Functional, "__call__", lambda self, f: calls.append(f) or call(self, f))
+        res = is_phi_inf_directed(family, phi)
+    assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == expected
+    assert calls == list(family.members)
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,15 +318,15 @@ def test_table_comparison_catches_a_dropped_atom(kind):
     assert _table_mismatches(phi, members, dropping)
 
 
-# A not semi-integrable last member, given a caller's value: -inf, so that
-# every subset infimum passes until the scan meets one that is +inf on a and
-# -inf on b, or a finite value below every finite infimum, where the first
-# member is +inf on a, so that the first such infimum is also the first to
-# go below that value.
+# A not semi-integrable last member, given a caller's value: a finite value
+# below every finite infimum.  The first member is +inf on a, so the first
+# infimum that is +inf on a and -inf on b is also the first to go below that
+# value, and the members between give the scan enough new infima to build
+# its table first.
 BOTH_PARTS_INFINITE = [
-    ([[1, 2, 3], [2, 3, 1], [3, 1, 2], ["+inf", 0, 4], ["+inf", "-inf", 5]], NEG_INF),
-    ([["+inf", 0, 4], [1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 3, 2], [2, 1, 3], [3, 2, 1],
-      ["+inf", "-inf", 5]], NEG_INF),
+    ([["+inf", 0, 4], [2, 3, 3], [3, 3, 3], [1, 2, 3], [1, 3, 2], ["+inf", "-inf", 5]], -10),
+    ([["+inf", 0, 4], [1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 3, 2], [2, 1, 3],
+      ["+inf", "-inf", 5]], -10),
     ([["+inf", 0, 4], [1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 3, 2], [2, 1, 3], [3, 2, 1],
       ["+inf", "-inf", 5]], -100),
 ]
@@ -304,6 +353,25 @@ def test_both_parts_infinite_after_the_table_is_built(monkeypatch, rows, last):
         "use outer_integral or inner_integral"
     )
     assert builds == [last]
+
+
+def test_a_caller_given_minus_infinity_passes_without_scoring(monkeypatch):
+    """min Phi(X) = -inf passes every subset, the infimum that is +inf on a
+    and -inf on b too: the scan scores nothing and answers "yes"."""
+    def raising(*args):
+        raise AssertionError("the scan scored a subset")
+
+    space = MeasureSpace(["a", "b", "c"], [1, 1, 1])
+    rows = [[1, 2, 3], [2, 3, 1], [3, 1, 2], ["+inf", 0, 4], ["+inf", "-inf", 5]]
+    family = Family([FnClass(space, r) for r in rows])
+    phi = make_builtin("extended_lebesgue")
+    values = [phi(m) for m in family.members[:-1]] + [NEG_INF]
+    monkeypatch.setattr(interchange, "_rank_code", raising)
+    monkeypatch.setitem(RANK_TABLES, lebesgue_extended, raising)
+    monkeypatch.setattr(Functional, "__call__", raising)
+    res = is_phi_inf_directed(family, phi, phi_values=values)
+    assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == \
+        (True, None, "exhaustive", True)
 
 
 @pytest.mark.parametrize("name", ["check-lebesgue-inf", "check-outer-inf",

@@ -503,6 +503,76 @@ def shapiro_fold(sides, seed, repeat):
     return {"l3_alternating": {"scenarios": run["info"], "cases": run["cases"]}}
 
 
+VACUOUS_SCAN_PROBE = _API + r"""
+import io, json, os, tempfile
+from contextlib import redirect_stdout
+from interlab.cli import main
+from interlab.extreal import NEG_INF
+from interlab.fnlattice import pointwise_inf
+from interlab.functionals import make_builtin
+from interlab.scenario import build_family, build_space
+
+# From the plans of seeds seed, seed + 1, ..., seed + 19: the first
+# inner-400 and outer-300 family whose min Phi(X) is -inf, and the first
+# whose min Phi(X) is finite, so that the rule is timed on both sides.
+seed = int(sys.argv[1])
+found = {}
+for s in range(seed, seed + 20):
+    for item in workloads.plan_wide_atoms(s, False):
+        if item["label"] in ("outer-300", "inner-400"):
+            sc = item["scenario"]
+            space = build_space(sc["space"], "rational")
+            family = build_family(sc["family"], space)
+            phi = make_builtin(sc["functional"]["kind"])
+            values = [phi(m) for m in family.members]
+            side = "minus-inf" if min(values) == NEG_INF else "finite"
+            found.setdefault(f"{item['label']}-{side}", (s, sc, family, phi, values))
+
+tmp = tempfile.TemporaryDirectory()
+
+
+def verdict(path):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["check", path]) == 0
+    return out.getvalue()
+
+
+info, cases = {}, {}
+for label, (s, sc, family, phi, values) in sorted(found.items()):
+    path = os.path.join(tmp.name, label + ".json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(sc, fh)
+    inf = phi(pointwise_inf(family.members))
+    info[label] = {"seed": s, "members": len(family.members), "report": verdict(path)}
+    cases[label + "/check"] = lambda path=path: verdict(path)
+    cases[label + "/scan"] = lambda family=family, phi=phi, values=values, inf=inf: \
+        interchange.is_phi_inf_directed(family, phi, phi_values=values, phi_inf=inf)
+"""
+
+
+@case("vacuous-scan", seed=6829, repeat=40, claim="wide-atoms",
+      traced={"wide-atoms": ("interchange.subsets_scanned", "interchange.scan_s",
+                             "functionals.phi_evals"),
+              "small-families": ("interchange.subsets_scanned", "interchange.scan_s"),
+              "wide-families": ("interchange.subsets_scanned",)},
+      trace_seeds=(0, 1, 2))  # the seeds of the CI gate on subset counts
+def vacuous_scan(sides, seed, repeat):
+    """The directedness scan decides a family with min Phi(X) = -inf without
+    scanning, and a sequence whose lhs stabilizes there builds no prefix family.
+
+    Alternating: in-process ``check`` and the scan alone on dense
+    ``wide-atoms`` families, ``inner-400`` and ``outer-300``, with
+    min Phi(X) = -inf and, as a control, finite.  Both sides must print the
+    same reports.
+    """
+    run = alternating(sides, VACUOUS_SCAN_PROBE, [seed], repeat)
+    return {"l3_alternating_rational": {
+        "families": {label: {k: v for k, v in row.items() if k != "report"}
+                     for label, row in run["info"].items()},
+        "cases": run["cases"]}}
+
+
 def probe_sources() -> dict:
     """Each probe source of this module, by name."""
     return {name: value for name, value in globals().items() if name.endswith("_PROBE")}
