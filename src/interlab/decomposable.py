@@ -13,17 +13,17 @@ closure under every patch (apply a patch one atom at a time: each
 intermediate is a member).  The patch side reads each member of an explicit
 set U with projections P_1..P_n as one mixed-radix integer code over the
 P_i, so on a decomposable set it costs about n * |U| integer operations and
-set lookups.  A set computes its projections once.  Note the patching
-clause uses the values the set actually reaches at each atom: constraining
-controls per atom is expressed through the selection set (or with +inf
-penalties in the integrand), and the minimized side of the interchange uses
-the same reachable sets.
+set lookups.  A set computes its projections once.  The patching clause,
+like the minimized side of the interchange, uses the values the set reaches
+at each atom: per-atom constraints on controls go in the selection set (or
+as +inf penalties in the integrand).
 
 One walk, ``_selection_folds``, takes min over u of Phi(G(u)) for every
-Phi, a block of selections at a time.  It folds the built-in integrals (a
-product's trailing atoms one atom layer at a time, with the additions of
-the integral of G(u) in its order) and evaluates any other Phi on each
-G(u).  ``verify_rw_interchange`` takes the outer integral's minimum and
+Phi.  It folds the built-in integrals, with the additions of the integral
+of G(u) in its order, and evaluates any other Phi on each G(u).  A fold is
+monotone in each term, so on a product it visits only the prefixes whose
+least completion is the least fold (``_product_walk``).
+``verify_rw_interchange`` takes the outer integral's minimum and
 minimizers from it, against the integral of the per-atom minimum.
 ``verify_rw_argmin`` derives the selections that pick a per-atom minimizer
 on every non-null atom from the per-atom argmins, and checks the argmin
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from cmath import isinf
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, compress, islice, product, repeat
@@ -67,9 +66,8 @@ from .measure import MeasureSpace
 
 DEFAULT_ENUM_BUDGET = 10**6
 
-# Selections folded together: a product folds its trailing atoms whose
-# admissible sets multiply to at most this many one atom layer at a time,
-# and an explicit set is read this many selections at a time.
+# Selections of an explicit set, or of a product that is not walked, read
+# at a time.
 SELECTION_BLOCK = 1024
 
 Selection = Tuple[int, ...]
@@ -163,13 +161,8 @@ class SelectionSet:
         self.n_atoms = n_atoms
         self.n_controls = n_controls
         if kind == "explicit":
-            sels = []
-            seen = set()
-            for s in selections or ():
-                s = check_selection(s, n_atoms, n_controls)
-                if s not in seen:
-                    seen.add(s)
-                    sels.append(s)
+            sels = list(dict.fromkeys(  # the first of each repeated selection
+                check_selection(s, n_atoms, n_controls) for s in selections or ()))
             if not sels:
                 raise InputError("a selection set must be nonempty")
             self.selections = tuple(sels)
@@ -208,10 +201,8 @@ class SelectionSet:
 
     def iter_selections(self, budget: int = DEFAULT_ENUM_BUDGET):
         if self.count() > budget:
-            raise BudgetError(
-                f"selection enumeration needs {self.count()} > budget {budget}; "
-                "refusing to sample where exact equality is claimed"
-            )
+            raise BudgetError(f"selection enumeration needs {self.count()} > budget {budget}; "
+                              "refusing to sample where exact equality is claimed")
         if self.kind == "explicit":
             return iter(self.selections)
         return product(*self.admissible)
@@ -365,16 +356,17 @@ def verify_rw_interchange(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     tolerance: Optional[Scalar] = None,
 ) -> RwInterchangeReport:
-    """Brute-force min over selections of the outer integral, against the
-    outer integral of the per-atom minimum over the reachable controls.
+    """Min over selections of the outer integral, against the outer
+    integral of the per-atom minimum over the reachable controls.
 
     A non-decomposable set is still evaluated, flagged as a hypothesis
     violation: equality may fail there.  The inequality lhs >= rhs always
     holds, since G(u) >= G-flat on every atom and the outer integral and
     float rounding are monotone, so lhs below rhs beyond the tolerance is
     an InvariantError, as is inequality on a decomposable set.  Requires
-    some selection with integrable positive part.  The set is enumerated
-    once (see ``_min_over_selections``).
+    some selection with integrable positive part.  The set is walked once
+    (see ``_selection_folds``): a product's minimizers by a pruned walk,
+    an explicit set selection by selection.
     """
     tol = _tolerance(tolerance, integrand.space.backing)
     _check_fits(u_set, integrand)
@@ -389,16 +381,12 @@ def verify_rw_interchange(
     rhs = outer_integral(integrand.g_flat(projections))
     equal = _eq_within(lhs, rhs, tol)
     if not equal and decomp.decomposable:
-        raise InvariantError(
-            f"interchange equality failed on a decomposable set: "
-            f"lhs={to_text(lhs)}, rhs={to_text(rhs)}"
-        )
+        raise InvariantError(f"interchange equality failed on a decomposable set: "
+                             f"lhs={to_text(lhs)}, rhs={to_text(rhs)}")
     if not equal:
         if lhs < rhs:
-            raise InvariantError(
-                f"min over selections below the integral of the per-atom minimum: "
-                f"lhs={to_text(lhs)}, rhs={to_text(rhs)}"
-            )
+            raise InvariantError(f"min over selections below the integral of the per-atom "
+                                 f"minimum: lhs={to_text(lhs)}, rhs={to_text(rhs)}")
         notes.append("strict inequality lhs > rhs")
     return RwInterchangeReport(
         lhs=lhs, rhs=rhs, equal=equal, decomposable=decomp.decomposable,
@@ -408,11 +396,8 @@ def verify_rw_interchange(
 
 def _min_over_selections(integrand, u_set, projections, enum_budget):
     """(min, minimizers) of outer_integral(G(u)) over u, from one walk of
-    ``_selection_folds``.
-
-    A block's minimizers are ``compress``-ed out of the one selection
-    iterator.  Raises DomainError when no selection has a finite positive
-    part, that is, when the minimum is +inf.
+    ``_selection_folds``.  Raises DomainError when no selection has a finite
+    positive part, that is, when the minimum is +inf.
     """
     blocks, finish = _selection_folds(integrand, u_set, projections, enum_budget, OUTER)
     lhs, minimizers = None, []
@@ -424,36 +409,31 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
             minimizers += compress(block, map(eq, values, repeat(m)))
     lhs = finish(lhs)
     if lhs == POS_INF:
-        raise DomainError(
-            "precondition failure: no selection has integrable positive part"
-        )
+        raise DomainError("precondition failure: no selection has integrable positive part")
     return lhs, minimizers
 
 
 def _selection_folds(integrand, u_set, projections, enum_budget, phi):
-    """(blocks, finish): (values, selections) per block of ``u_set``, in
-    enumeration order, and the map from the least value to the least
-    ``phi(G(u))``: the one walk over a selection set, for every Phi.
-    Values order as those of Phi do, and equal Phi values have equal
-    values but for +inf, which is least only when every value is.
+    """(blocks, finish): (values, selections) per block, in enumeration
+    order, and the map from the least value to the least ``phi(G(u))``: the
+    one walk over a selection set, for every Phi.  Values order as those of
+    Phi do, and equal Phi values have equal values.
 
     A Phi with no ``integrals.PART_SUMS`` entry is evaluated on each G(u),
     and ``finish`` is the identity.  For an integral, whose entry is
     ``combine``, every (atom, reachable control) gets one code, and a
-    selection's parts are the atom-order left fold of its codes.  Under
-    float backing a code is the complex (positive term, negative term) of
+    selection's fold is the atom-order left fold of its codes.  Under float
+    backing a code is the complex (positive term, negative term) of
     ``weighted_parts``, whose addition adds the two parts with its rounding,
-    bit for bit, and a fold z gives ``combine(z.real, z.imag)`` when a code
-    is infinite, else ip - im.  Under rational backing it is the int of
-    ``extreal.exact_codes`` of the reachable entries, and
-    ``ExactCodes.ordered`` makes a block's folds order as their integrals
-    do.  Either way the integral's own DomainError comes at its first
-    selection.  A product folds the trailing atoms whose admissible sets
-    multiply to at most ``SELECTION_BLOCK`` one atom layer at a time, from
-    the fold of the leading atoms; an explicit set folds each selection.
-    Where a fold could differ from ``weighted_parts`` (see
+    bit for bit, and a fold z has the value ``combine(z.real, z.imag)`` when
+    a code is infinite, else ip - im.  Under rational backing it is the int
+    of ``extreal.exact_codes`` of the reachable entries, and a fold beyond
+    the finite band has the value of its decoded infinities.  A product is
+    the one block of ``_product_walk``; an explicit set folds each
+    selection.  Where a fold could differ from ``weighted_parts`` (see
     ``_complex_codes``) or no exact code is built, each selection is
-    ``combine(*weighted_parts(...))``.
+    ``combine(*weighted_parts(...))``.  The integral's own DomainError comes
+    whenever a selection has one.
     """
     space = integrand.space
     selections = u_set.iter_selections(enum_budget)
@@ -473,22 +453,21 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
         return least if codes is None or type(least) is float else codes.value(least, combine)
 
     if rows is None:
-        def value(sel):
-            return combine(*weighted_parts(
-                space.weights, [row[c] for row, c in zip(integrand.table, sel)]))
-
-        return _listed_blocks(selections, value), finish
-    if u_set.kind == "product":
-        blocks = _product_blocks(rows, u_set.admissible, selections, zero)
+        return _listed_blocks(selections, lambda sel: combine(*weighted_parts(
+            space.weights, [row[c] for row, c in zip(integrand.table, sel)]))), finish
+    if codes is not None:
+        def value(v):
+            return v if codes.finite(v) else codes.value(v, combine)
+    elif any(map(isinf, chain.from_iterable(rows))):
+        def value(z):
+            return combine(z.real, z.imag)
     else:
-        blocks = _listed_blocks(selections, lambda sel: reduce(add, map(getitem, rows, sel), zero))
-    if codes is None and any(map(isinf, chain.from_iterable(rows))):
-        blocks = (([combine(z.real, z.imag) for z in values], block) for values, block in blocks)
-    elif codes is None:
-        blocks = (([z.real - z.imag for z in values], block) for values, block in blocks)
-    elif codes.infinite:
-        blocks = ((codes.ordered(values, combine), block) for values, block in blocks)
-    return blocks, finish
+        def value(z):
+            return z.real - z.imag
+    if u_set.kind == "product":
+        return [_product_walk(rows, u_set.admissible, value, zero)], finish
+    return _listed_blocks(
+        selections, lambda sel: value(reduce(add, map(getitem, rows, sel), zero))), finish
 
 
 def _min_of_folds(integrand, u_set, enum_budget, phi):
@@ -497,24 +476,36 @@ def _min_of_folds(integrand, u_set, enum_budget, phi):
     return finish(min([min(values) for values, _ in blocks]))
 
 
-def _product_blocks(rows, admissible, selections, zero):
-    """(folds, selections) per block of a product, in enumeration order.
+def _product_walk(rows, admissible, value, zero):
+    """(values, selections): the selections of a product whose folds (see
+    ``_selection_folds``) have the least value m, in product order, each with m.
 
-    The leading atoms advance an odometer, one block per head tuple; what
-    the consumer leaves unread of a block's selections is skipped.
+    A value is monotone in each code (exact int sums, IEEE rounding to
+    nearest), so the fold with every atom at its least code has value m.
+    The walk extends its prefixes one atom at a time and keeps one only when
+    its least completion, its fold continued with each later atom's least
+    code, is not above m; every completion is at least that.  A kept
+    prefix's least completion is a minimizer, so no layer holds more
+    prefixes than there are minimizers, and a child at its atom's least
+    code keeps its parent's least completion unread.  When a selection has
+    a +inf term at atom i and a -inf one elsewhere, the least code of that
+    other atom is -inf, so the value of the all-least fold, or else the bound
+    of the all-least prefix's +inf child at i, raises the integral's
+    DomainError.
     """
-    h, size = len(rows), 1
-    while h and size * len(admissible[h - 1]) <= SELECTION_BLOCK:
-        h -= 1
-        size *= len(admissible[h])
-    layers = [[row[c] for c in cs] for row, cs in zip(rows, admissible)]
-    for head in product(*layers[:h]):
-        acc = [reduce(add, head, zero)]
-        for layer in layers[h:]:
-            acc = [s + t for s in acc for t in layer]
-        block = islice(selections, size)
-        yield acc, block
-        deque(block, maxlen=0)
+    # Each control as a 1-tuple, so that a child's prefix is one concatenation.
+    layers = [[((c,), row[c]) for c in cs] for row, cs in zip(rows, admissible)]
+    least = [min([z for _, z in layer], key=value) for layer in layers]
+    m = value(reduce(add, least, zero))
+    kept = [(zero, ())]
+    for i, (layer, low) in enumerate(zip(layers[:-1], least)):
+        tail = least[i + 1:]
+        kept = [(fold + z, prefix + c) for fold, prefix in kept for c, z in layer
+                if z == low or value(reduce(add, tail, fold + z)) <= m]
+    low = least[-1]
+    found = [prefix + c for fold, prefix in kept for c, z in layers[-1]
+             if z == low or value(fold + z) <= m]
+    return [m] * len(found), found
 
 
 def _listed_blocks(selections, value):
@@ -570,9 +561,12 @@ def verify_rw_argmin(
     minimizers on every non-null atom.  Not applicable at common value -inf.
 
     ``interchange`` is the report of ``verify_rw_interchange`` on the same
-    integrand and set, whose single enumeration already collected the
-    minimizers; without it the interchange is run here, at the default
-    tolerance.  ``_pointwise_argmin`` derives the other side.
+    integrand and set, whose single walk already collected the minimizers;
+    without it the interchange is run here, at the default tolerance.
+    ``_pointwise_argmin`` derives the other side.  On a decomposable set
+    under rational backing, where the common value here is finite, the
+    characterization is a theorem, so its failure is an InvariantError;
+    under float backing rounding ties can add minimizers.
     """
     base = interchange
     if base is None:
@@ -586,6 +580,10 @@ def verify_rw_argmin(
     pointwise = _pointwise_argmin(integrand, u_set, per_atom)
     # No selection repeats in either list, so this is set equality.
     holds = len(base.minimizers) == len(pointwise) and set(pointwise).issuperset(base.minimizers)
+    if not holds and base.decomposable and integrand.space.backing == "rational":
+        raise InvariantError(
+            f"argmin characterization failed on a decomposable set under exact arithmetic: "
+            f"{len(base.minimizers)} minimizers, {len(pointwise)} pointwise argmin selections")
     return RwArgminReport(
         applicable=True,
         characterization_holds=holds,

@@ -446,12 +446,6 @@ class ExactCodes(NamedTuple):
         minus, plus = divmod((code + self.scale // 2) // self.scale, len(self.rows) + 1)
         return parts_value(0, plus, -minus, combine)
 
-    def ordered(self, sums: list, combine) -> list:
-        """``sums``, those outside the finite band decoded, so that they order
-        as their integrals do; a sum above it is +inf for every integral."""
-        return sums if 2 * min(sums) > -self.scale else [
-            v if self.finite(v) else self.value(v, combine) for v in sums]
-
 
 def exact_codes(weights: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]):
     """The ``ExactCodes`` of ``exact_numerators``, or None where that is."""

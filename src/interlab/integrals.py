@@ -43,7 +43,7 @@ from .extreal import (
     weighted_parts,
 )
 from .fnlattice import FnClass, ess_sup_table, ess_sup_value, fn_neg
-from .measure import AtomSet, MeasureSpace, iter_atom_subsets
+from .measure import AtomSet, MeasureSpace, atom_order_sum, iter_atom_subsets
 
 
 def part_integrals(f: FnClass) -> tuple:
@@ -312,7 +312,7 @@ class _Distortion(Capacity):
             raise InputError("distortion exponent must be positive")
         if total == 0:
             raise InputError("distortion of the zero measure is degenerate")
-        if not (math.isfinite(total) and math.isfinite(sum(weights))):
+        if not (math.isfinite(total) and math.isfinite(atom_order_sum(weights))):
             raise InputError(_BEYOND_FLOAT)
         self.space = space
         self.gamma = g
@@ -328,7 +328,7 @@ class _Distortion(Capacity):
         s = frozenset(s)
         if not s <= self._atoms:
             raise _foreign_set(self.space, s)
-        t = sum(w for a, w in zip(self.space.atoms, self._weights) if a in s)
+        t = atom_order_sum(w for a, w in zip(self.space.atoms, self._weights) if a in s)
         return as_scalar((t / self._total) ** self.gamma * self._total, self.space.backing)
 
     def _chain_reader(self):

@@ -16,7 +16,9 @@ computation: combining them raises ``InputError``.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import add
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -76,8 +78,9 @@ class MeasureSpace:
         return self._non_null
 
     def total_mass(self) -> Scalar:
-        """The sum of the weights; under rational backing an int when integral."""
-        total = sum(self.weights, as_scalar(0, self.backing))
+        """The atom-order sum of the weights (``atom_order_sum``); under rational
+        backing an int when integral."""
+        total = atom_order_sum(self.weights, as_scalar(0, self.backing))
         return total if self.backing == "float" else _kept(total)
 
     def __len__(self) -> int:
@@ -113,12 +116,18 @@ def _check_subset(space: MeasureSpace, s: Iterable[str]) -> AtomSet:
 def measure(space: MeasureSpace, s: Iterable[str]) -> Scalar:
     """Total weight of the atoms in ``s``; finite and nonnegative.
 
-    The weights are added in atom order, so a float sum does not depend on
-    the hash seed.
+    The weights are added in atom order (``atom_order_sum``), so a float sum
+    does not depend on the hash seed.
     """
     s = _check_subset(space, s)
-    return as_scalar(sum(w for a, w in zip(space.atoms, space.weights) if a in s),
+    return as_scalar(atom_order_sum(w for a, w in zip(space.atoms, space.weights) if a in s),
                      space.backing)
+
+
+def atom_order_sum(values: Iterable[Scalar], start: Scalar = 0) -> Scalar:
+    """``start`` plus ``values`` added left to right, rounding at each float
+    addition: from Python 3.12 on, ``sum`` of floats compensates its rounding."""
+    return reduce(add, values, start)
 
 
 def is_null(space: MeasureSpace, s: Iterable[str]) -> bool:

@@ -28,7 +28,9 @@ the library has no command for.
 """
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 from interlab.decomposable import Integrand
@@ -335,10 +337,12 @@ def naive_distortion_table(space, gamma):
     g = float(gamma)
     total = float(space.total_mass())
     weights = [float(w) for w in space.weights]
-    # Same order as iter_atom_subsets: by size, then combinations order.
+    # Same order as iter_atom_subsets: by size, then combinations order.  The
+    # weights are added left to right (``sum`` of floats compensates its
+    # rounding from Python 3.12 on).
     subset_weights = (ws for k in range(len(weights) + 1)
                       for ws in combinations(weights, k))
-    return {s: ext((sum(ws) / total) ** g * total, space.backing)
+    return {s: ext((reduce(operator.add, ws, 0) / total) ** g * total, space.backing)
             for s, ws in zip(iter_atom_subsets(space), subset_weights)}
 
 

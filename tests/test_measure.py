@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from interlab.errors import InputError
 from interlab.extreal import ext
+from interlab.integrals import Capacity
 from interlab.measure import MeasureSpace, is_null, iter_atom_subsets, measure
 from interlab.scenario import build_space, write_check
 
@@ -105,3 +107,17 @@ def test_float_measure_does_not_depend_on_hash_seed():
         outputs.add(proc.stdout)
     in_atom_order = (0.1 + 0.2 + 0.3 + 0.7, 0.2 + 0.3 + 0.7, 0.1 + 0.2 + 0.3)
     assert outputs == {"%r %r\n%r\n" % in_atom_order}
+
+
+def test_float_weights_are_added_left_to_right():
+    """Ten weights of 0.1 fold to 0.9999999999999999 from 0, left to right;
+    the correctly rounded sum, and ``sum`` from Python 3.12 on, give 1.0."""
+    atoms = [f"a{i}" for i in range(10)]
+    space = MeasureSpace(atoms, [0.1] * 10, backing="float")
+    folded = 0.9999999999999999
+    assert math.fsum(space.weights) == 1.0
+    assert space.total_mass() == folded
+    assert measure(space, atoms) == folded
+    assert measure(space, atoms[:3]) == 0.1 + 0.1 + 0.1
+    # (t / total) ** gamma * total with t = total: the fold itself.
+    assert Capacity.distortion(space, 2).of(atoms) == folded

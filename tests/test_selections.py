@@ -499,6 +499,85 @@ def test_shapiro_fold_raises_the_first_error_of_the_integral(backing, table, sel
         min(lebesgue_extended(integrand.g_of(s)) for s in selections)
 
 
+# Floats whose folds round to ties: 1e16 + 1.0 is 1e16, and 0.1 + 0.2 is
+# not 0.3.
+ROUNDING = [1e16, 1.0, -1e16, 0.1, 0.2, 0.3]
+# Entries for the product walk: infinities, ties and rounding.
+WALK_VALUES = [-1, 0, 1, "1/3", "+inf", "-inf"] + ROUNDING
+
+
+def _undefined_somewhere(integrand, u_set):
+    """Whether the extended Lebesgue integral of some G(u) is undefined."""
+    lebesgue = make_builtin("extended_lebesgue")
+    return any(isinstance(_value_or_error(lambda s=s: lebesgue(integrand.g_of(s))), tuple)
+               for s in u_set.iter_selections())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_product_walk_matches_every_selection(data):
+    """The pruned walk against every selection: the rw verdicts and
+    minimizers, and the least value of each integral with its error."""
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    n_atoms = data.draw(st.integers(1, 5), label="atoms")
+    n_controls = data.draw(st.integers(1, 4 if n_atoms < 5 else 3), label="controls")
+    values = data.draw(st.sampled_from([WALK_VALUES, FINITE, ROUNDING]), label="values")
+    weights = data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=n_atoms,
+                                 max_size=n_atoms), label="weights")
+    table = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_controls,
+                                        max_size=n_controls),
+                               min_size=n_atoms, max_size=n_atoms), label="table")
+    admissible = [data.draw(st.lists(st.integers(0, n_controls - 1), min_size=1,
+                                     max_size=n_controls, unique=True))
+                  for _ in range(n_atoms)]
+    # +inf and -inf options at admissible controls, so that extended Lebesgue
+    # is often undefined on some selections and not on others.
+    cells = st.tuples(st.integers(0, n_atoms - 1), st.integers(0, n_controls - 1),
+                      st.sampled_from(["+inf", "-inf"]))
+    infinite = data.draw(st.lists(cells, max_size=4), label="infinite entries")
+    if n_atoms > 1 and data.draw(st.booleans(), label="both signs"):
+        i, j = data.draw(st.permutations(range(n_atoms)), label="atoms")[:2]
+        infinite += [(i, 0, "+inf"), (j, 0, "-inf")]
+    for i, k, x in infinite:
+        table[i][admissible[i][k % len(admissible[i])]] = x
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    integrand = Integrand(space, [[c] for c in range(n_controls)], table)
+    u_set = SelectionSet("product", n_atoms, n_controls, admissible=admissible)
+    _assert_matches_naive(integrand, u_set, backing)
+    for kind in ("extended_lebesgue", "outer", "inner"):
+        _assert_fold_is_the_min_of_phi(integrand, u_set, make_builtin(kind))
+    least = _value_or_error(lambda: decomposable._min_of_folds(
+        integrand, u_set, 10**6, make_builtin("extended_lebesgue")))
+    assert isinstance(least, tuple) == _undefined_somewhere(integrand, u_set)
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_a_walk_that_drops_a_minimizer_fails_the_exact_argmin_check(
+        backing, tmp_path, monkeypatch, capsys):
+    """Under rational backing the argmin characterization on a decomposable
+    set is a theorem, so a lost minimizer exits 4; under float backing,
+    where rounding ties add minimizers, it is reported."""
+    weights, table = [1, "1/2", 0], [[1, 1, 2], [0, 3, 0], [5, 4, 3]]
+    space = MeasureSpace(["a0", "a1", "a2"], weights, backing=backing)
+    integrand = Integrand(space, [[0], [1], [2]], table)
+    u_set = SelectionSet.full_product(3, 3)
+    assert len(verify_rw_interchange(integrand, u_set).minimizers) == 12
+    assert verify_rw_argmin(integrand, u_set).characterization_holds
+    walk = decomposable._product_walk
+    monkeypatch.setattr(decomposable, "_product_walk",
+                        lambda *args: tuple(part[1:] for part in walk(*args)))
+    path = _rw_file(tmp_path, weights, table, {"kind": "product"})
+    code, out = _rw_check(path, backing, monkeypatch, capsys)
+    if backing == "rational":
+        with pytest.raises(InvariantError, match="argmin characterization failed"):
+            verify_rw_argmin(integrand, u_set)
+        assert code == 4 and "argmin characterization failed" in out
+    else:
+        report = verify_rw_argmin(integrand, u_set)
+        assert (report.characterization_holds, report.notes) == (False, ["argmin sets differ"])
+        assert code == 0 and len(out["minimizers"]) == 11
+
+
 @pytest.mark.parametrize("backing", ["rational", "float"])
 @pytest.mark.parametrize("kind", ["extended_lebesgue", "outer", "inner", "ess_sup", "choquet"])
 def test_only_other_functionals_evaluate_every_selection(backing, kind, monkeypatch):

@@ -573,6 +573,68 @@ def vacuous_scan(sides, seed, repeat):
         "cases": run["cases"]}}
 
 
+PRODUCT_WALK_PROBE = _API + r"""
+import io, json, os, tempfile
+from contextlib import redirect_stdout
+from interlab.cli import main
+from interlab.decomposable import Integrand, SelectionSet, verify_rw_interchange
+from interlab.measure import MeasureSpace
+
+seed = int(sys.argv[1])
+tmp = tempfile.TemporaryDirectory()
+
+
+def verdict(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+# Every product rw-check and Shapiro scenario of the selections plan, in
+# process; the caller sets the backing the workload runs them under.
+info, cases = {}, {}
+for i, item in enumerate(workloads.plan_selections(seed, False)):
+    if item["label"].startswith(("product", "shapiro")):
+        label = f"{i:02d}-{item['label']}"
+        path = os.path.join(tmp.name, label + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(item["scenario"], fh)
+        info[label] = verdict([item["command"], path])
+        cases[label] = lambda argv=[item["command"], path]: verdict(argv)
+# The worst case of the walk: a constant 4^9 table, where every one of the
+# 262144 selections is a minimizer, under both backings.
+for backing in ("float", "rational"):
+    space = MeasureSpace([f"a{i}" for i in range(9)], ["1/2", 1, 2, "1/4"] * 2 + [1],
+                         backing=backing)
+    args = (Integrand(space, [[c] for c in range(4)], [[3] * 4] * 9),
+            SelectionSet.full_product(9, 4))
+    report = verify_rw_interchange(*args)
+    info[f"all-ties-4^9-{backing}"] = {"lhs": repr(report.lhs),
+                                       "minimizers": len(report.minimizers)}
+    cases[f"all-ties-4^9-{backing}"] = lambda args=args: verify_rw_interchange(*args)
+"""
+
+
+@case("product-walk", seed=9157, repeat=20, claim="selections",
+      traced={"selections": ("decomposable.enum_s", "decomposable.shapiro_s")})
+def product_walk(sides, seed, repeat):
+    """A product's minimizers by a pruned walk: only the selection prefixes
+    whose least completion is the least fold.
+
+    Alternating: in-process ``rw-check`` on the products and
+    ``shapiro-check`` on the Shapiro scenarios of ``selections`` (float
+    backing), whose reports must be the same on both sides, and
+    ``verify_rw_interchange`` on a constant 4^9 table under both backings.
+    """
+    run = alternating(sides, PRODUCT_WALK_PROBE, [seed], repeat,
+                      env={"INTERLAB_BACKING": "float"})
+    return {"l3_alternating": {
+        "all_ties": {label: row for label, row in run["info"].items()
+                     if label.startswith("all-ties")},
+        "cases": run["cases"]}}
+
+
 def probe_sources() -> dict:
     """Each probe source of this module, by name."""
     return {name: value for name, value in globals().items() if name.endswith("_PROBE")}
