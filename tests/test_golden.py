@@ -58,6 +58,10 @@ INTERCHANGE_CASES = {
     "check-literal-24": ["check", str(SCENARIOS / "check-literal-24.json")],
     "check-choquet-distortion": ["check", str(SCENARIOS / "check-choquet-distortion.json")],
     "check-choquet-distortion-16": ["check", str(SCENARIOS / "check-choquet-distortion-16.json")],
+    # A table capacity with keys out of space order and a +inf value, on a
+    # nonpositive family with ties, a -inf on a null atom and a positive
+    # value on it.
+    "check-choquet-table-signed": ["check", str(SCENARIOS / "check-choquet-table-signed.json")],
     "check-sampled-pair-cover": ["check", str(SCENARIOS / "check-sampled-pair-cover.json")],
     # Infinite values on atoms of positive weight, in families large enough
     # that the scan builds the integral's rank table; the inner family's
