@@ -18,7 +18,7 @@ from .extreal import (
     scalar_mul,
     upper_add,
 )
-from .measure import AtomSet, MeasureSpace, is_null, iter_atom_subsets, measure
+from .measure import AtomSet, MeasureSpace, iter_atom_subsets, measure
 from .fnlattice import (
     FnClass,
     IntegrabilityTag,
@@ -40,13 +40,11 @@ from .integrals import (
 from .functionals import (
     Functional,
     make_builtin,
-    parameterless_builtins,
 )
 from .interchange import (
     Family,
     InterchangeReport,
     SequenceSpec,
-    giner_gap_directed,
     is_phi_inf_directed,
     verify_interchange,
     verify_interchange_sequence,

@@ -401,12 +401,11 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
     """
     blocks, finish = _selection_folds(integrand, u_set, projections, enum_budget, OUTER)
     lhs, minimizers = None, []
-    for values, block in blocks:
-        m = min(values)
+    for m, at_m in blocks:
         if lhs is None or m < lhs:
-            lhs, minimizers = m, list(compress(block, map(eq, values, repeat(m))))
+            lhs, minimizers = m, at_m
         elif m == lhs:
-            minimizers += compress(block, map(eq, values, repeat(m)))
+            minimizers += at_m
     lhs = finish(lhs)
     if lhs == POS_INF:
         raise DomainError("precondition failure: no selection has integrable positive part")
@@ -414,10 +413,11 @@ def _min_over_selections(integrand, u_set, projections, enum_budget):
 
 
 def _selection_folds(integrand, u_set, projections, enum_budget, phi):
-    """(blocks, finish): (values, selections) per block, in enumeration
-    order, and the map from the least value to the least ``phi(G(u))``: the
-    one walk over a selection set, for every Phi.  Values order as those of
-    Phi do, and equal Phi values have equal values.
+    """(blocks, finish): per block, in enumeration order, its least value
+    and the selections at it, in that order, and the map from the least
+    value to the least ``phi(G(u))``: the one walk over a selection set, for
+    every Phi.  Values order as those of Phi do, and equal Phi values have
+    equal values.
 
     A Phi with no ``integrals.PART_SUMS`` entry is evaluated on each G(u),
     and ``finish`` is the identity.  For an integral, whose entry is
@@ -473,12 +473,12 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
 def _min_of_folds(integrand, u_set, enum_budget, phi):
     """The least value of ``_selection_folds``: min over u of ``phi(G(u))``."""
     blocks, finish = _selection_folds(integrand, u_set, u_set.projections(), enum_budget, phi)
-    return finish(min([min(values) for values, _ in blocks]))
+    return finish(min([m for m, _ in blocks]))
 
 
 def _product_walk(rows, admissible, value, zero):
-    """(values, selections): the selections of a product whose folds (see
-    ``_selection_folds``) have the least value m, in product order, each with m.
+    """(m, selections): the least value m of a product's folds (see
+    ``_selection_folds``) and the selections at it, in product order.
 
     A value is monotone in each code (exact int sums, IEEE rounding to
     nearest), so the fold with every atom at its least code has value m.
@@ -505,13 +505,16 @@ def _product_walk(rows, admissible, value, zero):
     low = least[-1]
     found = [prefix + c for fold, prefix in kept for c, z in layers[-1]
              if z == low or value(fold + z) <= m]
-    return [m] * len(found), found
+    return m, found
 
 
 def _listed_blocks(selections, value):
-    """(values, selections) per run of ``SELECTION_BLOCK`` selections."""
+    """(least value, the selections at it) per run of ``SELECTION_BLOCK``
+    selections."""
     while block := list(islice(selections, SELECTION_BLOCK)):
-        yield [value(sel) for sel in block], block
+        values = [value(sel) for sel in block]
+        m = min(values)
+        yield m, list(compress(block, map(eq, values, repeat(m))))
 
 
 def _complex_codes(weights, table, projections):

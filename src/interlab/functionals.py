@@ -16,7 +16,7 @@ post-composition raises what its base raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from .errors import InputError
 from .extreal import Scalar, ext, to_text
@@ -107,7 +107,3 @@ def make_builtin(
             order_preserving=base.order_preserving,
         )
     raise InputError(f"unknown builtin functional kind {kind!r}")
-
-
-def parameterless_builtins() -> List[Functional]:
-    return [make_builtin(k) for k in ("extended_lebesgue", "outer", "inner", "ess_sup")]

@@ -11,7 +11,8 @@ Four integrals are provided:
   (``PART_SUMS`` holds each integral's combination, which ``RunningParts``
   applies to parts kept up to date atom by atom);
 * ``choquet``            - layer-cake integral with respect to a capacity,
-  computed exactly by sorting the distinct finite values.
+  from one pass over the atoms, one sort of the distinct values and one
+  capacity read per level, summed by ``extreal.weighted_parts``.
 
 On a mu-a.e. nonnegative function all three Lebesgue forms equal the
 weighted sum of the values on the atoms of positive weight, the supremum
@@ -21,8 +22,10 @@ over dominated simple functions.
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import compress, count
+from bisect import bisect_left
+from functools import cache, partial
+from itertools import accumulate, combinations, compress, count, repeat
+from operator import eq, gt, is_, itemgetter, lshift, sub, xor
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InputError
@@ -37,13 +40,12 @@ from .extreal import (
     exact_codes,
     lower_add,
     parts_value,
-    scalar_mul,
     to_text,
     upper_add,
     weighted_parts,
 )
-from .fnlattice import FnClass, ess_sup_table, ess_sup_value, fn_neg
-from .measure import AtomSet, MeasureSpace, atom_order_sum, iter_atom_subsets
+from .fnlattice import FnClass, ess_sup_table, ess_sup_value
+from .measure import AtomSet, MeasureSpace, atom_order_sum
 
 
 def part_integrals(f: FnClass) -> tuple:
@@ -193,6 +195,10 @@ RANK_TABLES = {
 }
 
 
+# A table entry that no key of the mapping filled.
+_MISSING = object()
+
+
 class Capacity:
     """A monotone set function with c(empty) = 0 on the atoms of a space.
 
@@ -201,64 +207,65 @@ class Capacity:
     results require.
 
     ``Capacity(space, table)`` is the "table" kind: a dense table of all
-    2^n values, keyed by sets of the space's atoms and validated once at
-    construction.  ``Capacity.distortion``
+    2^n values, keyed by sets of the space's atoms.  It is held as one list
+    indexed by atom bitmask (bit i is atom i of the space), so a read of a
+    level set is one list index.  Table values are converted once, by the
+    constructor, in the space's backing, each distinct string among them
+    parsed once (``extreal.coerce_all``), and validated once, on masks: the
+    first missing set and the first pair (A, A + a) with c(A) > c(A + a) are
+    reported in ``iter_atom_subsets`` order, A before a, atoms in space
+    order.  A negative value needs no check of its own: the chain from the
+    empty set up to it drops at an earlier set.  ``Capacity.distortion``
     builds no table; it evaluates c(A) when asked, in O(n), so a Choquet
     integral costs O(n) per level set it reads and large spaces are fine.
-    Table values are converted once, by the constructor, in the space's
-    backing, each distinct string among them parsed once
-    (``extreal.coerce_all``).
+    ``of(A)`` reads either kind by a set of atom names.
     """
 
-    __slots__ = ("space", "_table")
+    __slots__ = ("space", "_values")
     kind = "table"
 
     def __init__(self, space: MeasureSpace, table: Mapping[AtomSet, Scalar]):
         self.space = space
-        atoms = frozenset(space.atoms)
-        for s in table:
-            if not atoms.issuperset(s):
-                raise _foreign_set(space, frozenset(s))
-        sets = list(iter_atom_subsets(space))
-        missing = next((i for i, s in enumerate(sets) if s not in table), None)
+        bits = {a: 1 << i for i, a in enumerate(space.atoms)}
+        listed = [_MISSING] * (1 << len(bits))
+        for s, v in table.items():
+            try:
+                mask = sum(map(bits.__getitem__, s))
+            except KeyError:
+                raise _foreign_set(space, frozenset(s)) from None
+            if isinstance(s, frozenset):  # no other key equals a set of atoms
+                listed[mask] = v
+        order, rank, smaller, bigger = _subset_order(len(bits))
+        ranked = list(map(listed.__getitem__, order))
+        missing = next(compress(count(), map(is_, ranked, repeat(_MISSING))), None)
         # The values before the first missing set are read first, so a bad
         # one among them is the error reported.
-        values = coerce_all([table[s] for s in sets[:missing]], space.backing)
+        values = coerce_all(ranked[:missing], space.backing)
         if missing is not None:
-            raise InputError(f"capacity table misses the set {_set_str(space, sets[missing])}")
-        self._table = dict(zip(sets, values))
-        self._validate()
-
-    def _validate(self) -> None:
-        empty = frozenset()
-        if self._table[empty] != 0:
+            raise InputError(f"capacity table misses the set {_mask_str(space, order[missing])}")
+        if values[0] != 0:
             raise InputError("capacity must vanish on the empty set")
-        # Rounding to float is monotone, so unequal floats order the exact
-        # values; only float ties need the exact comparison.
-        approx = {s: _monotone_float(v) for s, v in self._table.items()}
-        for s, v in self._table.items():
-            if v < 0:
-                raise InputError(
-                    f"capacity value {v} on {_set_str(self.space, s)} is negative")
-            fv = approx[s]
-            for a in self.space.atoms:
-                if a not in s:
-                    bigger = s | {a}
-                    fb = approx[bigger]
-                    if fb < fv or (fb == fv and self._table[bigger] < v):
-                        raise _not_monotone(self.space, s, v, bigger, self._table[bigger])
+        # Rounding to float is monotone, so a drop of the floats is one of the
+        # exact values; only float ties need the exact comparison.
+        approx = list(map(_monotone_float, values))
+        low = list(map(approx.__getitem__, smaller))
+        high = list(map(approx.__getitem__, bigger))
+        first = next(compress(count(), map(gt, low, high)), len(low))
+        first = next((p for p in compress(range(first), map(eq, low, high))
+                      if values[smaller[p]] > values[bigger[p]]), first)
+        if first < len(low):
+            i, j = smaller[first], bigger[first]
+            raise _not_monotone(space, order[i], values[i], order[j], values[j])
+        self._values = list(map(values.__getitem__, rank))
 
     def of(self, s: Iterable[str]) -> Scalar:
-        s = frozenset(s)
-        try:
-            return self._table[s]
-        except KeyError:
-            raise _foreign_set(self.space, s) from None
+        return self._values[_mask(self.space, s)]
 
     def _chain_reader(self):
-        """``of`` for reads along a chain of shrinking sets (Choquet's level
-        sets).  A table was validated whole, so it needs no further check."""
-        return self.of
+        """The value of a mask, for reads along a chain of shrinking sets
+        (Choquet's level sets).  A table was validated whole, so it needs no
+        further check."""
+        return self._values.__getitem__
 
     @classmethod
     def distortion(cls, space: MeasureSpace, gamma: Scalar) -> "Capacity":
@@ -266,7 +273,7 @@ class Capacity:
 
         Computed in float: a fractional power is irrational in general, so
         this family is for demos and tolerance-based checks, not for exact
-        interchange verdicts.  ``of(A)`` adds the float weights of A's atoms
+        interchange verdicts.  A read adds the float weights of A's atoms
         in atom order, starting from 0, and returns
         ``(t / total) ** gamma * total``: the float operations, in that
         order, of the dense table this kind used to build, so every value
@@ -287,7 +294,7 @@ class Capacity:
 
         gamma, the weights and the total are converted to float here, and
         c(Omega), the largest value since t(Omega) bounds every t(A), is
-        evaluated once, so ``of`` meets no overflow later.
+        evaluated once, so a read meets no overflow later.
         """
         return _Distortion(space, gamma)
 
@@ -298,7 +305,7 @@ _BEYOND_FLOAT = "distortion gamma, weights and values must lie within the float 
 class _Distortion(Capacity):
     """The distortion kind; see ``Capacity.distortion``."""
 
-    __slots__ = ("gamma", "_atoms", "_weights", "_total")
+    __slots__ = ("gamma", "_weights", "_total")
     kind = "distortion"
 
     def __init__(self, space: MeasureSpace, gamma: Scalar):
@@ -316,33 +323,59 @@ class _Distortion(Capacity):
             raise InputError(_BEYOND_FLOAT)
         self.space = space
         self.gamma = g
-        self._atoms = frozenset(space.atoms)
         self._weights = weights
         self._total = total
         try:
-            self.of(space.atoms)
+            self._value((1 << len(weights)) - 1)
         except OverflowError:  # from pow, when t(Omega) / total rounds above 1
             raise InputError(_BEYOND_FLOAT) from None
 
     def of(self, s: Iterable[str]) -> Scalar:
-        s = frozenset(s)
-        if not s <= self._atoms:
-            raise _foreign_set(self.space, s)
-        t = atom_order_sum(w for a, w in zip(self.space.atoms, self._weights) if a in s)
+        return self._value(_mask(self.space, s))
+
+    def _value(self, mask: int) -> Scalar:
+        """c of the atoms of ``mask``, their weights added in atom order."""
+        t = atom_order_sum([w for i, w in enumerate(self._weights) if mask >> i & 1])
         return as_scalar((t / self._total) ** self.gamma * self._total, self.space.backing)
 
     def _chain_reader(self):
-        """``of`` that raises unless each value read is at most the last one."""
+        """``_value`` that raises unless each value read is at most the last one."""
         last = []
 
-        def read(s: AtomSet) -> Scalar:
-            v = self.of(s)
+        def read(mask: int) -> Scalar:
+            v = self._value(mask)
             if last and v > last[1]:
-                raise _not_monotone(self.space, s, v, *last)
-            last[:] = (s, v)
+                raise _not_monotone(self.space, mask, v, *last)
+            last[:] = (mask, v)
             return v
 
         return read
+
+
+@cache
+def _subset_order(n: int) -> tuple:
+    """For n atoms: the masks of the subsets in ``iter_atom_subsets`` order
+    (size, then lexicographic in atom order), the position of each mask in
+    that order, and the pairs (A, A + a), A in that order and then a outside
+    A in atom order, as the two lists of their sets' positions.  Kept for
+    each n met: about 16 MB at n = 16, where the table itself is 2^16
+    values."""
+    order = [sum([1 << i for i in combo]) for k in range(n + 1)
+             for combo in combinations(range(n), k)]
+    rank = [0] * len(order)
+    for p, mask in enumerate(order):
+        rank[mask] = p
+    smaller = [p for p, mask in enumerate(order) for i in range(n) if not mask >> i & 1]
+    bigger = [rank[mask | 1 << i] for mask in order for i in range(n) if not mask >> i & 1]
+    return order, rank, smaller, bigger
+
+
+def _mask(space: MeasureSpace, s: Iterable[str]) -> int:
+    """The bitmask of the atom set ``s``; InputError when it is not over the space."""
+    s = frozenset(s)
+    if not s.issubset(space.atoms):
+        raise _foreign_set(space, s)
+    return sum([1 << space.index(a) for a in s])
 
 
 def _set_str(space: MeasureSpace, s: AtomSet) -> str:
@@ -352,9 +385,14 @@ def _set_str(space: MeasureSpace, s: AtomSet) -> str:
     return "{" + ", ".join(map(str, atoms)) + "}"
 
 
-def _not_monotone(space, s, v, bigger, vb) -> InputError:
-    return InputError(f"capacity is not monotone: c({_set_str(space, s)}) = {to_text(v)} "
-                      f"> c({_set_str(space, bigger)}) = {to_text(vb)}")
+def _mask_str(space: MeasureSpace, mask: int) -> str:
+    """The atoms of ``mask`` as ``_set_str`` writes them."""
+    return _set_str(space, frozenset(a for i, a in enumerate(space.atoms) if mask >> i & 1))
+
+
+def _not_monotone(space, smaller: int, v, bigger: int, vb) -> InputError:
+    return InputError(f"capacity is not monotone: c({_mask_str(space, smaller)}) = {to_text(v)} "
+                      f"> c({_mask_str(space, bigger)}) = {to_text(vb)}")
 
 
 def _foreign_set(space, s) -> InputError:
@@ -378,36 +416,57 @@ def choquet(f: FnClass, c: Capacity) -> Scalar:
     when c({f = +inf}) > 0.  Nonpositive functions go through negation;
     mixed signs are rejected.
 
+    One pass over the atoms puts the atoms of each nonzero value into one
+    bitmask; one sort of the distinct values decides the sign on the atoms
+    of positive weight and orders the levels.  The level sets are then one
+    shrinking mask, which loses one value's atoms per level, and the
+    capacity is read once per level, on that mask, and last on the
+    plateau: at most n + 1 reads, on nested sets.  Under a distortion a
+    value that exceeds the one read on the enclosing set is an
+    ``InputError``.  The sum is one ``extreal.weighted_parts`` call: exact
+    under rational backing, and under float backing the level-order float
+    fold, so a finite term beyond the float range raises ``InputError``
+    unless some level's capacity is +inf, which makes the integral +inf.
+
     Level sets use the literal representative values, so the integral is
     monotone for the plain pointwise order under any capacity (and for the
-    mu-pointwise order whenever the capacity ignores null atoms).  The
-    capacity is read at most n + 1 times, on nested sets; under a
-    distortion a value that exceeds the one read on the enclosing set is
-    an ``InputError``.
+    mu-pointwise order whenever the capacity ignores null atoms).
     """
     if f.space != c.space:
         raise InputError("capacity and function live on different spaces")
-    nonneg = all(f.values[i] >= 0 for i in f.space.non_null_indices())
-    nonpos = all(f.values[i] <= 0 for i in f.space.non_null_indices())
-    if nonneg:
-        return _choquet_nonneg(f, c)
-    if nonpos:
-        return -_choquet_nonneg(fn_neg(f), c)
+    atoms_of = {}  # value -> the mask of the atoms holding it
+    bit = 1
+    for x in f.values:
+        atoms_of[x] = atoms_of.get(x, 0) | bit
+        bit <<= 1
+    atoms_of.pop(0, None)
+    levels = sorted(atoms_of.items(), key=_level_value)
+    below = bisect_left(levels, 0, key=_level_value)  # the levels of negative value
+    negative = sum(map(_level_atoms, levels[:below]))
+    positive = sum(map(_level_atoms, levels[below:]))
+    non_null = sum(map(lshift, repeat(1), f.space.non_null_indices()))
+    if not negative & non_null:
+        return _layer_cake(c, levels[below:], positive)
+    if not positive & non_null:
+        return -_layer_cake(c, [(-v, atoms) for v, atoms in reversed(levels[:below])], negative)
     raise DomainError("choquet requires a mu-a.e. one-signed function")
 
 
-def _choquet_nonneg(f: FnClass, c: Capacity) -> Scalar:
-    space = f.space
-    of = c._chain_reader()  # the level sets below shrink, the plateau last
-    finite_levels = sorted({v for v in f.values if 0 < v < POS_INF})
-    total = prev = as_scalar(0, space.backing)
-    for v in finite_levels:
-        level_set = frozenset(
-            a for a, fv in zip(space.atoms, f.values) if fv > prev
-        )
-        total = lower_add(total, scalar_mul(v - prev, of(level_set)))
-        prev = v
-    plateau = frozenset(a for a, fv in zip(space.atoms, f.values) if fv == POS_INF)
-    if plateau and of(plateau) > 0:
-        return POS_INF
-    return total
+_level_value, _level_atoms = itemgetter(0), itemgetter(1)
+
+
+def _layer_cake(c: Capacity, levels: list, mask: int) -> Scalar:
+    """The Choquet integral of the nonnegative function whose positive
+    values, ascending, hold the atoms of their masks (``levels``), and
+    whose positive atoms are ``mask``."""
+    read = c._chain_reader()
+    plateau = levels.pop()[1] if levels and levels[-1][0] == POS_INF else 0
+    cake = as_scalar(0, c.space.backing)
+    if levels:
+        # The level sets shrink: each loses the atoms of the level below it.
+        capacities = list(map(read, accumulate(map(_level_atoms, levels[:-1]), xor,
+                                               initial=mask)))
+        values = list(map(_level_value, levels))
+        deltas = values[:1] + list(map(sub, values[1:], values))  # v_1 - 0 is v_1
+        cake = weighted_parts(deltas, capacities)[0]
+    return POS_INF if plateau and read(plateau) > 0 else cake

@@ -35,7 +35,7 @@ from math import comb, copysign
 from operator import lt
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DomainError, InputError, InvariantError
+from .errors import InputError, InvariantError
 from .extreal import (
     JSON_UNLESS_NONE,
     NEG_INF,
@@ -48,8 +48,8 @@ from .extreal import (
     exact_numerators,
     to_text,
 )
-from .fnlattice import FnClass, IntegrabilityTag, classify, mu_leq, pointwise_inf
-from .functionals import Functional, make_builtin
+from .fnlattice import FnClass, mu_leq, pointwise_inf
+from .functionals import Functional
 from .integrals import RANK_TABLES, RunningParts
 
 DEFAULT_SUBSET_BUDGET = 12
@@ -750,29 +750,3 @@ def verify_interchange_sequence(
         mode="sequence",
         prefix=prefix_data,
     )
-
-
-def giner_gap_directed(
-    family: Family,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> DirectednessResult:
-    """Giner's integrably-inf-directed condition in gap form: for every
-    finite subset S, min over x in X of the integral of (x - inf S) <= 0.
-
-    For a family that is integrable and finite mu-a.e. the integral is
-    additive, so the integral of (x - inf S) is the integral of x minus
-    that of inf S, and the gap condition is exactly Phi-inf-directedness
-    with Phi the extended Lebesgue integral, at tolerance 0: a corollary of
-    the general interchange theorem (arXiv 2107.05903).  So this is that
-    scan, after a DomainError on any other family, whose subtraction
-    convention for infinite values is deliberately not guessed (the
-    direct condition covers those).
-    """
-    for m in family.members:
-        if classify(m) is not IntegrabilityTag.L1_FULL:
-            raise DomainError(
-                "gap form needs an integrable, mu-a.e. finite family; "
-                "use the direct Phi-inf-directedness condition instead"
-            )
-    return is_phi_inf_directed(
-        family, make_builtin("extended_lebesgue"), subset_budget, tolerance=0)

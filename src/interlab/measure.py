@@ -130,11 +130,6 @@ def atom_order_sum(values: Iterable[Scalar], start: Scalar = 0) -> Scalar:
     return reduce(add, values, start)
 
 
-def is_null(space: MeasureSpace, s: Iterable[str]) -> bool:
-    """True iff ``s`` has measure zero."""
-    return measure(space, s) == 0
-
-
 def iter_atom_subsets(space: MeasureSpace) -> Iterator[AtomSet]:
     """All subsets of the atoms, smallest first; 2**len(space) of them."""
     for k in range(len(space.atoms) + 1):

@@ -12,7 +12,9 @@ selection by selection.  The naive kernels fold one extended real per atom
 and operation, with ``lower_add`` and ``scalar_mul``, and classify and order
 values by their (kind, value) model rather than by native comparison.  The
 naive distortion table is the dense 2^n construction, with the float weights
-of each subset summed in atom order.  The reference rank code ranks each
+of each subset summed in atom order.  The naive Choquet integral is the
+plain layer cake, each level set a frozenset of atom names read from a
+dict.  The reference rank code ranks each
 atom's member values with ``sorted(set(column))``, whatever their type.
 
 The (kind, value) model is the textbook case analysis of the extended
@@ -344,6 +346,39 @@ def naive_distortion_table(space, gamma):
                       for ws in combinations(weights, k))
     return {s: ext((reduce(operator.add, ws, 0) / total) ** g * total, space.backing)
             for s, ws in zip(iter_atom_subsets(space), subset_weights)}
+
+
+def naive_choquet(f: FnClass, table):
+    """Choquet integral of f under the capacity ``table``, a dict from
+    frozensets of atom names to values in f's backing: the layer cake over
+    the sorted distinct finite values, each level set rebuilt from the atom
+    names and read from the dict, and the terms (v - prev) * c added with
+    Python's operators from a Fraction 0 under rational backing and 0.0
+    under float.  A +inf capacity, or a positive one on the +inf plateau,
+    makes the integral +inf.  Nonpositive functions go through negation."""
+    space = f.space
+    non_null = [f.values[i] for i in space.non_null_indices()]
+    if all(v >= 0 for v in non_null):
+        sign, values = 1, f.values
+    elif all(v <= 0 for v in non_null):
+        sign, values = -1, [-v for v in f.values]
+    else:
+        raise DomainError("choquet requires a mu-a.e. one-signed function")
+    total = prev = Fraction(0) if space.backing == "rational" else 0.0
+    infinite = False
+    for v in sorted({x for x in values if 0 < x < POS_INF}):
+        c = table[frozenset(a for a, x in zip(space.atoms, values) if x > prev)]
+        if c == POS_INF:
+            infinite = True
+        else:
+            total += (v - prev) * c
+        prev = v
+    plateau = frozenset(a for a, x in zip(space.atoms, values) if x == POS_INF)
+    if infinite or (plateau and table[plateau] > 0):
+        total = POS_INF
+    elif type(total) is Fraction and total.denominator == 1:
+        total = total.numerator
+    return total if sign > 0 else -total
 
 
 # Builders ---------------------------------------------------------------------

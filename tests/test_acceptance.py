@@ -18,13 +18,12 @@ from interlab.fnlattice import (
     fn_neg,
     pointwise_inf,
 )
-from interlab.functionals import make_builtin, parameterless_builtins
+from interlab.functionals import make_builtin
 from interlab.integrals import choquet, inner_integral, lebesgue_extended, outer_integral
 from interlab.interchange import (
     DEFAULT_SUBSET_BUDGET,
     Family,
     SequenceSpec,
-    giner_gap_directed,
     is_phi_inf_directed,
     verify_interchange,
     verify_interchange_sequence,
@@ -113,9 +112,8 @@ def test_criterion_2_inf_directed_families_pass_every_functional():
             members = _min_closure(rng, space, nonneg_grid, rng.randint(1, 3))
         family = Family(members)
         assert pointwise_inf(family.members) in family.members
-        functionals = parameterless_builtins() + [
-            make_builtin("choquet", capacity=random_capacity(rng, space))
-        ]
+        functionals = [make_builtin(k) for k in ("extended_lebesgue", "outer", "inner", "ess_sup")]
+        functionals.append(make_builtin("choquet", capacity=random_capacity(rng, space)))
         for phi in functionals:
             res = is_phi_inf_directed(family, phi)
             if res.directed is not True:
@@ -410,7 +408,8 @@ def test_criterion_9_giner_gap_form_agreement():
         if any(classify(m) is not IntegrabilityTag.L1_FULL for m in inst.family.members):
             continue
         checked += 1
-        gap = giner_gap_directed(inst.family)
+        # The gap form is the Lebesgue scan at tolerance 0.
+        gap = is_phi_inf_directed(inst.family, LEB, tolerance=0)
         naive = naive_giner_gap_directed(inst.family, DEFAULT_SUBSET_BUDGET)
         if (gap.directed, gap.witness, gap.mode) != naive:
             disagreements += 1

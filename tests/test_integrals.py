@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from interlab.errors import DomainError, InputError
-from interlab.extreal import NEG_INF, POS_INF, coerce_all, ext
+from interlab.extreal import NEG_INF, POS_INF, coerce_all, ext, to_jsonable
 from interlab.fnlattice import (
     FnClass,
     ess_sup_value,
@@ -31,6 +32,7 @@ from oracle_helpers import (
     dominating_psi_infimum,
     in_l1_minus,
     in_l1_plus,
+    naive_choquet,
     naive_distortion_table,
     scale,
     semi_integrable,
@@ -277,6 +279,40 @@ def test_capacity_validation():
         Capacity(space, missing)
 
 
+def test_capacity_errors_come_in_iter_atom_subsets_order():
+    """The first missing set and the first drop are those of
+    ``iter_atom_subsets`` order, the smaller set first and then the added
+    atom in space order, not of bitmask order, where {a, b} (0b011) comes
+    before {c} (0b100)."""
+    space = MeasureSpace(["a", "b", "c"], [1, 1, 1])
+    table = {frozenset(): 0, frozenset("a"): 1, frozenset("b"): 1, frozenset("c"): 3,
+             frozenset("ab"): 4, frozenset("ac"): "5/2", frozenset("bc"): "11/4",
+             frozenset("abc"): "7/2"}
+    # Two drops at {c}, to {a, c} and to {b, c}, and one at {a, b}, to {a, b, c}.
+    with pytest.raises(InputError, match=re.escape(
+            "capacity is not monotone: c({c}) = 3 > c({a, c}) = 5/2")):
+        Capacity(space, table)
+    with pytest.raises(InputError, match=re.escape(
+            "capacity is not monotone: c({a, b}) = 4 > c({a, b, c}) = 7/2")):
+        Capacity(space, {**table, frozenset("ac"): 3, frozenset("bc"): 3})
+    holes = {s: v for s, v in table.items() if s not in (frozenset("c"), frozenset("ab"))}
+    with pytest.raises(InputError, match=re.escape("capacity table misses the set {c}")):
+        Capacity(space, holes)
+    # A bad value before the first missing set is read first; one after it is not.
+    with pytest.raises(InputError, match="cannot interpret 'x'"):
+        Capacity(space, {**holes, frozenset("b"): "x"})
+    with pytest.raises(InputError, match=re.escape("misses the set {c}")):
+        Capacity(space, {**holes, frozenset("bc"): "x"})
+    # Floats that tie are compared exactly: 1 + 10^-30 rounds to 1.0.
+    with pytest.raises(InputError, match=r"c\(\{a\}\) = 1000000000000000000000000000001/"):
+        Capacity(MeasureSpace(["a", "b"], [1, 1]), {
+            frozenset(): 0, frozenset("a"): f"{10**30 + 1}/{10**30}", frozenset("b"): 0,
+            frozenset("ab"): 1})
+    # A key outside the space is reported before anything else.
+    with pytest.raises(InputError, match=re.escape("set {a, z} is not over this capacity's")):
+        Capacity(space, {frozenset(): 1, frozenset({"z", "a"}): 0})
+
+
 def test_additive_capacity_makes_choquet_additive(unit2):
     cap = additive_capacity(unit2)
     f = fn(unit2, 2, 5)
@@ -382,12 +418,22 @@ def test_choquet_rejects_a_distortion_that_grows_on_a_shrinking_level_set(monkey
     cap = Capacity.distortion(space, 0.8)
     f = fn(space, 1, 2, 3)
     choquet(f, cap)
-    monkeypatch.setattr(type(cap), "of", lambda self, s: ext(10 - len(s)))
+    reads = []
+
+    def growing(self, mask):  # c(A) = 10 - |A|, read on an atom bitmask
+        reads.append({a for i, a in enumerate(space.atoms) if mask >> i & 1})
+        return ext(10 - mask.bit_count())
+
+    monkeypatch.setattr(type(cap), "_value", growing)
     with pytest.raises(InputError, match=r"c\(\{a1, a2\}\) = 8 > c\(\{a0, a1, a2\}\) = 7"):
         choquet(f, cap)
+    # It raises at the second read, before the third level set.
+    assert reads == [{"a0", "a1", "a2"}, {"a1", "a2"}]
     # The plateau is the last, innermost level set read.
+    reads.clear()
     with pytest.raises(InputError, match=r"c\(\{a2\}\) = 9 > c\(\{a1, a2\}\) = 8"):
         choquet(fn(space, 0, 1, "+inf"), cap)
+    assert reads == [{"a1", "a2"}, {"a2"}]
 
 
 def test_capacity_table_json_roundtrip(unit2):
@@ -511,3 +557,103 @@ def test_choquet_capacity_space_mismatch(unit2):
     cap = additive_capacity(other)
     with pytest.raises(InputError):
         choquet(constant(unit2, 1), cap)
+
+
+# Values with ties, infinities, and Fractions that are not dyadic or far
+# apart, so that float sums round.
+CHOQUET_VALUES = ["-inf", -3, "-1/3", -1, 0, "0.1", "1/3", "1/2", 1, 3, "1e16", "+inf"]
+CHOQUET_INCREMENTS = [0, 0, "0.1", "1/3", "1/2", 1, "7/10", "+inf"]
+
+
+@st.composite
+def table_choquet_cases(draw):
+    """A space, a monotone table with its keys written out of space order and
+    listed out of ``iter_atom_subsets`` order, and a function whose sign
+    pattern is drawn: nonnegative, nonpositive, zero on the atoms of positive
+    weight, or free."""
+    backing = draw(st.sampled_from(["rational", "float"]), label="backing")
+    n_atoms = draw(st.integers(1, 6), label="atoms")
+    weights = draw(st.lists(st.sampled_from([0, "1/2", 1, 2]), min_size=n_atoms,
+                            max_size=n_atoms), label="weights")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    raw = {}
+    for s in iter_atom_subsets(space):
+        floor = max([raw[s - {a}] for a in s], default=0)
+        raw[s] = floor + ext(draw(st.sampled_from(CHOQUET_INCREMENTS)), "rational") if s else 0
+    keys = draw(st.permutations(list(raw)), label="key order")
+    written = {"{" + ",".join(draw(st.permutations(sorted(s)))) + "}": to_jsonable(raw[s])
+               for s in keys}
+    palette = draw(st.lists(st.sampled_from(CHOQUET_VALUES), min_size=1, max_size=5),
+                   label="palette")
+    sign = draw(st.sampled_from(["nonneg", "nonneg", "nonpos", "zero", "free"]), label="sign")
+    values = []
+    for w in weights:
+        x = ext(draw(st.sampled_from(palette)), "rational")
+        if w and sign == "nonneg":
+            x = abs(x)
+        elif w and sign == "nonpos":
+            x = -abs(x)
+        elif w and sign == "zero":
+            x = 0
+        values.append(x)
+    return space, written, FnClass(space, [to_jsonable(x) for x in values])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=table_choquet_cases())
+def test_table_choquet_matches_the_frozenset_layer_cake(case):
+    """The mask walk and ``weighted_parts`` against the plain layer cake
+    that reads the table by frozensets of atom names: the same value and
+    type, floats bit for bit (-0.0 included), or the same error."""
+    space, written, f = case
+    cap = read_capacity({"kind": "table", "values": written}, space)
+    table = {frozenset(a.strip() for a in key[1:-1].split(",") if a): ext(v, space.backing)
+             for key, v in written.items()}
+    try:
+        expected = naive_choquet(f, table)
+    except DomainError:
+        with pytest.raises(DomainError, match="one-signed"):
+            choquet(f, cap)
+        return
+    got = choquet(f, cap)
+    assert (got, type(got)) == (expected, type(expected))
+    if type(got) is float:
+        assert got.hex() == expected.hex()
+
+
+def test_float_choquet_adds_its_levels_in_order():
+    """The terms 1, 1 and 1e16 in level order: 2 + 1e16 is a float, while
+    1e16 + 1 rounds back to 1e16."""
+    space = MeasureSpace(["a", "b", "c"], [1, 1, 1], backing="float")
+    cap = Capacity(space, {s: 1 if "c" in s else 0 for s in iter_atom_subsets(space)})
+    assert choquet(fn(space, 1, 2, 1e16 + 2), cap) == 1e16 + 2
+    assert choquet(fn(space, -1, -2, -1e16 - 2), cap) == -1e16 - 2
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_table_choquet_of_no_positive_level_is_the_backings_zero(backing):
+    space = MeasureSpace(["a", "b", "c"], [1, 0, 2], backing=backing)
+    cap = additive_capacity(space)
+    zero = choquet(fn(space, 0, -5, 0), cap)  # a negative value on the null atom only
+    assert (zero, type(zero)) == ((0, int) if backing == "rational" else (0.0, float))
+    # Nonpositive through negation: under float the negated 0.0 is -0.0.
+    null = Capacity(space, {s: 0 for s in iter_atom_subsets(space)})
+    negated = choquet(fn(space, -1, 0, -2), null)
+    assert negated == 0 and type(negated) is type(zero)
+    assert backing == "rational" or negated.hex() == "-0x0.0p+0"
+
+
+def test_float_choquet_is_inf_when_a_term_overflows_beside_an_infinite_capacity():
+    """Under float backing a finite term beyond the float range adds nothing
+    to a layer cake that an earlier level's +inf capacity has made +inf; the
+    term-by-term fold of extended additions used to raise there.  A cake
+    without a +inf level still raises, before the plateau is read."""
+    space = MeasureSpace(["a", "b"], [1, 1], backing="float")
+    infinite = Capacity(space, {frozenset(): 0, frozenset("a"): 0, frozenset("b"): 1e10,
+                                frozenset("ab"): "+inf"})
+    assert choquet(fn(space, 1, 1e300), infinite) == POS_INF
+    assert choquet(fn(space, -1, -1e300), infinite) == NEG_INF
+    finite = Capacity(space, {frozenset(): 0, frozenset("a"): 0, frozenset("b"): 1,
+                              frozenset("ab"): 1e10})
+    with pytest.raises(InputError, match=r"expected a finite scalar, got \+inf"):
+        choquet(fn(space, 1e300, "+inf"), finite)

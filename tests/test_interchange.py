@@ -17,13 +17,12 @@ from interlab.decomposable import (
 from interlab.errors import DomainError, InputError, InvariantError, ScenarioError
 from interlab.extreal import NEG_INF, POS_INF, _leq_within, as_scalar, ext, to_text
 from interlab.fnlattice import FnClass, mu_leq, pointwise_inf
-from interlab.functionals import Functional, make_builtin, parameterless_builtins
+from interlab.functionals import Functional, make_builtin
 from interlab.integrals import Capacity, lebesgue_extended, outer_integral
 from interlab.interchange import (
     _eq_within,
     Family,
     SequenceSpec,
-    giner_gap_directed,
     is_phi_inf_directed,
     verify_interchange,
     verify_interchange_sequence,
@@ -79,7 +78,8 @@ def test_inf_directed_implies_phi_inf_directed_for_all_builtins():
     rng = random.Random(0)
     space = MeasureSpace(["a", "b", "c"], [1, Fraction(1, 2), 0])
     cap = Capacity.distortion(space, 0.8)
-    functionals = parameterless_builtins() + [make_builtin("choquet", capacity=cap)]
+    functionals = [make_builtin(k) for k in ("extended_lebesgue", "outer", "inner", "ess_sup")]
+    functionals.append(make_builtin("choquet", capacity=cap))
     for _ in range(40):
         base = [
             FnClass(space, [ext(rng.choice([0, 1, 2, 3])) for _ in space.atoms])
@@ -267,7 +267,7 @@ def test_bad_subset_budget_is_an_input_error(verifier, budget):
         "family": lambda: verify_interchange(Family([f]), LEB, budget),
         "directed": lambda: is_phi_inf_directed(Family([f]), LEB, budget),
         "sequence": lambda: verify_interchange_sequence(seq, LEB, budget),
-        "giner": lambda: giner_gap_directed(Family([f]), budget),
+        "giner": lambda: is_phi_inf_directed(Family([f]), LEB, budget, tolerance=0),
     }[verifier]
     with pytest.raises(InputError, match=re.escape(
             f"subset_budget must be a nonnegative integer, got {budget!r}")):
@@ -495,11 +495,3 @@ def test_seq_inf_continuity_divergence(unit2):
     assert report.prefix["lhs_trend"] == "diverging"
     assert report.interchange_holds == "holds-in-limit"
     assert report.rhs == NEG_INF
-
-
-# Giner gap form ---------------------------------------------------------------
-
-def test_giner_gap_rejects_non_integrable(unit2):
-    family = Family([fn(unit2, "+inf", 0)])
-    with pytest.raises(DomainError):
-        giner_gap_directed(family)

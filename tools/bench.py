@@ -635,6 +635,81 @@ def product_walk(sides, seed, repeat):
         "cases": run["cases"]}}
 
 
+CHOQUET_MASKS_PROBE = _API + r"""
+import hashlib, io, json, os, tempfile
+from contextlib import redirect_stdout
+from interlab.cli import main
+from interlab.extreal import to_json
+from interlab.measure import iter_atom_subsets
+
+seed = int(sys.argv[1])
+tmp = tempfile.TemporaryDirectory()
+
+
+def verdict(path):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["check", path]) == 0
+    return out.getvalue()
+
+
+def digest(value):
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
+
+
+info, cases = {}, {}
+# The table-Choquet verdicts of small-families, as the workload runs them,
+# by member count.
+small = [item for item in workloads.plan_small_families(seed, False)
+         if item["kind"] == "choquet"]
+small_cases = workloads._build_api(small, il)
+for n in range(1, 6):
+    group = [case for item, case in zip(small, small_cases) if len(item["family"]) == n]
+    reports = [case.run() for case in group]
+    assert all(case.check(r) is None for case, r in zip(group, reports))
+    label = f"small-{n}-members-x{len(group)}"
+    info[label] = digest([to_json(r) for r in reports])
+    cases[label] = lambda group=group: [case.run() for case in group]
+# The distortion pairs of wide-atoms, choquet-12 and choquet-13, in process.
+for item in workloads.plan_wide_atoms(seed, False):
+    if item["label"].startswith("choquet"):
+        path = os.path.join(tmp.name, item["label"] + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(item["scenario"], fh)
+        info[item["label"]] = verdict(path)
+        cases[item["label"]] = lambda path=path: verdict(path)
+# Capacity construction alone, on the small-families tables.
+tables = []
+for item in small:
+    space = il.MeasureSpace(item["atoms"], item["weights"])
+    tables.append((space, {frozenset(item["atoms"][i] for i in idx): v
+                           for idx, v in item["capacity"]}))
+info["capacity-values"] = digest([[to_json(il.Capacity(space, table).of(s))
+                                   for s in iter_atom_subsets(space)]
+                                  for space, table in tables])
+cases[f"capacity-x{len(tables)}"] = lambda: [il.Capacity(*args) for args in tables]
+"""
+
+
+@case("choquet-masks", seed=2417, repeat=40, claim="small-families",
+      traced={"small-families": ("integrals.choquet_s", "integrals.capacity_build_s",
+                                 "functionals.phi_s", "extreal.arith_ops",
+                                 "measure.atom_subsets"),
+              "wide-atoms": ("integrals.choquet_s",)})
+def choquet_masks(sides, seed, repeat):
+    """Choquet integrals on atom bitmasks: one pass to the level sets, one
+    capacity read per level, the layer cake summed by ``weighted_parts``.
+
+    Alternating, in process: the table-Choquet verdicts of
+    ``small-families`` by member count, ``check`` on the ``choquet-12`` and
+    ``choquet-13`` distortion pairs of ``wide-atoms``, and ``Capacity``
+    construction alone on the ``small-families`` tables.  Both sides must
+    give the same reports and capacity values.
+    """
+    run = alternating(sides, CHOQUET_MASKS_PROBE, [seed], repeat)
+    return {"l2_alternating_rational": run["cases"]}
+
+
 def probe_sources() -> dict:
     """Each probe source of this module, by name."""
     return {name: value for name, value in globals().items() if name.endswith("_PROBE")}
