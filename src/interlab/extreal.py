@@ -33,11 +33,14 @@ that defines the integrals' float results.
 
 Every exact sum in the package is an integer numerator over a positive
 denominator that ends in the one reduction ``_reduced(num, den)``: an int
-when integral, else a Fraction.  ``exact_numerators`` alone puts exact
-terms over a common denominator, as ints that order like them (the rank
-keys of the directedness scan); ``exact_codes`` makes their infinities ints
-too, whose sums carry the finite numerator and the counts of +inf and -inf
-terms (the scan's rank tables and the selection fold of ``decomposable``);
+when integral, else a Fraction.  ``common_numerators`` alone puts exact
+values over a common denominator, as ints that order like them (the rank
+keys of the directedness scan, a table capacity's values and the level
+keys of a Choquet integral), and ``exact_numerators`` scales them by
+weights into the codes of terms w * x; ``exact_codes`` makes their
+infinities ints too, whose sums carry the finite numerator and the counts
+of +inf and -inf terms (the scan's rank tables and the selection fold of
+``decomposable``);
 ``parts_value`` gives each integral from a finite sum and the two counts,
 which is what ``integrals.RunningParts`` keeps.
 """
@@ -48,7 +51,6 @@ import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InputError
@@ -223,15 +225,26 @@ def add(a: Scalar, b: Scalar) -> Scalar:
 
 
 def _eq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    """a = b within ``tol`` when both are finite, else a == b."""
-    if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
-        return abs(lower_add(a, -b)) <= tol
-    return a == b
+    """a = b within the tolerance ``tol`` >= 0 when both are finite, else a == b.
+
+    Two exact operands (ints and Fractions) are finite and compare
+    directly: a == b, or |a - b| <= tol when tol > 0, so a Fraction meets
+    no comparison with an infinity.  Any other pair, floats under float
+    backing or an infinity, keeps the extended-real test, where a
+    difference beyond the float range raises ``InputError``.
+    """
+    if type(a) is float or type(b) is float:
+        if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
+            return abs(lower_add(a, -b)) <= tol
+        return a == b
+    return a == b or (tol > 0 and abs(a - b) <= tol)
 
 
 def _leq_within(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    """a <= b, or a = b within ``tol``."""
-    return a <= b or _eq_within(a, b, tol)
+    """a <= b, or a = b within ``tol`` (``_eq_within``)."""
+    if type(a) is float or type(b) is float:
+        return a <= b or _eq_within(a, b, tol)
+    return a <= b or (tol > 0 and a - b <= tol)
 
 
 def scalar_mul(lam: Scalar, a: Scalar) -> Scalar:
@@ -412,7 +425,7 @@ def _exact_sum(whole: int, by_den: dict) -> Scalar:
     return _reduced(sum([n * (den // d) for d, n in by_den.items()], whole * den), den)
 
 
-# The most bits of a common denominator ``exact_numerators`` builds: past it
+# The most bits of a common denominator ``common_numerators`` builds: past it
 # the lcm of many denominators nears their product, costlier than Fractions.
 _KEY_BITS = 4096
 
@@ -465,16 +478,11 @@ def exact_numerators(weights: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]
     so each orders like its term; rows of ints of weight 1 are their own.
     None for a float weight or a den of more than ``_KEY_BITS`` bits."""
     weight_types = set(map(type, weights))
-    dens = {x.denominator for row in rows for x in row if type(x) is Fraction}
     lw = _lcm({w.denominator for w in weights}) if Fraction in weight_types else 1
-    lx = _lcm(dens)
-    if float in weight_types or not (lw and lx) or (lw * lx).bit_length() > _KEY_BITS:
+    common = float not in weight_types and lw and common_numerators(rows)
+    if not common or (lw * common[0]).bit_length() > _KEY_BITS:
         return None
-    # Under exact weights the only floats are infinities.
-    up = {d: lx // d for d in dens}
-    codes = rows if not dens else [[x.numerator * up[x.denominator] if type(x) is Fraction
-                                    else x * lx if type(x) is int else x for x in row]
-                                   for row in rows]
+    lx, codes = common
     factors = weights if lw == 1 else [w.numerator * (lw // w.denominator) for w in weights]
     if factors.count(1) < len(rows):
         codes = [row if f == 1 else [c * f for c in row] if f else [0] * len(row)
@@ -482,9 +490,34 @@ def exact_numerators(weights: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]
     return lw * lx, codes
 
 
+def common_numerators(rows: Sequence[Sequence[Scalar]]):
+    """(den, codes): the values of the rows as int numerators over den, the
+    lcm of their denominators, so that each code orders like its value; an
+    int x is x * den, a float (an infinity under exact weights) is kept.
+    Rows without a Fraction are their own codes, over 1; so are float rows.
+    None for a den of more than ``_KEY_BITS`` bits.
+
+    This is the one common denominator of the package: the directedness
+    scan ranks on these codes, ``exact_numerators`` scales them by the
+    weights, and a table ``integrals.Capacity`` and ``integrals.choquet``
+    hold their values and level keys as them.
+    """
+    dens = {x.denominator for row in rows for x in row if type(x) is Fraction}
+    if not dens:
+        return 1, rows
+    den = _lcm(dens)
+    if not den:
+        return None
+    up = {d: den // d for d in dens}
+    return den, [[x * den if type(x) is int else x.numerator * up[x.denominator]
+                  if type(x) is Fraction else x for x in row] for row in rows]
+
+
 def _lcm(dens) -> int:
     """The lcm of ``dens``, or 0 past ``_KEY_BITS`` bits."""
-    for den in accumulate(dens, math.lcm, initial=1):
+    den = 1
+    for d in dens:
+        den = math.lcm(den, d)
         if den.bit_length() > _KEY_BITS:
             return 0
     return den

@@ -11,8 +11,9 @@ Four integrals are provided:
   (``PART_SUMS`` holds each integral's combination, which ``RunningParts``
   applies to parts kept up to date atom by atom);
 * ``choquet``            - layer-cake integral with respect to a capacity,
-  from one pass over the atoms, one sort of the distinct values and one
-  capacity read per level, summed by ``extreal.weighted_parts``.
+  from one pass over the atoms, one sort of the distinct level keys (int
+  numerators under rational backing) and one capacity read per level,
+  summed as ints and reduced once.
 
 On a mu-a.e. nonnegative function all three Lebesgue forms equal the
 weighted sum of the values on the atoms of positive weight, the supremum
@@ -24,8 +25,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import cache, partial
-from itertools import accumulate, combinations, compress, count, repeat
-from operator import eq, gt, is_, itemgetter, lshift, sub, xor
+from itertools import combinations, compress, count, repeat
+from operator import eq, gt, is_, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InputError
@@ -34,9 +35,11 @@ from .extreal import (
     POS_INF,
     Scalar,
     _kept,
+    _reduced,
     add,
     as_scalar,
     coerce_all,
+    common_numerators,
     exact_codes,
     lower_add,
     parts_value,
@@ -215,13 +218,18 @@ class Capacity:
     first missing set and the first pair (A, A + a) with c(A) > c(A + a) are
     reported in ``iter_atom_subsets`` order, A before a, atoms in space
     order.  A negative value needs no check of its own: the chain from the
-    empty set up to it drops at an earlier set.  ``Capacity.distortion``
-    builds no table; it evaluates c(A) when asked, in O(n), so a Choquet
-    integral costs O(n) per level set it reads and large spaces are fine.
+    empty set up to it drops at an earlier set.  Beside the values, built
+    once, a table keeps them as int numerators over their common
+    denominator C (``extreal.common_numerators``, +inf kept as +inf), the
+    codes that ``choquet`` reads.  Under float backing, or past that
+    helper's bit cap, the codes are the values themselves over C = 1,
+    with no second list.  ``Capacity.distortion`` builds no table; it
+    evaluates c(A) when asked, in O(n), so a Choquet integral costs O(n)
+    per level set it reads and large spaces are fine.
     ``of(A)`` reads either kind by a set of atom names.
     """
 
-    __slots__ = ("space", "_values")
+    __slots__ = ("space", "_values", "_codes", "_den")
     kind = "table"
 
     def __init__(self, space: MeasureSpace, table: Mapping[AtomSet, Scalar]):
@@ -257,15 +265,17 @@ class Capacity:
             i, j = smaller[first], bigger[first]
             raise _not_monotone(space, order[i], values[i], order[j], values[j])
         self._values = list(map(values.__getitem__, rank))
+        self._den, (self._codes,) = common_numerators([self._values]) or (1, [self._values])
 
     def of(self, s: Iterable[str]) -> Scalar:
         return self._values[_mask(self.space, s)]
 
-    def _chain_reader(self):
-        """The value of a mask, for reads along a chain of shrinking sets
-        (Choquet's level sets).  A table was validated whole, so it needs no
+    def _chain_codes(self):
+        """(read, den): ``read`` gives the value of a mask times ``den``, for
+        reads along a chain of shrinking sets (Choquet's level sets).  A
+        table reads its codes, and was validated whole, so it needs no
         further check."""
-        return self._values.__getitem__
+        return self._codes.__getitem__, self._den
 
     @classmethod
     def distortion(cls, space: MeasureSpace, gamma: Scalar) -> "Capacity":
@@ -338,8 +348,8 @@ class _Distortion(Capacity):
         t = atom_order_sum([w for i, w in enumerate(self._weights) if mask >> i & 1])
         return as_scalar((t / self._total) ** self.gamma * self._total, self.space.backing)
 
-    def _chain_reader(self):
-        """``_value`` that raises unless each value read is at most the last one."""
+    def _chain_codes(self):
+        """``_value`` over 1, raising unless each value read is at most the last one."""
         last = []
 
         def read(mask: int) -> Scalar:
@@ -349,7 +359,7 @@ class _Distortion(Capacity):
             last[:] = (mask, v)
             return v
 
-        return read
+        return read, 1
 
 
 @cache
@@ -413,60 +423,79 @@ def choquet(f: FnClass, c: Capacity) -> Scalar:
     Nonnegative (mu-a.e.) functions integrate as the layer cake
     sum of (v_i - v_{i-1}) * c({f > v_{i-1}}) over the sorted distinct
     finite values, plus an infinite plateau that contributes +inf exactly
-    when c({f = +inf}) > 0.  Nonpositive functions go through negation;
+    when c({f = +inf}) > 0.  Nonpositive functions go through negation,
+    which keeps a zero cake the backing's zero (+0.0 under float backing);
     mixed signs are rejected.
 
-    One pass over the atoms puts the atoms of each nonzero value into one
-    bitmask; one sort of the distinct values decides the sign on the atoms
-    of positive weight and orders the levels.  The level sets are then one
-    shrinking mask, which loses one value's atoms per level, and the
+    The values become level keys: int numerators k = v * D over their
+    common denominator D (``extreal.common_numerators``), or, under float
+    backing or past that helper's bit cap, the values themselves over
+    D = 1.  One pass over the atoms puts the atoms of each nonzero key into
+    one bitmask; one sort of the distinct keys decides the sign on the
+    atoms of positive weight and orders the levels.  The level sets are
+    one shrinking mask, which loses one key's atoms per level, and the
     capacity is read once per level, on that mask, and last on the
-    plateau: at most n + 1 reads, on nested sets.  Under a distortion a
-    value that exceeds the one read on the enclosing set is an
-    ``InputError``.  The sum is one ``extreal.weighted_parts`` call: exact
-    under rational backing, and under float backing the level-order float
-    fold, so a finite term beyond the float range raises ``InputError``
-    unless some level's capacity is +inf, which makes the integral +inf.
+    plateau: at most n + 1 reads, on nested sets.  A read gives the
+    capacity's value times its denominator C (a table's codes; a
+    distortion or a float table reads values over 1); under a distortion
+    a value that exceeds the one read on the enclosing set is an
+    ``InputError``.
+
+    The cake is one loop, total = sum of (k_j - k_{j-1}) * code(A_j) in
+    level order, and the integral one ``extreal._reduced(total, D * C)``:
+    on int codes every step is an int operation, and a Fraction total
+    (Fraction keys or values read) is reduced over its own denominator
+    times D * C.  Under float backing the loop is the level-order float
+    fold, bit for bit, so a finite total beyond the float range raises
+    ``InputError`` unless some level's capacity is +inf, which makes the
+    integral +inf.
 
     Level sets use the literal representative values, so the integral is
     monotone for the plain pointwise order under any capacity (and for the
     mu-pointwise order whenever the capacity ignores null atoms).
     """
-    if f.space != c.space:
+    if f.space is not c.space and f.space != c.space:
         raise InputError("capacity and function live on different spaces")
-    atoms_of = {}  # value -> the mask of the atoms holding it
+    den, (keys,) = common_numerators([f.values]) or (1, [f.values])
+    atoms_of = {}  # key -> the mask of the atoms holding it
     bit = 1
-    for x in f.values:
-        atoms_of[x] = atoms_of.get(x, 0) | bit
+    for k in keys:
+        atoms_of[k] = atoms_of.get(k, 0) | bit
         bit <<= 1
-    atoms_of.pop(0, None)
-    levels = sorted(atoms_of.items(), key=_level_value)
-    below = bisect_left(levels, 0, key=_level_value)  # the levels of negative value
-    negative = sum(map(_level_atoms, levels[:below]))
-    positive = sum(map(_level_atoms, levels[below:]))
-    non_null = sum(map(lshift, repeat(1), f.space.non_null_indices()))
+    zero = atoms_of.pop(0, 0)
+    levels = sorted(atoms_of.items(), key=_level_key)
+    below = bisect_left(levels, 0, key=_level_key)  # the levels of negative value
+    negative = sum([atoms for _, atoms in levels[:below]]) if below else 0
+    positive = (bit - 1) ^ zero ^ negative
+    non_null = f.space.non_null_mask()
     if not negative & non_null:
-        return _layer_cake(c, levels[below:], positive)
+        return _layer_cake(c, levels[below:] if below else levels, positive, den)
     if not positive & non_null:
-        return -_layer_cake(c, [(-v, atoms) for v, atoms in reversed(levels[:below])], negative)
+        cake = _layer_cake(c, [(-k, atoms) for k, atoms in reversed(levels[:below])],
+                           negative, den)
+        return -cake or cake  # -0.0 is false: a zero cake stays the backing's zero
     raise DomainError("choquet requires a mu-a.e. one-signed function")
 
 
-_level_value, _level_atoms = itemgetter(0), itemgetter(1)
+_level_key = itemgetter(0)
 
 
-def _layer_cake(c: Capacity, levels: list, mask: int) -> Scalar:
+def _layer_cake(c: Capacity, levels: list, mask: int, den: int) -> Scalar:
     """The Choquet integral of the nonnegative function whose positive
-    values, ascending, hold the atoms of their masks (``levels``), and
-    whose positive atoms are ``mask``."""
-    read = c._chain_reader()
+    values times ``den``, ascending, hold the atoms of their masks
+    (``levels``), and whose positive atoms are ``mask``."""
+    read, cden = c._chain_codes()
     plateau = levels.pop()[1] if levels and levels[-1][0] == POS_INF else 0
-    cake = as_scalar(0, c.space.backing)
-    if levels:
-        # The level sets shrink: each loses the atoms of the level below it.
-        capacities = list(map(read, accumulate(map(_level_atoms, levels[:-1]), xor,
-                                               initial=mask)))
-        values = list(map(_level_value, levels))
-        deltas = values[:1] + list(map(sub, values[1:], values))  # v_1 - 0 is v_1
-        cake = weighted_parts(deltas, capacities)[0]
+    total = low = 0.0 if c.space.backing == "float" else 0
+    for k, atoms in levels:  # each level set loses the atoms of the level below it
+        code = read(mask)
+        if code:
+            if code == POS_INF:
+                return POS_INF
+            total += (k - low) * code
+        low, mask = k, mask ^ atoms
+    if type(total) is float:
+        cake = _kept(total)
+    else:  # an int, or a Fraction when the keys or the values read are Fractions
+        cake = _reduced(total.numerator, total.denominator * den * cden)
     return POS_INF if plateau and read(plateau) > 0 else cake

@@ -45,7 +45,7 @@ from .extreal import (
     _eq_within,
     _leq_within,
     as_scalar,
-    exact_numerators,
+    common_numerators,
     to_text,
 )
 from .fnlattice import FnClass, mu_leq, pointwise_inf
@@ -185,7 +185,7 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
     field ``(distinct values in increasing order, bit offset, field mask)``.
 
     Under rational backing the values are ranked by their integer codes
-    (``extreal.exact_numerators`` at weight 1), which order like the values,
+    (``extreal.common_numerators``), which order like the values,
     while their common denominator has at most ``extreal._KEY_BITS`` bits:
     an int hashes and compares in a fraction of the time of a Fraction.
     The levels are the values themselves, so the rows and fields are those
@@ -193,7 +193,7 @@ def _rank_code(members: Sequence[FnClass]) -> Tuple[List[int], List[Tuple]]:
     """
     values = [m.values for m in members]
     rational = members[0].space.backing == "rational"
-    found = rational and exact_numerators([1] * len(values), values)
+    found = rational and common_numerators(values)
     keys = found[1] if found else values
     rows = [0] * len(members)
     fields = []

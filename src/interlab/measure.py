@@ -35,7 +35,8 @@ class MeasureSpace:
     call.
     """
 
-    __slots__ = ("atoms", "weights", "truncation_of", "backing", "_index", "_non_null")
+    __slots__ = ("atoms", "weights", "truncation_of", "backing", "_index", "_non_null",
+                 "_non_null_mask")
 
     def __init__(
         self,
@@ -63,6 +64,7 @@ class MeasureSpace:
         self.backing = backing
         self._index = {a: i for i, a in enumerate(atoms)}
         self._non_null = tuple(i for i, w in enumerate(ws) if w != 0)
+        self._non_null_mask = sum([1 << i for i in self._non_null])
 
     def index(self, atom: str) -> int:
         try:
@@ -76,6 +78,10 @@ class MeasureSpace:
     def non_null_indices(self) -> Tuple[int, ...]:
         """Indices of the atoms of positive weight, in atom order."""
         return self._non_null
+
+    def non_null_mask(self) -> int:
+        """The atoms of positive weight as a bitmask: bit i is atom i."""
+        return self._non_null_mask
 
     def total_mass(self) -> Scalar:
         """The atom-order sum of the weights (``atom_order_sum``); under rational

@@ -16,6 +16,8 @@ of each subset summed in atom order.  The naive Choquet integral is the
 plain layer cake, each level set a frozenset of atom names read from a
 dict.  The reference rank code ranks each
 atom's member values with ``sorted(set(column))``, whatever their type.
+The reference tolerance tests are the extended-real definitions, which
+test every operand against both infinities first.
 
 The (kind, value) model is the textbook case analysis of the extended
 reals: kind -1 is -inf, 1 is +inf, and 0 a finite value.  Its operations
@@ -37,12 +39,34 @@ from itertools import combinations, product
 
 from interlab.decomposable import Integrand
 from interlab.errors import DomainError, InvariantError
-from interlab.extreal import POS_INF, add, as_scalar, ext, lower_add, scalar_mul, upper_add
+from interlab.extreal import (
+    NEG_INF,
+    POS_INF,
+    add,
+    as_scalar,
+    ext,
+    lower_add,
+    scalar_mul,
+    upper_add,
+)
 from interlab.fnlattice import FnClass, IntegrabilityTag, classify, fn_add, fn_neg, pointwise_inf
 from interlab.integrals import Capacity, lebesgue_extended, outer_integral
-from interlab.interchange import _eq_within, default_tolerance
+from interlab.interchange import default_tolerance
 from interlab.measure import iter_atom_subsets, measure
 from interlab.oracle import FINITE_VALUE_GRID
+
+
+def reference_eq_within(a, b, tol):
+    """a = b within ``tol`` when both are finite, else a == b: each operand
+    is tested against both infinities, and the difference is ``lower_add``'s."""
+    if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
+        return abs(lower_add(a, -b)) <= tol
+    return a == b
+
+
+def reference_leq_within(a, b, tol):
+    """a <= b, or a = b within ``tol`` (``reference_eq_within``)."""
+    return a <= b or reference_eq_within(a, b, tol)
 
 
 def weighted_sum(space, values):
@@ -166,7 +190,7 @@ def naive_phi_inf_directed(family, phi, subset_budget, tol=None):
     lhs = min(phi(x) for x in members)
 
     def holds(v):
-        return lhs <= v or _eq_within(lhs, v, tol)
+        return reference_leq_within(lhs, v, tol)
 
     subsets, mode = _naive_subsets(len(members), subset_budget)
     witness = next(
@@ -243,7 +267,7 @@ def naive_rw(integrand, u_set, tolerance):
         raise DomainError("no selection has integrable positive part")
     projections = u_set.projections()
     rhs = outer_integral(integrand.g_flat(projections))
-    if not _eq_within(lhs, rhs, tolerance) and naive_is_decomposable(u_set)[0]:
+    if not reference_eq_within(lhs, rhs, tolerance) and naive_is_decomposable(u_set)[0]:
         raise InvariantError("interchange equality failed on a decomposable set")
     space = integrand.space
     argmin = []
@@ -355,7 +379,8 @@ def naive_choquet(f: FnClass, table):
     names and read from the dict, and the terms (v - prev) * c added with
     Python's operators from a Fraction 0 under rational backing and 0.0
     under float.  A +inf capacity, or a positive one on the +inf plateau,
-    makes the integral +inf.  Nonpositive functions go through negation."""
+    makes the integral +inf.  Nonpositive functions go through negation,
+    which leaves a zero total as it is, so a float zero stays +0.0."""
     space = f.space
     non_null = [f.values[i] for i in space.non_null_indices()]
     if all(v >= 0 for v in non_null):
@@ -378,7 +403,7 @@ def naive_choquet(f: FnClass, table):
         total = POS_INF
     elif type(total) is Fraction and total.denominator == 1:
         total = total.numerator
-    return total if sign > 0 else -total
+    return total if sign > 0 or total == 0 else -total
 
 
 # Builders ---------------------------------------------------------------------

@@ -9,6 +9,8 @@ from interlab.errors import DomainError, InputError
 from interlab.extreal import (
     NEG_INF,
     POS_INF,
+    _eq_within,
+    _leq_within,
     add,
     as_scalar,
     ext,
@@ -27,6 +29,8 @@ from oracle_helpers import (
     model_lower_add,
     model_scalar_mul,
     model_upper_add,
+    reference_eq_within,
+    reference_leq_within,
     to_model,
 )
 
@@ -267,3 +271,43 @@ def test_json_encodes_values_beyond_the_float_range_as_fractions(sign):
 def test_float_conversion():
     assert float(POS_INF) == math.inf
     assert float(ext(Fraction(1, 2))) == 0.5
+
+
+@st.composite
+def tolerance_cases(draw):
+    """Operands and a tolerance of one backing: ints, Fractions and the
+    infinities under rational backing, floats of any size (the infinities
+    included) under float backing; the second operand often near the first,
+    so that a positive tolerance decides."""
+    backing = draw(st.sampled_from(BACKINGS), label="backing")
+    if backing == "rational":
+        finite_values = st.one_of(st.integers(-10**20, 10**20),
+                                  st.fractions(max_denominator=10**12).map(ext))
+        gaps = st.fractions(-1, 1, max_denominator=10**6).map(ext)
+        tols = st.one_of(st.just(0), st.fractions(0, 2, max_denominator=10**6).map(ext))
+    else:
+        finite_values = st.floats(allow_nan=False, allow_infinity=False)
+        gaps = st.floats(-1, 1)
+        tols = st.one_of(st.just(0.0), st.floats(0, 2), st.sampled_from([1e-9, 1e300]))
+    values = st.one_of(finite_values, st.sampled_from([POS_INF, NEG_INF]))
+    a = draw(values, label="a")
+    near = type(a) is not float or abs(a) != POS_INF
+    b = draw(st.one_of(values, gaps.map(lambda d: a + d)) if near else values, label="b")
+    return a, b, draw(tols, label="tol")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=tolerance_cases())
+def test_tolerance_tests_match_the_extended_real_definitions(case):
+    """``_eq_within`` and ``_leq_within``, which compare two exact operands
+    directly, against the definitions that test every operand against both
+    infinities: the same bool both ways round, or the same error (a float
+    difference beyond the float range)."""
+    a, b, tol = case
+    for x, y in ((a, b), (b, a)):
+        for fast, reference in ((_eq_within, reference_eq_within),
+                                (_leq_within, reference_leq_within)):
+            got = _outcome(lambda: fast(x, y, tol))
+            assert got == _outcome(lambda: reference(x, y, tol)), (fast, x, y, tol)
+            assert got[0] == "error" or type(got[1]) is bool
+

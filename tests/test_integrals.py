@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interlab.errors import DomainError, InputError
-from interlab.extreal import NEG_INF, POS_INF, coerce_all, ext, to_jsonable
+from interlab.extreal import NEG_INF, POS_INF, coerce_all, common_numerators, ext, to_jsonable
 from interlab.fnlattice import (
     FnClass,
     ess_sup_value,
@@ -559,10 +559,17 @@ def test_choquet_capacity_space_mismatch(unit2):
         choquet(constant(unit2, 1), cap)
 
 
-# Values with ties, infinities, and Fractions that are not dyadic or far
-# apart, so that float sums round.
-CHOQUET_VALUES = ["-inf", -3, "-1/3", -1, 0, "0.1", "1/3", "1/2", 1, 3, "1e16", "+inf"]
-CHOQUET_INCREMENTS = [0, 0, "0.1", "1/3", "1/2", 1, "7/10", "+inf"]
+# Two Fractions whose denominators, 2108 and 2106 bits, are coprime: each
+# alone keeps a common denominator within ``extreal._KEY_BITS``, and both
+# together pass it, so that the level keys, or a table's codes, fall back to
+# the Fractions themselves.
+BIG3, BIG5 = Fraction(1, 3 ** 1330), Fraction(1, 5 ** 907)
+
+# Values with ties, infinities, mixed denominators, Fractions that are not
+# dyadic or far apart, so that float sums round, and the two above.
+CHOQUET_VALUES = ["-inf", -3, "-1/3", -1, 0, "0.1", "1/3", "1/2", "5/7", 1, 3, "1e16", "+inf",
+                  BIG3, 2 + BIG5]
+CHOQUET_INCREMENTS = [0, 0, "0.1", "1/3", "1/2", 1, "7/10", "+inf", BIG3, BIG5]
 
 
 @st.composite
@@ -602,23 +609,45 @@ def table_choquet_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=table_choquet_cases())
 def test_table_choquet_matches_the_frozenset_layer_cake(case):
-    """The mask walk and ``weighted_parts`` against the plain layer cake
-    that reads the table by frozensets of atom names: the same value and
-    type, floats bit for bit (-0.0 included), or the same error."""
+    """The level keys and table codes against the plain layer cake that
+    reads the table by frozensets of atom names, on values and table values
+    of mixed denominators, with common denominators within and past
+    ``extreal``'s bit cap, +inf values and +inf capacities: the same value
+    and type, floats bit for bit (a zero +0.0), or the same error."""
     space, written, f = case
     cap = read_capacity({"kind": "table", "values": written}, space)
     table = {frozenset(a.strip() for a in key[1:-1].split(",") if a): ext(v, space.backing)
              for key, v in written.items()}
     try:
         expected = naive_choquet(f, table)
-    except DomainError:
-        with pytest.raises(DomainError, match="one-signed"):
+    except DomainError as e:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(e))}$"):
             choquet(f, cap)
         return
     got = choquet(f, cap)
     assert (got, type(got)) == (expected, type(expected))
     if type(got) is float:
         assert got.hex() == expected.hex()
+
+
+def test_table_choquet_past_the_bit_cap_reads_the_fractions_themselves():
+    """Level keys, table codes, or both, whose common denominator passes
+    ``extreal._KEY_BITS`` are the Fractions themselves over 1, and the
+    integral is still the plain layer cake, in value and type, under both
+    signs."""
+    space = MeasureSpace(["a", "b", "c"], [1, "1/2", 2])
+    assert common_numerators([[BIG3, BIG5]]) is None
+    plain = {s: len(s) + Fraction(len(s), 2) for s in iter_atom_subsets(space)}
+    big = {s: len(s) * BIG3 + ("b" in s) * BIG5 + ("c" in s) for s in iter_atom_subsets(space)}
+    assert Capacity(space, plain)._den == 2
+    big_cap = Capacity(space, big)
+    assert big_cap._den == 1 and big_cap._codes is big_cap._values
+    small_f, big_f = fn(space, "1/3", 2, "+inf"), fn(space, BIG3, 1 + BIG5, 0)
+    for table in (plain, big):
+        cap = Capacity(space, table)
+        for f in (small_f, big_f, fn_neg(small_f), fn_neg(big_f)):
+            got, expected = choquet(f, cap), naive_choquet(f, table)
+            assert (got, type(got)) == (expected, type(expected))
 
 
 def test_float_choquet_adds_its_levels_in_order():
@@ -636,11 +665,11 @@ def test_table_choquet_of_no_positive_level_is_the_backings_zero(backing):
     cap = additive_capacity(space)
     zero = choquet(fn(space, 0, -5, 0), cap)  # a negative value on the null atom only
     assert (zero, type(zero)) == ((0, int) if backing == "rational" else (0.0, float))
-    # Nonpositive through negation: under float the negated 0.0 is -0.0.
+    # Nonpositive through negation, which leaves a zero cake +0.0 under float.
     null = Capacity(space, {s: 0 for s in iter_atom_subsets(space)})
     negated = choquet(fn(space, -1, 0, -2), null)
     assert negated == 0 and type(negated) is type(zero)
-    assert backing == "rational" or negated.hex() == "-0x0.0p+0"
+    assert backing == "rational" or negated.hex() == "0x0.0p+0"
 
 
 def test_float_choquet_is_inf_when_a_term_overflows_beside_an_infinite_capacity():

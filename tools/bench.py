@@ -635,7 +635,7 @@ def product_walk(sides, seed, repeat):
         "cases": run["cases"]}}
 
 
-CHOQUET_MASKS_PROBE = _API + r"""
+CHOQUET_PROBE = _API + r"""
 import hashlib, io, json, os, tempfile
 from contextlib import redirect_stdout
 from interlab.cli import main
@@ -706,7 +706,26 @@ def choquet_masks(sides, seed, repeat):
     construction alone on the ``small-families`` tables.  Both sides must
     give the same reports and capacity values.
     """
-    run = alternating(sides, CHOQUET_MASKS_PROBE, [seed], repeat)
+    run = alternating(sides, CHOQUET_PROBE, [seed], repeat)
+    return {"l2_alternating_rational": run["cases"]}
+
+
+@case("choquet-codes", seed=5087, repeat=40, claim="small-families",
+      traced={"small-families": ("integrals.choquet_s", "integrals.capacity_build_s",
+                                 "functionals.phi_s", "interchange.verify_self_s"),
+              "wide-atoms": ("integrals.choquet_s",)})
+def choquet_codes(sides, seed, repeat):
+    """Table Choquet on integer codes and exact tolerance tests by type:
+    level keys and table values as int numerators over their common
+    denominators, one reduction per integral.
+
+    The probe of ``choquet-masks``, alternating, in process: the
+    table-Choquet verdicts of ``small-families`` by member count, ``check``
+    on the ``choquet-12`` and ``choquet-13`` distortion pairs of
+    ``wide-atoms``, and the 210 ``Capacity`` constructions of the plan.
+    Both sides must give the same reports and capacity values.
+    """
+    run = alternating(sides, CHOQUET_PROBE, [seed], repeat)
     return {"l2_alternating_rational": run["cases"]}
 
 
