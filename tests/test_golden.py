@@ -41,6 +41,9 @@ SELECTION_CASES = {
     "rw-explicit-holey": ["rw-check", str(SCENARIOS / "rw-explicit-holey.json")],
     "rw-explicit-sparse-full": ["rw-check", str(SCENARIOS / "rw-explicit-sparse-full.json")],
     "rw-explicit-sparse-holey": ["rw-check", str(SCENARIOS / "rw-explicit-sparse-holey.json")],
+    # A shuffled listing of a whole product, with a null atom: its eight
+    # tying minimizers are reported in listed order, not product order.
+    "rw-explicit-product-ties": ["rw-check", str(SCENARIOS / "rw-explicit-product-ties.json")],
     "shapiro-product-lebesgue": [
         "shapiro-check", str(SCENARIOS / "shapiro-product-lebesgue.json")],
     "shapiro-explicit-inner-null": [
