@@ -21,8 +21,10 @@ as +inf penalties in the integrand).
 One walk, ``_selection_folds``, takes min over u of Phi(G(u)) for every
 Phi.  It folds the built-in integrals, with the additions of the integral
 of G(u) in its order, and evaluates any other Phi on each G(u).  A fold is
-monotone in each term, so on a product it visits only the prefixes whose
-least completion is the least fold (``_product_walk``).
+monotone in each term, so on a set equal to a product, declared or listed in
+full (``SelectionSet.product_form``), it visits only the prefixes whose
+least completion is the least fold (``_product_walk``); a listed set keeps
+its minimizers in listed order.
 ``verify_rw_interchange`` takes the outer integral's minimum and
 minimizers from it, against the integral of the per-atom minimum.
 ``verify_rw_argmin`` derives the selections that pick a per-atom minimizer
@@ -215,6 +217,18 @@ class SelectionSet:
             )
         return self._projections
 
+    def product_form(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """The per-atom sets whose product the set equals, or None: a
+        declared product's admissible sets, or an explicit set's projections
+        when it lists every point of their product, |U| = prod_i |P_i| (no
+        selection repeats, and every one lies in that product)."""
+        if self.kind == "product":
+            return self.admissible
+        projections = self.projections()
+        if len(self.selections) == math.prod(map(len, projections)):
+            return projections
+        return None
+
 
 @dataclass
 class DecomposabilityReport(Report):
@@ -249,7 +263,7 @@ def is_decomposable(u_set: SelectionSet) -> DecomposabilityReport:
     for place, column in zip(places, columns):
         codes = list(map(add, codes, map(place.__getitem__, column)))
     by_patching = _patch_closed(columns, places, codes)
-    by_product = len(u_set.selections) == math.prod(map(len, projections))
+    by_product = u_set.product_form() is not None
     if by_patching != by_product:
         raise InvariantError(
             "patch-closure and projection-product decomposability tests disagree"
@@ -365,8 +379,9 @@ def verify_rw_interchange(
     float rounding are monotone, so lhs below rhs beyond the tolerance is
     an InvariantError, as is inequality on a decomposable set.  Requires
     some selection with integrable positive part.  The set is walked once
-    (see ``_selection_folds``): a product's minimizers by a pruned walk,
-    an explicit set selection by selection.
+    (see ``_selection_folds``): the minimizers of a set equal to the product
+    of its projections by a pruned walk, those of any other explicit set
+    selection by selection.
     """
     tol = _tolerance(tolerance, integrand.space.backing)
     _check_fits(u_set, integrand)
@@ -428,12 +443,14 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
     bit for bit, and a fold z has the value ``combine(z.real, z.imag)`` when
     a code is infinite, else ip - im.  Under rational backing it is the int
     of ``extreal.exact_codes`` of the reachable entries, and a fold beyond
-    the finite band has the value of its decoded infinities.  A product is
-    the one block of ``_product_walk``; an explicit set folds each
-    selection.  Where a fold could differ from ``weighted_parts`` (see
-    ``_complex_codes``) or no exact code is built, each selection is
-    ``combine(*weighted_parts(...))``.  The integral's own DomainError comes
-    whenever a selection has one.
+    the finite band has the value of its decoded infinities.  A set equal
+    to a product (``SelectionSet.product_form``), declared or listed, is
+    the one block of ``_product_walk``, whose minimizers a listed set puts
+    in listed order with one pass over its selections; any other explicit
+    set folds each selection.  Where a fold could differ from
+    ``weighted_parts`` (see ``_complex_codes``) or no exact code is built,
+    each selection is ``combine(*weighted_parts(...))``.  The integral's own
+    DomainError comes whenever a selection has one.
     """
     space = integrand.space
     selections = u_set.iter_selections(enum_budget)
@@ -464,10 +481,14 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
     else:
         def value(z):
             return z.real - z.imag
-    if u_set.kind == "product":
-        return [_product_walk(rows, u_set.admissible, value, zero)], finish
-    return _listed_blocks(
-        selections, lambda sel: value(reduce(add, map(getitem, rows, sel), zero))), finish
+    factors = u_set.product_form()
+    if factors is None:
+        return _listed_blocks(
+            selections, lambda sel: value(reduce(add, map(getitem, rows, sel), zero))), finish
+    m, found = _product_walk(rows, factors, value, zero)
+    if u_set.kind == "explicit" and len(found) > 1:  # in listed order
+        found = list(filter(set(found).__contains__, u_set.selections))
+    return [(m, found)], finish
 
 
 def _min_of_folds(integrand, u_set, enum_budget, phi):
@@ -599,13 +620,14 @@ def verify_rw_argmin(
 
 def _pointwise_argmin(integrand, u_set, per_atom):
     """The selections of ``u_set`` that pick a control of ``per_atom`` (the
-    per-atom argmins over the projections) on every non-null atom, in
-    enumeration order: for a product, the product of those controls, with
-    every reachable control on a null atom."""
+    per-atom argmins over the projections) on every non-null atom: on a set
+    equal to the product of its projections, declared or listed, the
+    product of those controls, with every reachable control on a null atom,
+    in product order; on any other set, its members in listed order."""
     space = integrand.space
     picks = [cs if space.is_null_atom(i) else best
              for i, (cs, best) in enumerate(zip(u_set.projections(), per_atom))]
-    if u_set.kind == "product":
+    if u_set.product_form() is not None:
         return list(product(*picks))
     picks = list(map(set, picks))
     return [s for s in u_set.selections if all(map(contains, picks, s))]

@@ -2,6 +2,7 @@
 the walk behind Shapiro's conclusion against the minimum of Phi over the set."""
 
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -248,6 +249,92 @@ def test_constant_integrand_ties_span_every_block(backing, value):
     if value != "+inf":
         report = verify_rw_interchange(integrand, u_set)
         assert report.minimizers == list(product(range(n_controls), repeat=n_atoms))
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+@pytest.mark.parametrize("value", [3, "-1/4", "+inf", "-inf"])
+def test_constant_integrand_ties_span_a_shuffled_listing(backing, value):
+    """The 4^6 product of the test above, listed in shuffled order: walked
+    as the product, with every selection a minimizer in listed order."""
+    n_atoms, n_controls = 6, 4
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], [1, 0, "1/2", 2, 1, "1/4"],
+                         backing=backing)
+    integrand = Integrand(space, [[c] for c in range(n_controls)],
+                          [[value] * n_controls] * n_atoms)
+    sels = list(product(range(n_controls), repeat=n_atoms))
+    random.Random(6).shuffle(sels)
+    u_set = SelectionSet.explicit(sels, n_atoms, n_controls)
+    assert u_set.product_form() == ((0, 1, 2, 3),) * n_atoms
+    _assert_matches_naive(integrand, u_set, backing)
+    if value != "+inf":
+        assert verify_rw_interchange(integrand, u_set).minimizers == sels
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_listed_products_match_naive_reference(data):
+    """An explicit set that lists a whole product in shuffled order, over
+    drawn admissible sets, with ties, infinite entries and null atoms:
+    lhs, rhs, the minimizers and the argmin selections are those of a fold
+    of each selection, in listed order."""
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    n_atoms = data.draw(st.integers(1, 4), label="atoms")
+    n_controls = data.draw(st.integers(1, 4), label="controls")
+    values = data.draw(st.sampled_from([FINITE + ["+inf", "-inf"], WALK_VALUES]), label="values")
+    weights = data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=n_atoms,
+                                 max_size=n_atoms), label="weights")
+    table = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_controls,
+                                        max_size=n_controls),
+                               min_size=n_atoms, max_size=n_atoms), label="table")
+    admissible = [data.draw(st.lists(st.integers(0, n_controls - 1), min_size=1,
+                                     max_size=n_controls, unique=True))
+                  for _ in range(n_atoms)]
+    sels = data.draw(st.permutations(list(product(*admissible))), label="order")
+    space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights, backing=backing)
+    integrand = Integrand(space, [[c] for c in range(n_controls)], table)
+    u_set = SelectionSet.explicit(sels, n_atoms, n_controls)
+    assert u_set.product_form() == tuple(tuple(sorted(cs)) for cs in admissible)
+    expected = _outcome(lambda: naive_rw(integrand, u_set, default_tolerance(backing)))
+    report = _outcome(lambda: verify_rw_interchange(integrand, u_set))
+    if isinstance(expected, type):
+        assert report is expected
+        return
+    lhs, rhs, minimizers, pointwise = expected
+    assert (report.lhs, report.rhs, report.minimizers) == (lhs, rhs, minimizers)
+    assert repr(report.lhs) == repr(lhs)  # the same type, and the same zero
+    assert set(_pointwise_argmin(integrand, u_set)) == pointwise
+    argmin = verify_rw_argmin(integrand, u_set, interchange=report)
+    if lhs != NEG_INF:
+        assert argmin.argmin_selections == minimizers
+        assert argmin.characterization_holds == (set(minimizers) == pointwise)
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_only_a_holey_listing_is_folded_selection_by_selection(backing, monkeypatch):
+    """A listed product never reaches ``_listed_blocks``, for rw-check or
+    Shapiro's conclusion; the same listing less one selection does."""
+    space = MeasureSpace(["a", "b", "c"], [1, 0, "1/2"], backing=backing)
+    integrand = Integrand(space, [[0], [1], [2]],
+                          [[1, 1, 2], [0, "+inf", -3], ["1/2", -1, -1]])
+    sels = list(product((0, 1), (0, 2), (1, 2)))[::-1]
+    sels = sels[3:] + sels[:3]
+    listed, holey = (SelectionSet.explicit(s, 3, 3) for s in (sels, sels[:-1]))
+    expected = naive_rw(integrand, listed, default_tolerance(backing))
+
+    def refuse(*args):
+        raise AssertionError("folded selection by selection")
+
+    monkeypatch.setattr(decomposable, "_listed_blocks", refuse)
+    report = verify_rw_interchange(integrand, listed)
+    assert (report.lhs, report.rhs, report.minimizers) == expected[:3]
+    assert len(report.minimizers) == 8 and report.minimizers != sorted(report.minimizers)
+    assert verify_rw_argmin(integrand, listed, interchange=report).characterization_holds
+    outer = make_builtin("outer")
+    assert decomposable._min_of_folds(integrand, listed, 10**6, outer) == expected[0]
+    for fn in (lambda: verify_rw_interchange(integrand, holey),
+               lambda: decomposable._min_of_folds(integrand, holey, 10**6, outer)):
+        with pytest.raises(AssertionError, match="folded selection by selection"):
+            fn()
 
 
 @pytest.mark.parametrize("backing", ["rational", "float"])
