@@ -61,8 +61,8 @@ from .extreal import (
     weighted_parts,
 )
 from .fnlattice import FnClass, fn_add, fn_neg, lp_norm
-from .functionals import Functional
-from .integrals import outer_integral, part_sum
+from .functionals import Functional, make_builtin
+from .integrals import outer_integral
 from .interchange import _tolerance
 from .measure import MeasureSpace
 
@@ -74,7 +74,7 @@ SELECTION_BLOCK = 1024
 
 Selection = Tuple[int, ...]
 
-OUTER = Functional("outer", outer_integral)  # the Phi of rw-check
+OUTER = make_builtin("outer")  # the Phi of rw-check
 
 
 @dataclass(frozen=True)
@@ -434,14 +434,14 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
     every Phi.  Values order as those of Phi do, and equal Phi values have
     equal values.
 
-    A Phi with no ``integrals.PART_SUMS`` entry is evaluated on each G(u),
-    and ``finish`` is the identity.  For an integral, whose entry is
-    ``combine``, every (atom, reachable control) gets one code, and a
-    selection's fold is the atom-order left fold of its codes.  Under float
-    backing a code is the complex (positive term, negative term) of
-    ``weighted_parts``, whose addition adds the two parts with its rounding,
-    bit for bit, and a fold z has the value ``combine(z.real, z.imag)`` when
-    a code is infinite, else ip - im.  Under rational backing it is the int
+    A Phi without ``parts`` is evaluated on each G(u), and ``finish`` is
+    the identity.  For an integral, whose ``parts`` is ``combine``, every
+    (atom, reachable control) gets one code, and a selection's fold is the
+    atom-order left fold of its codes.  Under float backing a code is the
+    complex (positive term, negative term) of ``weighted_parts``, whose
+    addition adds the two parts with its rounding, bit for bit, and a fold
+    z has the value ``combine(z.real, z.imag)`` when a code is infinite,
+    else ip - im.  Under rational backing it is the int
     of ``extreal.exact_codes`` of the reachable entries, and a fold beyond
     the finite band has the value of its decoded infinities.  A set equal
     to a product (``SelectionSet.product_form``), declared or listed, is
@@ -454,7 +454,7 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
     """
     space = integrand.space
     selections = u_set.iter_selections(enum_budget)
-    combine = part_sum(phi.eval_fn)
+    combine = phi.parts
     if combine is None:
         g_of = integrand.g_of
         return _listed_blocks(selections, lambda sel: phi(g_of(sel))), lambda least: least

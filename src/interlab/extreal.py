@@ -453,7 +453,8 @@ class ExactCodes(NamedTuple):
         return x if type(x) is float else -(-x.numerator * self.den // x.denominator)
 
     def value(self, code: int, combine) -> Scalar:
-        """The ``combine`` integral (see ``PART_SUMS``) of terms whose codes sum to ``code``."""
+        """The integral whose ``Functional.parts`` is ``combine`` of terms
+        whose codes sum to ``code``."""
         if self.finite(code):
             return _reduced(code, self.den)
         minus, plus = divmod((code + self.scale // 2) // self.scale, len(self.rows) + 1)
@@ -524,7 +525,7 @@ def _lcm(dens) -> int:
 
 
 def parts_value(finite: Scalar, plus: int, minus: int, combine) -> Scalar:
-    """The integral whose ``integrals.PART_SUMS`` entry is ``combine`` of a
+    """The integral whose ``functionals.Functional.parts`` is ``combine`` of a
     function whose finite terms sum to ``finite``, with ``plus`` terms +inf
     and ``minus`` terms -inf: that sum when both counts are 0; else the
     integral depends only on which counts are nonzero."""

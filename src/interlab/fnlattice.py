@@ -190,7 +190,8 @@ def ess_sup_value(f: FnClass) -> Scalar:
 
 
 def ess_sup_table(space: MeasureSpace, fields, lhs: Scalar, tol: Scalar):
-    """Rank table of ``ess_sup_value`` (see ``integrals.RANK_TABLES``).
+    """Rank table of ``ess_sup_value``, its built-in's
+    ``functionals.Functional.rank_table``.
 
     One global rank orders the values of every non-null atom, ties going
     to the earlier atom as ``max`` does.  An atom's global rank grows with

@@ -15,19 +15,14 @@ post-composition raises what its base raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import InputError
 from .extreal import Scalar, ext, to_text
-from .fnlattice import FnClass, ess_sup_value
-from .integrals import (
-    Capacity,
-    choquet,
-    inner_integral,
-    lebesgue_extended,
-    outer_integral,
-)
+from .fnlattice import FnClass, ess_sup_table, ess_sup_value
+from .integrals import LEBESGUE_KINDS, Capacity, _integral_table, choquet
 
 
 @dataclass(frozen=True)
@@ -38,25 +33,43 @@ class Functional:
     argument: the directedness scan scores each distinct infimum once and
     reuses that score for every subset with the same infimum, and a
     sequence prefix reuses the previous term's score when a member lowers
-    the running infimum nowhere.  For the built-in integrals and ess_sup
-    the scan may judge an infimum with the rank table that
-    ``integrals.RANK_TABLES`` keeps for ``eval_fn`` instead of calling it,
-    and under rational backing a sequence prefix scores the built-in
-    integrals from running parts (``integrals.RunningParts``), so a table
-    must agree with ``eval_fn`` on whether each infimum it judges passes
-    the scan's bound, and running parts in value and in type on every
-    function they score.
+    the running infimum nowhere.
+
+    ``parts`` and ``rank_table`` are optional fast paths, which
+    ``make_builtin`` sets; without them Phi takes the generic path, to the
+    same output.  ``parts`` combines an integral's part integrals (integral
+    of f+, integral of f-) into its value: under rational backing a
+    sequence prefix then scores Phi from running parts
+    (``integrals.RunningParts``), and ``decomposable``'s selection fold
+    from exact codes.  ``rank_table(space, fields, lhs, tol)`` builds None
+    or a table that maps the key of a subset infimum to whether
+    ``_leq_within(lhs, Phi(infimum), tol)`` holds, or to None where
+    ``eval_fn`` must run (``interchange._scan_subsets``).  Each must agree
+    with ``eval_fn``: parts in value and in type on every function they
+    score, a table on every infimum it judges.  Neither takes part in
+    equality or hashing.
     """
 
     name: str
     eval_fn: Callable[[FnClass], Scalar]
     order_preserving: bool = True
+    parts: Optional[Callable[[Scalar, Scalar], Scalar]] = field(default=None, compare=False)
+    rank_table: Optional[Callable] = field(default=None, compare=False)
 
     def __call__(self, f: FnClass) -> Scalar:
         return self.eval_fn(f)
 
     def __repr__(self) -> str:
         return f"Functional({self.name!r})"
+
+
+# The parameterless built-ins, with their fast paths; frozen, so shared.
+_PARAMETERLESS = {
+    **{kind: Functional(kind, integral, parts=combine,
+                        rank_table=partial(_integral_table, combine))
+       for kind, (integral, combine) in LEBESGUE_KINDS.items()},
+    "ess_sup": Functional("ess_sup", ess_sup_value, rank_table=ess_sup_table),
+}
 
 
 _PROBE_GRID = ["-inf", -3, -1, "-1/2", 0, "1/2", 1, 3, "+inf"]
@@ -85,14 +98,8 @@ def make_builtin(
     ``choquet`` needs a capacity; ``post_compose`` needs a base functional
     and a nondecreasing map on the extended reals (checked on a probe grid).
     """
-    if kind == "extended_lebesgue":
-        return Functional("extended_lebesgue", lebesgue_extended)
-    if kind == "outer":
-        return Functional("outer", outer_integral)
-    if kind == "inner":
-        return Functional("inner", inner_integral)
-    if kind == "ess_sup":
-        return Functional("ess_sup", ess_sup_value)
+    if kind in _PARAMETERLESS:
+        return _PARAMETERLESS[kind]
     if kind == "choquet":
         if capacity is None:
             raise InputError("choquet functional needs a capacity")

@@ -8,8 +8,9 @@ Four integrals are provided:
 * ``outer_integral`` / ``inner_integral`` - total on all functions; the
   closed forms combine the part integrals with the upper resp. lower
   extended addition, so they disagree exactly when both parts diverge
-  (``PART_SUMS`` holds each integral's combination, which ``RunningParts``
-  applies to parts kept up to date atom by atom);
+  (``LEBESGUE_KINDS`` pairs each with its combination, its built-in's
+  ``Functional.parts``, which ``RunningParts`` applies to parts kept up to
+  date atom by atom and ``_integral_table`` to exact codes);
 * ``choquet``            - layer-cake integral with respect to a capacity,
   from one pass over the atoms, one sort of the distinct level keys (int
   numerators under rational backing) and one capacity read per level,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, compress, count, repeat
 from operator import eq, gt, is_, itemgetter
 from typing import Iterable, Mapping
@@ -47,7 +48,7 @@ from .extreal import (
     upper_add,
     weighted_parts,
 )
-from .fnlattice import FnClass, ess_sup_table, ess_sup_value
+from .fnlattice import FnClass
 from .measure import AtomSet, MeasureSpace, atom_order_sum
 
 
@@ -88,22 +89,14 @@ def inner_integral(f: FnClass) -> Scalar:
     return _lower_sum(*part_integrals(f))
 
 
-# How each integral combines its part integrals (integral of f+, integral of
-# f-) into its value, keyed by the integral, for callers that keep the parts
-# themselves (``RunningParts``, the selection fold of ``decomposable``).
-PART_SUMS = {
-    lebesgue_extended: _semi_integrable_sum,
-    outer_integral: _upper_sum,
-    inner_integral: _lower_sum,
+# The Lebesgue kinds of ``functionals.make_builtin``, by name: each
+# integral and how it combines its part integrals (integral of f+, integral
+# of f-) into its value, the built-in's ``Functional.parts``.
+LEBESGUE_KINDS = {
+    "extended_lebesgue": (lebesgue_extended, _semi_integrable_sum),
+    "outer": (outer_integral, _upper_sum),
+    "inner": (inner_integral, _lower_sum),
 }
-
-
-def part_sum(eval_fn):
-    """The ``PART_SUMS`` entry of ``eval_fn``, or None when it has none.
-
-    Looked up by identity: an eval_fn need not be hashable.
-    """
-    return next((c for f, c in PART_SUMS.items() if f is eval_fn), None)
 
 
 class RunningParts:
@@ -112,10 +105,10 @@ class RunningParts:
     Holds the exact sum of the terms w * x of the atoms of positive weight
     and finite value and the counts of those where x is +inf and -inf, which
     ``move`` updates from one atom's old and new values, so ``value``, that
-    is ``extreal.parts_value`` with the integral's ``PART_SUMS`` entry, costs
-    no pass over the atoms.  Exact sums may be kept in any order, so this is
-    for rational backing; float sums round in atom order and are left to the
-    integrals.
+    is ``extreal.parts_value`` with the integral's ``Functional.parts``,
+    costs no pass over the atoms.  Exact sums may be kept in any order, so
+    this is for rational backing; float sums round in atom order and are
+    left to the integrals.
     """
 
     __slots__ = ("weights", "combine", "total", "infinite")
@@ -127,10 +120,10 @@ class RunningParts:
             self.move(i, 0, values[i])
 
     @classmethod
-    def of(cls, space: MeasureSpace, eval_fn, values):
-        """Running parts of ``values`` for the integral ``eval_fn``, or None
-        when ``eval_fn`` is not in ``PART_SUMS`` or the space is not rational."""
-        combine = part_sum(eval_fn)
+    def of(cls, space: MeasureSpace, combine, values):
+        """Running parts of ``values`` for the integral whose
+        ``Functional.parts`` is ``combine``, or None when ``combine`` is None
+        or the space is not rational."""
         if combine is None or space.backing != "rational":
             return None
         return cls(space.weights, combine, values)
@@ -153,14 +146,14 @@ class RunningParts:
 
 
 def _integral_table(combine, space: MeasureSpace, fields, lhs: Scalar, tol: Scalar):
-    """Rank table of the integral whose ``PART_SUMS`` entry is ``combine``
-    (see ``RANK_TABLES``): a key's code is the sum of the
-    ``extreal.exact_codes`` of its ranks' terms w * x.  A finite sum passes
-    exactly when it is at least the one int ``ExactCodes.ceil(lhs - tol)``;
-    any other when lhs is at most its infinite value, and maps to None where
-    the integral raises, so that the scan runs it.  Built only when the
-    codes are, tol is exact and lhs exact or infinite, so float rounding is
-    left to the integrals and the scan.
+    """Rank table of the integral whose ``Functional.parts`` is ``combine``
+    (bound to ``combine``, its ``Functional.rank_table``): a key's code is
+    the sum of the ``extreal.exact_codes`` of its ranks' terms w * x.  A
+    finite sum passes exactly when it is at least the one int
+    ``ExactCodes.ceil(lhs - tol)``; any other when lhs is at most its
+    infinite value, and maps to None where the integral raises, so that the
+    scan runs it.  Built only when the codes are, tol is exact and lhs exact
+    or infinite, so float rounding is left to the integrals and the scan.
     """
     exact = type(tol) is not float and (type(lhs) is not float or lhs in (POS_INF, NEG_INF))
     codes = exact and exact_codes(space.weights, [level for level, _, _ in fields])
@@ -184,18 +177,6 @@ def _integral_table(combine, space: MeasureSpace, fields, lhs: Scalar, tol: Scal
             return None
 
     return passes
-
-
-# Rank tables for the directedness scan, keyed by a functional's evaluation
-# function.  ``build(space, fields, lhs, tol)`` takes the fields of
-# ``interchange._rank_code`` and the scan's bound, and returns None (no
-# table) or ``passes``: it maps the key of a subset infimum to whether
-# ``extreal._leq_within(lhs, value, tol)`` holds for the value the function
-# gives on that infimum, or to None where the function must run.
-RANK_TABLES = {
-    **{f: partial(_integral_table, combine) for f, combine in PART_SUMS.items()},
-    ess_sup_value: ess_sup_table,
-}
 
 
 # A table entry that no key of the mapping filled.

@@ -50,7 +50,7 @@ from .extreal import (
 )
 from .fnlattice import FnClass, mu_leq, pointwise_inf
 from .functionals import Functional
-from .integrals import RANK_TABLES, RunningParts
+from .integrals import RunningParts
 
 DEFAULT_SUBSET_BUDGET = 12
 DEFAULT_DIVERGENCE_THRESHOLD = 10**9
@@ -236,15 +236,14 @@ def _level_keys(rows: Sequence[int]):
 
 def _scan_subsets(
     members: Sequence[FnClass],
-    score: Callable[[FnClass], Scalar],
+    phi: Functional,
     lhs: Scalar,
     tol: Scalar,
     exhaustive: bool,
     known: Dict[Tuple[int, ...], Scalar],
-    eval_fn: Optional[Callable] = None,
 ) -> Tuple[Optional[Tuple[int, ...]], Callable[[Sequence[int]], Scalar]]:
     """Find the first subset S whose infimum fails min Phi(X) = ``lhs`` <=
-    ``score(inf S)`` within ``tol`` (``_leq_within``).
+    ``phi(inf S)`` within ``tol`` (``_leq_within``).
 
     Subsets come from ``_nonempty_subsets`` when ``exhaustive`` and from
     the fixed ``_sampled_subsets`` otherwise, smallest first, so the witness
@@ -256,17 +255,16 @@ def _scan_subsets(
     reads (subset, key) pairs: an exhaustive scan takes the keys from
     ``_level_keys``, one AND per subset, in step with the subsets it draws,
     and a sampled scan ANDs the rows of each subset's members as it draws
-    the subset, so each scan draws its subsets once.  Each
-    distinct key is judged once; ``known`` gives scores already computed,
-    keyed by member indices.  A new key is judged by ``score`` on the
-    decoded function, or by the rank table that ``integrals.RANK_TABLES``
-    keeps for ``eval_fn``, the function ``score`` evaluates: built from the
-    fields and the bound (lhs, tol), it tells from the key alone whether
-    the infimum passes, or gives None where ``score`` must run.  A table
+    the subset, so each scan draws its subsets once.  Each distinct key is
+    judged once; ``known`` gives scores already computed, keyed by member
+    indices.  A new key is judged by ``phi`` on the decoded function, or by
+    the table that ``phi.rank_table``, when it has one, builds from the
+    fields and the bound (lhs, tol): it tells from the key alone whether
+    the infimum passes, or gives None where ``phi`` must run.  A table
     costs about as much as one generic evaluation per entry per atom, so a
     scan builds it only after it has made that many generic evaluations,
     and a scan that meets few distinct infima never does.
-    A witness that a table failed is scored once more by ``score``, and
+    A witness that a table failed is scored once more by ``phi``, and
     ``InvariantError`` is raised if it passes.  Returns the witness (None
     when every subset holds), whether the scan was exhaustive, and the
     memoized score of the infimum of any index tuple.
@@ -289,6 +287,7 @@ def _scan_subsets(
     memo: Dict[int, Scalar] = {}
     passed = set()
     table = None
+    build = phi.rank_table
     # Entries over atoms: one entry per bit of the code and one per atom.
     generic_left = 1 + (fields[-1][1] + fields[-1][2].bit_length()) / len(fields)
 
@@ -299,18 +298,15 @@ def _scan_subsets(
         return key
 
     def score_key(key: int) -> Scalar:
-        nonlocal table, eval_fn, generic_left
+        nonlocal table, build, generic_left
         value = memo.get(key)
         if value is None:
             values = tuple([lv[((key >> off) & mask).bit_count()] for lv, off, mask in fields])
-            value = memo[key] = score(FnClass.from_ext(space, values))
-            if eval_fn is not None:
+            value = memo[key] = phi(FnClass.from_ext(space, values))
+            if build is not None:
                 generic_left -= 1
                 if generic_left <= 0:
-                    # Looked up by identity: an eval_fn need not be hashable.
-                    build = next((b for f, b in RANK_TABLES.items() if f is eval_fn), None)
-                    table = build and build(space, fields, lhs, tol)
-                    eval_fn = None
+                    table, build = build(space, fields, lhs, tol), None
         return value
 
     for idx, value in known.items():
@@ -374,8 +370,7 @@ def is_phi_inf_directed(
     set lookup; in a sampled scan, one AND per member and the lookup.  A
     subset whose infimum is new is judged once more: by one Phi evaluation
     and one comparison with min Phi(X), or, once the scan has built the rank
-    table that ``integrals.RANK_TABLES`` keeps for ``phi.eval_fn`` (see
-    ``_scan_subsets``), by integers alone.  The built-in integrals add one
+    table of ``phi.rank_table`` (see ``_scan_subsets``), by integers alone.  The built-in integrals add one
     integer code per atom of positive weight and compare the sum with one
     integer computed from min Phi(X) and the tolerance, under exact weights,
     values and bound, infinite values included; ess_sup ANDs the key with
@@ -412,8 +407,7 @@ def is_phi_inf_directed(
     known = {(j,): v for j, v in enumerate(phi_values)}
     if phi_inf is not None:
         known[tuple(range(n))] = phi_inf
-    witness, score_inf = _scan_subsets(
-        members, phi, lhs, tol, exhaustive, known, phi.eval_fn)
+    witness, score_inf = _scan_subsets(members, phi, lhs, tol, exhaustive, known)
     directed = witness is None
     shortcut = _leq_within(lhs, score_inf(range(n)), tol)
     if phi.order_preserving and shortcut != directed:
@@ -572,11 +566,11 @@ def _prefix_terms(
     where it differs from term k - 1, since acc <= x_{k-1}: the keys of
     ``step(k)``, or, without steps, the atoms where x_k < acc found in one
     C-level comparison pass.  The comparison is strict, so ties keep acc's
-    entry, as ``pointwise_inf`` does.  The built-in integrals under
-    rational backing keep exact parts (``integrals.RunningParts``) of the
-    infimum, and with steps of the term itself, updated on the atoms that
-    change; any other functional, and float backing, evaluates Phi on the
-    dense function.  A function that did not change repeats its previous
+    entry, as ``pointwise_inf`` does.  A Phi with ``parts`` (the built-in
+    integrals) under rational backing keeps exact parts
+    (``integrals.RunningParts``) of the infimum, and with steps of the term
+    itself, updated on the atoms that change; any other functional, and
+    float backing, evaluates Phi on the dense function.  A function that did not change repeats its previous
     term, since ``eval_fn`` is pure.
 
     Cross-checks, each an ``InvariantError``: the step-built last term must
@@ -589,12 +583,12 @@ def _prefix_terms(
     n_atoms = len(space.atoms)
     step = spec.step
     acc = list(first.values)
-    parts = RunningParts.of(space, phi.eval_fn, acc)
+    parts = RunningParts.of(space, phi.parts, acc)
     value = score = phi(first)
     phi_values, prefix_rhs = [value], [score]
     if step is not None:
         member = list(acc)
-        member_parts = RunningParts.of(space, phi.eval_fn, member)
+        member_parts = RunningParts.of(space, phi.parts, member)
     for k in range(1, spec.prefix_len):
         if step is not None:
             changes = step(k)

@@ -41,6 +41,17 @@ def test_builtin_flags():
         assert make_builtin(kind).order_preserving
 
 
+def test_parameterless_builtins_are_equal_and_hash_alike():
+    """The fast paths take no part in equality: a built-in equals itself
+    from a second call, and a caller's Functional of the same name and map."""
+    for kind in ("extended_lebesgue", "ess_sup", "outer", "inner"):
+        assert make_builtin(kind) == make_builtin(kind)
+        assert hash(make_builtin(kind)) == hash(make_builtin(kind))
+    caller = Functional("extended_lebesgue", lebesgue_extended)
+    assert caller == make_builtin("extended_lebesgue")
+    assert hash(caller) == hash(make_builtin("extended_lebesgue"))
+
+
 def test_choquet_requires_capacity():
     with pytest.raises(InputError):
         make_builtin("choquet")

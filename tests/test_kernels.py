@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from interlab.errors import DomainError, InputError
 from interlab.extreal import NEG_INF, POS_INF, exact_codes, ext, weighted_parts
 from interlab.fnlattice import FnClass, pointwise_inf
+from interlab.functionals import make_builtin
 from interlab.integrals import (
-    PART_SUMS,
     inner_integral,
     lebesgue_extended,
     outer_integral,
@@ -193,13 +193,13 @@ def _outcome(run):
 def test_exact_codes_decode_as_each_integral_combines_its_parts(case):
     """Under rational backing a sum of one exact code per row decodes to each
     integral of the picked values, in value, type, error class and text, as
-    its ``PART_SUMS`` entry combines ``weighted_parts``; in a row of positive
+    its ``Functional.parts`` combines ``weighted_parts``; in a row of positive
     weight the codes order like the values."""
     weights, rows, picks = case
     codes = exact_codes(weights, rows)
     values = [row[j] for row, j in zip(rows, picks)]
     code = sum(row[j] for row, j in zip(codes.rows, picks))
-    for combine in PART_SUMS.values():
+    for combine in [make_builtin(k).parts for k in ("extended_lebesgue", "outer", "inner")]:
         assert (_outcome(lambda: codes.value(code, combine))
                 == _outcome(lambda: combine(*weighted_parts(weights, values))))
     assert codes.infinite == any(w and abs(x) == POS_INF for w, row in zip(weights, rows)

@@ -188,7 +188,7 @@ def test_running_parts_combine_as_each_integral(kind, both_infinite):
     space = MeasureSpace(["a", "b", "c"], [1, "1/3", 0])
     phi = make_builtin(kind)
     start = (ext(2), ext("-1/2"), ext("+inf"))
-    parts = RunningParts.of(space, phi.eval_fn, start)
+    parts = RunningParts.of(space, phi.parts, start)
     values = list(start)
     steps = [(1, "+inf"), (0, "-inf"), (1, "1/3"), (0, "-2/3"), (2, "-inf"), (1, 3),
              (0, "+inf"), (1, "-inf")]
@@ -204,8 +204,8 @@ def test_running_parts_combine_as_each_integral(kind, both_infinite):
     else:
         assert parts.value() == both_infinite
     assert RunningParts.of(MeasureSpace(["a"], [1], backing="float"),
-                           phi.eval_fn, (1.0,)) is None
-    assert RunningParts.of(space, make_builtin("ess_sup").eval_fn, start) is None
+                           phi.parts, (1.0,)) is None
+    assert RunningParts.of(space, make_builtin("ess_sup").parts, start) is None
 
 
 def _example_2_6(prefix):

@@ -1,7 +1,9 @@
 """The directedness scan against naive reference scans, and its Phi count."""
 
+import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, islice
@@ -15,9 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 from interlab import interchange
 from interlab.errors import DomainError, InvariantError
 from interlab.extreal import NEG_INF, POS_INF, _leq_within, as_scalar, ext
-from interlab.fnlattice import FnClass, ess_sup_value, pointwise_inf
+from interlab.fnlattice import FnClass, ess_sup_table, pointwise_inf
 from interlab.functionals import Functional, make_builtin
-from interlab.integrals import RANK_TABLES, Capacity, lebesgue_extended
+from interlab.integrals import Capacity, _integral_table, lebesgue_extended, outer_integral
 from interlab.interchange import (
     Family,
     is_phi_inf_directed,
@@ -143,10 +145,9 @@ def test_minus_infinity_on_a_member_needs_no_scan(data):
 
     calls = []
     call = Functional.__call__
+    phi = dataclasses.replace(phi, rank_table=raising)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interchange, "_rank_code", raising)
-        for eval_fn in list(RANK_TABLES):
-            mp.setitem(RANK_TABLES, eval_fn, raising)
         mp.setattr(Functional, "__call__", lambda self, f: calls.append(f) or call(self, f))
         res = is_phi_inf_directed(family, phi)
     assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == expected
@@ -226,7 +227,7 @@ def _table_mismatches(phi, members, build=None):
     ess_sup table is always built and declines nothing.
     """
     space = members[0].space
-    integral = phi.eval_fn is not ess_sup_value
+    integral = phi.parts is not None
     heavy = space.non_null_indices()
 
     def infinite(values):
@@ -257,7 +258,7 @@ def _table_mismatches(phi, members, build=None):
     mismatches = []
     for lhs in sorted(bounds):
         for tol in tols:
-            table = (build or RANK_TABLES[phi.eval_fn])(space, fields, lhs, tol)
+            table = (build or phi.rank_table)(space, fields, lhs, tol)
             assert (table is None) == (integral and space.backing == "float")
             if table is None:
                 return None
@@ -296,11 +297,12 @@ def test_integral_table_needs_an_exact_bound():
     space = MeasureSpace(["a", "b"], [1, "1/2"])
     _, fields = interchange._rank_code([FnClass(space, r) for r in ([1, 2], [2, "1/3"])])
     assert lebesgue_extended(FnClass(space, [1, "1/3"])) == Fraction(7, 6)
-    passes = RANK_TABLES[lebesgue_extended](space, fields, Fraction(7, 6), 0)
+    build = LEB.rank_table
+    passes = build(space, fields, Fraction(7, 6), 0)
     assert passes(0) is True
-    assert RANK_TABLES[lebesgue_extended](space, fields, 7 / 6, 0) is None
-    assert RANK_TABLES[lebesgue_extended](space, fields, Fraction(7, 6), 1e-9) is None
-    assert RANK_TABLES[lebesgue_extended](space, fields, NEG_INF, 0)(0) is True
+    assert build(space, fields, 7 / 6, 0) is None
+    assert build(space, fields, Fraction(7, 6), 1e-9) is None
+    assert build(space, fields, NEG_INF, 0)(0) is True
 
 
 @pytest.mark.parametrize("kind", BUILTINS)
@@ -308,7 +310,7 @@ def test_table_comparison_catches_a_dropped_atom(kind):
     space = MeasureSpace(["a", "b"], [1, "1/2"])
     members = [FnClass(space, r) for r in ([1, 2], [2, "1/3"])]
     phi = make_builtin(kind)
-    build = RANK_TABLES[phi.eval_fn]
+    build = phi.rank_table
     # An atom whose code is dropped adds nothing: 0 to a sum, -inf to a max.
     blank = NEG_INF if kind == "ess_sup" else 0
 
@@ -335,18 +337,16 @@ BOTH_PARTS_INFINITE = [
 
 
 @pytest.mark.parametrize("rows,last", BOTH_PARTS_INFINITE)
-def test_both_parts_infinite_after_the_table_is_built(monkeypatch, rows, last):
+def test_both_parts_infinite_after_the_table_is_built(rows, last):
     builds = []
-    build = RANK_TABLES[lebesgue_extended]
 
     def counted(space, fields, lhs, tol):
         builds.append(lhs)
-        return build(space, fields, lhs, tol)
+        return LEB.rank_table(space, fields, lhs, tol)
 
-    monkeypatch.setitem(RANK_TABLES, lebesgue_extended, counted)
     space = MeasureSpace(["a", "b", "c"], [1, 1, 1])
     family = Family([FnClass(space, r) for r in rows])
-    phi = make_builtin("extended_lebesgue")
+    phi = dataclasses.replace(LEB, rank_table=counted)
     values = [phi(m) for m in family.members[:-1]] + [last]
     with pytest.raises(DomainError) as err:
         is_phi_inf_directed(family, phi, phi_values=values)
@@ -366,10 +366,9 @@ def test_a_caller_given_minus_infinity_passes_without_scoring(monkeypatch):
     space = MeasureSpace(["a", "b", "c"], [1, 1, 1])
     rows = [[1, 2, 3], [2, 3, 1], [3, 1, 2], ["+inf", 0, 4], ["+inf", "-inf", 5]]
     family = Family([FnClass(space, r) for r in rows])
-    phi = make_builtin("extended_lebesgue")
+    phi = dataclasses.replace(LEB, rank_table=raising)
     values = [phi(m) for m in family.members[:-1]] + [NEG_INF]
     monkeypatch.setattr(interchange, "_rank_code", raising)
-    monkeypatch.setitem(RANK_TABLES, lebesgue_extended, raising)
     monkeypatch.setattr(Functional, "__call__", raising)
     res = is_phi_inf_directed(family, phi, phi_values=values)
     assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == \
@@ -378,7 +377,7 @@ def test_a_caller_given_minus_infinity_passes_without_scoring(monkeypatch):
 
 @pytest.mark.parametrize("name", ["check-lebesgue-inf", "check-outer-inf",
                                   "check-inner-inf-column"])
-def test_rank_tables_score_infinite_values(monkeypatch, name):
+def test_rank_tables_score_infinite_values(name):
     """On the golden families with infinite values on atoms of positive
     weight, one of them +inf in every member on an atom, the scan builds the
     integral's rank table, and the table answers every key it is asked,
@@ -387,7 +386,7 @@ def test_rank_tables_score_infinite_values(monkeypatch, name):
     space = build_space(sc["space"], "rational")
     family = build_family(sc["family"], space)
     phi = make_builtin(sc["functional"]["kind"])
-    build = RANK_TABLES[phi.eval_fn]
+    build = phi.rank_table
     scored = []  # (answer, Phi on the key's infimum)
 
     def counted(space, fields, lhs, tol):
@@ -402,23 +401,21 @@ def test_rank_tables_score_infinite_values(monkeypatch, name):
 
         return passes
 
-    monkeypatch.setitem(RANK_TABLES, phi.eval_fn, counted)
-    verify_interchange(family, phi)
+    verify_interchange(family, dataclasses.replace(phi, rank_table=counted))
     assert scored and all(answer is holds for answer, holds, _ in scored)
     assert any(value in (POS_INF, NEG_INF) for *_, value in scored)
 
 
-def test_a_witness_the_table_fails_is_scored_again(monkeypatch):
+def test_a_witness_the_table_fails_is_scored_again():
     """A table's false "fails" on a family whose verdict fails anyway would
     move the witness; Phi re-scores the witness and disagrees."""
-    build = RANK_TABLES[ess_sup_value]
-    monkeypatch.setitem(RANK_TABLES, ess_sup_value, lambda *args: (lambda key: False))
+    phi = make_builtin("ess_sup")
+    failing = dataclasses.replace(phi, rank_table=lambda *args: (lambda key: False))
     rows = [[0 if i == j % 8 else 1 for i in range(8)] for j in range(10)]
     family = Family([FnClass(WIDE, r) for r in rows])
     with pytest.raises(InvariantError, match="rank table of the directedness scan fails"):
-        verify_interchange(family, make_builtin("ess_sup"))
-    monkeypatch.setitem(RANK_TABLES, ess_sup_value, build)
-    report = verify_interchange(family, make_builtin("ess_sup"))
+        verify_interchange(family, failing)
+    report = verify_interchange(family, phi)
     assert (report.interchange_holds, report.witness) == ("fails", tuple(range(8)))
 
 
@@ -506,3 +503,83 @@ def test_sampled_scan_visits_the_fixed_sample(monkeypatch):
     report = verify_interchange(family, make_builtin("outer"))
     assert (report.phi_inf_directed, report.witness) == ("yes", None)
     assert len(drawn) == n * (n + 3) // 2 + 1
+
+
+# -- fast paths owned by the functional ---------------------------------------
+
+def _builder_calls(run):
+    """(run(), how many times it called a built-in rank-table builder)."""
+    builders = {_integral_table.__code__, ess_sup_table.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in builders:
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+def _wide_families(backing):
+    """A directed family and a failing one on WIDE in ``backing``, with +inf
+    values, each scanned long enough to build a rank table: the failing
+    one's first witness is the pair (5, 9), the 39th pair."""
+    space = MeasureSpace(WIDE.atoms, WIDE.weights, backing=backing)
+    rng = random.Random(36)
+    values = [-2, -1, "-1/3", 0, "1/2", 1, "3/2", 3, "+inf"]
+    rows = [FnClass(space, [rng.choice(values) for _ in space.atoms]) for _ in range(9)]
+    directed = Family(rows + [pointwise_inf(rows)])
+    # Members 0-4 lie above the last, the argmin; 5-8 go below it on a0 only.
+    high = [2, 3, "+inf"]
+    rows = [[rng.choice(high) for _ in range(8)] for _ in range(5)]
+    rows += [[0] + [rng.choice(high) for _ in range(7)] for _ in range(4)]
+    failing = Family([FnClass(space, r) for r in rows + [[1] * 8]])
+    return directed, failing
+
+
+@pytest.mark.parametrize("backing", ["rational", "float"])
+def test_a_caller_built_functional_takes_the_generic_path(backing):
+    """``Functional("outer", outer_integral)`` has no fast path, and gives
+    the verdict, witness, mode and report of the built-in, which reaches
+    its table builder on the same families."""
+    caller = Functional("outer", outer_integral)
+    builtin = make_builtin("outer")
+    assert (caller.parts, caller.rank_table) == (None, None)
+    witnesses = set()
+    for family in _wide_families(backing):
+        mine, mine_calls = _builder_calls(lambda: (
+            is_phi_inf_directed(family, caller), verify_interchange(family, caller)))
+        theirs, their_calls = _builder_calls(lambda: (
+            is_phi_inf_directed(family, builtin), verify_interchange(family, builtin)))
+        (res, report), (ref, ref_report) = mine, theirs
+        assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == \
+            (ref.directed, ref.witness, ref.mode, ref.shortcut_agrees)
+        assert report.to_json_dict() == ref_report.to_json_dict()
+        assert mine_calls == 0 and their_calls > 0
+        witnesses.add(res.witness)
+    assert witnesses == {None, (5, 9)}
+
+
+def test_post_composition_inherits_no_fast_path():
+    """max(outer, 0) is 0 on every subset infimum of a family whose least
+    outer integral is -1, so every subset passes; outer's table, judging
+    outer itself against the bound 0, would fail the infima below 0."""
+    outer = make_builtin("outer")
+    post = make_builtin("post_compose", base=outer, mapping=lambda x: max(x, 0))
+    assert (post.parts, post.rank_table) == (None, None)
+    space = MeasureSpace(["a", "b", "c"], [1, 1, 1])
+    rows = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, -2, 0], [-2, 1, 0], [0, 1, -2],
+            [1, 0, -2], [-2, 0, 1], [0, -2, 1]]
+    family = Family([FnClass(space, r) for r in rows])
+    assert min(outer(m) for m in family.members) == -1
+    res = is_phi_inf_directed(family, post)
+    assert (res.directed, res.witness, res.mode, res.shortcut_agrees) == \
+        naive_phi_inf_directed(family, post, interchange.DEFAULT_SUBSET_BUDGET) == \
+        (True, None, "exhaustive", True)
+    inherited = dataclasses.replace(post, rank_table=outer.rank_table)
+    with pytest.raises(InvariantError, match="rank table of the directedness scan fails"):
+        is_phi_inf_directed(family, inherited)
