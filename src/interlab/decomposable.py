@@ -13,8 +13,8 @@ closure under every patch (apply a patch one atom at a time: each
 intermediate is a member).  The patch side reads each member of an explicit
 set U with projections P_1..P_n as one mixed-radix integer code over the
 P_i, so on a decomposable set it costs about n * |U| integer operations and
-set lookups.  A set computes its projections once.  The patching clause,
-like the minimized side of the interchange, uses the values the set reaches
+set lookups.  An explicit set is read once, into per-atom columns and
+projections.  The patching clause, like the minimized side of the interchange, uses the values the set reaches
 at each atom: per-atom constraints on controls go in the selection set (or
 as +inf penalties in the integrand).
 
@@ -43,7 +43,7 @@ from cmath import isinf
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, compress, islice, product, repeat
-from operator import add, contains, eq, getitem, sub
+from operator import add, and_, contains, eq, getitem, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, DomainError, InputError, InvariantError
@@ -144,6 +144,23 @@ def _control_indices(items, n_controls: int, what: str) -> Tuple[int, ...]:
     return indices
 
 
+def _checked_columns(listing, n_atoms: int, n_controls: int):
+    """(columns, projections) of a listing of lists or tuples of ``n_atoms``
+    exact ints in ``[0, n_controls)``, else (None, None)."""
+    if not set(map(type, listing)) <= {list, tuple} or set(map(len, listing)) != {n_atoms}:
+        return None, None
+    columns = tuple(zip(*listing))
+    projections = []
+    for column in columns:
+        if set(map(type, column)) != {int}:
+            return None, None
+        values = sorted(set(column))
+        if values[0] < 0 or values[-1] >= n_controls:
+            return None, None
+        projections.append(tuple(values))
+    return columns, tuple(projections)
+
+
 def check_selection(s, n_atoms: int, n_controls: int) -> Selection:
     """``s`` as a selection: one control index in range per atom."""
     if not isinstance(s, (list, tuple)):
@@ -154,22 +171,35 @@ def check_selection(s, n_atoms: int, n_controls: int) -> Selection:
 
 
 class SelectionSet:
-    """Either an explicit list of selections or a per-atom product."""
+    """Either an explicit list of selections or a per-atom product.
 
-    __slots__ = ("kind", "n_atoms", "n_controls", "selections", "admissible", "_projections")
+    An explicit set keeps the first of each repeated selection, its
+    per-atom columns and its projections, checked in bulk on the columns
+    (``_checked_columns``); on any fault ``check_selection`` reads the
+    entries in listed order, so the first fault is the error raised.
+    """
+
+    __slots__ = ("kind", "n_atoms", "n_controls", "selections", "columns", "admissible",
+                 "_projections")
 
     def __init__(self, kind, n_atoms, n_controls, selections=None, admissible=None):
         self.kind = kind
         self.n_atoms = n_atoms
         self.n_controls = n_controls
         if kind == "explicit":
-            sels = list(dict.fromkeys(  # the first of each repeated selection
-                check_selection(s, n_atoms, n_controls) for s in selections or ()))
+            listing = list(selections or ())
+            columns, projections = _checked_columns(listing, n_atoms, n_controls)
+            if columns is None:
+                listing = [check_selection(s, n_atoms, n_controls) for s in listing]
+            sels = tuple(dict.fromkeys(map(tuple, listing)))  # the first of each repeat
             if not sels:
                 raise InputError("a selection set must be nonempty")
-            self.selections = tuple(sels)
+            if columns is None or len(sels) < len(listing):
+                columns = tuple(zip(*sels))
+            self.selections = sels
+            self.columns = columns
+            self._projections = projections or tuple(tuple(sorted(set(c))) for c in columns)
             self.admissible = None
-            self._projections = None
         elif kind == "product":
             adm = []
             if admissible is None or len(admissible) != n_atoms:
@@ -180,7 +210,7 @@ class SelectionSet:
                     raise InputError("admissible sets must be nonempty")
                 adm.append(s)
             self.admissible = self._projections = tuple(adm)
-            self.selections = None
+            self.selections = self.columns = None
         else:
             raise InputError(f"unknown selection-set kind {kind!r}")
 
@@ -210,11 +240,7 @@ class SelectionSet:
         return product(*self.admissible)
 
     def projections(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-atom sorted sets of reachable control indices, computed once."""
-        if self._projections is None:
-            self._projections = tuple(
-                tuple(sorted(set(column))) for column in zip(*self.selections)
-            )
+        """Per-atom sorted sets of reachable control indices, read at intake."""
         return self._projections
 
     def product_form(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
@@ -245,7 +271,7 @@ def is_decomposable(u_set: SelectionSet) -> DecomposabilityReport:
     single-atom patches (replace one atom's value of a member by another
     reachable value) on the members' mixed-radix codes (``_patch_closed``):
     about n * |U| integer operations and set lookups on a decomposable set,
-    with the projections computed once per set.  Closure under single-atom
+    on the set's columns and projections.  Closure under single-atom
     patches implies closure under every patch, since a patch applied one
     atom at a time passes only through members.  It must agree with the
     product count.  On failure the reported witness is the first violating
@@ -258,7 +284,7 @@ def is_decomposable(u_set: SelectionSet) -> DecomposabilityReport:
 
     projections = u_set.projections()
     places = _code_places(projections)
-    columns = list(zip(*u_set.selections))
+    columns = u_set.columns
     codes = [0] * len(u_set.selections)
     for place, column in zip(places, columns):
         codes = list(map(add, codes, map(place.__getitem__, column)))
@@ -381,7 +407,7 @@ def verify_rw_interchange(
     some selection with integrable positive part.  The set is walked once
     (see ``_selection_folds``): the minimizers of a set equal to the product
     of its projections by a pruned walk, those of any other explicit set
-    selection by selection.
+    from its folds, built atom by atom.
     """
     tol = _tolerance(tolerance, integrand.space.backing)
     _check_fits(u_set, integrand)
@@ -446,8 +472,10 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
     the finite band has the value of its decoded infinities.  A set equal
     to a product (``SelectionSet.product_form``), declared or listed, is
     the one block of ``_product_walk``, whose minimizers a listed set puts
-    in listed order with one pass over its selections; any other explicit
-    set folds each selection.  Where a fold could differ from
+    in listed order with one pass over its selections.  Any other explicit
+    set is folded one column at a time per block, from ``zero`` in atom
+    order: each selection's left fold, bit for bit, and its values read in
+    listed order.  Where a fold could differ from
     ``weighted_parts`` (see ``_complex_codes``) or no exact code is built,
     each selection is ``combine(*weighted_parts(...))``.  The integral's own
     DomainError comes whenever a selection has one.
@@ -457,7 +485,8 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
     combine = phi.parts
     if combine is None:
         g_of = integrand.g_of
-        return _listed_blocks(selections, lambda sel: phi(g_of(sel))), lambda least: least
+        return _listed_blocks(selections, lambda block, _: [phi(g_of(s)) for s in block]), \
+            lambda least: least
     if space.backing == "float":
         codes, rows, zero = None, _complex_codes(space.weights, integrand.table, projections), 0j
     else:
@@ -470,8 +499,8 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
         return least if codes is None or type(least) is float else codes.value(least, combine)
 
     if rows is None:
-        return _listed_blocks(selections, lambda sel: combine(*weighted_parts(
-            space.weights, [row[c] for row, c in zip(integrand.table, sel)]))), finish
+        return _listed_blocks(selections, lambda block, _: [combine(*weighted_parts(
+            space.weights, [row[c] for row, c in zip(integrand.table, s)])) for s in block]), finish
     if codes is not None:
         def value(v):
             return v if codes.finite(v) else codes.value(v, combine)
@@ -483,8 +512,12 @@ def _selection_folds(integrand, u_set, projections, enum_budget, phi):
             return z.real - z.imag
     factors = u_set.product_form()
     if factors is None:
-        return _listed_blocks(
-            selections, lambda sel: value(reduce(add, map(getitem, rows, sel), zero))), finish
+        def folds(block, start):
+            out = [zero] * len(block)
+            for row, column in zip(rows, u_set.columns):
+                out = list(map(add, out, map(row.__getitem__, column[start:start + len(block)])))
+            return list(map(value, out))
+        return _listed_blocks(selections, folds), finish
     m, found = _product_walk(rows, factors, value, zero)
     if u_set.kind == "explicit" and len(found) > 1:  # in listed order
         found = list(filter(set(found).__contains__, u_set.selections))
@@ -529,13 +562,15 @@ def _product_walk(rows, admissible, value, zero):
     return m, found
 
 
-def _listed_blocks(selections, value):
+def _listed_blocks(selections, block_values):
     """(least value, the selections at it) per run of ``SELECTION_BLOCK``
-    selections."""
+    selections, valued by ``block_values(block, index of its first)``."""
+    start = 0
     while block := list(islice(selections, SELECTION_BLOCK)):
-        values = [value(sel) for sel in block]
+        values = block_values(block, start)
         m = min(values)
         yield m, list(compress(block, map(eq, values, repeat(m))))
+        start += len(block)
 
 
 def _complex_codes(weights, table, projections):
@@ -623,14 +658,17 @@ def _pointwise_argmin(integrand, u_set, per_atom):
     per-atom argmins over the projections) on every non-null atom: on a set
     equal to the product of its projections, declared or listed, the
     product of those controls, with every reachable control on a null atom,
-    in product order; on any other set, its members in listed order."""
+    in product order; on any other set, its members in listed order, by one
+    membership mask per column."""
     space = integrand.space
     picks = [cs if space.is_null_atom(i) else best
              for i, (cs, best) in enumerate(zip(u_set.projections(), per_atom))]
     if u_set.product_form() is not None:
         return list(product(*picks))
-    picks = list(map(set, picks))
-    return [s for s in u_set.selections if all(map(contains, picks, s))]
+    keep = [True] * len(u_set.selections)
+    for pick, column in zip(map(set, picks), u_set.columns):
+        keep = list(map(and_, keep, map(pick.__contains__, column)))
+    return list(compress(u_set.selections, keep))
 
 
 @dataclass

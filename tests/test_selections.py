@@ -4,8 +4,11 @@ the walk behind Shapiro's conclusion against the minimum of Phi over the set."""
 import json
 import random
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add, getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +20,14 @@ from interlab.decomposable import (
     Integrand,
     SelectionSet,
     ShapiroScenario,
+    check_selection,
     is_decomposable,
     verify_rw_argmin,
     verify_rw_interchange,
     verify_shapiro,
 )
 from interlab.errors import InputError, InterlabError, InvariantError
-from interlab.extreal import NEG_INF, weighted_parts
+from interlab.extreal import NEG_INF, exact_codes, weighted_parts
 from interlab.functionals import Functional, make_builtin
 from interlab.integrals import lebesgue_extended
 from interlab.interchange import default_tolerance
@@ -90,6 +94,62 @@ def test_projections_are_computed_once_per_set():
     u_set = SelectionSet.explicit(sels, 3, 3)
     assert u_set.projections() == ((0, 2), (0,), (0, 1))
     assert u_set.projections() is u_set.projections()
+
+
+class Pick(IntEnum):
+    ONE = 1
+
+
+# Faults of a listing entry, at one index or of the whole entry; an
+# IntEnum member is accepted, as by ``check_selection``.
+FAULTS = [("index", v) for v in (True, 1.0, "1", None, [0], -1, "n_controls", Pick.ONE)] + [
+    ("entry", v) for v in ("short", "long", 7, "01", None)]
+
+
+def _reference_intake(listing, n_atoms, n_controls):
+    """The selections of ``check_selection`` on each entry in listed order,
+    the first of each repeat kept, or the text of the first error."""
+    try:
+        sels = list(dict.fromkeys(check_selection(s, n_atoms, n_controls) for s in listing))
+    except InputError as e:
+        return str(e)
+    return sels or "a selection set must be nonempty"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_explicit_intake_matches_the_ordered_check(data):
+    """``SelectionSet.explicit`` keeps the selections of the entry-by-entry
+    check, in the same order and with the same types, or raises its first
+    error, on listings with faults injected at drawn places."""
+    n_atoms = data.draw(st.integers(1, 4), label="atoms")
+    n_controls = data.draw(st.integers(1, 4), label="controls")
+    entry = st.lists(st.integers(0, n_controls - 1), min_size=n_atoms, max_size=n_atoms)
+    listing = data.draw(st.lists(entry, max_size=10), label="listing")
+    if listing and data.draw(st.booleans(), label="repeats"):
+        listing += data.draw(st.lists(st.sampled_from(listing), max_size=4), label="repeated")
+        listing = data.draw(st.permutations(listing), label="order")
+    listing = [tuple(s) if data.draw(st.booleans()) else list(s) for s in listing]
+    places = data.draw(st.permutations(range(len(listing))), label="places")
+    for j in places[:data.draw(st.sampled_from([0, 1, 1, 2]), label="faults")]:
+        (kind, bad), s = data.draw(st.sampled_from(FAULTS), label="fault"), listing[j]
+        if kind == "index":
+            at = data.draw(st.integers(0, n_atoms - 1), label="at")
+            listing[j] = s[:at] + type(s)([n_controls if bad == "n_controls" else bad]) + s[at + 1:]
+        else:
+            listing[j] = {"short": s[:-1], "long": s + type(s)([0])}.get(bad, bad)
+    expected = _reference_intake(listing, n_atoms, n_controls)
+    given_as = data.draw(st.sampled_from([list, tuple, iter]), label="container")
+    try:
+        u_set = SelectionSet.explicit(given_as(listing), n_atoms, n_controls)
+    except InputError as e:
+        assert str(e) == expected
+        return
+    got = list(u_set.selections)
+    assert got == expected
+    assert [list(map(type, s)) for s in got] == [list(map(type, s)) for s in expected]
+    assert u_set.columns == tuple(zip(*expected))
+    assert u_set.projections() == tuple(tuple(sorted(set(c))) for c in zip(*expected))
 
 
 def _outcome(fn):
@@ -335,6 +395,69 @@ def test_only_a_holey_listing_is_folded_selection_by_selection(backing, monkeypa
                lambda: decomposable._min_of_folds(integrand, holey, 10**6, outer)):
         with pytest.raises(AssertionError, match="folded selection by selection"):
             fn()
+
+
+# Non-dyadic values, and sums whose float rounding depends on the order of
+# their terms: 1e16 + 1.0 is 1e16, while 1.0 + 1.0 + 1e16 is not.
+HOLEY_VALUES = ["1/3", "-2/7", 0.1, 0.3, -0.7, 1.0, -1.0, 1e16, -1e16]
+
+
+def _fold_reference(integrand, u_set, phi):
+    """(least value, the selections at it in listed order) of ``phi``, an
+    integral, from each selection's own left fold of the codes that
+    ``_selection_folds`` reads."""
+    space, combine = integrand.space, phi.parts
+    if space.backing == "float":
+        rows = decomposable._complex_codes(space.weights, integrand.table, u_set.projections())
+        zero, value = 0j, lambda z: combine(z.real, z.imag)
+    else:
+        codes = exact_codes(space.weights, integrand.table)
+        rows, zero, value = codes.rows, 0, lambda v: codes.value(v, combine)
+    values = [value(reduce(add, map(getitem, rows, s), zero)) for s in u_set.selections]
+    m = min(values)
+    return m, [s for s, v in zip(u_set.selections, values) if v == m]
+
+
+def _walked(integrand, u_set, phi):
+    """(least value, the selections at it) from the blocks of ``_selection_folds``."""
+    blocks, finish = decomposable._selection_folds(
+        integrand, u_set, u_set.projections(), 10**6, phi)
+    least, found = None, []
+    for m, at_m in blocks:
+        if least is None or m < least:
+            least, found = m, at_m
+        elif m == least:
+            found += at_m
+    return finish(least), found
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_holey_listings_fold_as_each_selection_does(data):
+    """A shuffled 4^6 listing less a few selections, four blocks, folded one
+    column at a time: the lhs, the minimizers in listed order and the first
+    error are those of each selection's own fold and of the naive walk."""
+    backing = data.draw(st.sampled_from(["rational", "float"]), label="backing")
+    values = HOLEY_VALUES + data.draw(st.sampled_from([[], ["+inf"], ["+inf", "-inf"]]),
+                                      label="infinities")
+    weights = data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=6, max_size=6),
+                        label="weights")
+    table = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=4, max_size=4),
+                               min_size=6, max_size=6), label="table")
+    sels = list(product(range(4), repeat=6))
+    random.Random(data.draw(st.integers(0, 2**32), label="order")).shuffle(sels)
+    del sels[:data.draw(st.integers(1, 5), label="holes")]
+    space = MeasureSpace([f"a{i}" for i in range(6)], weights, backing=backing)
+    integrand = Integrand(space, [[c] for c in range(4)], table)
+    u_set = SelectionSet.explicit(sels, 6, 4)
+    assert u_set.product_form() is None and u_set.count() > 3 * SELECTION_BLOCK
+    _assert_matches_naive(integrand, u_set, backing)
+    for kind in ("outer", "extended_lebesgue"):
+        phi = make_builtin(kind)
+        expected = _value_or_error(lambda: _fold_reference(integrand, u_set, phi))
+        got = _value_or_error(lambda: _walked(integrand, u_set, phi))
+        assert got == expected and repr(got) == repr(expected)
+    _assert_fold_is_the_min_of_phi(integrand, u_set, make_builtin("extended_lebesgue"))
 
 
 @pytest.mark.parametrize("backing", ["rational", "float"])
